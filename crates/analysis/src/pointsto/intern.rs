@@ -6,7 +6,7 @@
 //! sorted `Vec<u32>`s. The interner is append-only — ids stay valid for the
 //! lifetime of the interner — which is what lets a [`ConstraintCache`]
 //! (see the parent module) keep interned constraint batches across programs
-//! and hand out results that materialize `Loc`-keyed maps lazily.
+//! and hand out results that answer `Loc` queries from their interned sets.
 //!
 //! [`Loc`]: super::Loc
 //! [`ConstraintCache`]: super::ConstraintCache
@@ -55,7 +55,7 @@ impl LocInterner {
 /// A shareable, append-only interner: owned jointly by a
 /// [`ConstraintCache`](super::ConstraintCache) and every
 /// [`PointsToResult`](super::PointsToResult) it produced, so results can
-/// materialize `Loc`-keyed views lazily, long after the solve finished.
+/// resolve `Loc` queries long after the solve finished.
 #[derive(Debug, Default)]
 pub(crate) struct SharedInterner {
     inner: Mutex<LocInterner>,

@@ -81,7 +81,7 @@ use ivy_provenance::{EdgeKind, ProvStore, SEED};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Precision level of the points-to analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -312,17 +312,33 @@ impl ChainLink {
 }
 
 /// The interned solution a worklist solve produces: final sets per location
-/// id plus the interner that gives the ids meaning. The `Loc`-keyed view is
-/// materialized lazily (see [`PointsToResult::pts`]); incremental re-solves
-/// that never get asked for the full map never pay for building it.
+/// id plus the interner that gives the ids meaning. A query resolves only
+/// the one set it asks for (see [`PointsToResult::points_to`]); the whole
+/// `Loc`-keyed map is built only by [`PointsToResult::materialize`].
 #[derive(Debug, Clone)]
 struct Solution {
     interner: Arc<SharedInterner>,
-    /// Non-empty points-to sets, `(location id, sorted pointee ids)`.
+    /// Non-empty points-to sets, `(location id, sorted pointee ids)`,
+    /// sorted by location id.
     sets: Arc<Vec<(u32, Vec<u32>)>>,
 }
 
 impl Solution {
+    fn points_to(&self, loc: &Loc) -> BTreeSet<Loc> {
+        let interner = self.interner.lock();
+        let Some(id) = interner.lookup(loc) else {
+            return BTreeSet::new();
+        };
+        match self.sets.binary_search_by_key(&id, |(l, _)| *l) {
+            Ok(i) => self.sets[i]
+                .1
+                .iter()
+                .map(|&p| interner.resolve(p).clone())
+                .collect(),
+            Err(_) => BTreeSet::new(),
+        }
+    }
+
     fn materialize(&self) -> BTreeMap<Loc, BTreeSet<Loc>> {
         let interner = self.interner.lock();
         self.sets
@@ -337,14 +353,26 @@ impl Solution {
     }
 }
 
+/// Where a result's points-to sets live.
+#[derive(Debug, Clone)]
+enum Repr {
+    /// The interned solution of a worklist-family or union-find solve.
+    Interned(Solution),
+    /// The `Loc`-keyed map the naive reference computes directly.
+    Naive(BTreeMap<Loc, BTreeSet<Loc>>),
+}
+
+impl Default for Repr {
+    fn default() -> Repr {
+        Repr::Naive(BTreeMap::new())
+    }
+}
+
 /// Result of the points-to analysis.
 #[derive(Debug, Clone, Default)]
 pub struct PointsToResult {
-    /// Interned solution (absent for results of the naive reference, which
-    /// computes the `Loc`-keyed map directly).
-    solution: Option<Solution>,
-    /// Lazily materialized `Loc`-keyed view of the solution.
-    pts_cache: OnceLock<BTreeMap<Loc, BTreeSet<Loc>>>,
+    /// The points-to sets.
+    repr: Repr,
     /// For every indirect call, keyed by `(function, callee expression
     /// text)`, the set of function names the callee may refer to.
     pub indirect_targets: HashMap<(String, String), BTreeSet<String>>,
@@ -397,11 +425,10 @@ impl PointsToResult {
             .map(|(id, s)| (id as u32, s))
             .collect();
         PointsToResult {
-            solution: Some(Solution {
+            repr: Repr::Interned(Solution {
                 interner,
                 sets: Arc::new(sets),
             }),
-            pts_cache: OnceLock::new(),
             indirect_targets: out.indirect_targets,
             sensitivity,
             initial_constraints: out.initial_constraints,
@@ -426,8 +453,7 @@ impl PointsToResult {
         iterations: usize,
     ) -> PointsToResult {
         PointsToResult {
-            solution: None,
-            pts_cache: OnceLock::from(pts),
+            repr: Repr::Naive(pts),
             indirect_targets,
             sensitivity,
             initial_constraints,
@@ -443,20 +469,31 @@ impl PointsToResult {
         }
     }
 
-    /// Points-to sets for every abstract location with a non-empty set,
-    /// materialized from the interned solution on first use and cached.
-    pub fn pts(&self) -> &BTreeMap<Loc, BTreeSet<Loc>> {
-        self.pts_cache.get_or_init(|| {
-            self.solution
-                .as_ref()
-                .map(Solution::materialize)
-                .unwrap_or_default()
-        })
+    fn solution(&self) -> Option<&Solution> {
+        match &self.repr {
+            Repr::Interned(sol) => Some(sol),
+            Repr::Naive(_) => None,
+        }
     }
 
-    /// The points-to set of a location (empty if unknown).
+    /// The whole solution as a `Loc`-keyed map: every abstract location
+    /// with a non-empty set. Builds the map afresh on every call — this is
+    /// the view for differential tests and the soundness oracle; alias
+    /// queries go through [`PointsToResult::points_to`].
+    pub fn materialize(&self) -> BTreeMap<Loc, BTreeSet<Loc>> {
+        match &self.repr {
+            Repr::Interned(sol) => sol.materialize(),
+            Repr::Naive(pts) => pts.clone(),
+        }
+    }
+
+    /// The points-to set of a location (empty if unknown). Resolves only
+    /// that one set.
     pub fn points_to(&self, loc: &Loc) -> BTreeSet<Loc> {
-        self.pts().get(loc).cloned().unwrap_or_default()
+        match &self.repr {
+            Repr::Interned(sol) => sol.points_to(loc),
+            Repr::Naive(pts) => pts.get(loc).cloned().unwrap_or_default(),
+        }
     }
 
     /// The functions a given location may point to.
@@ -529,7 +566,7 @@ impl PointsToResult {
     /// location is unknown, or the fact does not hold.
     pub fn why(&self, loc: &Loc, target: &Loc) -> Option<Vec<ChainLink>> {
         let (dst, tgt) = {
-            let sol = self.solution.as_ref()?;
+            let sol = self.solution()?;
             let interner = sol.interner.lock();
             (interner.lookup(loc)?, interner.lookup(target)?)
         };
@@ -549,7 +586,7 @@ impl PointsToResult {
         target_fn: &str,
     ) -> Option<Vec<ChainLink>> {
         let (callee, tgt) = {
-            let sol = self.solution.as_ref()?;
+            let sol = self.solution()?;
             let mut interner = sol.interner.lock();
             let mut callee = None;
             'batches: for batch in gen_program(program, self.sensitivity) {
@@ -569,7 +606,7 @@ impl PointsToResult {
     fn why_ids(&self, dst: u32, tgt: u32) -> Option<Vec<ChainLink>> {
         let prov = self.provenance.as_ref()?;
         let chain = prov.why(dst, tgt)?;
-        let sol = self.solution.as_ref()?;
+        let sol = self.solution()?;
         let interner = sol.interner.lock();
         Some(
             chain
@@ -715,10 +752,7 @@ pub fn analyze_naive(program: &Program, sensitivity: Sensitivity) -> PointsToRes
 /// Returns the number of steps verified. `program` must be the program the
 /// result was computed from.
 pub fn verify_derivations(program: &Program, r: &PointsToResult) -> Result<usize, String> {
-    let sol = r
-        .solution
-        .as_ref()
-        .ok_or("result has no interned solution")?;
+    let sol = r.solution().ok_or("result has no interned solution")?;
     let prov = r
         .provenance
         .as_ref()
@@ -890,7 +924,8 @@ const BATCH_CACHE_CAP: usize = 16384;
 /// hashed, or interned for a clean function.
 ///
 /// The interner is shared with every [`PointsToResult`] produced through
-/// the cache, which is what makes their lazy `pts()` materialization work.
+/// the cache, which is what lets them resolve `Loc` queries against their
+/// interned sets long after the solve.
 #[derive(Debug, Default)]
 pub struct ConstraintCache {
     interner: Arc<SharedInterner>,
@@ -1089,7 +1124,7 @@ pub fn analyze_incremental_with(
         generated,
     );
     if let Some(dyn_edges) = dyn_edges {
-        let sets = Arc::clone(&r.solution.as_ref().expect("interned solution").sets);
+        let sets = Arc::clone(&r.solution().expect("interned solution").sets);
         cache.states.lock().expect("state map poisoned").insert(
             sens_tag,
             Arc::new(FixpointState {
@@ -1268,7 +1303,7 @@ mod tests {
             );
             // Worklist and naive agree on the new constraint shape.
             let slow = analyze_naive(&p, s);
-            assert_eq!(r.pts(), slow.pts());
+            assert_eq!(r.materialize(), slow.materialize());
             assert_eq!(r.indirect_targets, slow.indirect_targets);
         }
     }
@@ -1338,7 +1373,12 @@ mod tests {
             ] {
                 let fast = analyze(&p, s);
                 let slow = analyze_naive(&p, s);
-                assert_eq!(fast.pts(), slow.pts(), "{} pts diverge", s.name());
+                assert_eq!(
+                    fast.materialize(),
+                    slow.materialize(),
+                    "{} pts diverge",
+                    s.name()
+                );
                 assert_eq!(
                     fast.indirect_targets,
                     slow.indirect_targets,
@@ -1389,7 +1429,7 @@ mod tests {
                 "the fact must reach the end of the chain"
             );
         }
-        assert_eq!(fast.pts(), slow.pts());
+        assert_eq!(fast.materialize(), slow.materialize());
     }
 
     #[test]
@@ -1404,7 +1444,7 @@ mod tests {
         let warm = analyze_incremental(&p, Sensitivity::AndersenField, &cache);
         assert_eq!(warm.batches_generated, 0);
         assert_eq!(warm.batches_reused, cold.batches_generated);
-        assert_eq!(warm.pts(), cold.pts());
+        assert_eq!(warm.materialize(), cold.materialize());
         assert_eq!(warm.indirect_targets, cold.indirect_targets);
 
         // One-function edit: exactly one batch regenerates.
@@ -1416,7 +1456,7 @@ mod tests {
             "only the edited function is dirty"
         );
         let scratch = analyze(&edited, Sensitivity::AndersenField);
-        assert_eq!(incr.pts(), scratch.pts());
+        assert_eq!(incr.materialize(), scratch.materialize());
         assert_eq!(incr.indirect_targets, scratch.indirect_targets);
 
         // Sensitivity is part of the key: a different level shares nothing.
@@ -1465,7 +1505,13 @@ mod tests {
                         ..SolveOptions::default()
                     },
                 );
-                assert_eq!(r.pts(), slow.pts(), "{} {:?} pts", s.name(), solver);
+                assert_eq!(
+                    r.materialize(),
+                    slow.materialize(),
+                    "{} {:?} pts",
+                    s.name(),
+                    solver
+                );
                 assert_eq!(
                     r.indirect_targets,
                     slow.indirect_targets,
@@ -1500,7 +1546,7 @@ mod tests {
         assert_eq!(r.threads_used, 4, "auto with threads>1 goes parallel");
         let serial = analyze_with(&p, Sensitivity::Andersen, SolveOptions::default());
         assert_eq!(serial.threads_used, 1);
-        assert_eq!(r.pts(), serial.pts());
+        assert_eq!(r.materialize(), serial.materialize());
     }
 
     /// A body-only edit repairs the cached fixpoint (DRed delete +
@@ -1529,7 +1575,12 @@ mod tests {
                     ..SolveOptions::default()
                 },
             );
-            assert_eq!(repaired.pts(), scratch.pts(), "{} delete-edit", s.name());
+            assert_eq!(
+                repaired.materialize(),
+                scratch.materialize(),
+                "{} delete-edit",
+                s.name()
+            );
             assert_eq!(repaired.indirect_targets, scratch.indirect_targets);
             assert_eq!(repaired.initial_constraints, scratch.initial_constraints);
             assert_eq!(repaired.constraint_count, scratch.constraint_count);
@@ -1538,7 +1589,12 @@ mod tests {
             // the edited fixpoint.
             let back = analyze_incremental_with(&p, s, &cache, SolveOptions::default());
             assert_eq!(back.mode, SolveMode::DeltaRepair);
-            assert_eq!(back.pts(), cold.pts(), "{} re-add edit", s.name());
+            assert_eq!(
+                back.materialize(),
+                cold.materialize(),
+                "{} re-add edit",
+                s.name()
+            );
             assert_eq!(back.indirect_targets, cold.indirect_targets);
             assert_eq!(back.constraint_count, cold.constraint_count);
             assert_eq!(cache.solves_delta(), 2);
@@ -1578,7 +1634,7 @@ mod tests {
                 ..SolveOptions::default()
             },
         );
-        assert_eq!(repaired.pts(), scratch.pts());
+        assert_eq!(repaired.materialize(), scratch.materialize());
         assert_eq!(repaired.indirect_targets, scratch.indirect_targets);
         let targets = repaired.indirect_call_targets("vfs_read", "ops->read");
         assert!(!targets.contains("pipe_read"), "stale target must die");
@@ -1601,7 +1657,12 @@ mod tests {
                 };
                 let plain = analyze_with(&p, s, opts);
                 let traced = analyze_with(&p, s, opts.with_provenance(true));
-                assert_eq!(traced.pts(), plain.pts(), "{} t={threads}", s.name());
+                assert_eq!(
+                    traced.materialize(),
+                    plain.materialize(),
+                    "{} t={threads}",
+                    s.name()
+                );
                 assert_eq!(traced.indirect_targets, plain.indirect_targets);
                 assert_eq!(traced.constraint_count, plain.constraint_count);
                 assert!(!plain.has_provenance());
@@ -1615,7 +1676,7 @@ mod tests {
                 assert_eq!(n, traced.provenance_facts());
 
                 // Every fact in the solution explains itself, seed-first.
-                for (loc, set) in traced.pts() {
+                for (loc, set) in &traced.materialize() {
                     for tgt in set {
                         let chain = traced
                             .why(loc, tgt)
@@ -1684,7 +1745,7 @@ mod tests {
         assert!(warm.has_provenance());
         verify_derivations(&edited, &warm).expect("post-edit incremental replay");
         let scratch = analyze_with(&edited, Sensitivity::AndersenField, opts);
-        assert_eq!(warm.pts(), scratch.pts());
+        assert_eq!(warm.materialize(), scratch.materialize());
         assert_eq!(warm.indirect_targets, scratch.indirect_targets);
     }
 }

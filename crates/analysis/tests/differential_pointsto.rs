@@ -16,11 +16,13 @@
 
 use ivy_analysis::pointsto::{
     analyze, analyze_incremental, analyze_incremental_with, analyze_naive, analyze_with,
-    verify_derivations, ConstraintCache, Sensitivity, SolveMode, SolveOptions, SolverChoice,
+    verify_derivations, ConstraintCache, Loc, PointsToResult, Sensitivity, SolveMode, SolveOptions,
+    SolverChoice,
 };
 use ivy_cmir::ast::Program;
 use ivy_kernelgen::{subsample_program, KernelBuild, KernelConfig};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 /// Cases per property; each case checks all three sensitivities, so every
@@ -58,6 +60,36 @@ fn shared_caches() -> &'static [ConstraintCache; 3] {
     })
 }
 
+/// The single-set query path agrees with the whole-map view: `points_to`
+/// returns exactly `map`'s entry (the result's own `materialize()`) for
+/// every location in it, and the empty set for an interned location with no
+/// set (a pointee that is not itself a key) and for a location no solve
+/// ever interned.
+fn queries_match_map(
+    r: &PointsToResult,
+    map: &BTreeMap<Loc, BTreeSet<Loc>>,
+    what: &str,
+) -> Result<(), String> {
+    for (loc, set) in map {
+        prop_assert_eq!(&r.points_to(loc), set, "{} query for `{}`", what, loc);
+        for p in set.iter().filter(|p| !map.contains_key(*p)) {
+            prop_assert!(
+                r.points_to(p).is_empty(),
+                "{what} query for set-less `{p}` is not empty"
+            );
+        }
+    }
+    let never = Loc::Temp {
+        func: "never interned".into(),
+        id: u32::MAX,
+    };
+    prop_assert!(
+        r.points_to(&never).is_empty(),
+        "{what} query for a never-interned location is not empty"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
@@ -80,8 +112,11 @@ proptest! {
         .enumerate()
         {
             let slow = analyze_naive(&program, s);
+            let want = slow.materialize();
             let fast = analyze(&program, s);
-            prop_assert_eq!(fast.pts(), slow.pts(), "pts diverge at {}", s.name());
+            let got = fast.materialize();
+            prop_assert_eq!(got, want, "pts diverge at {}", s.name());
+            queries_match_map(&fast, &got, s.name())?;
             prop_assert_eq!(
                 &fast.indirect_targets, &slow.indirect_targets,
                 "indirect targets diverge at {}", s.name()
@@ -92,7 +127,9 @@ proptest! {
             // The cache-backed path must agree too (shared interner,
             // cross-program batch reuse).
             let incr = analyze_incremental(&program, s, &caches[i]);
-            prop_assert_eq!(incr.pts(), slow.pts(), "cached pts diverge at {}", s.name());
+            let got = incr.materialize();
+            prop_assert_eq!(got, want, "cached pts diverge at {}", s.name());
+            queries_match_map(&incr, &got, s.name())?;
             prop_assert_eq!(
                 &incr.indirect_targets, &slow.indirect_targets,
                 "cached indirect targets diverge at {}", s.name()
@@ -132,13 +169,14 @@ proptest! {
         .enumerate()
         {
             let slow = analyze_naive(&program, s);
+            let want = slow.materialize();
 
             let par = analyze_with(&program, s, SolveOptions {
                 solver: SolverChoice::Parallel,
                 threads: 4,
                 ..SolveOptions::default()
             });
-            prop_assert_eq!(par.pts(), slow.pts(), "parallel pts diverge at {}", s.name());
+            prop_assert_eq!(par.materialize(), want, "parallel pts diverge at {}", s.name());
             prop_assert_eq!(
                 &par.indirect_targets, &slow.indirect_targets,
                 "parallel indirect targets diverge at {}", s.name()
@@ -152,7 +190,9 @@ proptest! {
                     threads: 1,
                     ..SolveOptions::default()
                 });
-                prop_assert_eq!(uf.pts(), slow.pts(), "union-find pts diverge");
+                let got = uf.materialize();
+                prop_assert_eq!(got, want, "union-find pts diverge");
+                queries_match_map(&uf, &got, "union-find")?;
                 prop_assert_eq!(
                     &uf.indirect_targets, &slow.indirect_targets,
                     "union-find indirect targets diverge"
@@ -172,7 +212,9 @@ proptest! {
             if incr.mode == SolveMode::DeltaRepair {
                 prop_assert_eq!(incr.constraint_count, slow.constraint_count);
             }
-            prop_assert_eq!(incr.pts(), slow.pts(), "delta pts diverge at {}", s.name());
+            let got = incr.materialize();
+            prop_assert_eq!(got, want, "delta pts diverge at {}", s.name());
+            queries_match_map(&incr, &got, s.name())?;
             prop_assert_eq!(
                 &incr.indirect_targets, &slow.indirect_targets,
                 "delta indirect targets diverge at {}", s.name()
@@ -209,7 +251,7 @@ proptest! {
                     provenance: true,
                 });
                 prop_assert_eq!(
-                    traced.pts(), plain.pts(),
+                    traced.materialize(), plain.materialize(),
                     "provenance pts diverge at {} t={}", s.name(), threads
                 );
                 prop_assert_eq!(

@@ -23,6 +23,11 @@ use std::collections::BTreeSet;
 /// report. Returns the number of annotations examined.
 pub fn validate_annotations(program: &Program, report: &mut ConversionReport) -> u64 {
     let mut examined = 0;
+    let globals: BTreeSet<&str> = program
+        .globals
+        .iter()
+        .map(|g| g.decl.name.as_str())
+        .collect();
 
     // Struct/union field annotations may reference sibling fields.
     for comp in &program.composites {
@@ -30,7 +35,7 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
         for field in &comp.fields {
             examined += count_annotations(&field.ty);
             for var in annotation_vars(&field.ty) {
-                if !siblings.contains(&var) && program.global(&var).is_none() {
+                if !siblings.contains(&var) && !globals.contains(var.as_str()) {
                     report.diagnostics.push(DeputyDiagnostic {
                         function: format!("{}::{}", comp.name, field.name),
                         message: format!(
@@ -58,7 +63,7 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
     for g in &program.globals {
         examined += count_annotations(&g.decl.ty);
         for var in annotation_vars(&g.decl.ty) {
-            if program.global(&var).is_none() {
+            if !globals.contains(var.as_str()) {
                 report.diagnostics.push(DeputyDiagnostic {
                     function: format!("global {}", g.decl.name),
                     message: format!("bounds annotation mentions unknown global `{var}`"),
@@ -72,14 +77,11 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
     // Function signatures and locals may reference parameters, earlier
     // locals, and globals.
     for f in &program.functions {
-        let mut in_scope: BTreeSet<String> = f.params.iter().map(|p| p.name.clone()).collect();
-        for g in &program.globals {
-            in_scope.insert(g.decl.name.clone());
-        }
+        let mut in_scope: BTreeSet<&str> = f.params.iter().map(|p| p.name.as_str()).collect();
         for p in &f.params {
             examined += count_annotations(&p.ty);
             for var in annotation_vars(&p.ty) {
-                if !in_scope.contains(&var) {
+                if !in_scope.contains(var.as_str()) && !globals.contains(var.as_str()) {
                     report.diagnostics.push(DeputyDiagnostic {
                         function: f.name.clone(),
                         message: format!(
@@ -97,7 +99,10 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
             if let Stmt::Local(decl, _) = s {
                 examined += count_annotations(&decl.ty);
                 for var in annotation_vars(&decl.ty) {
-                    if !in_scope.contains(&var) && decl.name != var {
+                    if !in_scope.contains(var.as_str())
+                        && !globals.contains(var.as_str())
+                        && decl.name != var
+                    {
                         report.diagnostics.push(DeputyDiagnostic {
                             function: f.name.clone(),
                             message: format!(
@@ -113,7 +118,7 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
                         });
                     }
                 }
-                in_scope.insert(decl.name.clone());
+                in_scope.insert(decl.name.as_str());
             }
         });
     }
@@ -127,27 +132,23 @@ pub fn infer_defaults(program: &mut Program, report: &mut ConversionReport) -> u
     // Collect, per function, the set of local/param names that are used with
     // indexing or pointer arithmetic anywhere in the program.
     let mut inferred = 0;
-    let functions: Vec<Function> = program.functions.clone();
 
-    for f in &functions {
-        if f.body.is_none() {
+    for f in program.functions.iter_mut() {
+        let Some(body) = &f.body else {
             continue;
-        }
+        };
         let arithmetic_ptrs = pointers_used_with_arithmetic(f);
-        let target = program.function_mut(&f.name).expect("function exists");
-        for p in &mut target.params {
+        let new_body = visit::map_block(body, &mut |s| match s {
+            Stmt::Local(mut decl, init) => {
+                inferred += apply_default(&mut decl.ty, arithmetic_ptrs.contains(&decl.name));
+                vec![Stmt::Local(decl, init)]
+            }
+            other => vec![other],
+        });
+        for p in &mut f.params {
             inferred += apply_default(&mut p.ty, arithmetic_ptrs.contains(&p.name));
         }
-        if let Some(body) = &mut target.body {
-            let new_body = visit::map_block(body, &mut |s| match s {
-                Stmt::Local(mut decl, init) => {
-                    inferred += apply_default(&mut decl.ty, arithmetic_ptrs.contains(&decl.name));
-                    vec![Stmt::Local(decl, init)]
-                }
-                other => vec![other],
-            });
-            target.body = Some(new_body);
-        }
+        f.body = Some(new_body);
     }
 
     // Globals and fields: default to `auto` for arrays-of-unknown use, else
@@ -275,6 +276,48 @@ mod tests {
         let mut r = ConversionReport::default();
         validate_annotations(&p, &mut r);
         assert_eq!(r.error_count(), 2);
+    }
+
+    /// Pins the scope rules of function annotations: params and locals may
+    /// name globals, a local may name itself, a local shadowing a global is
+    /// in scope, and only a name that is none of these is reported.
+    #[test]
+    fn function_annotation_scope_diagnostics_are_pinned() {
+        let src = r#"
+            global limit: u32 = 8;
+            global n: u32 = 4;
+            fn f(buf: u8 * count(limit)) {
+                let local_g: u8 * count(limit) = null;
+                let itself: u8 * count(itself) = null;
+                let n: u32 = 2;
+                let shadowed: u8 * count(n) = null;
+                let early: u8 * count(later) = null;
+                let later: u32 = 1;
+            }
+        "#;
+        let p = parse_program(src).unwrap();
+        let mut r = ConversionReport::default();
+        let examined = validate_annotations(&p, &mut r);
+        assert_eq!(examined, 5);
+        let mut early_span = None;
+        visit::walk_fn_stmts(p.function("f").unwrap(), &mut |s| {
+            if let Stmt::Local(decl, _) = s {
+                if decl.name == "early" {
+                    early_span = Some(decl.span);
+                }
+            }
+        });
+        assert!(early_span.is_some_and(|s| s.is_real()));
+        assert_eq!(
+            r.diagnostics,
+            vec![DeputyDiagnostic {
+                function: "f".into(),
+                message: "annotation on local `early` mentions `later`, which is not in scope"
+                    .into(),
+                severity: Severity::Error,
+                span: early_span,
+            }]
+        );
     }
 
     #[test]

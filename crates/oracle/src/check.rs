@@ -164,7 +164,7 @@ pub fn check_subsumption(
     let mut violations = Vec::new();
     let mut precision = Precision::default();
     let s = model.sensitivity;
-    let pts = model.pts.pts();
+    let pts = model.pts.materialize();
     let empty: BTreeSet<Loc> = BTreeSet::new();
     let pts_of = |l: &Loc| pts.get(l).unwrap_or(&empty);
 
