@@ -28,33 +28,30 @@
 //!   (only newly-added locations flow along edges) and online
 //!   indirect-call resolution (discovering a function-pointer target adds
 //!   its binding edges inside the worklist). The fixpoint terminates by
-//!   construction; there is no iteration cap anywhere.
-//! * `parallel` — the **parallel wavefront** solver: the copy graph is
-//!   condensed into SCCs, nodes are partitioned once into ownership
-//!   shards of whole SCCs contiguous in topological order, and the solve
-//!   runs in supersteps (shards drain local worklists in parallel, a
-//!   serial merge barrier routes cross-shard deltas and installs
-//!   dynamically discovered edges). The inclusion fixpoint is unique, so
-//!   the result is byte-identical to `solve` at any thread count.
+//!   construction; there is no iteration cap anywhere. It is the only
+//!   solver that records provenance.
 //! * `unify` — **union-find Steensgaard**: path-compressed, union-by-rank
 //!   unification, the native representation for equality constraints
-//!   (the worklist encodes them as mirrored subset edges).
-//! * `delta` — **DRed-style delta re-solve**: after an edit, retracted
-//!   batches' facts are over-approximately deleted, survivors re-derived,
-//!   and the new batches' facts inserted by difference propagation —
-//!   instead of re-propagating the whole cached graph.
+//!   (the worklist encodes them as mirrored subset edges). The production
+//!   path: the default checker fleet runs only Steensgaard.
+//! * `naive` — the rescan-all reference solver, kept as the differential
+//!   oracle for the other two.
+//!
+//! Dispatch is one rule: Steensgaard without provenance solves by
+//! union-find, everything else on the serial worklist. Every solve is
+//! single-threaded; parallelism lives in the engine, across functions and
+//! program variants.
 //!
 //! Entry points share those layers:
 //!
 //! * [`analyze`] / [`analyze_with`] — one-shot solve; [`SolveOptions`]
-//!   picks the solver ([`SolverChoice`], `IVY_THREADS`) or lets dispatch
-//!   choose (union-find for Steensgaard, wavefront at >1 thread).
+//!   can pin a solver ([`SolverChoice`]) and turn on provenance.
 //! * [`analyze_incremental`] / [`analyze_incremental_with`] — solve
 //!   against a [`ConstraintCache`]: per-function constraint batches are
 //!   keyed by `mix(content_hash, env_hash)` and reused across programs,
 //!   so re-analyzing an edited program regenerates constraints only for
-//!   the dirty functions; small edits are delta-repaired, large ones
-//!   re-propagated ([`SolveMode`] reports which path ran).
+//!   the dirty functions and re-propagates the cached interned graph
+//!   ([`SolveMode`] reports whether any batch was reused).
 //! * [`analyze_naive`] — the retained naive reference solver, kept for
 //!   differential testing (Klinger et al.-style) and the ablation bench.
 //!
@@ -63,10 +60,8 @@
 //! that down on generated programs across every sensitivity and solver.
 
 mod constraints;
-mod delta;
 mod intern;
 mod naive;
-mod parallel;
 mod solve;
 mod unify;
 
@@ -109,62 +104,40 @@ impl Sensitivity {
 /// Which solver implementation a solve should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SolverChoice {
-    /// Pick automatically: union-find for Steensgaard, delta repair when a
-    /// cached fixpoint covers the edit, the parallel wavefront when more
-    /// than one thread is configured, the serial worklist otherwise.
+    /// Pick automatically: union-find for Steensgaard without provenance,
+    /// the serial worklist otherwise.
     #[default]
     Auto,
     /// The serial difference-propagating worklist.
     Worklist,
-    /// Union-find unification (Steensgaard only; other sensitivities fall
-    /// back to the worklist).
+    /// Union-find unification (Steensgaard without provenance only; other
+    /// solves fall back to the worklist).
     UnionFind,
-    /// The parallel wavefront solver.
-    Parallel,
 }
 
-/// How a solve should run. [`SolveOptions::from_env`] reads `IVY_THREADS`
-/// and `IVY_PROVENANCE` so deployments opt into parallel solving and
-/// derivation tracing without an API change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How a solve should run. [`SolveOptions::from_env`] reads
+/// `IVY_PROVENANCE` so deployments opt into derivation tracing without an
+/// API change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveOptions {
     /// Solver implementation to use.
     pub solver: SolverChoice,
-    /// Worker threads for the parallel wavefront solver (1 = serial).
-    pub threads: usize,
     /// Record a derivation step for every points-to fact (see
-    /// [`PointsToResult::why`]). Only the worklist family records
-    /// provenance, so dispatch never picks union-find or delta repair
-    /// while this is set — sound, because every solver path produces
-    /// byte-identical output.
+    /// [`PointsToResult::why`]). Only the worklist records provenance, so
+    /// dispatch never picks union-find while this is set — sound, because
+    /// both solvers produce byte-identical output.
     pub provenance: bool,
 }
 
-impl Default for SolveOptions {
-    fn default() -> SolveOptions {
-        SolveOptions {
-            solver: SolverChoice::Auto,
-            threads: 1,
-            provenance: false,
-        }
-    }
-}
-
 impl SolveOptions {
-    /// Options driven by the environment: `IVY_THREADS` sets the thread
-    /// count (default 1), `IVY_PROVENANCE` (`1`/`true`/`on`) turns on
-    /// derivation tracing, solver choice stays automatic.
+    /// Options driven by the environment: `IVY_PROVENANCE`
+    /// (`1`/`true`/`on`) turns on derivation tracing, solver choice stays
+    /// automatic.
     pub fn from_env() -> SolveOptions {
-        let threads = std::env::var("IVY_THREADS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or(1);
         let provenance =
             std::env::var("IVY_PROVENANCE").is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on"));
         SolveOptions {
             solver: SolverChoice::Auto,
-            threads,
             provenance,
         }
     }
@@ -186,9 +159,6 @@ pub enum SolveMode {
     /// Re-propagated the full cached constraint graph (batches reused,
     /// but the fixpoint was recomputed from empty sets).
     Repropagate,
-    /// DRed-style repair of a previous fixpoint: delete the
-    /// over-approximate deletion set, re-derive survivors, insert.
-    DeltaRepair,
 }
 
 impl SolveMode {
@@ -197,24 +167,8 @@ impl SolveMode {
         match self {
             SolveMode::Cold => "cold",
             SolveMode::Repropagate => "incremental-repropagate",
-            SolveMode::DeltaRepair => "delta-repair",
         }
     }
-}
-
-/// A logged fixpoint: everything the delta re-solver needs to repair the
-/// previous solution instead of re-propagating from scratch. The sets are
-/// shared (`Arc`) with the [`PointsToResult`] that produced them — capture
-/// is O(plan length), not a copy of the solution.
-#[derive(Debug)]
-struct FixpointState {
-    /// The solve plan that produced this fixpoint, as `(batch key, batch)`.
-    plan: Vec<(u64, Arc<InternedBatch>)>,
-    /// Non-empty points-to sets at the fixpoint.
-    sets: Arc<Vec<(u32, Vec<u32>)>>,
-    /// Dynamic copy edges `(src, dst, trigger)` the solve spawned while
-    /// processing loads, stores, and indirect-call bindings.
-    dyn_edges: Vec<solve::DynEdge>,
 }
 
 /// An abstract memory location.
@@ -393,16 +347,8 @@ pub struct PointsToResult {
     pub batches_reused: usize,
     /// Per-function constraint batches generated fresh in this run.
     pub batches_generated: usize,
-    /// How this result was computed (cold / re-propagate / delta repair).
+    /// How this result was computed (cold / re-propagate).
     pub mode: SolveMode,
-    /// Worker threads the solve actually used.
-    pub threads_used: usize,
-    /// Facts discarded by the delta re-solver's deletion phase (0 unless
-    /// `mode` is [`SolveMode::DeltaRepair`]).
-    pub delta_deleted: u64,
-    /// Delta locations re-propagated while repairing (0 unless `mode` is
-    /// [`SolveMode::DeltaRepair`]).
-    pub delta_rederived: u64,
     /// Derivation arena recorded during the solve (`None` unless the solve
     /// ran with [`SolveOptions::provenance`]).
     provenance: Option<Arc<ProvStore>>,
@@ -437,9 +383,6 @@ impl PointsToResult {
             batches_reused,
             batches_generated,
             mode: SolveMode::Cold,
-            threads_used: 1,
-            delta_deleted: 0,
-            delta_rederived: 0,
             provenance,
         }
     }
@@ -462,9 +405,6 @@ impl PointsToResult {
             batches_reused: 0,
             batches_generated: 0,
             mode: SolveMode::Cold,
-            threads_used: 1,
-            delta_deleted: 0,
-            delta_rederived: 0,
             provenance: None,
         }
     }
@@ -632,69 +572,30 @@ impl PointsToResult {
     }
 }
 
-/// Resolves [`SolverChoice::Auto`] for a from-scratch fixpoint (the delta
-/// branch is decided by the incremental path before calling this).
-fn resolve_choice(sensitivity: Sensitivity, opts: SolveOptions) -> SolverChoice {
-    let resolved = match opts.solver {
-        SolverChoice::Auto => {
-            if sensitivity == Sensitivity::Steensgaard && !opts.provenance {
-                SolverChoice::UnionFind
-            } else if opts.threads > 1 {
-                SolverChoice::Parallel
-            } else {
-                SolverChoice::Worklist
-            }
-        }
-        c => c,
-    };
-    // Union-find unification records no derivation steps; a provenance
-    // solve routes to the worklist instead (byte-identical output).
-    if opts.provenance && resolved == SolverChoice::UnionFind {
-        SolverChoice::Worklist
-    } else {
-        resolved
-    }
-}
-
-/// Runs the chosen from-scratch solver. Returns the output plus the thread
-/// count actually used. `log` asks the solver to record its dynamic edges
-/// so the fixpoint can later be repaired incrementally (the union-find
-/// solver cannot log — its fixpoints are never delta-repaired).
+/// Runs the from-scratch solver the options select: union-find for a
+/// Steensgaard solve without provenance unless the worklist is pinned,
+/// the serial worklist otherwise. Unification is only an equality-based
+/// (Steensgaard) encoding and records no derivation steps; both solvers
+/// produce byte-identical output.
 fn run_solver(
     sensitivity: Sensitivity,
     batches: &[Arc<InternedBatch>],
     bind: &solve::BindTable,
     opts: SolveOptions,
-    log: bool,
-) -> (solve::SolveOutput, usize) {
-    match resolve_choice(sensitivity, opts) {
-        SolverChoice::Auto => unreachable!("resolved above"),
-        SolverChoice::Worklist => (
-            solve::solve_worklist(sensitivity, batches, bind, log, opts.provenance),
-            1,
-        ),
-        SolverChoice::UnionFind if sensitivity == Sensitivity::Steensgaard => {
-            (unify::solve_unify(sensitivity, batches, bind), 1)
-        }
-        // Unification is only an equality-based (Steensgaard) encoding;
-        // asking for it at a subset-based sensitivity means the worklist.
-        SolverChoice::UnionFind => (
-            solve::solve_worklist(sensitivity, batches, bind, log, opts.provenance),
-            1,
-        ),
-        SolverChoice::Parallel => {
-            let threads = opts.threads.max(1);
-            (
-                parallel::solve_parallel(sensitivity, batches, bind, threads, log, opts.provenance),
-                threads,
-            )
-        }
+) -> solve::SolveOutput {
+    if sensitivity == Sensitivity::Steensgaard
+        && !opts.provenance
+        && opts.solver != SolverChoice::Worklist
+    {
+        unify::solve_unify(sensitivity, batches, bind)
+    } else {
+        solve::solve_worklist(sensitivity, batches, bind, opts.provenance)
     }
 }
 
 /// Runs the points-to analysis over a whole program (one-shot: constraints
 /// are generated, interned into a fresh interner, and solved) with the
-/// solver and thread count taken from the environment ([`SolveOptions::from_env`]).
+/// options taken from the environment ([`SolveOptions::from_env`]).
 pub fn analyze(program: &Program, sensitivity: Sensitivity) -> PointsToResult {
     analyze_with(program, sensitivity, SolveOptions::from_env())
 }
@@ -716,10 +617,9 @@ pub fn analyze_with(
         let bind = solve::BindTable::build(program, &batches, &mut guard);
         (batches, bind)
     };
-    let (out, threads_used) = run_solver(sensitivity, &batches, &bind, opts, false);
+    let out = run_solver(sensitivity, &batches, &bind, opts);
     let generated = batches.len();
-    let mut r = PointsToResult::from_solution(interner, out, sensitivity, 0, generated);
-    r.threads_used = threads_used;
+    let r = PointsToResult::from_solution(interner, out, sensitivity, 0, generated);
     ivy_telemetry::counter_labeled("ivy_pointsto_solves_total", "mode", r.mode.name(), 1);
     r
 }
@@ -930,15 +830,10 @@ const BATCH_CACHE_CAP: usize = 16384;
 pub struct ConstraintCache {
     interner: Arc<SharedInterner>,
     batches: Mutex<HashMap<u64, Arc<InternedBatch>>>,
-    /// Last logged fixpoint per sensitivity, for delta repair. A stale
-    /// state is never wrong — it carries its own plan, and the repair is
-    /// a plan diff — only potentially far from the new program.
-    states: Mutex<HashMap<u64, Arc<FixpointState>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     solves_cold: AtomicU64,
     solves_repropagate: AtomicU64,
-    solves_delta: AtomicU64,
 }
 
 impl ConstraintCache {
@@ -977,16 +872,10 @@ impl ConstraintCache {
         self.solves_repropagate.load(Ordering::Relaxed)
     }
 
-    /// Solves that delta-repaired a previous fixpoint.
-    pub fn solves_delta(&self) -> u64 {
-        self.solves_delta.load(Ordering::Relaxed)
-    }
-
     fn count_mode(&self, mode: SolveMode) {
         let c = match mode {
             SolveMode::Cold => &self.solves_cold,
             SolveMode::Repropagate => &self.solves_repropagate,
-            SolveMode::DeltaRepair => &self.solves_delta,
         };
         c.fetch_add(1, Ordering::Relaxed);
     }
@@ -1004,10 +893,7 @@ pub fn analyze_incremental(
     analyze_incremental_with(program, sensitivity, cache, SolveOptions::from_env())
 }
 
-/// [`analyze_incremental`] with explicit solver options. When the cache
-/// holds a logged fixpoint for this sensitivity and the edit retracts at
-/// most half of the previous plan, the solve runs as a DRed-style delta
-/// repair instead of re-propagating the whole graph.
+/// [`analyze_incremental`] with explicit solver options.
 pub fn analyze_incremental_with(
     program: &Program,
     sensitivity: Sensitivity,
@@ -1021,7 +907,7 @@ pub fn analyze_incremental_with(
     // solves sharing one cache (e.g. corpus variants) stay parallel.
     let intern_span = ivy_telemetry::span("pointsto/intern", sensitivity.name());
     let mut interner = cache.interner.lock();
-    let mut plan: Vec<(u64, Arc<InternedBatch>)> = Vec::with_capacity(program.functions.len() + 1);
+    let mut batches: Vec<Arc<InternedBatch>> = Vec::with_capacity(program.functions.len() + 1);
     let mut reused = 0usize;
     let mut generated = 0usize;
     {
@@ -1042,24 +928,18 @@ pub fn analyze_incremental_with(
             map.insert(key, Arc::clone(&batch));
             batch
         };
-        plan.push((
+        batches.push(fetch(
             globals_key,
-            fetch(
-                globals_key,
-                &|| gen_globals(program, sensitivity),
-                &mut interner,
-            ),
+            &|| gen_globals(program, sensitivity),
+            &mut interner,
         ));
         for f in program.functions.iter().filter(|f| f.body.is_some()) {
             let content = function_content_hash(f);
             let key = mix(mix(content, env), sens_tag);
-            plan.push((
+            batches.push(fetch(
                 key,
-                fetch(
-                    key,
-                    &|| gen_function_batch(program, sensitivity, f),
-                    &mut interner,
-                ),
+                &|| gen_function_batch(program, sensitivity, f),
+                &mut interner,
             ));
         }
     }
@@ -1067,55 +947,16 @@ pub fn analyze_incremental_with(
     cache.misses.fetch_add(generated as u64, Ordering::Relaxed);
     ivy_telemetry::counter("ivy_pointsto_batch_cache_hits_total", reused as u64);
     ivy_telemetry::counter("ivy_pointsto_batch_cache_misses_total", generated as u64);
-    let batches: Vec<Arc<InternedBatch>> = plan.iter().map(|(_, b)| Arc::clone(b)).collect();
     let bind = solve::BindTable::build(program, &batches, &mut interner);
     drop(interner);
     drop(intern_span);
 
-    // Delta repair applies only under automatic dispatch (an explicit
-    // solver choice is a request for that exact algorithm), only off the
-    // worklist family (union-find fixpoints are never logged), never under
-    // provenance (a repaired fixpoint restores retained facts wholesale,
-    // so it has no derivations for them — a scratch solve records a
-    // complete trace instead), and only when the edit is small enough
-    // that repair plausibly beats re-propagation.
-    let prior: Option<Arc<FixpointState>> = cache
-        .states
-        .lock()
-        .expect("state map poisoned")
-        .get(&sens_tag)
-        .cloned();
-    let use_delta = opts.solver == SolverChoice::Auto
-        && !opts.provenance
-        && sensitivity != Sensitivity::Steensgaard
-        && prior
-            .as_ref()
-            .is_some_and(|st| delta::retracted_batches(&st.plan, &plan) * 2 <= st.plan.len());
-
-    let (mut out, threads_used, mode, deleted, rederived) = if use_delta {
-        let st = prior.expect("checked above");
-        let d = delta::solve_delta(sensitivity, &plan, &bind, &st, true);
-        (
-            d.out,
-            1,
-            SolveMode::DeltaRepair,
-            d.deleted as u64,
-            d.rederived,
-        )
+    let out = run_solver(sensitivity, &batches, &bind, opts);
+    let mode = if reused == 0 {
+        SolveMode::Cold
     } else {
-        let (out, threads) = run_solver(sensitivity, &batches, &bind, opts, true);
-        let mode = if reused == 0 {
-            SolveMode::Cold
-        } else {
-            SolveMode::Repropagate
-        };
-        (out, threads, mode, 0, 0)
+        SolveMode::Repropagate
     };
-
-    // Capture the fixpoint for the next edit's delta repair. Only the
-    // worklist family logs dynamic edges; the union-find solver returns
-    // `None` and its fixpoints are simply not capturable.
-    let dyn_edges = out.dyn_edges.take();
     let mut r = PointsToResult::from_solution(
         Arc::clone(&cache.interner),
         out,
@@ -1123,21 +964,7 @@ pub fn analyze_incremental_with(
         reused,
         generated,
     );
-    if let Some(dyn_edges) = dyn_edges {
-        let sets = Arc::clone(&r.solution().expect("interned solution").sets);
-        cache.states.lock().expect("state map poisoned").insert(
-            sens_tag,
-            Arc::new(FixpointState {
-                plan,
-                sets,
-                dyn_edges,
-            }),
-        );
-    }
     r.mode = mode;
-    r.threads_used = threads_used;
-    r.delta_deleted = deleted;
-    r.delta_rederived = rederived;
     cache.count_mode(mode);
     ivy_telemetry::counter_labeled("ivy_pointsto_solves_total", "mode", mode.name(), 1);
     r
@@ -1475,8 +1302,7 @@ mod tests {
             parse_program(&OPS_TABLE.replace("fn do_read(n: u32)", "fn do_read()")).unwrap();
         let incr = analyze_incremental(&edited, Sensitivity::Andersen, &cache);
         assert_eq!(incr.batches_reused, 0, "env change dirties everything");
-        // A full invalidation also retracts every cached batch, so the
-        // delta repairer must refuse and the solve runs cold.
+        // A full invalidation reuses nothing, so the solve reports cold.
         assert_eq!(incr.mode, SolveMode::Cold);
     }
 
@@ -1491,17 +1317,12 @@ mod tests {
             Sensitivity::AndersenField,
         ] {
             let slow = analyze_naive(&p, s);
-            for (solver, threads) in [
-                (SolverChoice::Worklist, 1),
-                (SolverChoice::UnionFind, 1),
-                (SolverChoice::Parallel, 4),
-            ] {
+            for solver in [SolverChoice::Worklist, SolverChoice::UnionFind] {
                 let r = analyze_with(
                     &p,
                     s,
                     SolveOptions {
                         solver,
-                        threads,
                         ..SolveOptions::default()
                     },
                 );
@@ -1531,113 +1352,61 @@ mod tests {
         }
     }
 
+    /// Body-only edits re-propagate the cached graph and match a
+    /// from-scratch solve byte for byte in both directions: deleting a
+    /// derivation (the direct vfs_read call), then re-adding it.
     #[test]
-    fn auto_dispatch_picks_thread_count_and_solver() {
-        let p = parse_program(OPS_TABLE).unwrap();
-        let r = analyze_with(
-            &p,
-            Sensitivity::Andersen,
-            SolveOptions {
-                solver: SolverChoice::Auto,
-                threads: 4,
-                ..SolveOptions::default()
-            },
-        );
-        assert_eq!(r.threads_used, 4, "auto with threads>1 goes parallel");
-        let serial = analyze_with(&p, Sensitivity::Andersen, SolveOptions::default());
-        assert_eq!(serial.threads_used, 1);
-        assert_eq!(r.materialize(), serial.materialize());
-    }
-
-    /// A body-only edit repairs the cached fixpoint (DRed delete +
-    /// re-derive) and still matches a from-scratch solve byte for byte —
-    /// in both directions, since repair is a plan diff, not a replay.
-    #[test]
-    fn delta_repair_after_edit_matches_scratch() {
+    fn repropagation_after_delete_and_readd_edits_matches_scratch() {
+        let original = parse_program(OPS_TABLE).unwrap();
+        let edited =
+            parse_program(&OPS_TABLE.replace("return vfs_read(&ext2_ops, n);", "return 0;"))
+                .unwrap();
         for s in [Sensitivity::Andersen, Sensitivity::AndersenField] {
-            let p = parse_program(OPS_TABLE).unwrap();
             let cache = ConstraintCache::new();
-            let cold = analyze_incremental_with(&p, s, &cache, SolveOptions::default());
+            let cold = analyze_incremental(&original, s, &cache);
             assert_eq!(cold.mode, SolveMode::Cold);
-
-            // Deleting a derivation: the direct vfs_read call disappears.
-            let edited_src = OPS_TABLE.replace("return vfs_read(&ext2_ops, n);", "return 0;");
-            let edited = parse_program(&edited_src).unwrap();
-            let repaired = analyze_incremental_with(&edited, s, &cache, SolveOptions::default());
-            assert_eq!(repaired.mode, SolveMode::DeltaRepair, "{}", s.name());
-            assert_eq!(repaired.batches_generated, 1);
-            let scratch = analyze_with(
-                &edited,
-                s,
-                SolveOptions {
-                    solver: SolverChoice::Worklist,
-                    threads: 1,
-                    ..SolveOptions::default()
-                },
-            );
-            assert_eq!(
-                repaired.materialize(),
-                scratch.materialize(),
-                "{} delete-edit",
-                s.name()
-            );
-            assert_eq!(repaired.indirect_targets, scratch.indirect_targets);
-            assert_eq!(repaired.initial_constraints, scratch.initial_constraints);
-            assert_eq!(repaired.constraint_count, scratch.constraint_count);
-
-            // Re-adding it: the repair must re-derive the lost facts from
-            // the edited fixpoint.
-            let back = analyze_incremental_with(&p, s, &cache, SolveOptions::default());
-            assert_eq!(back.mode, SolveMode::DeltaRepair);
-            assert_eq!(
-                back.materialize(),
-                cold.materialize(),
-                "{} re-add edit",
-                s.name()
-            );
-            assert_eq!(back.indirect_targets, cold.indirect_targets);
-            assert_eq!(back.constraint_count, cold.constraint_count);
-            assert_eq!(cache.solves_delta(), 2);
+            for (what, p, generated) in [("delete-edit", &edited, 1), ("re-add edit", &original, 0)]
+            {
+                let incr = analyze_incremental(p, s, &cache);
+                assert_eq!(incr.mode, SolveMode::Repropagate, "{} {what}", s.name());
+                assert_eq!(incr.batches_generated, generated, "{} {what}", s.name());
+                let scratch = analyze_with(p, s, SolveOptions::default());
+                assert_eq!(
+                    incr.materialize(),
+                    scratch.materialize(),
+                    "{} {what}",
+                    s.name()
+                );
+                assert_eq!(incr.indirect_targets, scratch.indirect_targets);
+                assert_eq!(incr.constraint_count, scratch.constraint_count);
+            }
+            assert_eq!(cache.solves_repropagate(), 2);
             assert_eq!(cache.solves_cold(), 1);
         }
     }
 
-    /// An edit that rewires a function-pointer table: the repair has to
-    /// retract previously-derived indirect-call bindings and their
+    /// An edit that rewires a function-pointer table: the re-propagated
+    /// result must drop the retracted indirect-call target and its
     /// downstream flows, not just local sets.
     #[test]
-    fn delta_repair_retracts_indirect_call_bindings() {
+    fn repropagation_retracts_rewired_indirect_call_bindings() {
         let p = parse_program(OPS_TABLE).unwrap();
-        let cache = ConstraintCache::new();
-        analyze_incremental_with(
-            &p,
-            Sensitivity::AndersenField,
-            &cache,
-            SolveOptions::default(),
-        );
-        let edited_src = OPS_TABLE.replace("pipe_ops.read = pipe_read;", "");
-        let edited = parse_program(&edited_src).unwrap();
-        let repaired = analyze_incremental_with(
-            &edited,
-            Sensitivity::AndersenField,
-            &cache,
-            SolveOptions::default(),
-        );
-        assert_eq!(repaired.mode, SolveMode::DeltaRepair);
-        assert!(repaired.delta_deleted > 0, "the edit must delete facts");
-        let scratch = analyze_with(
-            &edited,
-            Sensitivity::AndersenField,
-            SolveOptions {
-                solver: SolverChoice::Worklist,
-                threads: 1,
-                ..SolveOptions::default()
-            },
-        );
-        assert_eq!(repaired.materialize(), scratch.materialize());
-        assert_eq!(repaired.indirect_targets, scratch.indirect_targets);
-        let targets = repaired.indirect_call_targets("vfs_read", "ops->read");
-        assert!(!targets.contains("pipe_read"), "stale target must die");
+        let edited = parse_program(&OPS_TABLE.replace("pipe_ops.read = pipe_read;", "")).unwrap();
+        for s in [Sensitivity::Andersen, Sensitivity::AndersenField] {
+            let cache = ConstraintCache::new();
+            let before = analyze_incremental(&p, s, &cache);
+            assert!(before
+                .indirect_call_targets("vfs_read", "ops->read")
+                .contains("pipe_read"));
+            let incr = analyze_incremental(&edited, s, &cache);
+            assert_eq!(incr.mode, SolveMode::Repropagate, "{}", s.name());
+            let scratch = analyze_with(&edited, s, SolveOptions::default());
+            assert_eq!(incr.materialize(), scratch.materialize(), "{}", s.name());
+            assert_eq!(incr.indirect_targets, scratch.indirect_targets);
+            assert_eq!(incr.constraint_count, scratch.constraint_count);
+            let targets = incr.indirect_call_targets("vfs_read", "ops->read");
+            assert!(!targets.contains("pipe_read"), "stale target must die");
+        }
     }
 
     /// Provenance mode changes nothing about the answer, records a
@@ -1650,43 +1419,32 @@ mod tests {
             Sensitivity::Andersen,
             Sensitivity::AndersenField,
         ] {
-            for threads in [1usize, 4] {
-                let opts = SolveOptions {
-                    threads,
-                    ..SolveOptions::default()
-                };
-                let plain = analyze_with(&p, s, opts);
-                let traced = analyze_with(&p, s, opts.with_provenance(true));
-                assert_eq!(
-                    traced.materialize(),
-                    plain.materialize(),
-                    "{} t={threads}",
-                    s.name()
-                );
-                assert_eq!(traced.indirect_targets, plain.indirect_targets);
-                assert_eq!(traced.constraint_count, plain.constraint_count);
-                assert!(!plain.has_provenance());
-                assert!(traced.has_provenance());
-                assert_eq!(plain.provenance_facts(), 0);
-                assert!(traced.provenance_facts() > 0);
-                assert!(traced.provenance_bytes() > 0);
+            let plain = analyze_with(&p, s, SolveOptions::default());
+            let traced = analyze_with(&p, s, SolveOptions::default().with_provenance(true));
+            assert_eq!(traced.materialize(), plain.materialize(), "{}", s.name());
+            assert_eq!(traced.indirect_targets, plain.indirect_targets);
+            assert_eq!(traced.constraint_count, plain.constraint_count);
+            assert!(!plain.has_provenance());
+            assert!(traced.has_provenance());
+            assert_eq!(plain.provenance_facts(), 0);
+            assert!(traced.provenance_facts() > 0);
+            assert!(traced.provenance_bytes() > 0);
 
-                let n = verify_derivations(&p, &traced)
-                    .unwrap_or_else(|e| panic!("{} t={threads}: replay failed: {e}", s.name()));
-                assert_eq!(n, traced.provenance_facts());
+            let n = verify_derivations(&p, &traced)
+                .unwrap_or_else(|e| panic!("{}: replay failed: {e}", s.name()));
+            assert_eq!(n, traced.provenance_facts());
 
-                // Every fact in the solution explains itself, seed-first.
-                for (loc, set) in &traced.materialize() {
-                    for tgt in set {
-                        let chain = traced
-                            .why(loc, tgt)
-                            .unwrap_or_else(|| panic!("{}: no chain for {loc} ∋ {tgt}", s.name()));
-                        assert!(!chain.is_empty());
-                        assert_eq!(chain[0].rule, "addr-of", "chains start at a seed");
-                        assert!(chain[0].src.is_none());
-                        let last = chain.last().unwrap();
-                        assert_eq!((&last.dst, &last.pointee), (loc, tgt));
-                    }
+            // Every fact in the solution explains itself, seed-first.
+            for (loc, set) in &traced.materialize() {
+                for tgt in set {
+                    let chain = traced
+                        .why(loc, tgt)
+                        .unwrap_or_else(|| panic!("{}: no chain for {loc} ∋ {tgt}", s.name()));
+                    assert!(!chain.is_empty());
+                    assert_eq!(chain[0].rule, "addr-of", "chains start at a seed");
+                    assert!(chain[0].src.is_none());
+                    let last = chain.last().unwrap();
+                    assert_eq!((&last.dst, &last.pointee), (loc, tgt));
                 }
             }
         }
@@ -1722,11 +1480,11 @@ mod tests {
             .is_none());
     }
 
-    /// Provenance through the incremental path disables delta repair (a
-    /// repaired fixpoint has no derivations for retained facts) but still
-    /// matches, replays, and keeps working after an edit.
+    /// Provenance through the incremental path re-propagates with
+    /// recording on: the result still matches, replays, and keeps working
+    /// after an edit.
     #[test]
-    fn incremental_provenance_forces_scratch_solve_and_replays() {
+    fn incremental_provenance_replays_after_an_edit() {
         let p = parse_program(OPS_TABLE).unwrap();
         let cache = ConstraintCache::new();
         let opts = SolveOptions::default().with_provenance(true);
@@ -1737,11 +1495,7 @@ mod tests {
         let edited_src = OPS_TABLE.replace("return vfs_read(&ext2_ops, n);", "return 0;");
         let edited = parse_program(&edited_src).unwrap();
         let warm = analyze_incremental_with(&edited, Sensitivity::AndersenField, &cache, opts);
-        assert_ne!(
-            warm.mode,
-            SolveMode::DeltaRepair,
-            "provenance must force a full re-propagation"
-        );
+        assert_eq!(warm.mode, SolveMode::Repropagate);
         assert!(warm.has_provenance());
         verify_derivations(&edited, &warm).expect("post-edit incremental replay");
         let scratch = analyze_with(&edited, Sensitivity::AndersenField, opts);

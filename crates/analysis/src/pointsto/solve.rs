@@ -27,11 +27,8 @@
 //! [`ConstraintCache`](super::ConstraintCache) therefore run fully in
 //! parallel; only generation/interning serializes.
 //!
-//! The graph build ([`prepare`]), the per-node propagation step
-//! ([`Solver::process_node`]), and the output materialization
-//! ([`finish`]) are shared verbatim with the wavefront solver
-//! (`parallel`) and the DRed repair solver (`delta`): all three reach the
-//! same least fixpoint, so their sorted output sets are byte-identical.
+//! The union-find solver (`unify`) and the naive reference reach the same
+//! least fixpoint, so all three produce byte-identical sorted output sets.
 
 use super::constraints::{IConstraint, ISite, InternedBatch};
 use super::intern::LocInterner;
@@ -41,24 +38,14 @@ use ivy_provenance::{EdgeKind, ProvStore, SEED};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-/// A dynamically-discovered copy edge `u → v`, tagged with the node whose
-/// points-to set spawned it (`trigger`): the dereferenced pointer for
-/// load/store edges, the callee node for indirect-call binding edges. The
-/// DRed delta re-solve keeps an edge across an edit only while none of the
-/// three nodes is in the over-approximate deletion set.
-pub(super) type DynEdge = (u32, u32, u32);
-
 /// What the solver hands back: final sets (indexed by location id), the
-/// public indirect-call target map, the solve statistics, and — when the
-/// caller asked for it — the dynamic-edge log a later delta re-solve
-/// repairs from.
+/// public indirect-call target map, and the solve statistics.
 pub(super) struct SolveOutput {
     pub sets: Vec<Vec<u32>>,
     pub indirect_targets: HashMap<(String, String), BTreeSet<String>>,
     pub initial_constraints: usize,
     pub total_constraints: usize,
     pub pops: usize,
-    pub dyn_edges: Option<Vec<DynEdge>>,
     /// Derivation arena recorded during the solve (`None` when provenance
     /// was not requested).
     pub provenance: Option<ProvStore>,
@@ -120,24 +107,6 @@ impl BindTable {
             max_id,
         }
     }
-
-    /// The cost the naive reference assigns to binding one call site to one
-    /// declared function: one constraint per bound parameter plus one for
-    /// the return, doubled in Steensgaard mode (every binding is mirrored).
-    pub(super) fn binding_cost(&self, args: usize, func_pointee: u32, steensgaard: bool) -> usize {
-        let Some(name) = self.func_names.get(&func_pointee) else {
-            return 0;
-        };
-        let Some((params, _)) = self.funcs.get(name) else {
-            return 0;
-        };
-        let pairs = params.len().min(args) + 1;
-        if steensgaard {
-            pairs * 2
-        } else {
-            pairs
-        }
-    }
 }
 
 /// Largest location id a solve plan (or its bind table) references. The
@@ -169,11 +138,11 @@ pub(super) fn plan_max_id(batches: &[Arc<InternedBatch>], bind: &BindTable) -> u
 /// The static part of a solve plan, installed into a [`Solver`]:
 /// flattened indirect sites (indexed by callee node), the deferred
 /// `AddrOf` seeds, and the syntax-constraint count.
-pub(super) struct Prepared<'p> {
-    pub sites: Vec<&'p ISite>,
-    pub sites_of: HashMap<u32, Vec<usize>>,
-    pub seeds: Vec<(u32, u32)>,
-    pub initial_constraints: usize,
+struct Prepared<'p> {
+    sites: Vec<&'p ISite>,
+    sites_of: HashMap<u32, Vec<usize>>,
+    seeds: Vec<(u32, u32)>,
+    initial_constraints: usize,
 }
 
 /// Builds the static graph of `batches` into `solver` (adjacency installed
@@ -184,8 +153,8 @@ pub(super) struct Prepared<'p> {
 /// static one merely re-propagates along that one edge, which is sound;
 /// tracking every static edge would put a hash insert on the graph-build
 /// path of every re-solve).
-pub(super) fn prepare<'p>(solver: &mut Solver, batches: &'p [Arc<InternedBatch>]) -> Prepared<'p> {
-    solver.ensure(plan_max_id(batches, solver.bind_max()) as usize + 1);
+fn prepare<'p>(solver: &mut Solver, batches: &'p [Arc<InternedBatch>]) -> Prepared<'p> {
+    solver.ensure(plan_max_id(batches, solver.bind) as usize + 1);
 
     let mut seeds: Vec<(u32, u32)> = Vec::new();
     let mut touched: Vec<(u8, u32)> = Vec::new();
@@ -246,7 +215,7 @@ pub(super) fn prepare<'p>(solver: &mut Solver, batches: &'p [Arc<InternedBatch>]
 /// Materializes the public output of a finished solve: the indirect-call
 /// target map exactly as the naive reference builds it (an entry exists
 /// for every site, even when empty), plus the final sets and statistics.
-pub(super) fn finish(solver: Solver, prep: &Prepared, initial_constraints: usize) -> SolveOutput {
+fn finish(solver: Solver, prep: &Prepared) -> SolveOutput {
     let mut indirect_targets: HashMap<(String, String), BTreeSet<String>> = HashMap::new();
     for site in &prep.sites {
         let targets: BTreeSet<String> = solver.sets[site.callee as usize]
@@ -262,26 +231,22 @@ pub(super) fn finish(solver: Solver, prep: &Prepared, initial_constraints: usize
     SolveOutput {
         sets: solver.sets,
         indirect_targets,
-        initial_constraints,
+        initial_constraints: prep.initial_constraints,
         total_constraints: solver.total_constraints,
         pops: solver.pops,
-        dyn_edges: solver.log,
         provenance: solver.prov,
     }
 }
 
 /// Solves the union of `batches` to the least fixpoint. Lock-free with
 /// respect to the interner: all ids were resolved into `bind` up front.
-/// With `log` set, every dynamically-discovered copy edge is recorded for
-/// a later DRed delta re-solve.
 pub(super) fn solve_worklist(
     sensitivity: Sensitivity,
     batches: &[Arc<InternedBatch>],
     bind: &BindTable,
-    log: bool,
     provenance: bool,
 ) -> SolveOutput {
-    let mut solver = Solver::new(sensitivity, bind, log);
+    let mut solver = Solver::new(sensitivity, bind);
     solver.prov = provenance.then(ProvStore::new);
 
     let seed_span = ivy_telemetry::span("pointsto/seed", sensitivity.name());
@@ -297,39 +262,37 @@ pub(super) fn solve_worklist(
     ivy_telemetry::counter("ivy_pointsto_worklist_pops_total", solver.pops as u64);
     ivy_telemetry::counter("ivy_pointsto_delta_locations_total", delta_total);
 
-    finish(solver, &prep, prep.initial_constraints)
+    finish(solver, &prep)
 }
 
-pub(super) struct Solver<'a> {
-    pub(super) steensgaard: bool,
-    pub(super) bind: &'a BindTable,
+struct Solver<'a> {
+    steensgaard: bool,
+    bind: &'a BindTable,
     /// Copy successors: `copy_out[u]` ∋ v  ⇒  pts(v) ⊇ pts(u).
-    pub(super) copy_out: Vec<Vec<u32>>,
+    copy_out: Vec<Vec<u32>>,
     /// Load constraints keyed by pointer: `load_out[p]` ∋ t for `t = *p`.
-    pub(super) load_out: Vec<Vec<u32>>,
+    load_out: Vec<Vec<u32>>,
     /// Store constraints keyed by pointer: `store_out[p]` ∋ s for `*p = s`.
-    pub(super) store_out: Vec<Vec<u32>>,
+    store_out: Vec<Vec<u32>>,
     /// Full points-to sets, sorted.
-    pub(super) sets: Vec<Vec<u32>>,
+    sets: Vec<Vec<u32>>,
     /// Newly-added pointees not yet propagated, sorted.
-    pub(super) delta: Vec<Vec<u32>>,
-    pub(super) queued: Vec<bool>,
-    pub(super) worklist: VecDeque<u32>,
+    delta: Vec<Vec<u32>>,
+    queued: Vec<bool>,
+    worklist: VecDeque<u32>,
     /// Copy-edge dedup, packed `(u << 32) | v`.
-    pub(super) copy_edges: HashSet<u64>,
+    copy_edges: HashSet<u64>,
     /// Naive-equivalent constraint count (initial + every indirect-call
     /// binding the reference solver would have appended).
-    pub(super) total_constraints: usize,
-    pub(super) pops: usize,
-    /// Dynamic-edge log for delta re-solves (`None` when not capturing).
-    pub(super) log: Option<Vec<DynEdge>>,
+    total_constraints: usize,
+    pops: usize,
     /// Derivation arena (`None` when provenance is off — the disabled
     /// cost is the `is_some` branch per fresh fact and per new edge).
-    pub(super) prov: Option<ProvStore>,
+    prov: Option<ProvStore>,
 }
 
 impl<'a> Solver<'a> {
-    pub(super) fn new(sensitivity: Sensitivity, bind: &'a BindTable, log: bool) -> Solver<'a> {
+    fn new(sensitivity: Sensitivity, bind: &'a BindTable) -> Solver<'a> {
         Solver {
             steensgaard: sensitivity == Sensitivity::Steensgaard,
             bind,
@@ -343,19 +306,12 @@ impl<'a> Solver<'a> {
             copy_edges: HashSet::new(),
             total_constraints: 0,
             pops: 0,
-            log: log.then(Vec::new),
             prov: None,
         }
     }
 
-    /// The bind table, for sizing (borrow-friendly accessor for
-    /// [`prepare`], which needs `&mut self` at the same time).
-    fn bind_max(&self) -> &'a BindTable {
-        self.bind
-    }
-
     /// Grows the per-node tables to cover ids `< n`.
-    pub(super) fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize) {
         if self.sets.len() < n {
             self.copy_out.resize_with(n, Vec::new);
             self.load_out.resize_with(n, Vec::new);
@@ -370,7 +326,7 @@ impl<'a> Solver<'a> {
     /// elements join the node's delta and (re)queue it. `src` is the node
     /// the items flowed from ([`SEED`] for `AddrOf` constraints), recorded
     /// as each fresh fact's premise when provenance is on.
-    pub(super) fn add_pts(&mut self, node: u32, items: &[u32], src: u32) {
+    fn add_pts(&mut self, node: u32, items: &[u32], src: u32) {
         let set = &mut self.sets[node as usize];
         let fresh = merge_into(set, items);
         if fresh.is_empty() {
@@ -393,18 +349,15 @@ impl<'a> Solver<'a> {
     /// Adds the dynamic copy edge u → v (deduped) and, when the edge is
     /// new, propagates u's *current* set across it so late edges see
     /// earlier facts. `trigger` is the node whose points-to set spawned
-    /// the edge (recorded in the delta-re-solve log); `aux` is the pointee
-    /// of `trigger` the edge routes through, so `(trigger, aux)` is the
-    /// edge's justifying fact in the provenance arena.
-    pub(super) fn add_copy_edge(&mut self, u: u32, v: u32, trigger: u32, aux: u32, kind: EdgeKind) {
+    /// the edge and `aux` the pointee of `trigger` the edge routes
+    /// through, so `(trigger, aux)` is the edge's justifying fact in the
+    /// provenance arena.
+    fn add_copy_edge(&mut self, u: u32, v: u32, trigger: u32, aux: u32, kind: EdgeKind) {
         if u == v {
             return;
         }
         if !self.copy_edges.insert((u64::from(u)) << 32 | u64::from(v)) {
             return;
-        }
-        if let Some(log) = &mut self.log {
-            log.push((u, v, trigger));
         }
         if let Some(prov) = &mut self.prov {
             prov.record_edge(u, v, trigger, aux, kind);
@@ -416,88 +369,11 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Installs a dynamic edge *without* propagating across it, returning
-    /// whether the edge was new. Two callers rely on the deferred
-    /// propagation: the DRed repair re-installs survivor edges whose
-    /// contribution is already part of the target's retained set, and the
-    /// wavefront merge barrier records new edges while the sets live in the
-    /// shards (the owning shard flushes the source set next superstep).
-    /// Seeds the dedup set and the log so a later spawn of the same edge is
-    /// a no-op.
-    pub(super) fn keep_dyn_edge(
-        &mut self,
-        u: u32,
-        v: u32,
-        trigger: u32,
-        aux: u32,
-        kind: EdgeKind,
-    ) -> bool {
-        if u == v || !self.copy_edges.insert((u64::from(u)) << 32 | u64::from(v)) {
-            return false;
-        }
-        if let Some(log) = &mut self.log {
-            log.push((u, v, trigger));
-        }
-        if let Some(prov) = &mut self.prov {
-            prov.record_edge(u, v, trigger, aux, kind);
-        }
-        self.copy_out[u as usize].push(v);
-        true
-    }
-
-    /// [`Self::bind_target`] for the wavefront merge barrier: identical
-    /// edge insertion and constraint counting, but no set propagation —
-    /// every newly-inserted edge is reported into `sink` so the barrier can
-    /// ask the source's owning shard to flush its current set across it.
-    pub(super) fn bind_target_deferred(
-        &mut self,
-        args: &[u32],
-        result: u32,
-        func_pointee: u32,
-        trigger: u32,
-        sink: &mut Vec<(u32, u32)>,
-    ) {
-        let fname = &self.bind.func_names[&func_pointee];
-        let Some((params, ret)) = self.bind.funcs.get(fname) else {
-            return;
-        };
-        let (params, ret) = (params.clone(), *ret);
-        for (idx, &pid) in params.iter().enumerate() {
-            let Some(&arg) = args.get(idx) else { break };
-            if self.keep_dyn_edge(arg, pid, trigger, func_pointee, EdgeKind::CallBind) {
-                sink.push((arg, pid));
-            }
-            self.total_constraints += 1;
-            if self.steensgaard {
-                if self.keep_dyn_edge(pid, arg, trigger, func_pointee, EdgeKind::CallBind) {
-                    sink.push((pid, arg));
-                }
-                self.total_constraints += 1;
-            }
-        }
-        if self.keep_dyn_edge(ret, result, trigger, func_pointee, EdgeKind::CallBind) {
-            sink.push((ret, result));
-        }
-        self.total_constraints += 1;
-        if self.steensgaard {
-            if self.keep_dyn_edge(result, ret, trigger, func_pointee, EdgeKind::CallBind) {
-                sink.push((result, ret));
-            }
-            self.total_constraints += 1;
-        }
-    }
-
     /// Binds one indirect call site to one discovered target: copy edges
     /// argument → parameter and return → result, mirroring (and counting
     /// exactly like) the constraints the naive reference appends.
     /// `trigger` is the site's callee node.
-    pub(super) fn bind_target(
-        &mut self,
-        args: &[u32],
-        result: u32,
-        func_pointee: u32,
-        trigger: u32,
-    ) {
+    fn bind_target(&mut self, args: &[u32], result: u32, func_pointee: u32, trigger: u32) {
         let fname = &self.bind.func_names[&func_pointee];
         let Some((params, ret)) = self.bind.funcs.get(fname) else {
             // Not a function the program declares (the naive reference
@@ -526,7 +402,7 @@ impl<'a> Solver<'a> {
     /// load/store constraints (spawning dynamic edges), the copy
     /// successors, and the indirect call sites through `n`. Returns the
     /// number of delta locations processed.
-    pub(super) fn process_node(
+    fn process_node(
         &mut self,
         n: u32,
         sites: &[&ISite],
@@ -588,7 +464,7 @@ impl<'a> Solver<'a> {
     /// of delta locations propagated (summed locally and flushed as one
     /// counter update per solve so the hot loop never touches telemetry,
     /// even when counters are enabled).
-    pub(super) fn drain(&mut self, sites: &[&ISite], sites_of: &HashMap<u32, Vec<usize>>) -> u64 {
+    fn drain(&mut self, sites: &[&ISite], sites_of: &HashMap<u32, Vec<usize>>) -> u64 {
         let mut delta_total = 0u64;
         while let Some(n) = self.worklist.pop_front() {
             delta_total += self.process_node(n, sites, sites_of);

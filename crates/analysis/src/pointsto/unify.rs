@@ -171,7 +171,6 @@ pub(super) fn solve_unify(
         initial_constraints,
         total_constraints: uf.total_constraints,
         pops: uf.pops,
-        dyn_edges: None,
         // Unification derives facts by merging equivalence classes, not by
         // propagating along edges; it records no provenance (dispatch
         // routes provenance solves to the worklist instead).

@@ -91,10 +91,8 @@ impl ProgramSummaries {
 
 /// Iterative Tarjan SCC over integer nodes `0..succ.len()`. Components are
 /// emitted with successors before their predecessors (reverse topological
-/// order of the condensation), members sorted ascending. Shared between the
-/// call-graph condensation below and the points-to wavefront partitioner,
-/// which both need the same successors-first emission order to compute
-/// levels in one pass.
+/// order of the condensation), members sorted ascending, so the call-graph
+/// condensation below computes levels in one pass.
 pub fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
     #[derive(Default, Clone)]
     struct NodeState {
@@ -152,71 +150,6 @@ pub fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
         }
     }
     sccs
-}
-
-/// Iterative Tarjan SCC over a `u32`-indexed adjacency, returning each
-/// node's component id and the component count. Components are numbered in
-/// emission order — successors before predecessors — so *descending* id is
-/// a topological order of the condensation. This is the allocation-light
-/// variant the points-to wavefront partitioner runs on the interned copy
-/// graph on every parallel cold solve (tens of thousands of nodes): no
-/// per-component `Vec`s, no `usize` widening of the adjacency, just flat
-/// arrays — [`tarjan_sccs`] on the same graph costs several milliseconds
-/// more than the whole solve saves.
-pub fn tarjan_scc_ids(succ: &[Vec<u32>]) -> (Vec<u32>, u32) {
-    const UNVISITED: u32 = u32::MAX;
-    let n = succ.len();
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut scc_of = vec![0u32; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut scc_count = 0u32;
-    // Explicit DFS stack of (node, next-successor-position).
-    let mut dfs: Vec<(u32, u32)> = Vec::new();
-    for start in 0..n as u32 {
-        if index[start as usize] != UNVISITED {
-            continue;
-        }
-        dfs.push((start, 0));
-        while let Some(&mut (v, ref mut pos)) = dfs.last_mut() {
-            let vu = v as usize;
-            if *pos == 0 {
-                index[vu] = next_index;
-                lowlink[vu] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[vu] = true;
-            }
-            if let Some(&w) = succ[vu].get(*pos as usize) {
-                *pos += 1;
-                if index[w as usize] == UNVISITED {
-                    dfs.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[vu] = lowlink[vu].min(index[w as usize]);
-                }
-            } else {
-                // v is finished.
-                if lowlink[vu] == index[vu] {
-                    loop {
-                        let w = stack.pop().expect("stack non-empty");
-                        on_stack[w as usize] = false;
-                        scc_of[w as usize] = scc_count;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    scc_count += 1;
-                }
-                dfs.pop();
-                if let Some(&mut (parent, _)) = dfs.last_mut() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[vu]);
-                }
-            }
-        }
-    }
-    (scc_of, scc_count)
 }
 
 /// Tarjan SCC over function names; edges come from the call graph

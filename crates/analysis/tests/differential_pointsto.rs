@@ -1,7 +1,8 @@
-//! Differential testing of the worklist points-to solver against the
-//! retained naive reference, in the spirit of Klinger et al.'s differential
-//! program-analysis testing: generate random programs, run both solvers at
-//! every sensitivity, and require *identical* `pts` and `indirect_targets`.
+//! Differential testing of the worklist and union-find points-to solvers
+//! against the retained naive reference, in the spirit of Klinger et al.'s
+//! differential program-analysis testing: generate random programs, run
+//! every solver at every sensitivity, and require *identical* `pts` and
+//! `indirect_targets`.
 //!
 //! Programs are derived from `ivy-kernelgen` corpora: a generated kernel is
 //! randomly sub-sampled (whole functions dropped, bodies of others turned
@@ -15,9 +16,8 @@
 //! or skipped (see `.github/workflows/ci.yml`).
 
 use ivy_analysis::pointsto::{
-    analyze, analyze_incremental, analyze_incremental_with, analyze_naive, analyze_with,
-    verify_derivations, ConstraintCache, Loc, PointsToResult, Sensitivity, SolveMode, SolveOptions,
-    SolverChoice,
+    analyze, analyze_incremental, analyze_naive, analyze_with, verify_derivations, ConstraintCache,
+    Loc, PointsToResult, Sensitivity, SolveOptions, SolverChoice,
 };
 use ivy_cmir::ast::Program;
 use ivy_kernelgen::{subsample_program, KernelBuild, KernelConfig};
@@ -124,6 +124,27 @@ proptest! {
             prop_assert_eq!(fast.initial_constraints, slow.initial_constraints);
             prop_assert_eq!(fast.constraint_count, slow.constraint_count);
 
+            // Both Steensgaard encodings, pinned explicitly: automatic
+            // dispatch picks union-find, and the mirrored-subset worklist
+            // is what provenance solves run on.
+            if s == Sensitivity::Steensgaard {
+                for solver in [SolverChoice::UnionFind, SolverChoice::Worklist] {
+                    let r = analyze_with(&program, s, SolveOptions {
+                        solver,
+                        ..SolveOptions::default()
+                    });
+                    let got = r.materialize();
+                    prop_assert_eq!(&got, &want, "{:?} pts diverge", solver);
+                    queries_match_map(&r, &got, "explicit Steensgaard solver")?;
+                    prop_assert_eq!(
+                        &r.indirect_targets, &slow.indirect_targets,
+                        "{:?} indirect targets diverge", solver
+                    );
+                    prop_assert_eq!(r.initial_constraints, slow.initial_constraints);
+                    prop_assert_eq!(r.constraint_count, slow.constraint_count);
+                }
+            }
+
             // The cache-backed path must agree too (shared interner,
             // cross-program batch reuse).
             let incr = analyze_incremental(&program, s, &caches[i]);
@@ -137,94 +158,9 @@ proptest! {
         }
     }
 
-    /// The new solver family — parallel wavefront, union-find Steensgaard,
-    /// and DRed delta repair — against the same naive reference, on the
-    /// same generated-program distribution. Delta repair is exercised with
-    /// genuine cross-program diffs: each case repairs the previous case's
-    /// fixpoint in the shared cache, so retraction sets range from empty
-    /// to "most of the plan" (where the dispatcher must fall back).
-    #[test]
-    fn parallel_unionfind_and_delta_match_naive_on_generated_programs(
-        seed in any::<u64>(),
-        base_idx in 0usize..2,
-        drop_pct in 0u64..40,
-        strip_pct in 0u64..35,
-    ) {
-        static DELTA_CACHES: OnceLock<[ConstraintCache; 3]> = OnceLock::new();
-        let caches = DELTA_CACHES.get_or_init(|| {
-            [
-                ConstraintCache::new(),
-                ConstraintCache::new(),
-                ConstraintCache::new(),
-            ]
-        });
-        let bases = base_kernels();
-        let program = subsample_program(&bases[base_idx], seed, drop_pct, strip_pct);
-        for (i, s) in [
-            Sensitivity::Steensgaard,
-            Sensitivity::Andersen,
-            Sensitivity::AndersenField,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let slow = analyze_naive(&program, s);
-            let want = slow.materialize();
-
-            let par = analyze_with(&program, s, SolveOptions {
-                solver: SolverChoice::Parallel,
-                threads: 4,
-                ..SolveOptions::default()
-            });
-            prop_assert_eq!(par.materialize(), want, "parallel pts diverge at {}", s.name());
-            prop_assert_eq!(
-                &par.indirect_targets, &slow.indirect_targets,
-                "parallel indirect targets diverge at {}", s.name()
-            );
-            prop_assert_eq!(par.initial_constraints, slow.initial_constraints);
-            prop_assert_eq!(par.constraint_count, slow.constraint_count);
-
-            if s == Sensitivity::Steensgaard {
-                let uf = analyze_with(&program, s, SolveOptions {
-                    solver: SolverChoice::UnionFind,
-                    threads: 1,
-                    ..SolveOptions::default()
-                });
-                let got = uf.materialize();
-                prop_assert_eq!(got, want, "union-find pts diverge");
-                queries_match_map(&uf, &got, "union-find")?;
-                prop_assert_eq!(
-                    &uf.indirect_targets, &slow.indirect_targets,
-                    "union-find indirect targets diverge"
-                );
-                prop_assert_eq!(uf.constraint_count, slow.constraint_count);
-            }
-
-            // Auto dispatch against a long-lived cache: after the first
-            // case this is a delta repair whenever the plan diff is small
-            // enough, a re-propagation otherwise — both must be identical
-            // to the reference.
-            let incr = analyze_incremental_with(&program, s, &caches[i], SolveOptions {
-                solver: SolverChoice::Auto,
-                threads: if seed.is_multiple_of(2) { 4 } else { 1 },
-                ..SolveOptions::default()
-            });
-            if incr.mode == SolveMode::DeltaRepair {
-                prop_assert_eq!(incr.constraint_count, slow.constraint_count);
-            }
-            let got = incr.materialize();
-            prop_assert_eq!(got, want, "delta pts diverge at {}", s.name());
-            queries_match_map(&incr, &got, s.name())?;
-            prop_assert_eq!(
-                &incr.indirect_targets, &slow.indirect_targets,
-                "delta indirect targets diverge at {}", s.name()
-            );
-        }
-    }
-
-    /// Provenance recording changes nothing: at every sensitivity, both the
-    /// serial worklist and the parallel wavefront produce byte-identical
-    /// answers with tracing on, and every recorded derivation replays —
+    /// Provenance recording changes nothing: at every sensitivity, the
+    /// recording worklist produces byte-identical answers to the plain
+    /// solve, and every recorded derivation replays —
     /// each step's conclusion follows from its premises by a real rule
     /// (AddrOf seed, static copy, or a justified dynamic edge), premises
     /// strictly precede conclusions in the arena, and the recorded facts
@@ -244,30 +180,24 @@ proptest! {
             Sensitivity::AndersenField,
         ] {
             let plain = analyze_with(&program, s, SolveOptions::default());
-            for threads in [1usize, 4] {
-                let traced = analyze_with(&program, s, SolveOptions {
-                    solver: SolverChoice::Auto,
-                    threads,
-                    provenance: true,
-                });
-                prop_assert_eq!(
-                    traced.materialize(), plain.materialize(),
-                    "provenance pts diverge at {} t={}", s.name(), threads
-                );
-                prop_assert_eq!(
-                    &traced.indirect_targets, &plain.indirect_targets,
-                    "provenance indirect targets diverge at {} t={}", s.name(), threads
-                );
-                prop_assert_eq!(traced.initial_constraints, plain.initial_constraints);
-                prop_assert_eq!(traced.constraint_count, plain.constraint_count);
-                let replayed = verify_derivations(&program, &traced);
-                prop_assert!(
-                    replayed.is_ok(),
-                    "replay failed at {} t={}: {}", s.name(), threads,
-                    replayed.unwrap_err()
-                );
-                prop_assert_eq!(replayed.unwrap(), traced.provenance_facts());
-            }
+            let traced = analyze_with(&program, s, SolveOptions::default().with_provenance(true));
+            prop_assert_eq!(
+                traced.materialize(), plain.materialize(),
+                "provenance pts diverge at {}", s.name()
+            );
+            prop_assert_eq!(
+                &traced.indirect_targets, &plain.indirect_targets,
+                "provenance indirect targets diverge at {}", s.name()
+            );
+            prop_assert_eq!(traced.initial_constraints, plain.initial_constraints);
+            prop_assert_eq!(traced.constraint_count, plain.constraint_count);
+            let replayed = verify_derivations(&program, &traced);
+            prop_assert!(
+                replayed.is_ok(),
+                "replay failed at {}: {}", s.name(),
+                replayed.unwrap_err()
+            );
+            prop_assert_eq!(replayed.unwrap(), traced.provenance_facts());
         }
     }
 }

@@ -458,11 +458,6 @@ impl State {
             Some(("mode", "incremental-repropagate")),
             pts.solves_repropagate(),
         );
-        prom.counter(
-            "ivy_daemon_pointsto_solves_total",
-            Some(("mode", "delta-repair")),
-            pts.solves_delta(),
-        );
         if let Some(layer) = &self.persist {
             prom.counter("ivy_daemon_persist_hits_total", None, layer.hits());
             prom.counter("ivy_daemon_persist_misses_total", None, layer.misses());
@@ -719,10 +714,6 @@ impl State {
                 pointsto.insert(
                     "solves_repropagate".into(),
                     Value::from(pts.solves_repropagate()),
-                );
-                pointsto.insert(
-                    "solves_delta_repair".into(),
-                    Value::from(pts.solves_delta()),
                 );
                 engine_stats.insert("pointsto".into(), Value::Object(pointsto));
                 // Provenance volume of the last analyze (0 when provenance

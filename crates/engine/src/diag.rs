@@ -243,18 +243,10 @@ pub struct EngineStats {
     pub pointsto_batches_reused: usize,
     /// Per-function points-to constraint batches generated fresh.
     pub pointsto_batches_generated: usize,
-    /// How the scheduling points-to fixpoint was computed: `"cold"`,
-    /// `"incremental-repropagate"`, or `"delta-repair"` (empty when the
-    /// run was served entirely from the persist layer and never solved).
+    /// How the scheduling points-to fixpoint was computed: `"cold"` or
+    /// `"incremental-repropagate"` (empty when the run was served entirely
+    /// from the persist layer and never solved).
     pub pointsto_solve_mode: String,
-    /// Worker threads the points-to solve used (1 = serial).
-    pub pointsto_threads: u64,
-    /// Facts discarded by delta repair's deletion phase (0 unless the
-    /// solve mode is `"delta-repair"`).
-    pub pointsto_delta_deleted: u64,
-    /// Delta locations re-propagated while repairing (0 unless the solve
-    /// mode is `"delta-repair"`).
-    pub pointsto_delta_rederived: u64,
     /// Derivation steps the provenance arena recorded for the scheduling
     /// points-to solve (0 when provenance was off).
     pub provenance_facts: u64,
@@ -302,18 +294,6 @@ impl EngineStats {
             Value::from(self.pointsto_solve_mode.clone()),
         );
         stats.insert(
-            "pointsto_threads".into(),
-            Value::from(self.pointsto_threads),
-        );
-        stats.insert(
-            "pointsto_delta_deleted".into(),
-            Value::from(self.pointsto_delta_deleted),
-        );
-        stats.insert(
-            "pointsto_delta_rederived".into(),
-            Value::from(self.pointsto_delta_rederived),
-        );
-        stats.insert(
             "provenance_facts".into(),
             Value::from(self.provenance_facts),
         );
@@ -325,7 +305,8 @@ impl EngineStats {
     }
 
     /// Decodes stats from their [`EngineStats::to_value`] form; `None`
-    /// rejects malformed input.
+    /// rejects malformed input. Keys this version no longer writes (the
+    /// solver-thread and delta-repair counters) are ignored.
     pub fn from_value(v: &Value) -> Option<EngineStats> {
         let count = |key: &str| v.get(key).and_then(Value::as_u64);
         let size = |key: &str| count(key).map(|n| n as usize);
@@ -347,15 +328,12 @@ impl EngineStats {
             pointsto_constraints: size("pointsto_constraints")?,
             pointsto_batches_reused: size("pointsto_batches_reused")?,
             pointsto_batches_generated: size("pointsto_batches_generated")?,
-            // Absent in pre-wavefront encodings; default rather than reject.
+            // Absent in pre-solve-mode encodings; default rather than reject.
             pointsto_solve_mode: v
                 .get("pointsto_solve_mode")
                 .and_then(Value::as_str)
                 .unwrap_or("cold")
                 .to_string(),
-            pointsto_threads: count("pointsto_threads").unwrap_or(1),
-            pointsto_delta_deleted: count("pointsto_delta_deleted").unwrap_or(0),
-            pointsto_delta_rederived: count("pointsto_delta_rederived").unwrap_or(0),
             // Absent in pre-provenance encodings; default rather than reject.
             provenance_facts: count("provenance_facts").unwrap_or(0),
             provenance_bytes: count("provenance_bytes").unwrap_or(0),
@@ -606,14 +584,20 @@ mod tests {
             pointsto_constraints: 140,
             pointsto_batches_reused: 11,
             pointsto_batches_generated: 1,
-            pointsto_solve_mode: "delta-repair".into(),
-            pointsto_threads: 4,
-            pointsto_delta_deleted: 7,
-            pointsto_delta_rederived: 19,
+            pointsto_solve_mode: "incremental-repropagate".into(),
             provenance_facts: 321,
             provenance_bytes: 4096,
         };
         assert_eq!(EngineStats::from_value(&stats.to_value()).unwrap(), stats);
+        // An older encoding that still carries the solver-thread and
+        // delta-repair counters decodes to the same stats.
+        let mut older = stats.to_value();
+        if let Value::Object(m) = &mut older {
+            m.insert("pointsto_threads".into(), Value::from(4u64));
+            m.insert("pointsto_delta_deleted".into(), Value::from(7u64));
+            m.insert("pointsto_delta_rederived".into(), Value::from(19u64));
+        }
+        assert_eq!(EngineStats::from_value(&older).unwrap(), stats);
         assert!(EngineStats::from_value(&Value::from("nope")).is_none());
     }
 

@@ -248,8 +248,8 @@ pub struct QueryDb {
     pts_cache: Arc<ConstraintCache>,
     /// Cross-process persistence, when attached.
     persist: Option<Arc<PersistLayer>>,
-    /// How [`Pointsto`] solves run for this db (threads, solver choice,
-    /// derivation tracing). Environment-driven by default; the engine's
+    /// How [`Pointsto`] solves run for this db (solver choice, derivation
+    /// tracing). Environment-driven by default; the engine's
     /// `--provenance` switch overrides it per engine.
     solve_options: SolveOptions,
     table: Mutex<HashMap<(TypeId, u64), Slot>>,

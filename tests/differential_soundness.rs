@@ -75,11 +75,6 @@ proptest! {
         drop_pct in 0u64..40,
         strip_pct in 0u64..35,
     ) {
-        // Route the oracle's points-to solves through the new solver
-        // family: >1 thread makes automatic dispatch pick the parallel
-        // wavefront for the subset-based sensitivities (Steensgaard
-        // always unifies), so the soundness gate covers them too.
-        std::env::set_var("IVY_THREADS", "4");
         let bases = base_kernels();
         let program = subsample_program(&bases[base_idx], seed, drop_pct, strip_pct);
         let entries = entries_for(&program);

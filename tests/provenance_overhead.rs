@@ -17,7 +17,6 @@ fn disabled_provenance_overhead_stays_under_the_telemetry_budget() {
     let build = KernelBuild::generate(&KernelConfig::paper());
     let worklist = SolveOptions {
         solver: SolverChoice::Worklist,
-        threads: 1,
         provenance: false,
     };
 
