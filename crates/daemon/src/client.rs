@@ -2,7 +2,8 @@
 //! connection.
 
 use crate::protocol::{
-    invalidation_from_value, read_frame, request, response_error, response_ok, write_frame,
+    invalidation_from_value, read_frame, read_raw_frame, request, response_error, response_ok,
+    write_frame, SourceDigest,
 };
 use ivy_engine::{EngineStats, InvalidationStats};
 use serde_json::Value;
@@ -94,39 +95,53 @@ impl Client {
     }
 
     /// Analyzes a program (KC source text) with the daemon's checker
-    /// fleet.
+    /// fleet. The request names the program by its [`SourceDigest`]; the
+    /// source travels only if the daemon answers `need_source`, and the
+    /// diagnostics arrive as a raw frame after the JSON header.
     pub fn analyze(&mut self, source: &str) -> io::Result<AnalyzeOutcome> {
-        let response = self.source_request("analyze", source)?;
-        let text = |key: &str| {
-            response
-                .get(key)
+        let digest = SourceDigest::of(source).to_string();
+        let digest_request = |source: Option<&str>| {
+            let mut m = request("analyze");
+            m.insert("digest".into(), Value::from(digest.as_str()));
+            if let Some(source) = source {
+                m.insert("source".into(), Value::from(source));
+            }
+            Value::Object(m)
+        };
+        let mut header = self.request(&digest_request(None))?;
+        if header.get("need_source").and_then(Value::as_bool) == Some(true) {
+            header = self.request(&digest_request(Some(source)))?;
+        }
+        let diagnostics_bytes = header
+            .get("diagnostics_bytes")
+            .and_then(Value::as_u64)
+            .ok_or_else(|| malformed("analyze"))?;
+        let diagnostics_json = read_raw_frame(&mut self.stream)?;
+        if diagnostics_json.len() as u64 != diagnostics_bytes {
+            return Err(malformed("analyze"));
+        }
+        Ok(AnalyzeOutcome {
+            program_hash: header
+                .get("program_hash")
                 .and_then(Value::as_str)
                 .map(String::from)
-                .ok_or_else(|| malformed("analyze"))
-        };
-        Ok(AnalyzeOutcome {
-            program_hash: text("program_hash")?,
-            diagnostics_json: text("diagnostics_json")?,
-            diagnostic_count: response
+                .ok_or_else(|| malformed("analyze"))?,
+            diagnostics_json,
+            diagnostic_count: header
                 .get("diagnostic_count")
                 .and_then(Value::as_u64)
                 .ok_or_else(|| malformed("analyze"))? as usize,
-            stats: response
+            stats: header
                 .get("stats")
                 .and_then(EngineStats::from_value)
                 .ok_or_else(|| malformed("analyze"))?,
         })
     }
 
-    /// The stable diagnostics serialization alone (lighter than
-    /// [`Client::analyze`]; same caches serve it).
+    /// The stable diagnostics serialization alone: [`Client::analyze`]'s
+    /// `diagnostics_json`, so it takes the digest path too.
     pub fn diagnostics(&mut self, source: &str) -> io::Result<String> {
-        let response = self.source_request("diagnostics", source)?;
-        response
-            .get("diagnostics_json")
-            .and_then(Value::as_str)
-            .map(String::from)
-            .ok_or_else(|| malformed("diagnostics"))
+        Ok(self.analyze(source)?.diagnostics_json)
     }
 
     /// Notifies the daemon of an edit (the full edited source). The daemon

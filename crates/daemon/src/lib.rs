@@ -33,6 +33,11 @@
 //!   files (`<cache>/<namespace>/<writer>.json`), so concurrent daemon
 //!   workers and batch runs racing a daemon merge losslessly instead of
 //!   clobbering each other's flushes.
+//! * **Content-addressed answers.** [`Client::analyze`] names the program
+//!   by a digest of its source and ships the source only when the daemon
+//!   asks. A repeated request for an entirely cache-served answer is
+//!   answered from memoized response bytes, and the diagnostics travel
+//!   as a raw frame instead of an escaped JSON string.
 //!
 //! # Quick session
 //!

@@ -9,10 +9,14 @@
 //! alive *across* program states: the recorded query dependency edges
 //! invalidate only the edited functions' reachable cone, and the rest of
 //! the memoized artifacts carry over (see
-//! [`Engine::apply_edit`]).
+//! [`Engine::apply_edit`]). A repeated `analyze` of bytes the daemon has
+//! already answered costs a lookup: the answer index resolves the source
+//! digest to a resident context, and an entirely cache-served answer is
+//! memoized as the encoded response bytes (see [`crate::protocol`]).
 
 use crate::protocol::{
-    error_response, invalidation_to_value, read_frame, response_ok, write_frame, PROTOCOL_VERSION,
+    encode_frame, encode_raw_frame, error_response, invalidation_to_value, read_frame, response_ok,
+    write_frame, SourceDigest, PROTOCOL_VERSION,
 };
 use ivy_analysis::pointsto::{verify_derivations, Loc};
 use ivy_blockstop::BlockStopChecker;
@@ -21,11 +25,12 @@ use ivy_cmir::parser::parse_program;
 use ivy_deputy::plugin::DeputyChecker;
 use ivy_engine::{AnalysisCtx, Engine, EngineStats, PersistLayer, Report};
 use serde_json::{Map, Value};
-use std::io;
+use std::collections::HashMap;
+use std::io::{self, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
@@ -281,13 +286,226 @@ impl VerbMetrics {
     }
 }
 
+/// The answer-memo series: `stats` key, `metrics` name, and whether the
+/// series is a counter (else a gauge). `stats` and `metrics` both walk
+/// this table over [`AnswerMemo::series`], so they cannot drift.
+const ANSWER_MEMO_SERIES: [(&str, &str, bool); 5] = [
+    ("entries", "ivy_daemon_answer_memo_entries", false),
+    ("bytes", "ivy_daemon_answer_memo_bytes", false),
+    ("hits", "ivy_daemon_answer_memo_hits_total", true),
+    ("misses", "ivy_daemon_answer_memo_misses_total", true),
+    (
+        "need_source",
+        "ivy_daemon_answer_memo_need_source_total",
+        true,
+    ),
+];
+
+/// [`AnswerMemo::series`] slots, in [`ANSWER_MEMO_SERIES`] order: digests
+/// held, memoized response bytes held, digest requests served from
+/// memoized bytes, digest requests the engine served, and digest requests
+/// answered `need_source`.
+const MEMO_ENTRIES: usize = 0;
+const MEMO_BYTES: usize = 1;
+const MEMO_HITS: usize = 2;
+const MEMO_MISSES: usize = 3;
+const MEMO_NEED_SOURCE: usize = 4;
+
+/// The encoded answer of an entirely cache-served run. It is what a fresh
+/// run would answer only while the context it was computed from is the
+/// one resident for its program (an edit back to the same program
+/// registers a new context with its own points-to statistics) and while
+/// the persist layer's lifetime prune count is unchanged.
+struct Memo {
+    ctx: Weak<AnalysisCtx>,
+    bytes: Arc<[u8]>,
+    stats: EngineStats,
+}
+
+impl Memo {
+    fn serves(&self, ctx: &Arc<AnalysisCtx>, persist_pruned: u64) -> bool {
+        std::ptr::eq(self.ctx.as_ptr(), Arc::as_ptr(ctx))
+            && self.stats.persist_pruned == persist_pruned
+    }
+}
+
+/// One digest the answer index resolves.
+struct Answer {
+    program_hash: u64,
+    memo: Option<Arc<Memo>>,
+    /// Last-use stamp, for LRU eviction.
+    stamp: u64,
+}
+
+#[derive(Default)]
+struct AnswerSlots {
+    slots: HashMap<SourceDigest, Answer>,
+    tick: u64,
+}
+
+/// The content-addressed answer index: source digest → program hash, plus
+/// the memoized response bytes of answers that were entirely
+/// cache-served. An LRU bounded at the context store's capacity — a digest
+/// is only useful while its program's context is resident, and the store
+/// holds no more than that many.
+struct AnswerMemo {
+    index: Mutex<AnswerSlots>,
+    capacity: usize,
+    series: [AtomicU64; 5],
+}
+
+impl AnswerMemo {
+    fn new(capacity: usize) -> AnswerMemo {
+        AnswerMemo {
+            index: Mutex::new(AnswerSlots::default()),
+            capacity: capacity.max(1),
+            series: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, AnswerSlots> {
+        self.index.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn count(&self, slot: usize) {
+        self.series[slot].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The program hash a digest names and its memo, if any (bumps
+    /// recency).
+    fn lookup(&self, digest: SourceDigest) -> Option<(u64, Option<Arc<Memo>>)> {
+        let mut index = self.lock();
+        index.tick += 1;
+        let tick = index.tick;
+        let answer = index.slots.get_mut(&digest)?;
+        answer.stamp = tick;
+        Some((answer.program_hash, answer.memo.clone()))
+    }
+
+    /// Records that `digest` names `program_hash`, replacing (or, at
+    /// capacity, evicting) the least-recently-used entry. An entry that
+    /// already names the hash keeps its memo.
+    fn remember(&self, digest: SourceDigest, program_hash: u64) {
+        let mut index = self.lock();
+        self.upsert(&mut index, digest, program_hash);
+        self.publish(&index);
+    }
+
+    /// Records `digest` with the encoded answer of an entirely
+    /// cache-served run over `ctx`.
+    fn memoize(
+        &self,
+        digest: SourceDigest,
+        ctx: &Arc<AnalysisCtx>,
+        bytes: Arc<[u8]>,
+        stats: EngineStats,
+    ) {
+        let mut index = self.lock();
+        self.upsert(&mut index, digest, ctx.program_hash).memo = Some(Arc::new(Memo {
+            ctx: Arc::downgrade(ctx),
+            bytes,
+            stats,
+        }));
+        self.publish(&index);
+    }
+
+    /// Drops a digest whose program is no longer resident.
+    fn forget(&self, digest: SourceDigest) {
+        let mut index = self.lock();
+        if index.slots.remove(&digest).is_some() {
+            self.publish(&index);
+        }
+    }
+
+    fn upsert<'a>(
+        &self,
+        index: &'a mut AnswerSlots,
+        digest: SourceDigest,
+        program_hash: u64,
+    ) -> &'a mut Answer {
+        index.tick += 1;
+        let tick = index.tick;
+        if !index.slots.contains_key(&digest) {
+            while index.slots.len() >= self.capacity {
+                let Some((&victim, _)) = index.slots.iter().min_by_key(|(_, a)| a.stamp) else {
+                    break;
+                };
+                index.slots.remove(&victim);
+            }
+        }
+        let answer = index.slots.entry(digest).or_insert(Answer {
+            program_hash,
+            memo: None,
+            stamp: tick,
+        });
+        if answer.program_hash != program_hash {
+            answer.program_hash = program_hash;
+            answer.memo = None;
+        }
+        answer.stamp = tick;
+        answer
+    }
+
+    /// Refreshes the entry and byte gauges (called under the index lock
+    /// after every mutation).
+    fn publish(&self, index: &AnswerSlots) {
+        let bytes: usize = index
+            .slots
+            .values()
+            .filter_map(|a| a.memo.as_ref())
+            .map(|m| m.bytes.len())
+            .sum();
+        self.series[MEMO_ENTRIES].store(index.slots.len() as u64, Ordering::Relaxed);
+        self.series[MEMO_BYTES].store(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// `(stats key, metrics name, is_counter, value)` per series.
+    fn snapshot(&self) -> impl Iterator<Item = (&'static str, &'static str, bool, u64)> + '_ {
+        ANSWER_MEMO_SERIES
+            .iter()
+            .zip(&self.series)
+            .map(|(&(key, name, counter), v)| (key, name, counter, v.load(Ordering::Relaxed)))
+    }
+}
+
+/// A response on its way to the wire: one JSON message, or pre-encoded
+/// frames (a digest-addressed answer, possibly memoized) written as is.
+enum Reply {
+    Message(Value),
+    Frames(Arc<[u8]>),
+}
+
+/// Encodes a digest-addressed answer: the JSON header announcing
+/// `diagnostics_bytes`, then the stable diagnostics serialization as one
+/// raw frame.
+fn answer_frames(ctx: &AnalysisCtx, report: &Report) -> io::Result<Arc<[u8]>> {
+    let diagnostics = report.diagnostics_json();
+    let mut m = Map::new();
+    m.insert("ok".into(), Value::from(true));
+    m.insert(
+        "program_hash".into(),
+        Value::from(format!("{:016x}", ctx.program_hash)),
+    );
+    m.insert(
+        "diagnostic_count".into(),
+        Value::from(report.diagnostics.len()),
+    );
+    m.insert("diagnostics_bytes".into(), Value::from(diagnostics.len()));
+    m.insert("stats".into(), report.stats.to_value());
+    let mut out = Vec::with_capacity(diagnostics.len() + 1024);
+    encode_frame(&Value::Object(m), &mut out)?;
+    encode_raw_frame(diagnostics.as_bytes(), &mut out)?;
+    Ok(out.into())
+}
+
 /// Shared server state: the engine, the resident context the last
-/// `analyze` left behind (the base `notify_edit` diffs against), and
-/// request counters.
+/// `analyze` left behind (the base `notify_edit` diffs against), the
+/// answer index, and request counters.
 struct State {
     engine: Engine,
     persist: Option<Arc<PersistLayer>>,
     resident: Mutex<Option<Arc<AnalysisCtx>>>,
+    answers: AnswerMemo,
     /// Serializes `notify_edit` against in-flight analyzes. `apply_edit`
     /// snapshots the resident db's dependency edges and memo table; a
     /// compute racing that snapshot could publish a memo entry whose
@@ -368,20 +586,130 @@ impl State {
             let _ = stream.shutdown(std::net::Shutdown::Read);
         }
     }
-    fn analyze_source(&self, source: &str) -> Result<(Arc<AnalysisCtx>, Report, bool), String> {
+
+    fn set_resident(&self, ctx: &Arc<AnalysisCtx>) {
+        *self.resident.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(ctx));
+    }
+
+    fn set_last_stats(&self, stats: EngineStats) {
+        *self
+            .last_stats
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(stats);
+    }
+
+    /// Runs the fleet over `ctx` and makes it the resident context.
+    fn run(&self, ctx: &Arc<AnalysisCtx>, reused: bool) -> Report {
+        let report = self.engine.analyze_with_ctx(ctx, reused);
+        self.set_resident(ctx);
+        self.set_last_stats(report.stats.clone());
+        report
+    }
+
+    /// A protocol-1 `analyze`/`diagnostics`: the source is always attached.
+    fn analyze_source(&self, source: &str) -> Result<(Arc<AnalysisCtx>, Report), String> {
         let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
+        let digest = SourceDigest::of(source);
         let _gate = self
             .edit_gate
             .read()
             .unwrap_or_else(PoisonError::into_inner);
         let (ctx, reused) = self.engine.context_for(&program);
-        let report = self.engine.analyze_with_ctx(&ctx, reused);
-        *self.resident.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&ctx));
-        *self
-            .last_stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(report.stats.clone());
-        Ok((ctx, report, reused))
+        let report = self.run(&ctx, reused);
+        self.answers.remember(digest, ctx.program_hash);
+        Ok((ctx, report))
+    }
+
+    /// The persist layer's lifetime prune count (0 without a layer), as
+    /// a fresh run would report it.
+    fn persist_pruned(&self) -> u64 {
+        self.persist.as_ref().map_or(0, |layer| layer.pruned())
+    }
+
+    /// The resident context a digest names, with its memo. A digest whose
+    /// context the store has evicted is forgotten.
+    fn resolve(&self, digest: SourceDigest) -> Option<(Arc<AnalysisCtx>, Option<Arc<Memo>>)> {
+        let (hash, memo) = self.answers.lookup(digest)?;
+        match self.engine.ctx_store().get(hash) {
+            Some(ctx) => Some((ctx, memo)),
+            None => {
+                self.answers.forget(digest);
+                None
+            }
+        }
+    }
+
+    /// A digest-addressed `analyze`. Without `source`, the digest must
+    /// resolve to a resident context (else `need_source`); memoized bytes
+    /// that still match that context are the answer. With `source`, the
+    /// digest must name it, and the program is analyzed like a
+    /// protocol-1 request. Every answer the engine runs is recorded in
+    /// the index, and memoized when it was entirely cache-served.
+    fn analyze_digest(&self, digest: &Value, source: Option<&Value>) -> Reply {
+        let fail = |message: &str| Reply::Message(error_response(message));
+        let Some(digest) = digest.as_str().and_then(SourceDigest::parse) else {
+            return fail("\"digest\" must be a string of 32 hex digits");
+        };
+        let program = match source {
+            None => None,
+            Some(source) => {
+                let Some(source) = source.as_str() else {
+                    return fail("\"source\" must be a string");
+                };
+                if SourceDigest::of(source) != digest {
+                    return fail("\"digest\" does not match the attached source");
+                }
+                match parse_program(source) {
+                    Ok(program) => Some(program),
+                    Err(e) => return fail(&format!("parse error: {e}")),
+                }
+            }
+        };
+        let _gate = self
+            .edit_gate
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (ctx, reused, memo) = match &program {
+            Some(program) => {
+                let (ctx, reused) = self.engine.context_for(program);
+                (ctx, reused, None)
+            }
+            None => match self.resolve(digest) {
+                Some((ctx, memo)) => (ctx, true, memo),
+                None => {
+                    self.answers.count(MEMO_NEED_SOURCE);
+                    let mut m = Map::new();
+                    m.insert("ok".into(), Value::from(true));
+                    m.insert("need_source".into(), Value::from(true));
+                    return Reply::Message(Value::Object(m));
+                }
+            },
+        };
+        self.analyzes.fetch_add(1, Ordering::Relaxed);
+        if let Some(memo) = memo.filter(|m| m.serves(&ctx, self.persist_pruned())) {
+            self.answers.count(MEMO_HITS);
+            self.set_resident(&ctx);
+            self.set_last_stats(memo.stats.clone());
+            return Reply::Frames(Arc::clone(&memo.bytes));
+        }
+        self.answers.count(MEMO_MISSES);
+        let report = self.run(&ctx, reused);
+        let bytes = match answer_frames(&ctx, &report) {
+            Ok(bytes) => bytes,
+            Err(e) => return fail(&format!("encode: {e}")),
+        };
+        // Only an entirely cache-served run repeats byte for byte: a run
+        // that computed, reloaded or failed to flush reports that in its
+        // stats, and the next run over the same context would not.
+        let s = &report.stats;
+        if s.ctx_reused && s.cache_misses == 0 && s.persist_hits == 0 && s.persist_flush_errors == 0
+        {
+            self.answers
+                .memoize(digest, &ctx, Arc::clone(&bytes), report.stats);
+        } else {
+            self.answers.remember(digest, ctx.program_hash);
+        }
+        Reply::Frames(bytes)
     }
 
     /// Renders the Prometheus-style text exposition served by the
@@ -445,6 +773,13 @@ impl State {
         prom.counter("ivy_daemon_ctx_misses_total", None, store.misses());
         prom.counter("ivy_daemon_ctx_evictions_total", None, store.evictions());
         prom.gauge("ivy_daemon_resident_contexts", None, store.len() as f64);
+        for (_, name, counter, value) in self.answers.snapshot() {
+            if counter {
+                prom.counter(name, None, value);
+            } else {
+                prom.gauge(name, None, value as f64);
+            }
+        }
         let pts = self.engine.pointsto_cache();
         prom.counter("ivy_daemon_pointsto_batch_hits_total", None, pts.hits());
         prom.counter("ivy_daemon_pointsto_batch_misses_total", None, pts.misses());
@@ -606,16 +941,19 @@ impl State {
         Value::Object(m)
     }
 
-    fn handle(&self, request: &Value) -> Value {
+    fn handle(&self, request: &Value) -> Reply {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let Some(cmd) = request.get("cmd").and_then(Value::as_str) else {
-            return error_response("request has no \"cmd\" field");
+            return Reply::Message(error_response("request has no \"cmd\" field"));
         };
         self.verbs.bump(cmd);
         ivy_telemetry::counter_labeled("ivy_daemon_requests_total", "verb", cmd, 1);
         let _span = ivy_telemetry::span("daemon/request", cmd.to_string());
         let start = Instant::now();
-        let response = self.dispatch(cmd, request);
+        let response = match (cmd, request.get("digest")) {
+            ("analyze", Some(digest)) => self.analyze_digest(digest, request.get("source")),
+            _ => Reply::Message(self.dispatch(cmd, request)),
+        };
         let micros = start.elapsed().as_micros() as u64;
         self.verbs.observe(cmd, micros);
         if micros >= SLOW_REQUEST_MICROS {
@@ -640,7 +978,7 @@ impl State {
                 self.analyzes.fetch_add(1, Ordering::Relaxed);
                 match self.analyze_source(source) {
                     Err(message) => error_response(&message),
-                    Ok((ctx, report, _)) => {
+                    Ok((ctx, report)) => {
                         let mut m = Map::new();
                         m.insert("ok".into(), Value::from(true));
                         m.insert(
@@ -670,6 +1008,7 @@ impl State {
                     Ok(p) => p,
                     Err(e) => return error_response(&format!("parse error: {e}")),
                 };
+                let digest = SourceDigest::of(source);
                 let _gate = self
                     .edit_gate
                     .write()
@@ -684,8 +1023,8 @@ impl State {
                 };
                 self.edits.fetch_add(1, Ordering::Relaxed);
                 let (ctx, stats) = self.engine.apply_edit(&base, &edited);
-                *self.resident.lock().unwrap_or_else(PoisonError::into_inner) =
-                    Some(Arc::clone(&ctx));
+                self.set_resident(&ctx);
+                self.answers.remember(digest, ctx.program_hash);
                 let mut m = Map::new();
                 m.insert("ok".into(), Value::from(true));
                 m.insert(
@@ -726,6 +1065,11 @@ impl State {
                     .map_or((0, 0), |s| (s.provenance_facts, s.provenance_bytes));
                 engine_stats.insert("provenance_facts".into(), Value::from(prov_facts));
                 engine_stats.insert("provenance_bytes".into(), Value::from(prov_bytes));
+                let mut memo = Map::new();
+                for (key, _, _, value) in self.answers.snapshot() {
+                    memo.insert(key.into(), Value::from(value));
+                }
+                engine_stats.insert("answer_memo".into(), Value::Object(memo));
                 let mut m = Map::new();
                 m.insert("ok".into(), Value::from(true));
                 m.insert("protocol".into(), Value::from(PROTOCOL_VERSION));
@@ -904,9 +1248,11 @@ impl Daemon {
         // useless without them. Spans stay opt-in (`IVY_TRACE=1`) — a
         // long-lived server must not accumulate span records unasked.
         ivy_telemetry::enable_counters();
+        let engine = fleet_engine_with(config.threads, persist.clone(), config.deputy)
+            .with_provenance(config.provenance);
         let state = Arc::new(State {
-            engine: fleet_engine_with(config.threads, persist.clone(), config.deputy)
-                .with_provenance(config.provenance),
+            answers: AnswerMemo::new(engine.ctx_store().capacity()),
+            engine,
             persist,
             resident: Mutex::new(None),
             edit_gate: RwLock::new(()),
@@ -1017,11 +1363,20 @@ fn connection_loop(
                 break;
             }
         };
-        let response = state.handle(&request);
+        let reply = state.handle(&request);
         shutdown_sent = state.shutdown.load(Ordering::SeqCst)
             && request.get("cmd").and_then(Value::as_str) == Some("shutdown");
-        let _ = write_frame(&mut writer, &response);
-        if shutdown_sent && response_ok(&response) {
+        let ok = match &reply {
+            Reply::Message(response) => {
+                let _ = write_frame(&mut writer, response);
+                response_ok(response)
+            }
+            Reply::Frames(bytes) => {
+                let _ = writer.write_all(bytes);
+                true
+            }
+        };
+        if shutdown_sent && ok {
             break;
         }
     }

@@ -93,6 +93,11 @@ impl CtxStore {
         }
     }
 
+    /// Most contexts the store keeps resident.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of resident contexts.
     pub fn len(&self) -> usize {
         self.lock().slots.len()

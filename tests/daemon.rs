@@ -4,7 +4,9 @@
 
 use ivy::cmir::parser::parse_program;
 use ivy::cmir::pretty::pretty_program;
+use ivy::daemon::protocol::{read_frame, write_frame, SourceDigest};
 use ivy::daemon::{Client, Daemon, DaemonConfig};
+use ivy::engine::json::Value;
 use ivy::engine::{Engine, PersistLayer};
 use ivy::kernelgen::{KernelBuild, KernelConfig};
 use std::path::PathBuf;
@@ -194,7 +196,10 @@ fn notify_edit_invalidates_only_the_dirty_cone_and_reserves_the_rest() {
             .and_then(ivy::engine::json::Value::as_u64)
             .unwrap_or_else(|| panic!("{key} missing: {verbs:?}"))
     };
-    assert_eq!(verb_count("analyze"), 2, "two analyze requests so far");
+    // The cold analyze took two requests (its digest, answered
+    // `need_source`, then the source); the post-edit analyze resolved its
+    // digest through the entry `notify_edit` left, in one.
+    assert_eq!(verb_count("analyze"), 3, "three analyze requests so far");
     assert_eq!(verb_count("notify_edit"), 1);
     assert_eq!(verb_count("stats"), 1, "this stats request counts itself");
     assert_eq!(verb_count("shutdown"), 0);
@@ -447,10 +452,13 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
     let handle = Daemon::spawn(DaemonConfig::new(socket_path("metrics"))).unwrap();
     let mut client = Client::connect(handle.socket()).unwrap();
 
-    // One cold analyze (cache miss), one warm (cache hit), then an edit
-    // round-trip so the incremental points-to re-solve reuses the untouched
-    // constraint batches — every series the scrape asserts on is nonzero.
+    // One cold analyze (cache miss; its digest is answered `need_source`,
+    // so it takes two requests), one warm (cache hit, memoized), one memo
+    // hit, then an edit round-trip so the incremental points-to re-solve
+    // reuses the untouched constraint batches — every series the scrape
+    // asserts on is nonzero.
     client.analyze(&source).unwrap();
+    let warm = client.analyze(&source).unwrap();
     client.analyze(&source).unwrap();
     client.notify_edit(&edited_kernel_source()).unwrap();
     client.analyze(&edited_kernel_source()).unwrap();
@@ -460,10 +468,11 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
     // with a preceding `# TYPE` header.
     assert!(text.contains("# TYPE ivy_daemon_requests_served_total counter"));
     for needle in [
-        // Request counts, overall and per verb: three analyzes, one
-        // notify_edit, and this metrics request (counted before dispatch).
-        "ivy_daemon_requests_served_total 5",
-        "ivy_daemon_verb_requests_total{verb=\"analyze\"} 3",
+        // Request counts, overall and per verb: five analyze requests (four
+        // answers plus one `need_source`), one notify_edit, and this
+        // metrics request (counted before dispatch).
+        "ivy_daemon_requests_served_total 7",
+        "ivy_daemon_verb_requests_total{verb=\"analyze\"} 5",
         // Query cache: the warm analyze hit what the cold one filled.
         "ivy_daemon_cache_misses_total",
         "ivy_daemon_cache_hits_total",
@@ -490,7 +499,37 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
     assert!(series_value("ivy_daemon_cache_misses_total") >= 1);
     assert!(series_value("ivy_daemon_pointsto_batch_hits_total") >= 1);
 
-    // Per-verb latency histograms: the analyze verb served three requests,
+    // The answer memo: two digests indexed (the kernel and its edit), one
+    // memoized answer (the warm one — the cold and post-edit runs
+    // computed results), one hit, three engine-served digest requests and
+    // one `need_source`. `stats` renders the same atomics.
+    let memo_bytes = series_value("ivy_daemon_answer_memo_bytes");
+    assert!(
+        memo_bytes > warm.diagnostics_json.len() as u64,
+        "the memo holds the encoded warm answer: {memo_bytes} bytes"
+    );
+    let expected = [
+        ("entries", "ivy_daemon_answer_memo_entries", 2),
+        ("bytes", "ivy_daemon_answer_memo_bytes", memo_bytes),
+        ("hits", "ivy_daemon_answer_memo_hits_total", 1),
+        ("misses", "ivy_daemon_answer_memo_misses_total", 3),
+        ("need_source", "ivy_daemon_answer_memo_need_source_total", 1),
+    ];
+    let stats = client.stats().unwrap();
+    let memo = stats
+        .get("engine")
+        .and_then(|e| e.get("answer_memo"))
+        .expect("stats.engine.answer_memo present");
+    for (key, series, value) in expected {
+        assert_eq!(series_value(series), value, "{series}:\n{text}");
+        assert_eq!(
+            memo.get(key).and_then(ivy::engine::json::Value::as_u64),
+            Some(value),
+            "stats.engine.answer_memo.{key}: {memo:?}"
+        );
+    }
+
+    // Per-verb latency histograms: the analyze verb served five requests,
     // so its histogram must expose cumulative buckets, a +Inf bucket equal
     // to the count, and p50/p95/p99 summary gauges.
     assert!(
@@ -523,7 +562,7 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
         );
     }
     let analyze_count = series_value("ivy_daemon_request_duration_micros_count{verb=\"analyze\"}");
-    assert_eq!(analyze_count, 3, "three analyze requests were timed");
+    assert_eq!(analyze_count, 5, "five analyze requests were timed");
     let inf_line = text
         .lines()
         .find(|l| {
@@ -642,6 +681,268 @@ fn explain_without_provenance_is_a_clean_error_and_stats_report_zero() {
         Some(0),
         "provenance off reports zero facts: {engine_section:?}"
     );
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// A raw connection for hand-built frames: what an old client, or a
+/// hostile one, puts on the wire.
+fn raw_request(stream: &mut std::os::unix::net::UnixStream, request: &str) -> Value {
+    write_frame(stream, &ivy::engine::json::from_str(request).unwrap()).unwrap();
+    read_frame(stream).unwrap().expect("daemon answers")
+}
+
+fn memo_counter(client: &mut Client, key: &str) -> u64 {
+    let stats = client.stats().unwrap();
+    stats
+        .get("engine")
+        .and_then(|e| e.get("answer_memo"))
+        .and_then(|m| m.get(key))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("answer_memo.{key} missing: {stats:?}"))
+}
+
+#[test]
+fn a_repeated_analyze_is_a_memo_hit_identical_to_the_cached_answer() {
+    let source = kernel_source();
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("memo"))).unwrap();
+    let mut client = Client::connect(handle.socket()).unwrap();
+
+    let cold = client.analyze(&source).unwrap();
+    let cached = client.analyze(&source).unwrap();
+    assert!(cached.stats.ctx_reused && cached.stats.cache_misses == 0);
+    assert_eq!(memo_counter(&mut client, "hits"), 0);
+    let hit = client.analyze(&source).unwrap();
+    assert_eq!(
+        memo_counter(&mut client, "hits"),
+        1,
+        "the third analyze hits"
+    );
+
+    // The memoized answer is what the engine would answer, stats included.
+    assert_eq!(hit.diagnostics_json, cached.diagnostics_json);
+    assert_eq!(hit.stats, cached.stats);
+    assert_eq!(hit.program_hash, cached.program_hash);
+    assert_eq!(hit.diagnostic_count, cached.diagnostic_count);
+    assert_eq!(cold.diagnostics_json, hit.diagnostics_json);
+    let batch = ivy::core::experiments::default_engine(0).analyze(&parse_program(&source).unwrap());
+    assert_eq!(batch.diagnostics_json(), hit.diagnostics_json);
+    assert_eq!(batch.diagnostics.len(), hit.diagnostic_count);
+    // `diagnostics` takes the same digest path.
+    assert_eq!(
+        client.diagnostics(&source).unwrap(),
+        batch.diagnostics_json()
+    );
+    assert_eq!(memo_counter(&mut client, "hits"), 2);
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn protocol_1_source_frames_keep_their_response_shape() {
+    let source = kernel_source();
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("v1"))).unwrap();
+    let mut client = Client::connect(handle.socket()).unwrap();
+    let v2 = client.analyze(&source).unwrap();
+
+    let mut stream = std::os::unix::net::UnixStream::connect(handle.socket()).unwrap();
+    let mut request = ivy::daemon::protocol::request("analyze");
+    request.insert("source".into(), Value::from(source.as_str()));
+    write_frame(&mut stream, &Value::Object(request)).unwrap();
+    let v1 = read_frame(&mut stream).unwrap().unwrap();
+    let mut keys: Vec<&str> = v1.as_object().unwrap().keys().map(String::as_str).collect();
+    keys.sort_unstable();
+    assert_eq!(
+        keys,
+        [
+            "diagnostic_count",
+            "diagnostics_json",
+            "ok",
+            "program_hash",
+            "stats"
+        ],
+        "v1 shape: no digest-path fields"
+    );
+    assert_eq!(
+        v1.get("diagnostics_json").and_then(Value::as_str),
+        Some(v2.diagnostics_json.as_str())
+    );
+    assert_eq!(
+        v1.get("program_hash").and_then(Value::as_str),
+        Some(v2.program_hash.as_str())
+    );
+
+    let mut request = ivy::daemon::protocol::request("diagnostics");
+    request.insert("source".into(), Value::from(source.as_str()));
+    write_frame(&mut stream, &Value::Object(request)).unwrap();
+    let v1 = read_frame(&mut stream).unwrap().unwrap();
+    let mut keys: Vec<&str> = v1.as_object().unwrap().keys().map(String::as_str).collect();
+    keys.sort_unstable();
+    assert_eq!(keys, ["diagnostics_json", "ok", "program_hash"]);
+    assert_eq!(
+        v1.get("diagnostics_json").and_then(Value::as_str),
+        Some(v2.diagnostics_json.as_str())
+    );
+    drop(stream);
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn notify_edit_after_a_memo_hit_diffs_against_the_memo_hit_program() {
+    let source = kernel_source();
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("memo-edit"))).unwrap();
+    let mut client = Client::connect(handle.socket()).unwrap();
+
+    // A is memoized, then B becomes the last program the engine ran.
+    client.analyze(&source).unwrap();
+    client.analyze(&source).unwrap();
+    client.analyze(EXPLAIN_SOURCE).unwrap();
+    // A memo hit for A: no engine run, but A is now the edit base.
+    client.analyze(&source).unwrap();
+    assert_eq!(memo_counter(&mut client, "hits"), 1);
+
+    let outcome = client.notify_edit(&edited_kernel_source()).unwrap();
+    assert_eq!(
+        outcome.invalidation.changed_functions,
+        vec!["watchdog_tick".to_string()],
+        "the edit diffs against A, the memo-hit program, not against B"
+    );
+    assert!(!outcome.invalidation.env_changed);
+    let after = client.analyze(&edited_kernel_source()).unwrap();
+    let batch = ivy::core::experiments::default_engine(0)
+        .analyze(&parse_program(&edited_kernel_source()).unwrap());
+    assert_eq!(batch.diagnostics_json(), after.diagnostics_json);
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn an_evicted_digest_gets_need_source_and_the_client_resends() {
+    let source = kernel_source();
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("evict"))).unwrap();
+    let mut client = Client::connect(handle.socket()).unwrap();
+    let first = client.analyze(&source).unwrap();
+
+    // Sixteen more distinct programs fill the 16-context store and evict
+    // the first one's context.
+    for i in 0..16 {
+        client
+            .analyze(&format!("fn f{i}() {{ g{i}(); }} fn g{i}() {{ }}"))
+            .unwrap();
+    }
+    let stats = client.stats().unwrap();
+    let engine = stats.get("engine").unwrap();
+    assert!(engine.get("evictions").and_then(Value::as_u64).unwrap() >= 1);
+    assert_eq!(
+        engine.get("resident_contexts").and_then(Value::as_u64),
+        Some(16)
+    );
+    let asked = memo_counter(&mut client, "need_source");
+
+    // The bare digest is no longer resolvable.
+    let digest = SourceDigest::of(&source).to_string();
+    let mut stream = std::os::unix::net::UnixStream::connect(handle.socket()).unwrap();
+    let answer = raw_request(
+        &mut stream,
+        &format!(r#"{{"cmd":"analyze","digest":"{digest}"}}"#),
+    );
+    assert_eq!(answer.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        answer.get("need_source").and_then(Value::as_bool),
+        Some(true)
+    );
+    assert_eq!(memo_counter(&mut client, "need_source"), asked + 1);
+    drop(stream);
+
+    // `Client::analyze` resends the source transparently; the answer is
+    // still the batch answer.
+    let again = client.analyze(&source).unwrap();
+    assert_eq!(memo_counter(&mut client, "need_source"), asked + 2);
+    assert!(!again.stats.ctx_reused, "the context was rebuilt");
+    assert_eq!(again.diagnostics_json, first.diagnostics_json);
+    let batch = ivy::core::experiments::default_engine(0).analyze(&parse_program(&source).unwrap());
+    assert_eq!(batch.diagnostics_json(), again.diagnostics_json);
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn malformed_and_mismatched_digests_get_error_responses() {
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("bad-digest"))).unwrap();
+    let mut stream = std::os::unix::net::UnixStream::connect(handle.socket()).unwrap();
+    let other = SourceDigest::of("fn g() { }");
+    for request in [
+        r#"{"cmd":"analyze","digest":"xyz"}"#.to_string(),
+        r#"{"cmd":"analyze","digest":42}"#.to_string(),
+        r#"{"cmd":"analyze","digest":null}"#.to_string(),
+        format!(
+            r#"{{"cmd":"analyze","digest":"+{}"}}"#,
+            &other.to_string()[1..]
+        ),
+        format!(r#"{{"cmd":"analyze","digest":"{other}0"}}"#),
+        // A digest that does not name the attached source never enters
+        // the index.
+        format!(r#"{{"cmd":"analyze","digest":"{other}","source":"fn f() {{ }}"}}"#),
+        format!(r#"{{"cmd":"analyze","digest":"{other}","source":7}}"#),
+        format!(
+            r#"{{"cmd":"analyze","digest":"{}","source":"fn ) {{"}}"#,
+            SourceDigest::of("fn ) {")
+        ),
+    ] {
+        let answer = raw_request(&mut stream, &request);
+        assert_eq!(
+            answer.get("ok").and_then(Value::as_bool),
+            Some(false),
+            "{request} -> {answer:?}"
+        );
+    }
+    // The mismatched source was not indexed under the other digest, and
+    // the connection still serves.
+    let answer = raw_request(
+        &mut stream,
+        &format!(r#"{{"cmd":"analyze","digest":"{other}"}}"#),
+    );
+    assert_eq!(
+        answer.get("need_source").and_then(Value::as_bool),
+        Some(true)
+    );
+    drop(stream);
+    let mut client = Client::connect(handle.socket()).unwrap();
+    assert!(client.analyze("fn g() { }").is_ok());
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn a_memo_never_outlives_the_context_it_was_computed_from() {
+    let source = kernel_source();
+    let edited = edited_kernel_source();
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("memo-ctx"))).unwrap();
+    let mut client = Client::connect(handle.socket()).unwrap();
+    client.analyze(&source).unwrap();
+    let memoized = client.analyze(&source).unwrap();
+    assert_eq!(memoized.stats.pointsto_solve_mode, "cold");
+
+    // Editing away and back registers a *new* context for the same
+    // program, whose points-to was re-solved incrementally: a fresh run
+    // reports that, so the old context's bytes must not be served.
+    client.notify_edit(&edited).unwrap();
+    client.notify_edit(&source).unwrap();
+    let hits = memo_counter(&mut client, "hits");
+    let after = client.analyze(&source).unwrap();
+    assert_eq!(memo_counter(&mut client, "hits"), hits, "no stale memo hit");
+    assert_eq!(after.stats.pointsto_solve_mode, "incremental-repropagate");
+    assert_eq!(after.diagnostics_json, memoized.diagnostics_json);
+    // The new context's answer is memoized in turn.
+    let again = client.analyze(&source).unwrap();
+    assert_eq!(memo_counter(&mut client, "hits"), hits + 1);
+    assert_eq!(again.stats, after.stats);
+
     client.shutdown().unwrap();
     handle.join();
 }
