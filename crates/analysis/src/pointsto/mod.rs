@@ -945,8 +945,6 @@ pub fn analyze_incremental_with(
     }
     cache.hits.fetch_add(reused as u64, Ordering::Relaxed);
     cache.misses.fetch_add(generated as u64, Ordering::Relaxed);
-    ivy_telemetry::counter("ivy_pointsto_batch_cache_hits_total", reused as u64);
-    ivy_telemetry::counter("ivy_pointsto_batch_cache_misses_total", generated as u64);
     let bind = solve::BindTable::build(program, &batches, &mut interner);
     drop(interner);
     drop(intern_span);
@@ -966,7 +964,6 @@ pub fn analyze_incremental_with(
     );
     r.mode = mode;
     cache.count_mode(mode);
-    ivy_telemetry::counter_labeled("ivy_pointsto_solves_total", "mode", mode.name(), 1);
     r
 }
 

@@ -6,8 +6,8 @@
 //! one-function edit, a solver-phase gate for the union-find Steensgaard
 //! representation (vs the mirrored-subset worklist), and a provenance
 //! column pricing the derivation-recording arena against the plain
-//! worklist cold solve. Emits a machine-readable `JSON-SUMMARY` line (the
-//! `BENCH_pointsto.json` trajectory).
+//! worklist cold solve. Emits a machine-readable `JSON-SUMMARY` line whose
+//! headlines append to `BENCH_TRAJECTORY.jsonl` (see `trajectory report`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivy_analysis::pointsto::{

@@ -3,8 +3,9 @@
 //! 100-program sub-sampled fleet, with the per-checker soundness/precision
 //! numbers the paper never had.
 //!
-//! The JSON-SUMMARY line is the trajectory point committed as
-//! `BENCH_oracle.json`; CI gates on `"violations_total":0`.
+//! The JSON-SUMMARY line carries the per-sensitivity rows; its headlines
+//! append to `BENCH_TRAJECTORY.jsonl` (see `trajectory report`). CI gates
+//! on `"violations_total":0`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivy_cmir::ast::Program;

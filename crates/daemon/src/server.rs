@@ -139,7 +139,8 @@ const SLOW_RING_CAP: usize = 64;
 
 /// One entry of the slow-request ring.
 struct SlowRequest {
-    verb: String,
+    /// The metered verb ([`VERBS`]), never the client's text.
+    verb: &'static str,
     micros: u64,
     /// Milliseconds since the daemon started, so entries order themselves
     /// without a wall clock.
@@ -186,6 +187,9 @@ const VERBS: [&str; 8] = [
     "shutdown",
     "unknown",
 ];
+
+/// How much of an unknown `cmd` the error reply echoes, in characters.
+const UNKNOWN_CMD_ECHO_CHARS: usize = 64;
 
 /// Fixed log-scale latency bucket upper bounds, in microseconds. Fixed
 /// bounds (rather than adaptive ones) keep the exposition stable across
@@ -266,50 +270,108 @@ struct VerbMetrics {
 }
 
 impl VerbMetrics {
-    fn index(verb: &str) -> usize {
+    /// The [`VERBS`] slot metering `cmd`. Any text that is not a known
+    /// verb is `unknown`, so client-chosen strings never reach a series,
+    /// a span or the slow ring.
+    fn slot(cmd: &str) -> usize {
         VERBS
             .iter()
-            .position(|&v| v == verb)
+            .position(|&v| v == cmd)
             .unwrap_or(VERBS.len() - 1)
-    }
-
-    fn bump(&self, verb: &str) {
-        self.counts[Self::index(verb)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn observe(&self, verb: &str, micros: u64) {
-        self.latency[Self::index(verb)].observe(micros);
-    }
-
-    fn snapshot(&self) -> [(&'static str, u64); 8] {
-        std::array::from_fn(|slot| (VERBS[slot], self.counts[slot].load(Ordering::Relaxed)))
     }
 }
 
-/// The answer-memo series: `stats` key, `metrics` name, and whether the
-/// series is a counter (else a gauge). `stats` and `metrics` both walk
-/// this table over [`AnswerMemo::series`], so they cannot drift.
-const ANSWER_MEMO_SERIES: [(&str, &str, bool); 5] = [
-    ("entries", "ivy_daemon_answer_memo_entries", false),
-    ("bytes", "ivy_daemon_answer_memo_bytes", false),
-    ("hits", "ivy_daemon_answer_memo_hits_total", true),
-    ("misses", "ivy_daemon_answer_memo_misses_total", true),
-    (
-        "need_source",
-        "ivy_daemon_answer_memo_need_source_total",
-        true,
-    ),
-];
+/// A Prometheus `(label, value)` pair.
+type Label = Option<(&'static str, &'static str)>;
 
-/// [`AnswerMemo::series`] slots, in [`ANSWER_MEMO_SERIES`] order: digests
-/// held, memoized response bytes held, digest requests served from
-/// memoized bytes, digest requests the engine served, and digest requests
-/// answered `need_source`.
-const MEMO_ENTRIES: usize = 0;
-const MEMO_BYTES: usize = 1;
-const MEMO_HITS: usize = 2;
-const MEMO_MISSES: usize = 3;
-const MEMO_NEED_SOURCE: usize = 4;
+/// Whether a series only grows (a Prometheus counter) or reads a level.
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// Where a [`Series`] reads its value.
+#[derive(Clone, Copy)]
+enum Read {
+    /// A number the daemon state owns.
+    State(fn(&State) -> u64),
+    /// A persist-layer number: a memory-only daemon has neither the `stats`
+    /// key nor the series.
+    Persist(fn(&PersistLayer) -> u64),
+    /// One sample per [`VERBS`] slot: the verb is the `stats` key (under the
+    /// row's path) and the value of the `verb` label.
+    PerVerb,
+}
+
+/// One row of [`SERIES`].
+struct Series {
+    /// Dotted `stats` path of the value (of the per-verb object, for
+    /// [`Read::PerVerb`]).
+    path: &'static str,
+    /// Prometheus name.
+    name: &'static str,
+    /// Fixed Prometheus label, if the row has one.
+    label: Label,
+    kind: Kind,
+    read: Read,
+}
+
+const fn counter(path: &'static str, name: &'static str, read: Read) -> Series {
+    Series {
+        path,
+        name,
+        label: None,
+        kind: Kind::Counter,
+        read,
+    }
+}
+
+const fn gauge(path: &'static str, name: &'static str, read: Read) -> Series {
+    Series {
+        kind: Kind::Gauge,
+        ..counter(path, name, read)
+    }
+}
+
+/// Every plain-number series the daemon reports. `stats` and `metrics` both
+/// walk this table, so each fact has one reader and its two renderings
+/// cannot disagree. Only the latency histograms, uptime, protocol version,
+/// slow ring and persist writer id are rendered outside it.
+#[rustfmt::skip]
+const SERIES: &[Series] = {
+    use Ordering::Relaxed;
+    use Read::{PerVerb, Persist, State as Of};
+    &[
+        counter("requests", "ivy_daemon_requests_served_total", Of(|s| s.requests.load(Relaxed))),
+        counter("analyzes", "ivy_daemon_analyzes_total", Of(|s| s.analyzes.load(Relaxed))),
+        counter("edits", "ivy_daemon_edits_total", Of(|s| s.edits.load(Relaxed))),
+        counter("verbs", "ivy_daemon_verb_requests_total", PerVerb),
+        counter("engine.cache_hits", "ivy_daemon_cache_hits_total", Of(|s| s.engine.cache().hits())),
+        counter("engine.cache_misses", "ivy_daemon_cache_misses_total", Of(|s| s.engine.cache().misses())),
+        gauge("engine.cached_results", "ivy_daemon_cached_results", Of(|s| s.engine.cache().len() as u64)),
+        counter("engine.ctx_hits", "ivy_daemon_ctx_hits_total", Of(|s| s.engine.ctx_store().hits())),
+        counter("engine.ctx_misses", "ivy_daemon_ctx_misses_total", Of(|s| s.engine.ctx_store().misses())),
+        counter("engine.evictions", "ivy_daemon_ctx_evictions_total", Of(|s| s.engine.ctx_store().evictions())),
+        gauge("engine.resident_contexts", "ivy_daemon_resident_contexts", Of(|s| s.engine.ctx_store().len() as u64)),
+        counter("engine.pointsto.batch_hits", "ivy_daemon_pointsto_batch_hits_total", Of(|s| s.engine.pointsto_cache().hits())),
+        counter("engine.pointsto.batch_misses", "ivy_daemon_pointsto_batch_misses_total", Of(|s| s.engine.pointsto_cache().misses())),
+        Series { label: Some(("mode", "cold")), ..counter("engine.pointsto.solves_cold", "ivy_daemon_pointsto_solves_total",
+            Of(|s| s.engine.pointsto_cache().solves_cold())) },
+        Series { label: Some(("mode", "incremental-repropagate")), ..counter("engine.pointsto.solves_repropagate", "ivy_daemon_pointsto_solves_total",
+            Of(|s| s.engine.pointsto_cache().solves_repropagate())) },
+        gauge("engine.provenance_facts", "ivy_daemon_provenance_facts", Of(|s| s.provenance_facts.load(Relaxed))),
+        gauge("engine.provenance_bytes", "ivy_daemon_provenance_bytes", Of(|s| s.provenance_bytes.load(Relaxed))),
+        gauge("engine.answer_memo.entries", "ivy_daemon_answer_memo_entries", Of(|s| s.answers.entries.load(Relaxed))),
+        gauge("engine.answer_memo.bytes", "ivy_daemon_answer_memo_bytes", Of(|s| s.answers.bytes.load(Relaxed))),
+        counter("engine.answer_memo.hits", "ivy_daemon_answer_memo_hits_total", Of(|s| s.answers.hits.load(Relaxed))),
+        counter("engine.answer_memo.misses", "ivy_daemon_answer_memo_misses_total", Of(|s| s.answers.misses.load(Relaxed))),
+        counter("engine.answer_memo.need_source", "ivy_daemon_answer_memo_need_source_total", Of(|s| s.answers.need_source.load(Relaxed))),
+        counter("persist.hits", "ivy_daemon_persist_hits_total", Persist(PersistLayer::hits)),
+        counter("persist.misses", "ivy_daemon_persist_misses_total", Persist(PersistLayer::misses)),
+        counter("persist.writes", "ivy_daemon_persist_writes_total", Persist(PersistLayer::writes)),
+        counter("persist.pruned", "ivy_daemon_persist_pruned_total", Persist(PersistLayer::pruned)),
+    ]
+};
 
 /// The encoded answer of an entirely cache-served run. It is what a fresh
 /// run would answer only while the context it was computed from is the
@@ -348,27 +410,32 @@ struct AnswerSlots {
 /// cache-served. An LRU bounded at the context store's capacity — a digest
 /// is only useful while its program's context is resident, and the store
 /// holds no more than that many.
+#[derive(Default)]
 struct AnswerMemo {
     index: Mutex<AnswerSlots>,
     capacity: usize,
-    series: [AtomicU64; 5],
+    /// Digests held.
+    entries: AtomicU64,
+    /// Memoized response bytes held.
+    bytes: AtomicU64,
+    /// Digest requests served from memoized bytes.
+    hits: AtomicU64,
+    /// Digest requests the engine served.
+    misses: AtomicU64,
+    /// Digest requests answered `need_source`.
+    need_source: AtomicU64,
 }
 
 impl AnswerMemo {
     fn new(capacity: usize) -> AnswerMemo {
         AnswerMemo {
-            index: Mutex::new(AnswerSlots::default()),
             capacity: capacity.max(1),
-            series: std::array::from_fn(|_| AtomicU64::new(0)),
+            ..AnswerMemo::default()
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, AnswerSlots> {
         self.index.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn count(&self, slot: usize) {
-        self.series[slot].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The program hash a digest names and its memo, if any (bumps
@@ -455,17 +522,25 @@ impl AnswerMemo {
             .filter_map(|a| a.memo.as_ref())
             .map(|m| m.bytes.len())
             .sum();
-        self.series[MEMO_ENTRIES].store(index.slots.len() as u64, Ordering::Relaxed);
-        self.series[MEMO_BYTES].store(bytes as u64, Ordering::Relaxed);
+        self.entries
+            .store(index.slots.len() as u64, Ordering::Relaxed);
+        self.bytes.store(bytes as u64, Ordering::Relaxed);
     }
+}
 
-    /// `(stats key, metrics name, is_counter, value)` per series.
-    fn snapshot(&self) -> impl Iterator<Item = (&'static str, &'static str, bool, u64)> + '_ {
-        ANSWER_MEMO_SERIES
-            .iter()
-            .zip(&self.series)
-            .map(|(&(key, name, counter), v)| (key, name, counter, v.load(Ordering::Relaxed)))
+/// The object at dotted `path` under `map` (`map` itself for `""`),
+/// created on first use.
+fn section_mut<'a>(mut map: &'a mut Map, path: &str) -> &'a mut Map {
+    for part in path.split('.').filter(|part| !part.is_empty()) {
+        let entry = map
+            .entry(part.to_string())
+            .or_insert_with(|| Value::Object(Map::new()));
+        let Value::Object(section) = entry else {
+            unreachable!("a stats section is an object");
+        };
+        map = section;
     }
+    map
 }
 
 /// A response on its way to the wire: one JSON message, or pre-encoded
@@ -523,9 +598,10 @@ struct State {
     analyzes: AtomicU64,
     edits: AtomicU64,
     verbs: VerbMetrics,
-    /// Engine stats of the most recent `analyze`, so the `stats` verb can
-    /// report provenance volume without re-running anything.
-    last_stats: Mutex<Option<EngineStats>>,
+    /// Provenance volume of the most recent `analyze` (0 when provenance
+    /// is off or nothing has been analyzed yet).
+    provenance_facts: AtomicU64,
+    provenance_bytes: AtomicU64,
     /// Ring buffer of the most recent requests that took at least
     /// [`SLOW_REQUEST_MICROS`]; surfaced by the `stats` verb.
     slow: Mutex<SlowRing>,
@@ -591,18 +667,18 @@ impl State {
         *self.resident.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(ctx));
     }
 
-    fn set_last_stats(&self, stats: EngineStats) {
-        *self
-            .last_stats
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(stats);
+    fn set_provenance(&self, stats: &EngineStats) {
+        self.provenance_facts
+            .store(stats.provenance_facts, Ordering::Relaxed);
+        self.provenance_bytes
+            .store(stats.provenance_bytes, Ordering::Relaxed);
     }
 
     /// Runs the fleet over `ctx` and makes it the resident context.
     fn run(&self, ctx: &Arc<AnalysisCtx>, reused: bool) -> Report {
         let report = self.engine.analyze_with_ctx(ctx, reused);
         self.set_resident(ctx);
-        self.set_last_stats(report.stats.clone());
+        self.set_provenance(&report.stats);
         report
     }
 
@@ -677,7 +753,7 @@ impl State {
             None => match self.resolve(digest) {
                 Some((ctx, memo)) => (ctx, true, memo),
                 None => {
-                    self.answers.count(MEMO_NEED_SOURCE);
+                    self.answers.need_source.fetch_add(1, Ordering::Relaxed);
                     let mut m = Map::new();
                     m.insert("ok".into(), Value::from(true));
                     m.insert("need_source".into(), Value::from(true));
@@ -687,12 +763,12 @@ impl State {
         };
         self.analyzes.fetch_add(1, Ordering::Relaxed);
         if let Some(memo) = memo.filter(|m| m.serves(&ctx, self.persist_pruned())) {
-            self.answers.count(MEMO_HITS);
+            self.answers.hits.fetch_add(1, Ordering::Relaxed);
             self.set_resident(&ctx);
-            self.set_last_stats(memo.stats.clone());
+            self.set_provenance(&memo.stats);
             return Reply::Frames(Arc::clone(&memo.bytes));
         }
-        self.answers.count(MEMO_MISSES);
+        self.answers.misses.fetch_add(1, Ordering::Relaxed);
         let report = self.run(&ctx, reused);
         let bytes = match answer_frames(&ctx, &report) {
             Ok(bytes) => bytes,
@@ -712,10 +788,66 @@ impl State {
         Reply::Frames(bytes)
     }
 
-    /// Renders the Prometheus-style text exposition served by the
-    /// `metrics` verb: daemon request counters, engine cache traffic,
-    /// points-to batch reuse, persist-layer I/O, and — appended last —
-    /// every in-process [`ivy_telemetry`] counter series.
+    /// Hands every [`SERIES`] sample to `emit` as `(row, stats section,
+    /// stats key, label, value)`. A per-verb row yields one sample per
+    /// verb, and a persist row none without a persist layer.
+    fn samples(&self, mut emit: impl FnMut(&Series, &str, &str, Label, u64)) {
+        for row in SERIES {
+            let (section, key) = row.path.rsplit_once('.').unwrap_or(("", row.path));
+            match row.read {
+                Read::State(read) => emit(row, section, key, row.label, read(self)),
+                Read::Persist(read) => {
+                    if let Some(layer) = &self.persist {
+                        emit(row, section, key, row.label, read(layer));
+                    }
+                }
+                Read::PerVerb => {
+                    for (slot, &verb) in VERBS.iter().enumerate() {
+                        let count = self.verbs.counts[slot].load(Ordering::Relaxed);
+                        emit(row, row.path, verb, Some(("verb", verb)), count);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `stats` response: [`SERIES`] nested by path, plus the figures
+    /// that are not plain numbers.
+    fn stats(&self) -> Value {
+        let mut root = Map::new();
+        self.samples(|_, section, key, _, value| {
+            section_mut(&mut root, section).insert(key.into(), Value::from(value));
+        });
+        root.insert("ok".into(), Value::from(true));
+        root.insert("protocol".into(), Value::from(PROTOCOL_VERSION));
+        root.insert(
+            "uptime_ms".into(),
+            Value::from(self.started.elapsed().as_millis() as u64),
+        );
+        let slow: Vec<Value> = self
+            .slow
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|r| {
+                let mut e = Map::new();
+                e.insert("verb".into(), Value::from(r.verb));
+                e.insert("micros".into(), Value::from(r.micros));
+                e.insert("at_ms".into(), Value::from(r.at_ms));
+                Value::Object(e)
+            })
+            .collect();
+        root.insert("slow_requests".into(), Value::Array(slow));
+        if let Some(layer) = &self.persist {
+            section_mut(&mut root, "persist")
+                .insert("writer".into(), Value::from(layer.writer_id()));
+        }
+        Value::Object(root)
+    }
+
+    /// The Prometheus-style text exposition served by the `metrics` verb:
+    /// uptime, [`SERIES`], the per-verb latency histograms, and — appended
+    /// last — every in-process [`ivy_telemetry`] counter series.
     fn metrics_text(&self) -> String {
         let mut prom = ivy_telemetry::PromText::new();
         prom.gauge(
@@ -723,18 +855,10 @@ impl State {
             None,
             self.started.elapsed().as_secs_f64(),
         );
-        prom.counter(
-            "ivy_daemon_requests_served_total",
-            None,
-            self.requests.load(Ordering::Relaxed),
-        );
-        for (verb, count) in self.verbs.snapshot() {
-            prom.counter(
-                "ivy_daemon_verb_requests_total",
-                Some(("verb", verb)),
-                count,
-            );
-        }
+        self.samples(|row, _, _, label, value| match row.kind {
+            Kind::Counter => prom.counter(row.name, label, value),
+            Kind::Gauge => prom.gauge(row.name, label, value as f64),
+        });
         // Per-verb latency: the full histogram for dashboards, then
         // p50/p95/p99 summary gauges so a bare `curl | grep p9` answers
         // "is the daemon slow" without a Prometheus server. Verbs never
@@ -763,41 +887,6 @@ impl State {
                     LatencyHistogram::quantile(&cumulative, count, q) as f64,
                 );
             }
-        }
-        let cache = self.engine.cache();
-        prom.counter("ivy_daemon_cache_hits_total", None, cache.hits());
-        prom.counter("ivy_daemon_cache_misses_total", None, cache.misses());
-        prom.gauge("ivy_daemon_cached_results", None, cache.len() as f64);
-        let store = self.engine.ctx_store();
-        prom.counter("ivy_daemon_ctx_hits_total", None, store.hits());
-        prom.counter("ivy_daemon_ctx_misses_total", None, store.misses());
-        prom.counter("ivy_daemon_ctx_evictions_total", None, store.evictions());
-        prom.gauge("ivy_daemon_resident_contexts", None, store.len() as f64);
-        for (_, name, counter, value) in self.answers.snapshot() {
-            if counter {
-                prom.counter(name, None, value);
-            } else {
-                prom.gauge(name, None, value as f64);
-            }
-        }
-        let pts = self.engine.pointsto_cache();
-        prom.counter("ivy_daemon_pointsto_batch_hits_total", None, pts.hits());
-        prom.counter("ivy_daemon_pointsto_batch_misses_total", None, pts.misses());
-        prom.counter(
-            "ivy_daemon_pointsto_solves_total",
-            Some(("mode", "cold")),
-            pts.solves_cold(),
-        );
-        prom.counter(
-            "ivy_daemon_pointsto_solves_total",
-            Some(("mode", "incremental-repropagate")),
-            pts.solves_repropagate(),
-        );
-        if let Some(layer) = &self.persist {
-            prom.counter("ivy_daemon_persist_hits_total", None, layer.hits());
-            prom.counter("ivy_daemon_persist_misses_total", None, layer.misses());
-            prom.counter("ivy_daemon_persist_writes_total", None, layer.writes());
-            prom.counter("ivy_daemon_persist_pruned_total", None, layer.pruned());
         }
         let mut text = prom.finish();
         text.push_str(&ivy_telemetry::prometheus_text());
@@ -946,22 +1035,23 @@ impl State {
         let Some(cmd) = request.get("cmd").and_then(Value::as_str) else {
             return Reply::Message(error_response("request has no \"cmd\" field"));
         };
-        self.verbs.bump(cmd);
-        ivy_telemetry::counter_labeled("ivy_daemon_requests_total", "verb", cmd, 1);
-        let _span = ivy_telemetry::span("daemon/request", cmd.to_string());
+        let slot = VerbMetrics::slot(cmd);
+        let verb = VERBS[slot];
+        self.verbs.counts[slot].fetch_add(1, Ordering::Relaxed);
+        let _span = ivy_telemetry::span("daemon/request", verb);
         let start = Instant::now();
         let response = match (cmd, request.get("digest")) {
             ("analyze", Some(digest)) => self.analyze_digest(digest, request.get("source")),
             _ => Reply::Message(self.dispatch(cmd, request)),
         };
         let micros = start.elapsed().as_micros() as u64;
-        self.verbs.observe(cmd, micros);
+        self.verbs.latency[slot].observe(micros);
         if micros >= SLOW_REQUEST_MICROS {
             self.slow
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .push(SlowRequest {
-                    verb: cmd.to_string(),
+                    verb,
                     micros,
                     at_ms: self.started.elapsed().as_millis() as u64,
                 });
@@ -1034,92 +1124,7 @@ impl State {
                 m.insert("invalidation".into(), invalidation_to_value(&stats));
                 Value::Object(m)
             }
-            "stats" => {
-                let cache = self.engine.cache();
-                let store = self.engine.ctx_store();
-                let mut engine_stats = Map::new();
-                engine_stats.insert("cache_hits".into(), Value::from(cache.hits()));
-                engine_stats.insert("cache_misses".into(), Value::from(cache.misses()));
-                engine_stats.insert("cached_results".into(), Value::from(cache.len()));
-                engine_stats.insert("resident_contexts".into(), Value::from(store.len()));
-                engine_stats.insert("ctx_hits".into(), Value::from(store.hits()));
-                engine_stats.insert("ctx_misses".into(), Value::from(store.misses()));
-                engine_stats.insert("evictions".into(), Value::from(self.engine.ctx_evictions()));
-                let pts = self.engine.pointsto_cache();
-                let mut pointsto = Map::new();
-                pointsto.insert("batch_hits".into(), Value::from(pts.hits()));
-                pointsto.insert("batch_misses".into(), Value::from(pts.misses()));
-                pointsto.insert("solves_cold".into(), Value::from(pts.solves_cold()));
-                pointsto.insert(
-                    "solves_repropagate".into(),
-                    Value::from(pts.solves_repropagate()),
-                );
-                engine_stats.insert("pointsto".into(), Value::Object(pointsto));
-                // Provenance volume of the last analyze (0 when provenance
-                // is off or nothing has been analyzed yet).
-                let (prov_facts, prov_bytes) = self
-                    .last_stats
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .as_ref()
-                    .map_or((0, 0), |s| (s.provenance_facts, s.provenance_bytes));
-                engine_stats.insert("provenance_facts".into(), Value::from(prov_facts));
-                engine_stats.insert("provenance_bytes".into(), Value::from(prov_bytes));
-                let mut memo = Map::new();
-                for (key, _, _, value) in self.answers.snapshot() {
-                    memo.insert(key.into(), Value::from(value));
-                }
-                engine_stats.insert("answer_memo".into(), Value::Object(memo));
-                let mut m = Map::new();
-                m.insert("ok".into(), Value::from(true));
-                m.insert("protocol".into(), Value::from(PROTOCOL_VERSION));
-                m.insert(
-                    "uptime_ms".into(),
-                    Value::from(self.started.elapsed().as_millis() as u64),
-                );
-                m.insert(
-                    "requests".into(),
-                    Value::from(self.requests.load(Ordering::Relaxed)),
-                );
-                m.insert(
-                    "analyzes".into(),
-                    Value::from(self.analyzes.load(Ordering::Relaxed)),
-                );
-                m.insert(
-                    "edits".into(),
-                    Value::from(self.edits.load(Ordering::Relaxed)),
-                );
-                let mut verbs = Map::new();
-                for (verb, count) in self.verbs.snapshot() {
-                    verbs.insert(verb.into(), Value::from(count));
-                }
-                m.insert("verbs".into(), Value::Object(verbs));
-                let slow: Vec<Value> = self
-                    .slow
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .iter()
-                    .map(|r| {
-                        let mut e = Map::new();
-                        e.insert("verb".into(), Value::from(r.verb.as_str()));
-                        e.insert("micros".into(), Value::from(r.micros));
-                        e.insert("at_ms".into(), Value::from(r.at_ms));
-                        Value::Object(e)
-                    })
-                    .collect();
-                m.insert("slow_requests".into(), Value::Array(slow));
-                m.insert("engine".into(), Value::Object(engine_stats));
-                if let Some(layer) = &self.persist {
-                    let mut persist = Map::new();
-                    persist.insert("hits".into(), Value::from(layer.hits()));
-                    persist.insert("misses".into(), Value::from(layer.misses()));
-                    persist.insert("writes".into(), Value::from(layer.writes()));
-                    persist.insert("pruned".into(), Value::from(layer.pruned()));
-                    persist.insert("writer".into(), Value::from(layer.writer_id()));
-                    m.insert("persist".into(), Value::Object(persist));
-                }
-                Value::Object(m)
-            }
+            "stats" => self.stats(),
             "explain" => {
                 let Some(func) = request.get("fn").and_then(Value::as_str) else {
                     return error_response("explain needs a \"fn\" field");
@@ -1156,7 +1161,13 @@ impl State {
                 m.insert("ok".into(), Value::from(true));
                 Value::Object(m)
             }
-            other => error_response(&format!("unknown cmd {other:?}")),
+            other => {
+                // The name is client text up to a frame in size: echo only
+                // a bounded prefix of it.
+                let shown: String = other.chars().take(UNKNOWN_CMD_ECHO_CHARS).collect();
+                let cut = if shown.len() < other.len() { "…" } else { "" };
+                error_response(&format!("unknown cmd {shown:?}{cut}"))
+            }
         }
     }
 }
@@ -1243,10 +1254,13 @@ impl Daemon {
             Some(dir) => Some(Arc::new(PersistLayer::open(dir)?)),
             None => None,
         };
-        // A daemon always meters itself: counters are a handful of sharded
-        // atomics with no per-request allocation, and the `metrics` verb is
-        // useless without them. Spans stay opt-in (`IVY_TRACE=1`) — a
-        // long-lived server must not accumulate span records unasked.
+        // A daemon always meters itself. Its own series are atomics read
+        // through `SERIES`; the telemetry counters `metrics` appends are
+        // increments into lock-sharded maps (a labeled one allocates its
+        // label string per call), kept only for what no daemon atomic
+        // counts, and never labeled with client text. Spans stay opt-in
+        // (`IVY_TRACE=1`) — a long-lived server must not accumulate span
+        // records unasked.
         ivy_telemetry::enable_counters();
         let engine = fleet_engine_with(config.threads, persist.clone(), config.deputy)
             .with_provenance(config.provenance);
@@ -1262,7 +1276,8 @@ impl Daemon {
             analyzes: AtomicU64::new(0),
             edits: AtomicU64::new(0),
             verbs: VerbMetrics::default(),
-            last_stats: Mutex::new(None),
+            provenance_facts: AtomicU64::new(0),
+            provenance_bytes: AtomicU64::new(0),
             slow: Mutex::new(SlowRing::new(SLOW_RING_CAP)),
             shutdown: AtomicBool::new(false),
             _socket_lock: socket_lock,
@@ -1398,7 +1413,7 @@ mod tests {
         let mut ring = SlowRing::new(3);
         for micros in 0..5u64 {
             ring.push(SlowRequest {
-                verb: "analyze".into(),
+                verb: "analyze",
                 micros,
                 at_ms: micros,
             });
@@ -1407,6 +1422,23 @@ mod tests {
         // The first two entries fell off the front; the latest three
         // remain in arrival order.
         assert_eq!(held, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn series_table_names_each_fact_once() {
+        let mut paths: Vec<&str> = SERIES.iter().map(|row| row.path).collect();
+        let mut series: Vec<(&str, Label)> =
+            SERIES.iter().map(|row| (row.name, row.label)).collect();
+        paths.sort_unstable();
+        paths.dedup();
+        series.sort_unstable();
+        series.dedup();
+        assert_eq!(paths.len(), SERIES.len(), "a stats path is read twice");
+        assert_eq!(series.len(), SERIES.len(), "a series is read twice");
+        for row in SERIES {
+            let counter = matches!(row.kind, Kind::Counter);
+            assert_eq!(row.name.ends_with("_total"), counter, "{}", row.name);
+        }
     }
 
     #[test]

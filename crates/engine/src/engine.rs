@@ -141,10 +141,8 @@ impl CtxStore {
         });
         if found.is_some() {
             inner.hits += 1;
-            ivy_telemetry::counter("ivy_engine_ctx_hits_total", 1);
         } else {
             inner.misses += 1;
-            ivy_telemetry::counter("ivy_engine_ctx_misses_total", 1);
         }
         found
     }
@@ -167,11 +165,9 @@ impl CtxStore {
             Arc::clone(ctx)
         }) {
             inner.hits += 1;
-            ivy_telemetry::counter("ivy_engine_ctx_hits_total", 1);
             return (found, true);
         }
         inner.misses += 1;
-        ivy_telemetry::counter("ivy_engine_ctx_misses_total", 1);
         let ctx = make();
         inner.evict_beyond(self.capacity - 1);
         inner.slots.insert(hash, (Arc::clone(&ctx), tick));
@@ -539,23 +535,12 @@ impl Engine {
             stats.pointsto_solve_mode = pts.mode.name().to_string();
             stats.provenance_facts = pts.provenance_facts() as u64;
             stats.provenance_bytes = pts.provenance_bytes() as u64;
-            ivy_telemetry::counter("ivy_provenance_facts_total", stats.provenance_facts);
-            ivy_telemetry::counter("ivy_provenance_bytes_total", stats.provenance_bytes);
         }
-        // Cache traffic counters are cumulative across the process — the
-        // daemon's `metrics` verb reads them back out of the recorder.
-        ivy_telemetry::counter("ivy_engine_cache_hits_total", stats.cache_hits);
-        ivy_telemetry::counter("ivy_engine_cache_misses_total", stats.cache_misses);
+        // Checker results reloaded from (or missed in) the persist layer.
+        // The layer's own counters see every entry lookup, every query
+        // kind, so this diagnostic-level count exists only here.
         ivy_telemetry::counter("ivy_engine_persist_hits_total", stats.persist_hits);
         ivy_telemetry::counter("ivy_engine_persist_misses_total", stats.persist_misses);
-        ivy_telemetry::counter(
-            "ivy_pointsto_batches_reused_total",
-            stats.pointsto_batches_reused as u64,
-        );
-        ivy_telemetry::counter(
-            "ivy_pointsto_batches_generated_total",
-            stats.pointsto_batches_generated as u64,
-        );
         // Make this run's results durable before handing the report back.
         if let Some(layer) = &self.persist {
             if let Err(err) = layer.flush() {
@@ -600,11 +585,6 @@ impl Engine {
             .iter()
             .map(Diagnostic::from_value)
             .collect::<Option<Vec<_>>>()
-    }
-
-    /// Cumulative number of resident contexts evicted from the store.
-    pub fn ctx_evictions(&self) -> u64 {
-        self.ctx_store.evictions()
     }
 
     /// Fleet/batch mode: analyzes many program variants concurrently, with
@@ -660,7 +640,7 @@ mod tests {
             engine.context_for(p);
         }
         assert_eq!(engine.ctx_store().len(), 3);
-        assert_eq!(engine.ctx_evictions(), 0);
+        assert_eq!(engine.ctx_store().evictions(), 0);
 
         // Touch the oldest so it is no longer the LRU victim.
         let (_, hit) = engine.context_for(&programs[0]);
@@ -671,7 +651,7 @@ mod tests {
         engine.context_for(&programs[3]);
         let store = engine.ctx_store();
         assert_eq!(store.len(), 3);
-        assert_eq!(engine.ctx_evictions(), 1);
+        assert_eq!(engine.ctx_store().evictions(), 1);
         assert!(store.contains(hashes[0]), "recently-touched survives");
         assert!(!store.contains(hashes[1]), "LRU slot evicted");
         assert!(store.contains(hashes[2]));
@@ -683,7 +663,7 @@ mod tests {
         // An evicted program rebuilds (miss) and evicts the next LRU.
         let (_, hit) = engine.context_for(&programs[1]);
         assert!(!hit);
-        assert_eq!(engine.ctx_evictions(), 2);
+        assert_eq!(engine.ctx_store().evictions(), 2);
     }
 
     #[test]

@@ -330,10 +330,10 @@ pub fn spans_snapshot() -> Vec<SpanRecord> {
 /// `key="value"` label (all current call sites need zero or one).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CounterKey {
-    /// Metric name, e.g. `ivy_engine_cache_hits_total`.
-    pub name: Cow<'static, str>,
+    /// Metric name, e.g. `ivy_query_computed_total`.
+    pub name: &'static str,
     /// Optional single label as `(key, value)`.
-    pub label: Option<(Cow<'static, str>, String)>,
+    pub label: Option<(&'static str, String)>,
 }
 
 fn counter_shard_index(name: &str) -> usize {
@@ -354,7 +354,7 @@ pub fn counter(name: &'static str, delta: u64) {
     if !counters_enabled() || delta == 0 {
         return;
     }
-    counter_record(Cow::Borrowed(name), None, delta);
+    counter_record(name, None, delta);
 }
 
 /// Add `delta` to the counter `name{label_key="label_value"}`.
@@ -363,16 +363,12 @@ pub fn counter_labeled(name: &'static str, label_key: &'static str, label_value:
     if !counters_enabled() || delta == 0 {
         return;
     }
-    counter_record(
-        Cow::Borrowed(name),
-        Some((Cow::Borrowed(label_key), label_value.to_string())),
-        delta,
-    );
+    counter_record(name, Some((label_key, label_value.to_string())), delta);
 }
 
 #[cold]
-fn counter_record(name: Cow<'static, str>, label: Option<(Cow<'static, str>, String)>, delta: u64) {
-    let mut shard = lock_shard(counter_shard_index(&name));
+fn counter_record(name: &'static str, label: Option<(&'static str, String)>, delta: u64) {
+    let mut shard = lock_shard(counter_shard_index(name));
     *shard
         .counters
         .entry(CounterKey { name, label })
@@ -390,16 +386,6 @@ pub fn counters_snapshot() -> BTreeMap<CounterKey, u64> {
         }
     }
     merged
-}
-
-/// Read one counter series back (0 if never incremented).
-pub fn counter_value(name: &str, label: Option<(&str, &str)>) -> u64 {
-    let shard = lock_shard(counter_shard_index(name));
-    let key = CounterKey {
-        name: Cow::Owned(name.to_string()),
-        label: label.map(|(k, v)| (Cow::Owned(k.to_string()), v.to_string())),
-    };
-    shard.counters.get(&key).copied().unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -512,8 +498,8 @@ fn escape_label(value: &str) -> String {
 pub fn prometheus_text() -> String {
     let mut prom = PromText::new();
     for (key, value) in counters_snapshot() {
-        let label = key.label.as_ref().map(|(k, v)| (k.as_ref(), v.as_str()));
-        prom.counter(&key.name, label, value);
+        let label = key.label.as_ref().map(|(k, v)| (*k, v.as_str()));
+        prom.counter(key.name, label, value);
     }
     prom.finish()
 }
@@ -628,11 +614,6 @@ mod tests {
         counter_labeled("test_labeled_total", "verb", "analyze", 7);
         counter_labeled("test_labeled_total", "verb", "stats", 1);
         disable_all();
-        assert_eq!(counter_value("test_plain_total", None), 5);
-        assert_eq!(
-            counter_value("test_labeled_total", Some(("verb", "analyze"))),
-            7
-        );
         let text = prometheus_text();
         assert!(text.contains("# TYPE test_plain_total counter"));
         assert!(text.contains("test_plain_total 5"));

@@ -449,7 +449,9 @@ fn engine_answers_survive_a_panicking_checker_thread() {
 #[test]
 fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
     let source = kernel_source();
-    let handle = Daemon::spawn(DaemonConfig::new(socket_path("metrics"))).unwrap();
+    let dir = cache_dir("metrics");
+    let handle =
+        Daemon::spawn(DaemonConfig::new(socket_path("metrics")).with_cache_dir(&dir)).unwrap();
     let mut client = Client::connect(handle.socket()).unwrap();
 
     // One cold analyze (cache miss; its digest is answered `need_source`,
@@ -529,6 +531,94 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
         );
     }
 
+    // Every numeric series renders the same reading in `stats` and
+    // `metrics`. The `stats` request came after this scrape, so it counts
+    // itself once more in `requests` and `verbs.stats`.
+    let mut pairs: Vec<(String, String)> = [
+        ("requests", "ivy_daemon_requests_served_total"),
+        ("analyzes", "ivy_daemon_analyzes_total"),
+        ("edits", "ivy_daemon_edits_total"),
+        ("engine.cache_hits", "ivy_daemon_cache_hits_total"),
+        ("engine.cache_misses", "ivy_daemon_cache_misses_total"),
+        ("engine.cached_results", "ivy_daemon_cached_results"),
+        ("engine.ctx_hits", "ivy_daemon_ctx_hits_total"),
+        ("engine.ctx_misses", "ivy_daemon_ctx_misses_total"),
+        ("engine.evictions", "ivy_daemon_ctx_evictions_total"),
+        ("engine.resident_contexts", "ivy_daemon_resident_contexts"),
+        (
+            "engine.pointsto.batch_hits",
+            "ivy_daemon_pointsto_batch_hits_total",
+        ),
+        (
+            "engine.pointsto.batch_misses",
+            "ivy_daemon_pointsto_batch_misses_total",
+        ),
+        (
+            "engine.pointsto.solves_cold",
+            "ivy_daemon_pointsto_solves_total{mode=\"cold\"}",
+        ),
+        (
+            "engine.pointsto.solves_repropagate",
+            "ivy_daemon_pointsto_solves_total{mode=\"incremental-repropagate\"}",
+        ),
+        ("engine.provenance_facts", "ivy_daemon_provenance_facts"),
+        ("engine.provenance_bytes", "ivy_daemon_provenance_bytes"),
+        ("persist.hits", "ivy_daemon_persist_hits_total"),
+        ("persist.misses", "ivy_daemon_persist_misses_total"),
+        ("persist.writes", "ivy_daemon_persist_writes_total"),
+        ("persist.pruned", "ivy_daemon_persist_pruned_total"),
+    ]
+    .map(|(path, series)| (path.to_string(), series.to_string()))
+    .into();
+    for (key, series, _) in expected {
+        pairs.push((format!("engine.answer_memo.{key}"), series.to_string()));
+    }
+    for verb in [
+        "analyze",
+        "diagnostics",
+        "notify_edit",
+        "explain",
+        "stats",
+        "metrics",
+        "shutdown",
+        "unknown",
+    ] {
+        pairs.push((
+            format!("verbs.{verb}"),
+            format!("ivy_daemon_verb_requests_total{{verb=\"{verb}\"}}"),
+        ));
+    }
+    let stat = |path: &str| -> u64 {
+        path.split('.')
+            .try_fold(&stats, |v, key| v.get(key))
+            .and_then(ivy::engine::json::Value::as_u64)
+            .unwrap_or_else(|| panic!("stats.{path} absent or non-numeric: {stats:?}"))
+    };
+    for (path, series) in &pairs {
+        let counted_by_stats = u64::from(path == "requests" || path == "verbs.stats");
+        assert_eq!(
+            stat(path),
+            series_value(&format!("{series} ")) + counted_by_stats,
+            "stats.{path} disagrees with {series}:\n{text}"
+        );
+    }
+    // The pairs cover every daemon series in the scrape except uptime, the
+    // latency histograms and the telemetry counter of `explain` requests.
+    let mut scraped: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("ivy_daemon_"))
+        .filter_map(|l| l.rsplit_once(' ').map(|(series, _)| series))
+        .filter(|series| {
+            !series.starts_with("ivy_daemon_uptime_seconds")
+                && !series.starts_with("ivy_daemon_request_")
+                && !series.starts_with("ivy_daemon_explains_total")
+        })
+        .collect();
+    scraped.sort_unstable();
+    let mut listed: Vec<&str> = pairs.iter().map(|(_, series)| series.as_str()).collect();
+    listed.sort_unstable();
+    assert_eq!(scraped, listed, "every table series is pinned");
+
     // Per-verb latency histograms: the analyze verb served five requests,
     // so its histogram must expose cumulative buckets, a +Inf bucket equal
     // to the count, and p50/p95/p99 summary gauges.
@@ -582,6 +672,83 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
                 "ivy_daemon_request_{quantile}_micros{{verb=\"analyze\"}}"
             )),
             "{quantile} summary gauge missing:\n{text}"
+        );
+    }
+
+    client.shutdown().unwrap();
+    handle.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_verbs_are_metered_as_unknown_and_never_echoed_whole() {
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("unknown-verbs"))).unwrap();
+    let mut client = Client::connect(handle.socket()).unwrap();
+    let unknown = |client: &mut Client, i: usize| {
+        let verb = format!("{i:04}{}", "x".repeat(256 * 1024));
+        let mut request = ivy::engine::json::Map::new();
+        request.insert("cmd".into(), Value::from(verb.as_str()));
+        let err = client
+            .request(&Value::Object(request))
+            .expect_err("an unknown verb is an error");
+        assert!(
+            err.to_string().len() < 256,
+            "the reply echoes a bounded prefix of the verb, got {} bytes",
+            err.to_string().len()
+        );
+    };
+    // The daemon's own series, as the scrape lists them. Telemetry from
+    // other tests in this process may add series of its own concurrently,
+    // so those are left out.
+    let daemon_lines = |client: &mut Client| {
+        let text = client.metrics().unwrap();
+        text.lines()
+            .filter(|l| l.starts_with("ivy_daemon_") && !l.starts_with("ivy_daemon_explains"))
+            .count()
+    };
+
+    // Warm-up: the first `unknown` and `metrics` requests add their latency
+    // histograms.
+    unknown(&mut client, 0);
+    daemon_lines(&mut client);
+    let before = daemon_lines(&mut client);
+    for i in 1..=32 {
+        unknown(&mut client, i);
+    }
+    assert_eq!(
+        daemon_lines(&mut client),
+        before,
+        "distinct unknown verbs must not add series"
+    );
+
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        stats
+            .get("verbs")
+            .and_then(|v| v.get("unknown"))
+            .and_then(Value::as_u64),
+        Some(33)
+    );
+    let known = [
+        "analyze",
+        "diagnostics",
+        "notify_edit",
+        "explain",
+        "stats",
+        "metrics",
+        "shutdown",
+        "unknown",
+    ];
+    for entry in stats
+        .get("slow_requests")
+        .and_then(Value::as_array)
+        .expect("slow ring present")
+    {
+        let verb = entry.get("verb").and_then(Value::as_str).unwrap_or("");
+        assert!(
+            known.contains(&verb),
+            "slow-ring entries name a metered verb, got {} bytes",
+            verb.len()
         );
     }
 
