@@ -65,13 +65,13 @@ mod naive;
 mod solve;
 mod unify;
 
-use crate::summary::{env_hash, fnv1a, mix};
+use crate::summary::{fnv1a, mix};
 use constraints::{
     gen_function_batch, gen_globals, gen_program, intern_batch, IConstraint, InternedBatch,
 };
 use intern::SharedInterner;
 use ivy_cmir::ast::Program;
-use ivy_cmir::content::function_content_hash;
+use ivy_cmir::content::{function_content_hash, program_env_hash};
 use ivy_provenance::{EdgeKind, ProvStore, SEED};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -115,9 +115,9 @@ pub enum SolverChoice {
     UnionFind,
 }
 
-/// How a solve should run. [`SolveOptions::from_env`] reads
-/// `IVY_PROVENANCE` so deployments opt into derivation tracing without an
-/// API change.
+/// How a solve should run. The default picks the solver automatically
+/// and records no provenance; callers that want derivations say so with
+/// [`SolveOptions::with_provenance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveOptions {
     /// Solver implementation to use.
@@ -130,18 +130,6 @@ pub struct SolveOptions {
 }
 
 impl SolveOptions {
-    /// Options driven by the environment: `IVY_PROVENANCE`
-    /// (`1`/`true`/`on`) turns on derivation tracing, solver choice stays
-    /// automatic.
-    pub fn from_env() -> SolveOptions {
-        let provenance =
-            std::env::var("IVY_PROVENANCE").is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on"));
-        SolveOptions {
-            solver: SolverChoice::Auto,
-            provenance,
-        }
-    }
-
     /// `self` with derivation tracing switched on or off.
     pub fn with_provenance(mut self, on: bool) -> SolveOptions {
         self.provenance = on;
@@ -595,9 +583,9 @@ fn run_solver(
 
 /// Runs the points-to analysis over a whole program (one-shot: constraints
 /// are generated, interned into a fresh interner, and solved) with the
-/// options taken from the environment ([`SolveOptions::from_env`]).
+/// default [`SolveOptions`].
 pub fn analyze(program: &Program, sensitivity: Sensitivity) -> PointsToResult {
-    analyze_with(program, sensitivity, SolveOptions::from_env())
+    analyze_with(program, sensitivity, SolveOptions::default())
 }
 
 /// [`analyze`] with explicit solver options.
@@ -815,7 +803,7 @@ const BATCH_CACHE_CAP: usize = 16384;
 /// A cross-program cache of interned per-function constraint batches.
 ///
 /// Batches are keyed by `mix(mix(content_hash, env_hash), sensitivity)`:
-/// a function's constraints depend only on its own pretty-printed
+/// a function's constraints depend only on its own (span-insensitive)
 /// definition and the whole-program type environment (callee signatures and
 /// attributes, globals, composites, typedefs), so two programs that share a
 /// function body and environment share its batch. After an edit,
@@ -890,7 +878,7 @@ pub fn analyze_incremental(
     sensitivity: Sensitivity,
     cache: &ConstraintCache,
 ) -> PointsToResult {
-    analyze_incremental_with(program, sensitivity, cache, SolveOptions::from_env())
+    analyze_incremental_with(program, sensitivity, cache, SolveOptions::default())
 }
 
 /// [`analyze_incremental`] with explicit solver options.
@@ -900,7 +888,7 @@ pub fn analyze_incremental_with(
     cache: &ConstraintCache,
     opts: SolveOptions,
 ) -> PointsToResult {
-    let env = env_hash(program);
+    let env = program_env_hash(program);
     let sens_tag = fnv1a(sensitivity.name().as_bytes());
     // The interner lock covers only batch fetch/generation/interning and
     // the bind-table pre-resolution; the solve itself runs lock-free, so

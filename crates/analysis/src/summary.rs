@@ -7,20 +7,17 @@
 //! * [`Condensation`] — Tarjan SCC condensation of a [`CallGraph`] plus a
 //!   bottom-up level order (level 0 = leaf SCCs), the unit of parallel
 //!   scheduling.
-//! * [`FunctionSummary`] — per-function facts: direct+indirect callees, a
-//!   content hash of the (pretty-printed) definition, and a *cone hash*
+//! * [`FunctionSummary`] — per-function facts: direct+indirect callees, the
+//!   span-insensitive content hash of the definition
+//!   ([`ivy_cmir::content::function_content_hash`]), and a *cone hash*
 //!   mixing the content hash with the cone hashes of everything reachable
 //!   from the function. Two functions with equal cone hashes have
-//!   byte-identical bodies *and* byte-identical transitive callees, which is
-//!   what makes the hash a sound cache key for bottom-up analyses.
-//! * [`ProgramSummaries::env_hash`] — a hash of the whole-program type
-//!   environment (composites, typedefs, globals, and every function
-//!   *signature*), the extra dependency of analyses that consult callee
-//!   signatures rather than callee bodies.
+//!   structurally identical bodies *and* structurally identical transitive
+//!   callees, which is what makes the hash a sound cache key for bottom-up
+//!   analyses.
 
 use crate::callgraph::CallGraph;
 use ivy_cmir::ast::Program;
-use ivy_cmir::pretty::pretty_function;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// 64-bit FNV-1a over a byte string.
@@ -48,7 +45,8 @@ pub struct FunctionSummary {
     pub name: String,
     /// Every possible callee (direct and points-to-resolved indirect).
     pub callees: BTreeSet<String>,
-    /// Hash of the pretty-printed definition (attributes, signature, body).
+    /// Span-insensitive content hash of the definition (attributes,
+    /// signature, body).
     pub content_hash: u64,
     /// Hash of the definition plus the cone hashes of all transitive
     /// callees (SCC-aware, so recursion is well-defined).
@@ -77,9 +75,6 @@ pub struct ProgramSummaries {
     pub functions: BTreeMap<String, FunctionSummary>,
     /// The condensation used to order them.
     pub condensation: Condensation,
-    /// Hash of the type environment: composites, typedefs, globals, and all
-    /// function signatures (bodies excluded).
-    pub env_hash: u64,
 }
 
 impl ProgramSummaries {
@@ -229,25 +224,16 @@ impl Condensation {
     }
 }
 
-/// Hash of the whole-program type environment (signatures, not bodies).
-///
-/// Delegates to the span-insensitive structural hasher in
-/// [`ivy_cmir::content`]; the incremental points-to path computes this on
-/// every re-solve, so it must not allocate the pretty-printed environment
-/// just to hash it.
-pub fn env_hash(program: &Program) -> u64 {
-    ivy_cmir::content::program_env_hash(program)
-}
-
 /// Builds the per-function summaries of a program over a call graph.
-pub fn summarize(program: &Program, cg: &CallGraph) -> ProgramSummaries {
+/// `content_hashes` holds each function's content hash in program order
+/// ([`ivy_cmir::content::ProgramHashes::functions`]).
+pub fn summarize(program: &Program, content_hashes: &[u64], cg: &CallGraph) -> ProgramSummaries {
     let condensation = Condensation::build(program, cg);
-    let env = env_hash(program);
-
-    let content: BTreeMap<String, u64> = program
+    let content: BTreeMap<&str, u64> = program
         .functions
         .iter()
-        .map(|f| (f.name.clone(), fnv1a(pretty_function(f).as_bytes())))
+        .map(|f| f.name.as_str())
+        .zip(content_hashes.iter().copied())
         .collect();
 
     // Cone hash per SCC, bottom-up (Tarjan order has callees first). The
@@ -258,7 +244,7 @@ pub fn summarize(program: &Program, cg: &CallGraph) -> ProgramSummaries {
     for (i, comp) in condensation.sccs.iter().enumerate() {
         let mut h = fnv1a(b"scc");
         for member in comp {
-            h = mix(h, content[member]);
+            h = mix(h, content[member.as_str()]);
         }
         let mut callee_sccs: BTreeSet<usize> = BTreeSet::new();
         for member in comp {
@@ -287,8 +273,8 @@ pub fn summarize(program: &Program, cg: &CallGraph) -> ProgramSummaries {
             FunctionSummary {
                 name: f.name.clone(),
                 callees,
-                content_hash: content[&f.name],
-                cone_hash: mix(scc_cone[scc], content[&f.name]),
+                content_hash: content[f.name.as_str()],
+                cone_hash: mix(scc_cone[scc], content[f.name.as_str()]),
                 scc,
             },
         );
@@ -296,7 +282,6 @@ pub fn summarize(program: &Program, cg: &CallGraph) -> ProgramSummaries {
     ProgramSummaries {
         functions,
         condensation,
-        env_hash: env,
     }
 }
 
@@ -304,6 +289,7 @@ pub fn summarize(program: &Program, cg: &CallGraph) -> ProgramSummaries {
 mod tests {
     use super::*;
     use crate::pointsto::{analyze, Sensitivity};
+    use ivy_cmir::content::ProgramHashes;
     use ivy_cmir::parser::parse_program;
 
     const SRC: &str = r#"
@@ -314,7 +300,11 @@ mod tests {
         fn top() { rec_a(3); }
     "#;
 
-    fn build(src: &str) -> (ivy_cmir::ast::Program, CallGraph) {
+    fn summaries(p: &Program, cg: &CallGraph) -> ProgramSummaries {
+        summarize(p, &ProgramHashes::of(p).functions, cg)
+    }
+
+    fn build(src: &str) -> (Program, CallGraph) {
         let p = parse_program(src).unwrap();
         let pts = analyze(&p, Sensitivity::Steensgaard);
         let cg = CallGraph::build(&p, &pts);
@@ -346,11 +336,11 @@ mod tests {
     #[test]
     fn cone_hash_changes_exactly_for_the_dirty_cone() {
         let (p1, cg1) = build(SRC);
-        let s1 = summarize(&p1, &cg1);
+        let s1 = summaries(&p1, &cg1);
         // Edit leaf(): everything reaching leaf is dirty, top/rec_* included.
         let edited = SRC.replace("fn leaf() { }", "fn leaf() { let x: u32 = 1; }");
         let (p2, cg2) = build(&edited);
-        let s2 = summarize(&p2, &cg2);
+        let s2 = summaries(&p2, &cg2);
         for dirty in ["leaf", "mid", "rec_a", "rec_b", "top"] {
             assert_ne!(
                 s1.cone_hash(dirty),
@@ -362,7 +352,7 @@ mod tests {
         // Edit top() only: the cone below it is untouched.
         let edited = SRC.replace("fn top() { rec_a(3); }", "fn top() { rec_a(4); }");
         let (p3, cg3) = build(&edited);
-        let s3 = summarize(&p3, &cg3);
+        let s3 = summaries(&p3, &cg3);
         assert_ne!(s1.cone_hash("top"), s3.cone_hash("top"));
         for clean in ["leaf", "mid", "rec_a", "rec_b"] {
             assert_eq!(
@@ -371,20 +361,5 @@ mod tests {
                 "{clean} should be clean"
             );
         }
-    }
-
-    #[test]
-    fn env_hash_tracks_signatures_not_bodies() {
-        let (p1, _) = build(SRC);
-        let body_edit = SRC.replace("fn top() { rec_a(3); }", "fn top() { rec_a(4); }");
-        let (p2, _) = build(&body_edit);
-        assert_eq!(env_hash(&p1), env_hash(&p2), "body edits keep the env hash");
-        let sig_edit = SRC.replace("fn top()", "fn top(flags: u32)");
-        let (p3, _) = build(&sig_edit);
-        assert_ne!(
-            env_hash(&p1),
-            env_hash(&p3),
-            "signature edits change the env hash"
-        );
     }
 }

@@ -136,8 +136,8 @@ pub fn append(bench: &str, config: Option<Value>, headline: Map) -> io::Result<P
     Ok(path)
 }
 
-/// The effective `IVY_THREADS` setting: parsed from the environment the
-/// same way the solver's `SolveOptions::from_env` does (default 1).
+/// The effective `IVY_THREADS` setting, parsed from the environment
+/// (default 1).
 pub fn ivy_threads() -> u64 {
     std::env::var("IVY_THREADS")
         .ok()

@@ -12,11 +12,15 @@
 //! here is at least as fine as the pretty-text hash it replaces, and safe
 //! for any cache keyed on definition content.
 //!
+//! [`ProgramHashes`] bundles these into the identity of a program state:
+//! the analysis engine computes it once per state and keys its context
+//! store, its edit diff and its function summaries on it.
+//!
 //! Every match below destructures all fields explicitly: adding a field or
 //! variant to the AST breaks compilation here rather than silently
 //! weakening cache keys.
 
-use crate::ast::{Block, Check, Expr, Function, Stmt, VarDecl};
+use crate::ast::{Block, Check, Expr, Function, Program, Stmt, VarDecl};
 use std::hash::{Hash, Hasher};
 
 /// 64-bit FNV-1a [`Hasher`], deterministic across processes.
@@ -42,6 +46,40 @@ impl Hasher for FnvHasher {
     }
 }
 
+/// The identity of one program state, computed in one pass over the AST.
+///
+/// Two programs get equal hashes exactly when they are structurally equal
+/// up to spans, i.e. when they pretty-print to the same text (barring
+/// 64-bit collisions).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProgramHashes {
+    /// The type environment: [`program_env_hash`].
+    pub env: u64,
+    /// [`function_content_hash`] of every function, in program order.
+    pub functions: Vec<u64>,
+    /// `env` mixed with the ordered function hashes: the program's
+    /// identity.
+    pub program: u64,
+}
+
+impl ProgramHashes {
+    /// Hashes every part of a program once.
+    pub fn of(p: &Program) -> ProgramHashes {
+        let env = program_env_hash(p);
+        let functions: Vec<u64> = p.functions.iter().map(function_content_hash).collect();
+        let mut h = FnvHasher::default();
+        h.write_u64(env);
+        for f in &functions {
+            h.write_u64(*f);
+        }
+        ProgramHashes {
+            env,
+            functions,
+            program: h.finish(),
+        }
+    }
+}
+
 /// Content hash of a function definition: name, signature, attributes,
 /// subsystem, and body — everything except source spans.
 pub fn function_content_hash(f: &Function) -> u64 {
@@ -55,8 +93,8 @@ pub fn function_content_hash(f: &Function) -> u64 {
 /// parameters, return type, attributes, subsystem) — bodies and spans
 /// excluded. The environment is everything an analysis of one function may
 /// consult about the rest of the program short of reading callee bodies.
-pub fn program_env_hash(p: &crate::ast::Program) -> u64 {
-    let crate::ast::Program {
+pub fn program_env_hash(p: &Program) -> u64 {
+    let Program {
         composites,
         typedefs,
         globals,
@@ -389,5 +427,39 @@ mod tests {
             function_content_hash(f),
             function_content_hash(reparsed.function("f").unwrap())
         );
+        assert_eq!(ProgramHashes::of(&p), ProgramHashes::of(&reparsed));
+    }
+
+    #[test]
+    fn env_hash_tracks_signatures_not_bodies() {
+        let p = parse_program(SRC).unwrap();
+        let body_edit = parse_program(&SRC.replace("n + 1", "n + 2")).unwrap();
+        assert_eq!(
+            program_env_hash(&p),
+            program_env_hash(&body_edit),
+            "body edits keep the env hash"
+        );
+        let sig_edit = parse_program(&SRC.replace("fn other(n: u32)", "fn other(m: u32)")).unwrap();
+        assert_ne!(
+            program_env_hash(&p),
+            program_env_hash(&sig_edit),
+            "signature edits change the env hash"
+        );
+    }
+
+    #[test]
+    fn the_program_hash_covers_bodies_globals_and_order() {
+        let p = ProgramHashes::of(&parse_program(SRC).unwrap());
+        let body = ProgramHashes::of(&parse_program(&SRC.replace("n + 1", "n + 2")).unwrap());
+        assert_eq!(body.env, p.env);
+        assert_ne!(body.functions[0], p.functions[0]);
+        assert_eq!(body.functions[1], p.functions[1]);
+        assert_ne!(body.program, p.program);
+        let global = ProgramHashes::of(&parse_program(&SRC.replace("= 0;", "= 1;")).unwrap());
+        assert_eq!(global.functions, p.functions);
+        assert_ne!(global.program, p.program);
+        let mut swapped = parse_program(SRC).unwrap();
+        swapped.functions.swap(0, 1);
+        assert_ne!(ProgramHashes::of(&swapped).program, p.program);
     }
 }

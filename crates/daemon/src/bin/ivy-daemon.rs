@@ -7,7 +7,7 @@
 //! Blocks until a client sends `shutdown`. Defaults: no persist directory
 //! (memory-only), one engine worker per hardware thread, provenance off
 //! (`--provenance` records points-to derivations so the `explain` verb
-//! can answer; `IVY_PROVENANCE=1` in the environment does the same).
+//! can answer).
 
 use ivy_daemon::{Daemon, DaemonConfig};
 use std::process::ExitCode;

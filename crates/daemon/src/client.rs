@@ -166,8 +166,8 @@ impl Client {
     /// `lvalue` is either an indirect callee expression in `func` (the
     /// chain explains the call resolution) or a pointer slot (the chain
     /// explains one pointee — `target` picks which; `None` takes the
-    /// first). Needs a daemon started with `--provenance` (or
-    /// `IVY_PROVENANCE=1`) and a prior `analyze`.
+    /// first). Needs a daemon started with `--provenance` and a prior
+    /// `analyze`.
     pub fn explain(
         &mut self,
         func: &str,

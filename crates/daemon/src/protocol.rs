@@ -7,8 +7,8 @@
 //! [len: u32 LE][payload: len bytes of JSON]
 //! ```
 //!
-//! Requests are objects with a `"cmd"` field (`analyze`, `diagnostics`,
-//! `notify_edit`, `explain`, `stats`, `metrics`, `shutdown`); responses carry `"ok": true` plus
+//! Requests are objects with a `"cmd"` field (`analyze`, `notify_edit`,
+//! `explain`, `stats`, `metrics`, `shutdown`); responses carry `"ok": true` plus
 //! command-specific fields, or `"ok": false` with an `"error"` string. A
 //! client may issue any number of requests over one connection; the server
 //! answers them in order and treats a clean close as the end of the
@@ -68,9 +68,10 @@
 //! <- {"ok":true,"metrics_text":"# TYPE ivy_daemon_requests_served_total counter\n..."}
 //! ```
 //!
-//! Source-carrying `analyze` and `diagnostics` requests without a digest
-//! keep their protocol-1 behaviour and response shape, so older clients
-//! work unchanged. `metrics` returns a Prometheus-style text exposition
+//! Source-carrying `analyze` requests without a digest keep their
+//! protocol-1 behaviour and response shape. The protocol-1 `diagnostics`
+//! verb is gone: its answer is the `diagnostics_json` of `analyze`, and
+//! [`Client::diagnostics`](crate::Client::diagnostics) sends `analyze`. `metrics` returns a Prometheus-style text exposition
 //! (request counts per verb, engine cache hit rates, answer-memo traffic,
 //! points-to batch reuse, persist traffic, plus every in-process
 //! telemetry counter); `stats` returns the same ground truth as

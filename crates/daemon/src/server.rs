@@ -45,8 +45,6 @@ pub struct DaemonConfig {
     /// Engine worker threads (0 = one per hardware thread).
     pub threads: usize,
     /// Record points-to derivations so the `explain` verb can answer.
-    /// Equivalent to starting the process with `IVY_PROVENANCE=1`; the
-    /// flag only ever widens the environment-derived solve options.
     pub provenance: bool,
     /// Deputy configuration for the served fleet. The default keeps
     /// daemon answers byte-comparable to batch runs; sessions that want
@@ -177,9 +175,8 @@ impl SlowRing {
 
 /// Every verb the daemon meters, plus the `unknown` catch-all. The order
 /// is the index order of [`VerbMetrics`] slots.
-const VERBS: [&str; 8] = [
+const VERBS: [&str; 7] = [
     "analyze",
-    "diagnostics",
     "notify_edit",
     "explain",
     "stats",
@@ -682,7 +679,7 @@ impl State {
         report
     }
 
-    /// A protocol-1 `analyze`/`diagnostics`: the source is always attached.
+    /// A protocol-1 `analyze`: the source is always attached.
     fn analyze_source(&self, source: &str) -> Result<(Arc<AnalysisCtx>, Report), String> {
         let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
         let digest = SourceDigest::of(source);
@@ -904,7 +901,7 @@ impl State {
         if !pts.has_provenance() {
             return error_response(
                 "the resident solve recorded no derivations; start the daemon with --provenance \
-                 (or IVY_PROVENANCE=1) and re-run analyze",
+                 and re-run analyze",
             );
         }
         // An lvalue that is an indirect callee expression in `func` is
@@ -1061,7 +1058,7 @@ impl State {
 
     fn dispatch(&self, cmd: &str, request: &Value) -> Value {
         match cmd {
-            "analyze" | "diagnostics" => {
+            "analyze" => {
                 let Some(source) = request.get("source").and_then(Value::as_str) else {
                     return error_response("analyze needs a \"source\" field");
                 };
@@ -1079,13 +1076,11 @@ impl State {
                             "diagnostics_json".into(),
                             Value::from(report.diagnostics_json().as_str()),
                         );
-                        if cmd == "analyze" {
-                            m.insert(
-                                "diagnostic_count".into(),
-                                Value::from(report.diagnostics.len()),
-                            );
-                            m.insert("stats".into(), report.stats.to_value());
-                        }
+                        m.insert(
+                            "diagnostic_count".into(),
+                            Value::from(report.diagnostics.len()),
+                        );
+                        m.insert("stats".into(), report.stats.to_value());
                         Value::Object(m)
                     }
                 }

@@ -7,8 +7,8 @@
 //! pipeline did) is what lets the engine parallelize across functions and
 //! cache results across runs.
 
-use crate::ctx::AnalysisCtx;
 use crate::diag::Diagnostic;
+use crate::AnalysisCtx;
 use ivy_analysis::pointsto::Sensitivity;
 use ivy_cmir::ast::Function;
 

@@ -7,19 +7,20 @@
 //! rayon. Per-function results are served from the shared
 //! [`DiagnosticCache`] when the function's dependency cone and the
 //! checker's context fingerprint are unchanged. Analysis contexts
-//! themselves are reused across runs of byte-identical programs, so the
+//! themselves are reused across runs of structurally equal programs, so the
 //! pipeline's analyze→fix→re-analyze loop stops paying for points-to and
 //! call-graph construction twice.
 
 use crate::cache::DiagnosticCache;
 use crate::checker::{sensitivity_rank, Checker};
-use crate::ctx::AnalysisCtx;
 use crate::diag::{Diagnostic, EngineStats, Report};
 use crate::persist::PersistLayer;
 use crate::query::{InvalidationStats, Pointsto};
-use ivy_analysis::pointsto::{ConstraintCache, Sensitivity};
+use crate::AnalysisCtx;
+use ivy_analysis::pointsto::{ConstraintCache, Sensitivity, SolveOptions};
 use ivy_analysis::summary::{fnv1a, mix};
 use ivy_cmir::ast::Program;
+use ivy_cmir::content::ProgramHashes;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use serde_json::Value;
@@ -242,9 +243,8 @@ impl Engine {
 
     /// Turns on derivation tracing: every context this engine builds solves
     /// points-to with a provenance arena attached, so `PointsToResult::why`
-    /// can explain any fact. Provenance is also honored when
-    /// `IVY_PROVENANCE` is set in the environment. Disabled-mode cost is
-    /// one branch per derived fact.
+    /// can explain any fact. Disabled-mode cost is one branch per derived
+    /// fact.
     pub fn with_provenance(mut self, on: bool) -> Engine {
         self.provenance = on;
         self
@@ -344,21 +344,18 @@ impl Engine {
     }
 
     /// Returns the shared analysis context for a program, reusing the one
-    /// from a previous run when the program is byte-identical. Only the
-    /// program hash is computed before the store lookup; the context (and
-    /// its AST copy) is built on a miss.
+    /// from a previous run when the program is structurally equal up to
+    /// spans. The program's [`ProgramHashes`] are computed once, before
+    /// the store lookup; on a miss they move into the new context (with
+    /// its AST copy).
     pub fn context_for(&self, program: &Program) -> (Arc<AnalysisCtx>, bool) {
-        let hash = AnalysisCtx::hash_program(program);
-        self.ctx_store.get_or_insert_with(hash, || {
-            // The flag only ever widens the env-derived options: an engine
-            // without the switch still honors IVY_PROVENANCE.
-            let mut opts = ivy_analysis::pointsto::SolveOptions::from_env();
-            opts.provenance |= self.provenance;
+        let hashes = ProgramHashes::of(program);
+        self.ctx_store.get_or_insert_with(hashes.program, || {
             Arc::new(
-                AnalysisCtx::with_hash(program, hash)
+                AnalysisCtx::with_hashes(program, hashes)
                     .with_pointsto_cache(Arc::clone(&self.pts_cache))
                     .with_persist(self.persist.clone())
-                    .with_solve_options(opts),
+                    .with_solve_options(SolveOptions::default().with_provenance(self.provenance)),
             )
         })
     }
@@ -377,6 +374,10 @@ impl Engine {
     /// edited program starts from it. Returns the new context and what the
     /// edit invalidated. A no-op edit returns the base context unchanged.
     ///
+    /// The edited program is hashed exactly once (the `engine/edit`
+    /// `identity` span); the base context's stored hashes are the other
+    /// side of the diff.
+    ///
     /// This is the daemon's `notify_edit` path: a resident process keeps
     /// analysis state alive across edits instead of rebuilding a db per
     /// program state.
@@ -392,13 +393,15 @@ impl Engine {
         base: &Arc<AnalysisCtx>,
         edited: &Program,
     ) -> (Arc<AnalysisCtx>, InvalidationStats) {
-        let hash = AnalysisCtx::hash_program(edited);
-        if hash == base.program_hash {
+        let identity_span = ivy_telemetry::span("engine/edit", "identity");
+        let hashes = ProgramHashes::of(edited);
+        drop(identity_span);
+        if hashes.program == base.program_hash {
             return (Arc::clone(base), InvalidationStats::default());
         }
-        let (ctx, stats) = base.apply_edit(edited);
+        let (ctx, stats) = base.apply_edit(edited, hashes);
         let ctx = Arc::new(ctx);
-        self.ctx_store.insert(hash, Arc::clone(&ctx));
+        self.ctx_store.insert(ctx.program_hash, Arc::clone(&ctx));
         (ctx, stats)
     }
 

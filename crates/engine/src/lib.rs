@@ -13,9 +13,12 @@
 //!    edited program by invalidating only the transitive dependents of
 //!    the changed function contents (with content-keyed durable entries
 //!    revalidated rather than dropped), which is what keeps a resident
-//!    daemon warm across edits. [`AnalysisCtx`] is a thin façade over the
-//!    db; the old string-keyed `Any` memo table (and its runtime
-//!    type-confusion panics) is gone.
+//!    daemon warm across edits. Each db holds its program's identity
+//!    ([`ProgramHashes`](ivy_cmir::content::ProgramHashes): env hash,
+//!    per-function content hashes, program hash), computed once per
+//!    program state; every context and cache key derives from it.
+//!    [`AnalysisCtx`] is the `QueryDb`; the old string-keyed `Any` memo
+//!    table (and its runtime type-confusion panics) is gone.
 //! 2. **Plugins** — the [`Checker`] trait: a name, a required points-to
 //!    [`Sensitivity`](ivy_analysis::pointsto::Sensitivity), and a
 //!    per-function `check_function`. Deputy, CCount, and BlockStop register
@@ -86,7 +89,6 @@
 
 pub mod cache;
 pub mod checker;
-pub mod ctx;
 pub mod diag;
 mod engine;
 pub mod persist;
@@ -94,11 +96,17 @@ pub mod query;
 
 pub use cache::{CacheKey, DiagnosticCache};
 pub use checker::Checker;
-pub use ctx::AnalysisCtx;
 pub use diag::{Diagnostic, EngineStats, Evidence, Report, Severity};
 pub use engine::{CtxStore, Engine};
 pub use persist::PersistLayer;
 pub use query::{DurableQuery, InvalidationStats, Query, QueryDb, QueryKey};
+
+/// The shared analysis context every checker receives: one [`QueryDb`]
+/// per program state, built once and handed to every checker. Whole-program
+/// artifacts (points-to per sensitivity, call graphs, per-function CFGs,
+/// SCC summaries) are built-in queries computed on first demand;
+/// checker-owned precomputations are [`Query`] impls in the checker crates.
+pub type AnalysisCtx = QueryDb;
 
 /// Re-export of the JSON value model used by report serialization (the
 /// vendored `serde_json` shim; see `vendor/serde_json`).

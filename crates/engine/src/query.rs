@@ -37,8 +37,7 @@ use ivy_analysis::summary::{self, fnv1a, mix, Condensation, FunctionSummary, Pro
 use ivy_analysis::CallGraph;
 use ivy_cmir::ast::Program;
 use ivy_cmir::cfg::Cfg;
-use ivy_cmir::content::function_content_hash;
-use ivy_cmir::pretty::pretty_program;
+use ivy_cmir::content::ProgramHashes;
 use serde_json::{Map, Value};
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
@@ -232,16 +231,25 @@ pub struct QueryStats {
 
 /// The query database: one program plus every artifact demanded of it.
 ///
-/// This is the typed replacement for the seed's string-keyed memo table.
-/// One db is built per program state; the engine's context store keeps dbs
-/// alive across runs of byte-identical programs, and the optional
-/// [`PersistLayer`] extends reuse across *processes*.
+/// This is the typed replacement for the seed's string-keyed memo table,
+/// and it is the shared analysis context every checker receives
+/// ([`AnalysisCtx`](crate::AnalysisCtx) is this type). One db is built per
+/// program state and holds that state's [`ProgramHashes`], computed once;
+/// the engine's context store keeps dbs alive across runs of structurally
+/// equal programs, and the optional [`PersistLayer`] extends reuse across
+/// *processes*.
 pub struct QueryDb {
     /// The program under analysis.
     pub program: Program,
-    /// FNV-1a hash of the pretty-printed program; the engine's context
-    /// cache key and the content anchor for durable whole-program queries.
+    /// The program's identity ([`ProgramHashes::program`]): the engine's
+    /// context-store key and the content anchor for durable whole-program
+    /// queries.
     pub program_hash: u64,
+    /// [`ProgramHashes::env`], served by [`EnvHash`].
+    env: u64,
+    /// [`ProgramHashes::functions`] (program order), served by
+    /// [`FnContent`] and diffed by [`QueryDb::apply_edit`].
+    fn_hashes: Vec<u64>,
     /// Cross-program cache of interned points-to constraint batches (shared
     /// by the engine across dbs so an edited program re-solves points-to
     /// from the cached constraint graph).
@@ -249,8 +257,8 @@ pub struct QueryDb {
     /// Cross-process persistence, when attached.
     persist: Option<Arc<PersistLayer>>,
     /// How [`Pointsto`] solves run for this db (solver choice, derivation
-    /// tracing). Environment-driven by default; the engine's
-    /// `--provenance` switch overrides it per engine.
+    /// tracing). The default records no provenance; the engine's
+    /// `--provenance` switch turns it on per engine.
     solve_options: SolveOptions,
     table: Mutex<HashMap<(TypeId, u64), Slot>>,
     /// `TypeId` → query `NAME`, filled as queries are demanded; lets
@@ -275,23 +283,30 @@ fn lock_recovering<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 impl QueryDb {
     /// Builds a db for a program (cheap: every artifact is lazy).
     pub fn new(program: &Program) -> QueryDb {
-        QueryDb::with_hash(program, QueryDb::hash_program(program))
+        QueryDb::with_hashes(program, ProgramHashes::of(program))
     }
 
-    /// The content hash a db for `program` would carry; computable without
-    /// cloning the program (used for context-store lookups).
+    /// The identity a db for `program` would carry
+    /// ([`ProgramHashes::program`]); computable without cloning the program.
     pub fn hash_program(program: &Program) -> u64 {
-        fnv1a(pretty_program(program).as_bytes())
+        ProgramHashes::of(program).program
     }
 
-    /// Builds a db with an already-computed program hash.
-    pub fn with_hash(program: &Program, program_hash: u64) -> QueryDb {
+    /// Builds a db from the program's already-computed hashes.
+    pub fn with_hashes(program: &Program, hashes: ProgramHashes) -> QueryDb {
+        let ProgramHashes {
+            env,
+            functions,
+            program: program_hash,
+        } = hashes;
         QueryDb {
             program: program.clone(),
             program_hash,
+            env,
+            fn_hashes: functions,
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
-            solve_options: SolveOptions::from_env(),
+            solve_options: SolveOptions::default(),
             table: Mutex::new(HashMap::new()),
             names: Mutex::new(HashMap::new()),
             deps: Mutex::new(BTreeSet::new()),
@@ -490,7 +505,9 @@ impl QueryDb {
     /// Derives a db for an edited program from this one, invalidating only
     /// the queries the edit can actually reach.
     ///
-    /// The edit is diffed at the input layer: every function whose
+    /// `hashes` are the edited program's [`ProgramHashes`], computed once
+    /// by the caller. The edit is diffed at the input layer against this
+    /// db's stored hashes — nothing is re-hashed: every function whose
     /// span-insensitive content hash changed (including added and removed
     /// functions) seeds its [`FnContent`] instance, and a changed type
     /// environment seeds [`EnvHash`]. The transitive *dependents* of the
@@ -512,32 +529,30 @@ impl QueryDb {
     /// layer, and the retained memo slots with `self`; both dbs stay
     /// usable (retained results are valid for either program by
     /// construction).
-    pub fn apply_edit(&self, edited: &Program) -> (QueryDb, InvalidationStats) {
-        let new_hash = Self::hash_program(edited);
-        let new_db = QueryDb::with_hash(edited, new_hash)
+    pub fn apply_edit(
+        &self,
+        edited: &Program,
+        hashes: ProgramHashes,
+    ) -> (QueryDb, InvalidationStats) {
+        let new_db = QueryDb::with_hashes(edited, hashes)
             .with_pointsto_cache(Arc::clone(&self.pts_cache))
             .with_persist(self.persist.clone())
             .with_solve_options(self.solve_options);
 
         // 1. Input-layer diff: which functions' contents changed, and did
         //    the type environment change with them?
-        let hashes = |p: &Program| -> BTreeMap<String, u64> {
-            p.functions
-                .iter()
-                .map(|f| (f.name.clone(), function_content_hash(f)))
-                .collect()
-        };
-        let old_fns = hashes(&self.program);
-        let new_fns = hashes(edited);
+        let walk_span = ivy_telemetry::span("engine/edit", "walk");
+        let old_fns = self.content_by_name();
+        let new_fns = new_db.content_by_name();
         let changed_functions: Vec<String> = old_fns
             .keys()
             .chain(new_fns.keys())
             .filter(|name| old_fns.get(*name) != new_fns.get(*name))
-            .cloned()
+            .map(|name| name.to_string())
             .collect::<BTreeSet<String>>()
             .into_iter()
             .collect();
-        let env_changed = summary::env_hash(&self.program) != summary::env_hash(edited);
+        let env_changed = self.env != new_db.env;
 
         let mut seeds: Vec<QueryRef> = changed_functions
             .iter()
@@ -558,6 +573,7 @@ impl QueryDb {
         let mut clean: HashSet<QueryRef> = HashSet::new();
         let mut queue: Vec<QueryRef> = seeds.clone();
         self.propagate_dirty(&rdeps, &mut queue, &mut dirty, &mut clean, &new_db);
+        drop(walk_span);
 
         // Snapshot the table before touching any slot lock: an in-flight
         // compute on another thread holds its slot lock and may demand the
@@ -584,6 +600,7 @@ impl QueryDb {
         //    points-to when the function frees untyped pointers). Checks
         //    run outside every lock: a revalidator may demand queries on
         //    the new db.
+        let rekey_span = ivy_telemetry::span("engine/edit", "rekey");
         let mut rekeyed: Vec<QueryRef> = Vec::new();
         for ((type_id, key_hash), slot) in &slots {
             let name = names.get(type_id).copied().unwrap_or("");
@@ -605,10 +622,12 @@ impl QueryDb {
             }
         }
         self.propagate_dirty(&rdeps, &mut rekeyed, &mut dirty, &mut clean, &new_db);
+        drop(rekey_span);
 
         // 3. Carry every slot outside the dirty set into the new db, and
         //    every edge whose dependent survived (a dirty dependent will
         //    re-record its edges when it recomputes).
+        let _carry_span = ivy_telemetry::span("engine/edit", "carry");
         let mut stats = InvalidationStats {
             changed_functions,
             env_changed,
@@ -648,6 +667,16 @@ impl QueryDb {
                 .filter(|(parent, _)| !dirty.contains(parent)),
         );
         (new_db, stats)
+    }
+
+    /// Function name → content hash, from the stored hashes.
+    fn content_by_name(&self) -> BTreeMap<&str, u64> {
+        self.program
+            .functions
+            .iter()
+            .map(|f| f.name.as_str())
+            .zip(self.fn_hashes.iter().copied())
+            .collect()
     }
 
     /// Walks the reverse dependency edges upward from the queued refs,
@@ -723,7 +752,7 @@ impl QueryDb {
         found_any
     }
 
-    // ---- built-in artifact façade -------------------------------------
+    // ---- built-in artifact accessors ----------------------------------
 
     /// Points-to results at a precision level. Solved incrementally against
     /// the shared constraint cache: only functions this db sees for the
@@ -792,7 +821,7 @@ impl QueryDb {
 /// Span-insensitive content hash of one function definition (key: function
 /// name; value 0 when no such function exists). An *input* query: its
 /// instances are the seeds [`QueryDb::apply_edit`] marks dirty, so its own
-/// compute reads the program directly by design.
+/// compute reads the db's stored hashes directly by design.
 pub struct FnContent;
 
 impl Query for FnContent {
@@ -802,9 +831,10 @@ impl Query for FnContent {
 
     fn compute(db: &QueryDb, key: &String) -> u64 {
         db.program
-            .function(key)
-            .map(function_content_hash)
-            .unwrap_or(0)
+            .functions
+            .iter()
+            .position(|f| f.name == *key)
+            .map_or(0, |i| db.fn_hashes[i])
     }
 }
 
@@ -846,12 +876,15 @@ impl Query for Summaries {
     const NAME: &'static str = "engine/summaries";
 
     fn compute(db: &QueryDb, key: &Sensitivity) -> ProgramSummaries {
-        summary::summarize(&db.program, &db.get::<Callgraph>(key))
+        summary::summarize(&db.program, &db.fn_hashes, &db.get::<Callgraph>(key))
     }
 }
 
 impl DurableQuery for Summaries {
-    const FORMAT_VERSION: u32 = 1;
+    /// Version 2: content and cone hashes are structural
+    /// ([`ivy_cmir::content`]) rather than hashes of pretty-printed text,
+    /// and the unread `env_hash` field is gone.
+    const FORMAT_VERSION: u32 = 2;
 
     fn durable_key(db: &QueryDb, key: &Sensitivity) -> u64 {
         mix(db.program_hash, key.stable_hash())
@@ -883,7 +916,6 @@ impl DurableQuery for Summaries {
             .map(|l| Value::Array(l.iter().map(|&i| Value::from(i)).collect()))
             .collect();
         let mut root = Map::new();
-        root.insert("env_hash".into(), Value::from(value.env_hash));
         root.insert("functions".into(), Value::Object(functions));
         root.insert("sccs".into(), Value::Array(sccs));
         root.insert("levels".into(), Value::Array(levels));
@@ -891,7 +923,6 @@ impl DurableQuery for Summaries {
     }
 
     fn decode(raw: &Value) -> Option<ProgramSummaries> {
-        let env_hash = raw.get("env_hash")?.as_u64()?;
         let sccs: Vec<Vec<String>> = raw
             .get("sccs")?
             .as_array()?
@@ -948,7 +979,6 @@ impl DurableQuery for Summaries {
                 scc_of,
                 levels,
             },
-            env_hash,
         })
     }
 }
@@ -973,9 +1003,9 @@ impl Query for CfgOf {
     }
 }
 
-/// Hash of the whole-program type environment. Like [`FnContent`], an
-/// *input* query: [`QueryDb::apply_edit`] seeds it directly when the diff
-/// shows the environment changed.
+/// Hash of the whole-program type environment ([`ProgramHashes::env`]).
+/// Like [`FnContent`], an *input* query: [`QueryDb::apply_edit`] seeds it
+/// directly when the diff shows the environment changed.
 pub struct EnvHash;
 
 impl Query for EnvHash {
@@ -984,7 +1014,7 @@ impl Query for EnvHash {
     const NAME: &'static str = "engine/env-hash";
 
     fn compute(db: &QueryDb, _key: &()) -> u64 {
-        summary::env_hash(&db.program)
+        db.env
     }
 }
 
@@ -997,6 +1027,10 @@ mod tests {
     fn small_db() -> QueryDb {
         let p = parse_program("fn a() { b(); } fn b() { }").unwrap();
         QueryDb::new(&p)
+    }
+
+    fn edit(db: &QueryDb, edited: &Program) -> (QueryDb, InvalidationStats) {
+        db.apply_edit(edited, ProgramHashes::of(edited))
     }
 
     static CALLS_A: AtomicUsize = AtomicUsize::new(0);
@@ -1083,6 +1117,12 @@ mod tests {
     }
 
     #[test]
+    fn program_hash_tracks_content() {
+        let p2 = parse_program("fn a() { b(); b(); } fn b() { }").unwrap();
+        assert_ne!(small_db().program_hash, QueryDb::new(&p2).program_hash);
+    }
+
+    #[test]
     fn dependency_edges_are_recorded() {
         let db = small_db();
         db.summaries(Sensitivity::Steensgaard);
@@ -1106,7 +1146,6 @@ mod tests {
         let s = db.summaries(Sensitivity::Steensgaard);
         let decoded = <Summaries as DurableQuery>::decode(&Summaries::encode(&s))
             .expect("well-formed encoding decodes");
-        assert_eq!(decoded.env_hash, s.env_hash);
         assert_eq!(decoded.functions, s.functions);
         assert_eq!(decoded.condensation.sccs, s.condensation.sccs);
         assert_eq!(decoded.condensation.levels, s.condensation.levels);
@@ -1127,7 +1166,7 @@ mod tests {
         // Edit `c`'s body only.
         let edited =
             parse_program("fn a() { b(); } fn b() { c(); } fn c() { c(); } fn lone() { }").unwrap();
-        let (new_db, stats) = db.apply_edit(&edited);
+        let (new_db, stats) = edit(&db, &edited);
         assert_eq!(stats.changed_functions, vec!["c".to_string()]);
         assert!(!stats.env_changed, "a body edit leaves the env untouched");
         assert_eq!(stats.seeds, 1);
@@ -1161,7 +1200,7 @@ mod tests {
         // Adding a function changes the env (its signature joins the
         // environment) and seeds its own content instance.
         let grown = parse_program("fn a() { b(); } fn b() { } fn d() { }").unwrap();
-        let (new_db, stats) = db.apply_edit(&grown);
+        let (new_db, stats) = edit(&db, &grown);
         assert_eq!(stats.changed_functions, vec!["d".to_string()]);
         assert!(stats.env_changed);
         assert!(new_db.peek::<Pointsto>(&Sensitivity::Steensgaard).is_none());
@@ -1201,7 +1240,7 @@ mod tests {
         let db = small_db();
         db.get_durable::<ContentKeyed>(&7);
         let edited = parse_program("fn a() { b(); b(); } fn b() { }").unwrap();
-        let (new_db, stats) = db.apply_edit(&edited);
+        let (new_db, stats) = edit(&db, &edited);
         // ...but its durable key is untouched by the edit, so it is
         // revalidated rather than discarded.
         assert!(stats.revalidated >= 1);
@@ -1256,7 +1295,7 @@ mod tests {
         assert_eq!(db.query_stats().persist_hits, 1);
 
         let edited = parse_program("fn a() { b(); b(); } fn b() { }").unwrap();
-        let (new_db, _) = db.apply_edit(&edited);
+        let (new_db, _) = edit(&db, &edited);
         assert!(
             new_db.peek::<WholeProgram>(&()).is_none(),
             "an edge-less whole-program entry must be re-keyed out on edit"

@@ -396,7 +396,7 @@ fn describe_static_pts(pts: &PointsToResult, checked: &[Loc]) -> String {
         }
         return format!(
             "static side claims `{l}` may point to: {} \
-             (solved without provenance; re-run with IVY_PROVENANCE=1 for the derivation)",
+             (this model has no recorded derivation for it)",
             set.iter()
                 .map(|p| p.to_string())
                 .collect::<Vec<_>>()

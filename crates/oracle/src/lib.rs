@@ -358,7 +358,7 @@ fn build_static_model(
     let pts = pointsto::analyze_with(
         program,
         sensitivity,
-        pointsto::SolveOptions::from_env().with_provenance(true),
+        pointsto::SolveOptions::default().with_provenance(true),
     );
     let callgraph = CallGraph::build(program, &pts);
     let blockstop = BlockStop::with_config(ivy_blockstop::BlockStopConfig {

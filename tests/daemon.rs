@@ -575,7 +575,6 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
     }
     for verb in [
         "analyze",
-        "diagnostics",
         "notify_edit",
         "explain",
         "stats",
@@ -731,7 +730,6 @@ fn unknown_verbs_are_metered_as_unknown_and_never_echoed_whole() {
     );
     let known = [
         "analyze",
-        "diagnostics",
         "notify_edit",
         "explain",
         "stats",
@@ -940,16 +938,17 @@ fn protocol_1_source_frames_keep_their_response_shape() {
         Some(v2.program_hash.as_str())
     );
 
+    // The protocol-1 `diagnostics` verb folded into `analyze`: the frame
+    // is now an unknown command.
     let mut request = ivy::daemon::protocol::request("diagnostics");
     request.insert("source".into(), Value::from(source.as_str()));
     write_frame(&mut stream, &Value::Object(request)).unwrap();
     let v1 = read_frame(&mut stream).unwrap().unwrap();
-    let mut keys: Vec<&str> = v1.as_object().unwrap().keys().map(String::as_str).collect();
-    keys.sort_unstable();
-    assert_eq!(keys, ["diagnostics_json", "ok", "program_hash"]);
-    assert_eq!(
-        v1.get("diagnostics_json").and_then(Value::as_str),
-        Some(v2.diagnostics_json.as_str())
+    assert_eq!(v1.get("ok").and_then(Value::as_bool), Some(false));
+    let error = v1.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        error.starts_with("unknown cmd"),
+        "diagnostics frames get the unknown-cmd error, got {error:?}"
     );
     drop(stream);
 

@@ -1,14 +1,20 @@
 //! Integration tests for the analysis engine over the generated kernel:
-//! parallel determinism, incremental caching, dirty-cone invalidation, and
-//! fleet (corpus) mode.
+//! parallel determinism, incremental caching, dirty-cone invalidation,
+//! fleet (corpus) mode, and the program identity edits are diffed by.
 
 use ivy::blockstop::BlockStopChecker;
 use ivy::ccount::CCountChecker;
+use ivy::cmir::ast::{Expr, Program};
+use ivy::cmir::parser::parse_program;
+use ivy::cmir::pretty::{pretty_function, pretty_program};
+use ivy::cmir::visit::{map_block_exprs, walk_block_exprs};
 use ivy::deputy::DeputyChecker;
-use ivy::engine::{Engine, PersistLayer, Severity};
+use ivy::engine::{AnalysisCtx, Engine, PersistLayer, Severity};
 use ivy::kernelgen::{KernelBuild, KernelConfig};
+use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn kernel_engine(threads: usize) -> Engine {
     Engine::new()
@@ -375,4 +381,110 @@ fn engine_finds_the_seeded_blocking_bugs() {
     }
     // Every blockstop error carries an actionable fix hint.
     assert!(blockstop_errors.iter().all(|d| d.fix_hint.is_some()));
+}
+
+/// A small kernel analyzed once, with its resident context: the base every
+/// identity-property case edits.
+fn identity_base() -> &'static (Engine, Arc<AnalysisCtx>, Program) {
+    static BASE: OnceLock<(Engine, Arc<AnalysisCtx>, Program)> = OnceLock::new();
+    BASE.get_or_init(|| {
+        let program = KernelBuild::generate(&KernelConfig::small()).program;
+        let engine = kernel_engine(1);
+        engine.analyze(&program);
+        let (ctx, _) = engine.context_for(&program);
+        (engine, ctx, program)
+    })
+}
+
+/// One seeded one-function (or one-global) mutation of `base`: `kind` 0
+/// duplicates a statement in place, 1 raises an integer literal in a
+/// function body by `delta`, 2 raises an integer global initializer by
+/// `delta`. Literals stay non-negative, so the mutated program still
+/// round-trips through the pretty-printer.
+fn mutate(base: &Program, kind: u8, pick: u64, delta: i64) -> Program {
+    let mut out = base.clone();
+    let nth = |n: usize| (pick % n as u64) as usize;
+    if kind == 2 {
+        let inits: Vec<usize> = (0..out.globals.len())
+            .filter(|&i| matches!(out.globals[i].init, Some(Expr::Int(v)) if v >= 0))
+            .collect();
+        let i = inits[nth(inits.len())];
+        if let Some(Expr::Int(v)) = &mut out.globals[i].init {
+            *v += delta;
+        }
+        return out;
+    }
+    let literals = |f: &ivy::cmir::ast::Function| {
+        let mut n = 0usize;
+        if let Some(body) = &f.body {
+            walk_block_exprs(body, &mut |e| {
+                n += usize::from(matches!(e, Expr::Int(v) if *v >= 0))
+            });
+        }
+        n
+    };
+    let candidates: Vec<usize> = (0..out.functions.len())
+        .filter(|&i| {
+            let f = &out.functions[i];
+            match kind {
+                0 => f.body.as_ref().is_some_and(|b| !b.stmts.is_empty()),
+                _ => literals(f) > 0,
+            }
+        })
+        .collect();
+    let func = &mut out.functions[candidates[nth(candidates.len())]];
+    if kind == 0 {
+        let body = func.body.as_mut().expect("candidate has a body");
+        let at = nth(body.stmts.len());
+        body.stmts.insert(at, body.stmts[at].clone());
+    } else {
+        let target = nth(literals(func));
+        let mut seen = 0usize;
+        let body = func.body.as_ref().expect("candidate has a body");
+        func.body = Some(map_block_exprs(body, &mut |e| match e {
+            Expr::Int(v) if v >= 0 => {
+                seen += 1;
+                Expr::Int(if seen - 1 == target { v + delta } else { v })
+            }
+            other => other,
+        }));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The program identity is exactly the pretty-printed text's: it
+    /// survives a print/parse round trip, it changes whenever the text
+    /// changes, and the edit diff built from it names exactly the
+    /// functions whose printed text changed.
+    #[test]
+    fn program_identity_matches_pretty_printed_equality(
+        kind in 0u8..3,
+        pick in any::<u64>(),
+        delta in 1i64..1000,
+    ) {
+        let (engine, base_ctx, base) = identity_base();
+        let mutated = mutate(base, kind, pick, delta);
+        for p in [base, &mutated] {
+            let reparsed = parse_program(&pretty_program(p)).expect("printed program parses");
+            prop_assert_eq!(AnalysisCtx::hash_program(p), AnalysisCtx::hash_program(&reparsed));
+        }
+        prop_assert_eq!(
+            pretty_program(base) == pretty_program(&mutated),
+            AnalysisCtx::hash_program(base) == AnalysisCtx::hash_program(&mutated),
+            "mutation kind {} changed the text but not the hash (or the reverse)",
+            kind
+        );
+        let (_, stats) = engine.apply_edit(base_ctx, &mutated);
+        let text_changed: BTreeSet<String> = base
+            .functions
+            .iter()
+            .zip(&mutated.functions)
+            .filter(|(a, b)| pretty_function(a) != pretty_function(b))
+            .map(|(a, _)| a.name.clone())
+            .collect();
+        prop_assert_eq!(stats.changed_functions, text_changed.into_iter().collect::<Vec<_>>());
+    }
 }

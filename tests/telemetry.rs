@@ -227,3 +227,41 @@ fn chrome_trace_export_round_trips_through_serde_json() {
         Some(1)
     );
 }
+
+#[test]
+fn apply_edit_hashes_the_edited_program_once() {
+    let _g = telemetry_guard();
+    let _restore = Restore;
+    telemetry::disable_all();
+    telemetry::reset();
+
+    let program = KernelBuild::generate(&KernelConfig::small()).program;
+    let engine = default_engine(1);
+    engine.analyze(&program);
+    let (base, _) = engine.context_for(&program);
+    let mut edited = program.clone();
+    let body = edited
+        .function_mut("watchdog_tick")
+        .and_then(|f| f.body.as_mut())
+        .expect("corpus defines watchdog_tick");
+    let first = body.stmts[0].clone();
+    body.stmts.insert(0, first);
+
+    telemetry::enable_spans();
+    let (_, stats) = engine.apply_edit(&base, &edited);
+    let spans = telemetry::spans_snapshot();
+    assert_eq!(stats.changed_functions, ["watchdog_tick"]);
+
+    // One identity pass over the edited program, none over the base, and
+    // one span per later phase of the edit.
+    let phase = |name: &str| {
+        spans
+            .iter()
+            .filter(|s| s.cat == "engine/edit" && s.name == name)
+            .count()
+    };
+    assert_eq!(phase("identity"), 1, "the edited program is hashed once");
+    for name in ["walk", "rekey", "carry"] {
+        assert_eq!(phase(name), 1, "one {name} span per edit");
+    }
+}
