@@ -71,7 +71,7 @@ use constraints::{
 };
 use intern::SharedInterner;
 use ivy_cmir::ast::Program;
-use ivy_cmir::content::{function_content_hash, program_env_hash};
+use ivy_cmir::content::ProgramHashes;
 use ivy_provenance::{EdgeKind, ProvStore, SEED};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -878,17 +878,26 @@ pub fn analyze_incremental(
     sensitivity: Sensitivity,
     cache: &ConstraintCache,
 ) -> PointsToResult {
-    analyze_incremental_with(program, sensitivity, cache, SolveOptions::default())
+    analyze_incremental_with(
+        program,
+        &ProgramHashes::of(program),
+        sensitivity,
+        cache,
+        SolveOptions::default(),
+    )
 }
 
-/// [`analyze_incremental`] with explicit solver options.
+/// [`analyze_incremental`] with explicit solver options, keying the
+/// constraint batches on the program's already-computed `hashes`
+/// (which must be `ProgramHashes::of(program)`).
 pub fn analyze_incremental_with(
     program: &Program,
+    hashes: &ProgramHashes,
     sensitivity: Sensitivity,
     cache: &ConstraintCache,
     opts: SolveOptions,
 ) -> PointsToResult {
-    let env = program_env_hash(program);
+    let env = hashes.env;
     let sens_tag = fnv1a(sensitivity.name().as_bytes());
     // The interner lock covers only batch fetch/generation/interning and
     // the bind-table pre-resolution; the solve itself runs lock-free, so
@@ -921,8 +930,10 @@ pub fn analyze_incremental_with(
             &|| gen_globals(program, sensitivity),
             &mut interner,
         ));
-        for f in program.functions.iter().filter(|f| f.body.is_some()) {
-            let content = function_content_hash(f);
+        for (f, &content) in program.functions.iter().zip(&hashes.functions) {
+            if f.body.is_none() {
+                continue;
+            }
             let key = mix(mix(content, env), sens_tag);
             batches.push(fetch(
                 key,
@@ -1473,13 +1484,25 @@ mod tests {
         let p = parse_program(OPS_TABLE).unwrap();
         let cache = ConstraintCache::new();
         let opts = SolveOptions::default().with_provenance(true);
-        let cold = analyze_incremental_with(&p, Sensitivity::AndersenField, &cache, opts);
+        let cold = analyze_incremental_with(
+            &p,
+            &ProgramHashes::of(&p),
+            Sensitivity::AndersenField,
+            &cache,
+            opts,
+        );
         assert!(cold.has_provenance());
         verify_derivations(&p, &cold).expect("cold incremental replay");
 
         let edited_src = OPS_TABLE.replace("return vfs_read(&ext2_ops, n);", "return 0;");
         let edited = parse_program(&edited_src).unwrap();
-        let warm = analyze_incremental_with(&edited, Sensitivity::AndersenField, &cache, opts);
+        let warm = analyze_incremental_with(
+            &edited,
+            &ProgramHashes::of(&edited),
+            Sensitivity::AndersenField,
+            &cache,
+            opts,
+        );
         assert_eq!(warm.mode, SolveMode::Repropagate);
         assert!(warm.has_provenance());
         verify_derivations(&edited, &warm).expect("post-edit incremental replay");

@@ -15,6 +15,7 @@ use ivy_analysis::pointsto::{
     Sensitivity, SolveOptions, SolverChoice,
 };
 use ivy_cmir::ast::Program;
+use ivy_cmir::content::ProgramHashes;
 use ivy_core::experiments::{pointsto_ablation, Scale};
 use ivy_kernelgen::{KernelBuild, KernelConfig};
 use serde_json::{Map, Value};
@@ -181,9 +182,21 @@ fn bench_ablation(c: &mut Criterion) {
                 (0..5)
                     .map(|_| {
                         let cache = ConstraintCache::new();
-                        analyze_incremental_with(&build.program, s, &cache, worklist);
+                        analyze_incremental_with(
+                            &build.program,
+                            &ProgramHashes::of(&build.program),
+                            s,
+                            &cache,
+                            worklist,
+                        );
                         let start = Instant::now();
-                        analyze_incremental_with(&edited, s, &cache, worklist);
+                        analyze_incremental_with(
+                            &edited,
+                            &ProgramHashes::of(&edited),
+                            s,
+                            &cache,
+                            worklist,
+                        );
                         start.elapsed().as_secs_f64()
                     })
                     .collect(),

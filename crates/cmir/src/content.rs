@@ -65,8 +65,30 @@ pub struct ProgramHashes {
 impl ProgramHashes {
     /// Hashes every part of a program once.
     pub fn of(p: &Program) -> ProgramHashes {
-        let env = program_env_hash(p);
-        let functions: Vec<u64> = p.functions.iter().map(function_content_hash).collect();
+        ProgramHashes::assemble(
+            program_env_hash(p),
+            p.functions.iter().map(function_content_hash).collect(),
+        )
+    }
+
+    /// The hashes of `edited`, a program equal to `base` (the program
+    /// `self` hashes) except for the function at `index` — the shape a
+    /// function-level re-parse produces. Only that function's content
+    /// hash is computed; the environment is re-hashed only when the
+    /// function's signature changed.
+    pub fn with_function(&self, base: &Program, edited: &Program, index: usize) -> ProgramHashes {
+        let (old, new) = (&base.functions[index], &edited.functions[index]);
+        let mut functions = self.functions.clone();
+        functions[index] = function_content_hash(new);
+        let env = if same_signature(old, new) {
+            self.env
+        } else {
+            program_env_hash(edited)
+        };
+        ProgramHashes::assemble(env, functions)
+    }
+
+    fn assemble(env: u64, functions: Vec<u64>) -> ProgramHashes {
         let mut h = FnvHasher::default();
         h.write_u64(env);
         for f in &functions {
@@ -78,6 +100,30 @@ impl ProgramHashes {
             program: h.finish(),
         }
     }
+}
+
+/// True when two functions agree on everything [`program_env_hash`]
+/// reads of a function: name, parameters, return type, attributes and
+/// subsystem.
+fn same_signature(a: &Function, b: &Function) -> bool {
+    let Function {
+        name,
+        params,
+        ret,
+        body: _,
+        attrs,
+        subsystem,
+        span: _,
+    } = a;
+    *name == b.name
+        && params.len() == b.params.len()
+        && params
+            .iter()
+            .zip(&b.params)
+            .all(|(p, q)| p.name == q.name && p.ty == q.ty)
+        && *ret == b.ret
+        && *attrs == b.attrs
+        && *subsystem == b.subsystem
 }
 
 /// Content hash of a function definition: name, signature, attributes,
@@ -445,6 +491,25 @@ mod tests {
             program_env_hash(&sig_edit),
             "signature edits change the env hash"
         );
+    }
+
+    #[test]
+    fn with_function_matches_a_full_rehash() {
+        let p = parse_program(SRC).unwrap();
+        let base = ProgramHashes::of(&p);
+        for edited in [
+            SRC.replace("n + 1", "n + 2"),
+            SRC.replace("fn other(n: u32)", "fn other(m: u32)"),
+        ] {
+            let q = parse_program(&edited).unwrap();
+            let index = p
+                .functions
+                .iter()
+                .zip(&q.functions)
+                .position(|(a, b)| function_content_hash(a) != function_content_hash(b))
+                .unwrap();
+            assert_eq!(base.with_function(&p, &q, index), ProgramHashes::of(&q));
+        }
     }
 
     #[test]

@@ -10,7 +10,14 @@ use crate::token::{Token, TokenKind};
 
 /// Lexes a complete source string into tokens (including a trailing `Eof`).
 pub fn lex(src: &str) -> Result<Vec<Token>> {
-    Lexer::new(src).run()
+    lex_at(src, Pos::new(1, 1))
+}
+
+/// Lexes `src` as if it began at `start` of a larger file: every token
+/// span is absolute, so tokens of a slice compare equal to the same
+/// tokens lexed in place (used by [`crate::parser::reparse`]).
+pub(crate) fn lex_at(src: &str, start: Pos) -> Result<Vec<Token>> {
+    Lexer::new(src, start).run()
 }
 
 struct Lexer<'a> {
@@ -23,14 +30,14 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+    fn new(src: &'a str, start: Pos) -> Self {
         let chars: Vec<char> = src.chars().collect();
         Lexer {
             src_len: chars.len(),
             chars,
             idx: 0,
-            line: 1,
-            col: 1,
+            line: start.line,
+            col: start.col,
             _src: src,
         }
     }

@@ -26,8 +26,8 @@ use crate::ast::{
     Block, Check, Expr, FuncAttrs, Function, GlobalDef, Program, Stmt, UnOp, VarDecl,
 };
 use crate::error::{CmirError, Result};
-use crate::lexer::lex;
-use crate::span::Span;
+use crate::lexer::{lex, lex_at};
+use crate::span::{Pos, Span};
 use crate::token::{Token, TokenKind};
 use crate::types::{BoundExpr, Bounds, CompositeDef, Field, FuncType, IntKind, PtrAnnot, Type};
 
@@ -53,6 +53,199 @@ pub fn parse_type(src: &str) -> Result<Type> {
     let t = p.ty()?;
     p.expect_eof()?;
     Ok(t)
+}
+
+/// How [`reparse_traced`] produced its program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReparsePath {
+    /// The source is byte-identical to the base source: the result is
+    /// the base program.
+    Unchanged,
+    /// Only the function at this index of [`Program::functions`] was
+    /// lexed and parsed; every other item was taken from the base.
+    Function(usize),
+    /// The whole source was parsed.
+    Full,
+}
+
+impl ReparsePath {
+    /// Stable lowercase name (`unchanged`, `function` or `full`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            ReparsePath::Unchanged => "unchanged",
+            ReparsePath::Function(_) => "function",
+            ReparsePath::Full => "full",
+        }
+    }
+}
+
+/// A program produced by [`reparse_traced`], with the path that
+/// produced it.
+#[derive(Debug, Clone)]
+pub struct Reparsed {
+    /// The parsed program: always equal to `parse_program` of the source.
+    pub program: Program,
+    /// Which path produced it.
+    pub path: ReparsePath,
+}
+
+/// Parses `src`, an edit of `base_src`, reusing every item of `base`
+/// (which must be `parse_program(base_src)`) that the edit cannot
+/// reach. The result is always equal to `parse_program(src)`, spans
+/// included, and an error carries the same message.
+///
+/// The edit is the byte range where the two sources differ (common
+/// prefix and suffix removed). When that range lies inside one function
+/// item — from its first token up to the first token of the next item —
+/// and replaces as many newlines as it removes, only that function is
+/// lexed and parsed, at its absolute position. Every other case parses
+/// the whole source.
+pub fn reparse(base_src: &str, base: &Program, src: &str) -> Result<Program> {
+    reparse_traced(base_src, base, src).map(|r| r.program)
+}
+
+/// [`reparse`], also reporting which path produced the program.
+pub fn reparse_traced(base_src: &str, base: &Program, src: &str) -> Result<Reparsed> {
+    if src == base_src {
+        return Ok(Reparsed {
+            program: base.clone(),
+            path: ReparsePath::Unchanged,
+        });
+    }
+    if let Some((index, function)) = reparse_function(base_src, base, src) {
+        let mut functions = Vec::with_capacity(base.functions.len());
+        functions.extend_from_slice(&base.functions[..index]);
+        functions.push(function);
+        functions.extend_from_slice(&base.functions[index + 1..]);
+        let program = Program {
+            composites: base.composites.clone(),
+            typedefs: base.typedefs.clone(),
+            globals: base.globals.clone(),
+            functions,
+        };
+        return Ok(Reparsed {
+            program,
+            path: ReparsePath::Function(index),
+        });
+    }
+    parse_program(src).map(|program| Reparsed {
+        program,
+        path: ReparsePath::Full,
+    })
+}
+
+/// Where `edited` differs from `base`: the byte offset `at` where the
+/// common prefix ends, and where the common suffix starts in `base` and
+/// in `edited`. Every offset is a char boundary, and the prefix and
+/// suffix never overlap, so `base[at..base_end]` is the text the edit
+/// removed and `edited[at..edited_end]` the text it inserted.
+pub fn changed_range(base: &str, edited: &str) -> (usize, usize, usize) {
+    let (old, new) = (base.as_bytes(), edited.as_bytes());
+    let mut at = old.iter().zip(new).take_while(|(a, b)| a == b).count();
+    while !base.is_char_boundary(at) {
+        at -= 1;
+    }
+    let mut suffix = old[at..]
+        .iter()
+        .rev()
+        .zip(new[at..].iter().rev())
+        .take_while(|(a, b)| a == b)
+        .count();
+    while !base.is_char_boundary(old.len() - suffix) {
+        suffix -= 1;
+    }
+    (at, old.len() - suffix, new.len() - suffix)
+}
+
+/// The function-level path of [`reparse_traced`]: the index of the one
+/// function the edit touches and its re-parse, or `None` when the edit
+/// needs a full parse.
+fn reparse_function(base_src: &str, base: &Program, src: &str) -> Option<(usize, Function)> {
+    let (old, new) = (base_src.as_bytes(), src.as_bytes());
+    let (at, old_end, new_end) = changed_range(base_src, src);
+    let newlines = |bytes: &[u8]| bytes.iter().filter(|&&b| b == b'\n').count();
+    if newlines(&old[at..old_end]) != newlines(&new[at..new_end]) {
+        return None;
+    }
+
+    // The last function starting at or before the edit; its span runs
+    // from its first token to the end of the next item's first token.
+    let lines = LineIndex::new(base_src);
+    let edit_start = lines.pos(base_src, at);
+    let index = base
+        .functions
+        .partition_point(|f| f.span.start <= edit_start)
+        .checked_sub(1)?;
+    let span = base.functions[index].span;
+    if !span.is_real() {
+        return None;
+    }
+    let start = lines.byte(base_src, span.start)?;
+    let end = lines.byte(base_src, span.end)?;
+    if start > at || old_end > end {
+        return None;
+    }
+    let old_tokens = lex_at(&base_src[start..end], span.start).ok()?;
+    let new_tokens = lex_at(src.get(start..end + new_end - old_end)?, span.start).ok()?;
+    // The first token is the end of the previous item's span, and the
+    // next item's first token ends this one's: both must be unmoved.
+    if new_tokens.first() != old_tokens.first() {
+        return None;
+    }
+    let next = if end == old.len() {
+        new_tokens.len() - 1
+    } else {
+        let n = new_tokens.len().checked_sub(2)?;
+        if old_tokens.len() < 2 || new_tokens[n] != old_tokens[old_tokens.len() - 2] {
+            return None;
+        }
+        n
+    };
+    let mut parser = Parser::new(new_tokens);
+    let function = parser.function().ok()?;
+    (parser.idx == next).then_some((index, function))
+}
+
+/// Byte offsets of line starts, for converting between byte offsets and
+/// the lexer's 1-based (line, character column) positions.
+struct LineIndex {
+    starts: Vec<usize>,
+}
+
+impl LineIndex {
+    fn new(src: &str) -> LineIndex {
+        let mut starts = vec![0];
+        starts.extend(
+            src.bytes()
+                .enumerate()
+                .filter(|&(_, b)| b == b'\n')
+                .map(|(i, _)| i + 1),
+        );
+        LineIndex { starts }
+    }
+
+    /// The position of byte offset `at` (a char boundary).
+    fn pos(&self, src: &str, at: usize) -> Pos {
+        let line = self.starts.partition_point(|&s| s <= at) - 1;
+        let col = src[self.starts[line]..at].chars().count() + 1;
+        Pos::new(line as u32 + 1, col as u32)
+    }
+
+    /// The byte offset of `pos`, if it lies in `src` (a column one past
+    /// the line's last character is the line's end).
+    fn byte(&self, src: &str, pos: Pos) -> Option<usize> {
+        let line_start = *self.starts.get((pos.line as usize).checked_sub(1)?)?;
+        let line_end = self
+            .starts
+            .get(pos.line as usize)
+            .map_or(src.len(), |next| next - 1);
+        let line = &src[line_start..line_end];
+        let col = (pos.col as usize).checked_sub(1)?;
+        match line.char_indices().nth(col) {
+            Some((offset, _)) => Some(line_start + offset),
+            None => (line.chars().count() == col).then_some(line_end),
+        }
+    }
 }
 
 struct Parser {

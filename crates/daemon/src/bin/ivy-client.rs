@@ -81,12 +81,13 @@ fn run(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
             let inv = &outcome.invalidation;
             println!(
-                "edited [{}] -> {} invalidated, {} retained, {} revalidated (env_changed={})",
+                "edited [{}] -> {} invalidated, {} retained, {} revalidated (env_changed={}, reparse={})",
                 inv.changed_functions.join(", "),
                 inv.invalidated,
                 inv.retained,
                 inv.revalidated,
                 inv.env_changed,
+                outcome.reparse,
             );
         }
         "explain" => {

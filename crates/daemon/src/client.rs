@@ -3,7 +3,7 @@
 
 use crate::protocol::{
     invalidation_from_value, read_frame, read_raw_frame, request, response_error, response_ok,
-    write_frame, SourceDigest,
+    write_frame, SourceDigest, Splice,
 };
 use ivy_engine::{EngineStats, InvalidationStats};
 use serde_json::Value;
@@ -48,6 +48,9 @@ pub struct ExplainOutcome {
 pub struct EditOutcome {
     /// Content hash of the edited program, as 16 hex digits.
     pub program_hash: String,
+    /// How the daemon parsed the edited source: `function` (only the
+    /// edited function), `full`, or `unchanged`.
+    pub reparse: String,
     /// What the edit invalidated and what survived.
     pub invalidation: InvalidationStats,
 }
@@ -57,6 +60,9 @@ pub struct EditOutcome {
 /// thread).
 pub struct Client {
     stream: UnixStream,
+    /// The source of the last successful [`Client::notify_edit`] and its
+    /// digest: the base the next edit is spliced against.
+    last_edit: Option<(String, SourceDigest)>,
 }
 
 fn malformed(what: &str) -> io::Error {
@@ -71,6 +77,7 @@ impl Client {
     pub fn connect(socket: impl AsRef<Path>) -> io::Result<Client> {
         Ok(Client {
             stream: UnixStream::connect(socket)?,
+            last_edit: None,
         })
     }
 
@@ -144,14 +151,41 @@ impl Client {
         Ok(self.analyze(source)?.diagnostics_json)
     }
 
-    /// Notifies the daemon of an edit (the full edited source). The daemon
-    /// diffs it against the resident program and invalidates only the
-    /// dependency-reachable cone.
+    /// Notifies the daemon of an edit (the full edited source). The
+    /// first edit of a client ships the whole source, and the daemon
+    /// diffs it against the resident program; every later one ships only
+    /// a splice against the previous edit's source, falling back to the
+    /// whole source if the daemon no longer holds that base. Only the
+    /// dependency-reachable cone of the edit is invalidated.
     pub fn notify_edit(&mut self, source: &str) -> io::Result<EditOutcome> {
-        let response = self.source_request("notify_edit", source)?;
+        let digest = SourceDigest::of(source);
+        let mut response = None;
+        if let Some((base, base_digest)) = &self.last_edit {
+            let splice = Splice::between(base, source);
+            let mut m = request("notify_edit");
+            m.insert("base".into(), Value::from(base_digest.to_string()));
+            m.insert("digest".into(), Value::from(digest.to_string()));
+            m.insert("at".into(), Value::from(splice.at));
+            m.insert("remove".into(), Value::from(splice.remove));
+            m.insert("insert".into(), Value::from(splice.insert));
+            let answer = self.request(&Value::Object(m))?;
+            if answer.get("need_source").and_then(Value::as_bool) != Some(true) {
+                response = Some(answer);
+            }
+        }
+        let response = match response {
+            Some(response) => response,
+            None => self.source_request("notify_edit", source)?,
+        };
+        self.last_edit = Some((source.to_string(), digest));
         Ok(EditOutcome {
             program_hash: response
                 .get("program_hash")
+                .and_then(Value::as_str)
+                .map(String::from)
+                .ok_or_else(|| malformed("notify_edit"))?,
+            reparse: response
+                .get("reparse")
                 .and_then(Value::as_str)
                 .map(String::from)
                 .ok_or_else(|| malformed("notify_edit"))?,

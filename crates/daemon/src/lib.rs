@@ -22,9 +22,11 @@
 //!   computed against — content, messages, and severities stay exact;
 //!   only the line numbers of *unchanged* functions may lag until their
 //!   results recompute. Span re-anchoring is a ROADMAP item.
-//! * **Dependency-driven invalidation.** `notify_edit` diffs the edited
-//!   source against the resident program at the input layer (per-function
-//!   content hashes + the type environment) and discards only the
+//! * **Dependency-driven invalidation.** `notify_edit` ships an edit as a
+//!   splice against the previous edit's text, re-parses only the edited
+//!   function when the edit stays inside one, diffs the edited program
+//!   against its base at the input layer (per-function content hashes +
+//!   the type environment) and discards only the
 //!   transitive *dependents* of what changed, per the dependency edges the
 //!   query db recorded while computing — everything else is re-served from
 //!   memory. Content-keyed durable results are *revalidated* rather than

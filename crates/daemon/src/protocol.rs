@@ -46,6 +46,36 @@
 //! until the context they were computed against leaves the store or is
 //! replaced by an edit. A request carrying both fields must carry the
 //! source the digest names; a mismatch is an error, never an index entry.
+//! Each index entry keeps its source text: it is the base a splice-framed
+//! `notify_edit` edits.
+//!
+//! # Splice-framed `notify_edit` (protocol 3)
+//!
+//! An edit names its base text by digest and ships only the bytes that
+//! changed: replace `remove` bytes at byte offset `at` of the base with
+//! `insert`. `digest` names the edited text; the daemon splices, checks
+//! that the result has that digest, and diffs the edited program against
+//! the base's context. Offsets past the end of the base, offsets that
+//! split a UTF-8 character, or a digest mismatch are errors. A base the
+//! index does not hold gets `need_source`, and the client resends the
+//! full text in the protocol-1 shape. That shape diffs against the
+//! resident context: the program the last `analyze` or edit served.
+//!
+//! ```text
+//! -> {"cmd":"notify_edit","base":"5c1e…","digest":"9a02…",
+//!     "at":48213,"remove":1,"insert":"2"}
+//! <- {"ok":true,"need_source":true}                  (base not indexed)
+//! -> {"cmd":"notify_edit","source":"<full edited program source>"}
+//! <- {"ok":true,"program_hash":"77b1…","reparse":"function","invalidation":{
+//!     "changed_functions":["watchdog_tick"],"env_changed":false,
+//!     "seeds":1,"invalidated":9,"retained":210,"revalidated":64}}
+//! ```
+//!
+//! Both shapes re-parse the edited text against the base text, and
+//! `reparse` says how: `function` when the edit stays inside one
+//! function and keeps its line count (only that function is lexed and
+//! parsed), `full` when the whole text was parsed, `unchanged` when the
+//! text is the base text.
 //!
 //! # Other verbs
 //!
@@ -53,11 +83,6 @@
 //! -> {"cmd":"analyze","source":"fn f() { } ..."}      (protocol 1 shape)
 //! <- {"ok":true,"program_hash":"0f3a…","diagnostic_count":12,
 //!     "diagnostics_json":"[ ... ]","stats":{"functions":41,...}}
-//!
-//! -> {"cmd":"notify_edit","source":"<full edited program source>"}
-//! <- {"ok":true,"program_hash":"77b1…","invalidation":{
-//!     "changed_functions":["watchdog_tick"],"env_changed":false,
-//!     "seeds":1,"invalidated":9,"retained":210,"revalidated":64}}
 //!
 //! -> {"cmd":"explain","fn":"f","lvalue":"p","target":"global x"}
 //! <- {"ok":true,"fact":"`f::p` may point to `global x`","replay_verified":true,
@@ -78,6 +103,7 @@
 //! structured JSON.
 
 use ivy_analysis::summary::{fnv1a, mix};
+use ivy_cmir::parser::changed_range;
 use ivy_engine::InvalidationStats;
 use serde_json::{Map, Value};
 use std::fmt;
@@ -85,8 +111,9 @@ use std::io::{self, Read, Write};
 
 /// Version of the framing + message vocabulary; servers report it in
 /// `stats` responses so clients can detect skew. Version 2 added the
-/// digest-addressed `analyze` and its raw diagnostics frame.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// digest-addressed `analyze` and its raw diagnostics frame; version 3
+/// the splice-framed `notify_edit` and its `reparse` field.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on one frame's payload — a multi-megabyte kernel source
 /// fits comfortably; anything larger is a corrupt or hostile length
@@ -234,6 +261,49 @@ impl SourceDigest {
 impl fmt::Display for SourceDigest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:032x}", self.0)
+    }
+}
+
+/// One contiguous edit of a text: `remove` bytes at byte offset `at`
+/// replaced with `insert` (the payload of a splice-framed `notify_edit`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Splice<'a> {
+    /// Byte offset of the edit in the base text.
+    pub at: u64,
+    /// Bytes of the base text the edit removes.
+    pub remove: u64,
+    /// Text the edit inserts.
+    pub insert: &'a str,
+}
+
+impl<'a> Splice<'a> {
+    /// The smallest splice turning `base` into `edited`.
+    pub fn between(base: &str, edited: &'a str) -> Splice<'a> {
+        let (at, base_end, edited_end) = changed_range(base, edited);
+        Splice {
+            at: at as u64,
+            remove: (base_end - at) as u64,
+            insert: &edited[at..edited_end],
+        }
+    }
+
+    /// The spliced text. An edit range past the end of `base` (or whose
+    /// end overflows) or offsets inside a UTF-8 character are errors.
+    pub fn apply(&self, base: &str) -> Result<String, &'static str> {
+        let end = self
+            .at
+            .checked_add(self.remove)
+            .filter(|&end| end <= base.len() as u64)
+            .ok_or("the splice range runs past the end of the base source")?;
+        let (at, end) = (self.at as usize, end as usize);
+        if !base.is_char_boundary(at) || !base.is_char_boundary(end) {
+            return Err("the splice offsets split a UTF-8 character");
+        }
+        let mut out = String::with_capacity(base.len() - (end - at) + self.insert.len());
+        out.push_str(&base[..at]);
+        out.push_str(self.insert);
+        out.push_str(&base[end..]);
+        Ok(out)
     }
 }
 
@@ -444,6 +514,30 @@ mod tests {
         let (a, b) = (SourceDigest::of("x = 1;").0, SourceDigest::of("x = 2;").0);
         assert_ne!(a >> 64, b >> 64);
         assert_ne!(a as u64, b as u64);
+    }
+
+    #[test]
+    fn splices_reproduce_the_edited_text_and_reject_bad_ranges() {
+        let base = "fn f() { x = 1; } // caf\u{e9}";
+        for edited in [
+            "fn f() { x = 12; } // caf\u{e9}",
+            "fn f() { } // caf\u{e9}",
+            "fn f() { x = 1; } // cafe",
+            "",
+            base,
+        ] {
+            let splice = Splice::between(base, edited);
+            assert_eq!(splice.apply(base).as_deref(), Ok(edited));
+        }
+        let e_acute = base.len() as u64 - 1;
+        for (at, remove) in [(0, base.len() as u64 + 1), (1, u64::MAX), (e_acute, 0)] {
+            let splice = Splice {
+                at,
+                remove,
+                insert: "",
+            };
+            assert!(splice.apply(base).is_err(), "{splice:?}");
+        }
     }
 
     #[test]

@@ -16,12 +16,12 @@
 
 use crate::protocol::{
     encode_frame, encode_raw_frame, error_response, invalidation_to_value, read_frame, response_ok,
-    write_frame, SourceDigest, PROTOCOL_VERSION,
+    write_frame, SourceDigest, Splice, PROTOCOL_VERSION,
 };
 use ivy_analysis::pointsto::{verify_derivations, Loc};
 use ivy_blockstop::BlockStopChecker;
 use ivy_ccount::CCountChecker;
-use ivy_cmir::parser::parse_program;
+use ivy_cmir::parser::{parse_program, ReparsePath};
 use ivy_deputy::plugin::DeputyChecker;
 use ivy_engine::{AnalysisCtx, Engine, EngineStats, PersistLayer, Report};
 use serde_json::{Map, Value};
@@ -342,6 +342,11 @@ const SERIES: &[Series] = {
         counter("requests", "ivy_daemon_requests_served_total", Of(|s| s.requests.load(Relaxed))),
         counter("analyzes", "ivy_daemon_analyzes_total", Of(|s| s.analyzes.load(Relaxed))),
         counter("edits", "ivy_daemon_edits_total", Of(|s| s.edits.load(Relaxed))),
+        counter("engine.edits.spliced", "ivy_daemon_edits_spliced_total", Of(|s| s.edits_spliced.load(Relaxed))),
+        Series { label: Some(("path", "function")), ..counter("engine.edits.reparse_function", "ivy_daemon_edit_reparse_total",
+            Of(|s| s.reparse_function.load(Relaxed))) },
+        Series { label: Some(("path", "full")), ..counter("engine.edits.reparse_full", "ivy_daemon_edit_reparse_total",
+            Of(|s| s.reparse_full.load(Relaxed))) },
         counter("verbs", "ivy_daemon_verb_requests_total", PerVerb),
         counter("engine.cache_hits", "ivy_daemon_cache_hits_total", Of(|s| s.engine.cache().hits())),
         counter("engine.cache_misses", "ivy_daemon_cache_misses_total", Of(|s| s.engine.cache().misses())),
@@ -392,9 +397,20 @@ impl Memo {
 struct Answer {
     program_hash: u64,
     memo: Option<Arc<Memo>>,
+    /// The source text the digest names: the base of a splice-framed
+    /// `notify_edit`.
+    source: Arc<str>,
     /// Last-use stamp, for LRU eviction.
     stamp: u64,
 }
+
+/// What a digest resolves to: the resident context of its program, the
+/// memoized answer (if any) and the source text.
+type Resolved = (Arc<AnalysisCtx>, Option<Arc<Memo>>, Arc<str>);
+
+/// A resolved splice frame: the edited text, its digest and the base
+/// context the edit diffs against.
+type SplicedEdit = (Arc<str>, SourceDigest, Arc<AnalysisCtx>);
 
 #[derive(Default)]
 struct AnswerSlots {
@@ -402,11 +418,11 @@ struct AnswerSlots {
     tick: u64,
 }
 
-/// The content-addressed answer index: source digest → program hash, plus
-/// the memoized response bytes of answers that were entirely
-/// cache-served. An LRU bounded at the context store's capacity — a digest
-/// is only useful while its program's context is resident, and the store
-/// holds no more than that many.
+/// The content-addressed answer index: source digest → program hash and
+/// source text, plus the memoized response bytes of answers that were
+/// entirely cache-served. An LRU bounded at the context store's
+/// capacity — a digest is only useful while its program's context is
+/// resident, and the store holds no more than that many.
 #[derive(Default)]
 struct AnswerMemo {
     index: Mutex<AnswerSlots>,
@@ -435,23 +451,28 @@ impl AnswerMemo {
         self.index.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The program hash a digest names and its memo, if any (bumps
-    /// recency).
-    fn lookup(&self, digest: SourceDigest) -> Option<(u64, Option<Arc<Memo>>)> {
+    /// The program hash a digest names, its memo (if any) and its source
+    /// text (bumps recency).
+    fn lookup(&self, digest: SourceDigest) -> Option<(u64, Option<Arc<Memo>>, Arc<str>)> {
         let mut index = self.lock();
         index.tick += 1;
         let tick = index.tick;
         let answer = index.slots.get_mut(&digest)?;
         answer.stamp = tick;
-        Some((answer.program_hash, answer.memo.clone()))
+        Some((
+            answer.program_hash,
+            answer.memo.clone(),
+            Arc::clone(&answer.source),
+        ))
     }
 
-    /// Records that `digest` names `program_hash`, replacing (or, at
-    /// capacity, evicting) the least-recently-used entry. An entry that
-    /// already names the hash keeps its memo.
-    fn remember(&self, digest: SourceDigest, program_hash: u64) {
+    /// Records that `digest` (the digest of `source`) names
+    /// `program_hash`, replacing (or, at capacity, evicting) the
+    /// least-recently-used entry. An entry that already names the hash
+    /// keeps its memo.
+    fn remember(&self, digest: SourceDigest, program_hash: u64, source: Arc<str>) {
         let mut index = self.lock();
-        self.upsert(&mut index, digest, program_hash);
+        self.upsert(&mut index, digest, program_hash, source);
         self.publish(&index);
     }
 
@@ -460,12 +481,14 @@ impl AnswerMemo {
     fn memoize(
         &self,
         digest: SourceDigest,
+        source: Arc<str>,
         ctx: &Arc<AnalysisCtx>,
         bytes: Arc<[u8]>,
         stats: EngineStats,
     ) {
         let mut index = self.lock();
-        self.upsert(&mut index, digest, ctx.program_hash).memo = Some(Arc::new(Memo {
+        self.upsert(&mut index, digest, ctx.program_hash, source)
+            .memo = Some(Arc::new(Memo {
             ctx: Arc::downgrade(ctx),
             bytes,
             stats,
@@ -486,6 +509,7 @@ impl AnswerMemo {
         index: &'a mut AnswerSlots,
         digest: SourceDigest,
         program_hash: u64,
+        source: Arc<str>,
     ) -> &'a mut Answer {
         index.tick += 1;
         let tick = index.tick;
@@ -497,9 +521,10 @@ impl AnswerMemo {
                 index.slots.remove(&victim);
             }
         }
-        let answer = index.slots.entry(digest).or_insert(Answer {
+        let answer = index.slots.entry(digest).or_insert_with(|| Answer {
             program_hash,
             memo: None,
+            source,
             stamp: tick,
         });
         if answer.program_hash != program_hash {
@@ -594,6 +619,11 @@ struct State {
     requests: AtomicU64,
     analyzes: AtomicU64,
     edits: AtomicU64,
+    /// Edits that arrived as a splice frame.
+    edits_spliced: AtomicU64,
+    /// Edits re-parsed one function at a time, and in full.
+    reparse_function: AtomicU64,
+    reparse_full: AtomicU64,
     verbs: VerbMetrics,
     /// Provenance volume of the most recent `analyze` (0 when provenance
     /// is off or nothing has been analyzed yet).
@@ -683,13 +713,14 @@ impl State {
     fn analyze_source(&self, source: &str) -> Result<(Arc<AnalysisCtx>, Report), String> {
         let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
         let digest = SourceDigest::of(source);
+        let source: Arc<str> = Arc::from(source);
         let _gate = self
             .edit_gate
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        let (ctx, reused) = self.engine.context_for(&program);
+        let (ctx, reused) = self.engine.context_for_source(program, Arc::clone(&source));
         let report = self.run(&ctx, reused);
-        self.answers.remember(digest, ctx.program_hash);
+        self.answers.remember(digest, ctx.program_hash, source);
         Ok((ctx, report))
     }
 
@@ -699,12 +730,12 @@ impl State {
         self.persist.as_ref().map_or(0, |layer| layer.pruned())
     }
 
-    /// The resident context a digest names, with its memo. A digest whose
-    /// context the store has evicted is forgotten.
-    fn resolve(&self, digest: SourceDigest) -> Option<(Arc<AnalysisCtx>, Option<Arc<Memo>>)> {
-        let (hash, memo) = self.answers.lookup(digest)?;
+    /// The resident context a digest names, with its memo and source
+    /// text. A digest whose context the store has evicted is forgotten.
+    fn resolve(&self, digest: SourceDigest) -> Option<Resolved> {
+        let (hash, memo, source) = self.answers.lookup(digest)?;
         match self.engine.ctx_store().get(hash) {
-            Some(ctx) => Some((ctx, memo)),
+            Some(ctx) => Some((ctx, memo, source)),
             None => {
                 self.answers.forget(digest);
                 None
@@ -733,7 +764,7 @@ impl State {
                     return fail("\"digest\" does not match the attached source");
                 }
                 match parse_program(source) {
-                    Ok(program) => Some(program),
+                    Ok(program) => Some((program, Arc::from(source))),
                     Err(e) => return fail(&format!("parse error: {e}")),
                 }
             }
@@ -742,20 +773,14 @@ impl State {
             .edit_gate
             .read()
             .unwrap_or_else(PoisonError::into_inner);
-        let (ctx, reused, memo) = match &program {
-            Some(program) => {
-                let (ctx, reused) = self.engine.context_for(program);
-                (ctx, reused, None)
+        let (ctx, reused, memo, source) = match program {
+            Some((program, source)) => {
+                let (ctx, reused) = self.engine.context_for_source(program, Arc::clone(&source));
+                (ctx, reused, None, source)
             }
             None => match self.resolve(digest) {
-                Some((ctx, memo)) => (ctx, true, memo),
-                None => {
-                    self.answers.need_source.fetch_add(1, Ordering::Relaxed);
-                    let mut m = Map::new();
-                    m.insert("ok".into(), Value::from(true));
-                    m.insert("need_source".into(), Value::from(true));
-                    return Reply::Message(Value::Object(m));
-                }
+                Some((ctx, memo, source)) => (ctx, true, memo, source),
+                None => return Reply::Message(self.need_source()),
             },
         };
         self.analyzes.fetch_add(1, Ordering::Relaxed);
@@ -778,11 +803,117 @@ impl State {
         if s.ctx_reused && s.cache_misses == 0 && s.persist_hits == 0 && s.persist_flush_errors == 0
         {
             self.answers
-                .memoize(digest, &ctx, Arc::clone(&bytes), report.stats);
+                .memoize(digest, source, &ctx, Arc::clone(&bytes), report.stats);
         } else {
-            self.answers.remember(digest, ctx.program_hash);
+            self.answers.remember(digest, ctx.program_hash, source);
         }
         Reply::Frames(bytes)
+    }
+
+    /// The `need_source` answer to a digest the index cannot resolve.
+    fn need_source(&self) -> Value {
+        self.answers.need_source.fetch_add(1, Ordering::Relaxed);
+        let mut m = Map::new();
+        m.insert("ok".into(), Value::from(true));
+        m.insert("need_source".into(), Value::from(true));
+        Value::Object(m)
+    }
+
+    /// The edited text and base context of a splice-framed `notify_edit`:
+    /// `Ok(None)` when the index does not hold the base (the client must
+    /// resend the full source).
+    fn splice_edit(&self, request: &Value) -> Result<Option<SplicedEdit>, String> {
+        let digest_field = |key: &str| {
+            request
+                .get(key)
+                .and_then(Value::as_str)
+                .and_then(SourceDigest::parse)
+                .ok_or_else(|| format!("\"{key}\" must be a string of 32 hex digits"))
+        };
+        let offset_field = |key: &str| {
+            request
+                .get(key)
+                .and_then(Value::as_u64)
+                .ok_or_else(|| format!("\"{key}\" must be a non-negative integer"))
+        };
+        let base = digest_field("base")?;
+        let digest = digest_field("digest")?;
+        let splice = Splice {
+            at: offset_field("at")?,
+            remove: offset_field("remove")?,
+            insert: request
+                .get("insert")
+                .and_then(Value::as_str)
+                .ok_or("\"insert\" must be a string")?,
+        };
+        let Some((ctx, _, text)) = self.resolve(base) else {
+            return Ok(None);
+        };
+        let source = splice.apply(&text)?;
+        if SourceDigest::of(&source) != digest {
+            return Err("\"digest\" does not match the spliced source".into());
+        }
+        Ok(Some((Arc::from(source), digest, ctx)))
+    }
+
+    /// A `notify_edit`, in either shape: a splice against a base named by
+    /// digest (diffed against that base's context), or the full source
+    /// (diffed against the resident context). Both re-parse against the
+    /// base's text, one function at a time when the edit allows it.
+    fn notify_edit(&self, request: &Value) -> Value {
+        let spliced = request.get("base").is_some();
+        let (source, digest, base) = if spliced {
+            match self.splice_edit(request) {
+                Ok(Some((source, digest, base))) => (source, digest, Some(base)),
+                Ok(None) => return self.need_source(),
+                Err(message) => return error_response(&message),
+            }
+        } else {
+            let Some(source) = request.get("source").and_then(Value::as_str) else {
+                return error_response("notify_edit needs a \"source\" field");
+            };
+            (Arc::from(source), SourceDigest::of(source), None)
+        };
+        let _gate = self
+            .edit_gate
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let base = base.or_else(|| {
+            self.resident
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
+        });
+        let Some(base) = base else {
+            return error_response("notify_edit before any analyze: nothing is resident");
+        };
+        let edit = match self.engine.apply_source_edit(&base, Arc::clone(&source)) {
+            Ok(edit) => edit,
+            Err(e) => return error_response(&format!("parse error: {e}")),
+        };
+        self.edits.fetch_add(1, Ordering::Relaxed);
+        if spliced {
+            self.edits_spliced.fetch_add(1, Ordering::Relaxed);
+        }
+        let reparse_counter = match edit.reparse {
+            ReparsePath::Function(_) => Some(&self.reparse_function),
+            ReparsePath::Full => Some(&self.reparse_full),
+            ReparsePath::Unchanged => None,
+        };
+        if let Some(counter) = reparse_counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        self.set_resident(&edit.ctx);
+        self.answers.remember(digest, edit.ctx.program_hash, source);
+        let mut m = Map::new();
+        m.insert("ok".into(), Value::from(true));
+        m.insert(
+            "program_hash".into(),
+            Value::from(format!("{:016x}", edit.ctx.program_hash)),
+        );
+        m.insert("reparse".into(), Value::from(edit.reparse.name()));
+        m.insert("invalidation".into(), invalidation_to_value(&edit.stats));
+        Value::Object(m)
     }
 
     /// Hands every [`SERIES`] sample to `emit` as `(row, stats section,
@@ -1085,40 +1216,7 @@ impl State {
                     }
                 }
             }
-            "notify_edit" => {
-                let Some(source) = request.get("source").and_then(Value::as_str) else {
-                    return error_response("notify_edit needs a \"source\" field");
-                };
-                let edited = match parse_program(source) {
-                    Ok(p) => p,
-                    Err(e) => return error_response(&format!("parse error: {e}")),
-                };
-                let digest = SourceDigest::of(source);
-                let _gate = self
-                    .edit_gate
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let base = self
-                    .resident
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone();
-                let Some(base) = base else {
-                    return error_response("notify_edit before any analyze: nothing is resident");
-                };
-                self.edits.fetch_add(1, Ordering::Relaxed);
-                let (ctx, stats) = self.engine.apply_edit(&base, &edited);
-                self.set_resident(&ctx);
-                self.answers.remember(digest, ctx.program_hash);
-                let mut m = Map::new();
-                m.insert("ok".into(), Value::from(true));
-                m.insert(
-                    "program_hash".into(),
-                    Value::from(format!("{:016x}", ctx.program_hash)),
-                );
-                m.insert("invalidation".into(), invalidation_to_value(&stats));
-                Value::Object(m)
-            }
+            "notify_edit" => self.notify_edit(request),
             "stats" => self.stats(),
             "explain" => {
                 let Some(func) = request.get("fn").and_then(Value::as_str) else {
@@ -1270,6 +1368,9 @@ impl Daemon {
             requests: AtomicU64::new(0),
             analyzes: AtomicU64::new(0),
             edits: AtomicU64::new(0),
+            edits_spliced: AtomicU64::new(0),
+            reparse_function: AtomicU64::new(0),
+            reparse_full: AtomicU64::new(0),
             verbs: VerbMetrics::default(),
             provenance_facts: AtomicU64::new(0),
             provenance_bytes: AtomicU64::new(0),

@@ -21,6 +21,8 @@ use ivy_analysis::pointsto::{ConstraintCache, Sensitivity, SolveOptions};
 use ivy_analysis::summary::{fnv1a, mix};
 use ivy_cmir::ast::Program;
 use ivy_cmir::content::ProgramHashes;
+use ivy_cmir::parser::{parse_program, reparse_traced, ReparsePath, Reparsed};
+use ivy_cmir::CmirError;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use serde_json::Value;
@@ -170,8 +172,10 @@ impl CtxStore {
         }
         inner.misses += 1;
         let ctx = make();
-        inner.evict_beyond(self.capacity - 1);
+        let evicted = inner.evict_beyond(self.capacity - 1);
         inner.slots.insert(hash, (Arc::clone(&ctx), tick));
+        drop(inner);
+        release(evicted);
         (ctx, false)
     }
 
@@ -182,11 +186,15 @@ impl CtxStore {
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(slot) = inner.slots.get_mut(&hash) {
-            *slot = (ctx, tick);
+            let replaced = std::mem::replace(slot, (ctx, tick));
+            drop(inner);
+            drop(replaced);
             return;
         }
-        inner.evict_beyond(self.capacity - 1);
+        let evicted = inner.evict_beyond(self.capacity - 1);
         inner.slots.insert(hash, (ctx, tick));
+        drop(inner);
+        release(evicted);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, CtxStoreInner> {
@@ -195,16 +203,40 @@ impl CtxStore {
 }
 
 impl CtxStoreInner {
-    /// Evicts least-recently-used slots until at most `keep` remain.
-    fn evict_beyond(&mut self, keep: usize) {
+    /// Evicts least-recently-used slots until at most `keep` remain and
+    /// returns them, for the caller to drop after unlocking.
+    fn evict_beyond(&mut self, keep: usize) -> Vec<Arc<AnalysisCtx>> {
+        let mut evicted = Vec::new();
         while self.slots.len() > keep {
             let Some((&victim, _)) = self.slots.iter().min_by_key(|(_, (_, stamp))| *stamp) else {
-                return;
+                break;
             };
-            self.slots.remove(&victim);
+            evicted.extend(self.slots.remove(&victim).map(|(ctx, _)| ctx));
             self.evictions += 1;
         }
+        evicted
     }
+}
+
+/// Drops evicted contexts outside the store lock. A context anchors a
+/// program's whole memo table, so freeing one takes milliseconds; under
+/// the lock that would stall every concurrent lookup.
+fn release(evicted: Vec<Arc<AnalysisCtx>>) {
+    if !evicted.is_empty() {
+        let _span = ivy_telemetry::span("engine/ctx", "evict");
+        drop(evicted);
+    }
+}
+
+/// What [`Engine::apply_source_edit`] did.
+pub struct SourceEdit {
+    /// The context of the edited program (the base itself for an edit
+    /// that leaves the program structurally unchanged).
+    pub ctx: Arc<AnalysisCtx>,
+    /// What the edit invalidated and what survived.
+    pub stats: InvalidationStats,
+    /// How the edited source was parsed.
+    pub reparse: ReparsePath,
 }
 
 /// The analysis engine. Cheap to clone the configuration of (checkers are
@@ -351,13 +383,30 @@ impl Engine {
     pub fn context_for(&self, program: &Program) -> (Arc<AnalysisCtx>, bool) {
         let hashes = ProgramHashes::of(program);
         self.ctx_store.get_or_insert_with(hashes.program, || {
-            Arc::new(
-                AnalysisCtx::with_hashes(program, hashes)
-                    .with_pointsto_cache(Arc::clone(&self.pts_cache))
-                    .with_persist(self.persist.clone())
-                    .with_solve_options(SolveOptions::default().with_provenance(self.provenance)),
-            )
+            Arc::new(self.new_ctx(program.clone(), hashes))
         })
+    }
+
+    /// [`Engine::context_for`] for a program parsed from `source`. On a
+    /// miss the program moves into the new context, which records
+    /// `source` as the text later edits re-parse against (see
+    /// [`Engine::apply_source_edit`]).
+    pub fn context_for_source(
+        &self,
+        program: Program,
+        source: Arc<str>,
+    ) -> (Arc<AnalysisCtx>, bool) {
+        let hashes = ProgramHashes::of(&program);
+        self.ctx_store.get_or_insert_with(hashes.program, || {
+            Arc::new(self.new_ctx(program, hashes).with_source(source))
+        })
+    }
+
+    fn new_ctx(&self, program: Program, hashes: ProgramHashes) -> AnalysisCtx {
+        AnalysisCtx::with_hashes(program, hashes)
+            .with_pointsto_cache(Arc::clone(&self.pts_cache))
+            .with_persist(self.persist.clone())
+            .with_solve_options(SolveOptions::default().with_provenance(self.provenance))
     }
 
     /// Analyzes a program with every registered checker.
@@ -376,11 +425,8 @@ impl Engine {
     ///
     /// The edited program is hashed exactly once (the `engine/edit`
     /// `identity` span); the base context's stored hashes are the other
-    /// side of the diff.
-    ///
-    /// This is the daemon's `notify_edit` path: a resident process keeps
-    /// analysis state alive across edits instead of rebuilding a db per
-    /// program state.
+    /// side of the diff. The new context owns a copy of `edited`;
+    /// [`Engine::apply_source_edit`] is the same path without the copy.
     ///
     /// Callers must not run this concurrently with analyses of the *base*
     /// context: the invalidation walk snapshots the base db's dependency
@@ -396,11 +442,72 @@ impl Engine {
         let identity_span = ivy_telemetry::span("engine/edit", "identity");
         let hashes = ProgramHashes::of(edited);
         drop(identity_span);
+        self.apply_hashed(base, edited.clone(), hashes, None)
+    }
+
+    /// The daemon's `notify_edit` path: applies `source`, the full text
+    /// of an edited program, against the base context. `source` is
+    /// re-parsed against the base's recorded text with
+    /// [`reparse_traced`], so an edit inside one function lexes and
+    /// parses only that function and hashes only its content; a base
+    /// without recorded text parses `source` whole. The edited program
+    /// moves into the new context, which records `source`. A parse error
+    /// is `parse_program`'s error for `source`. The concurrency contract
+    /// is [`Engine::apply_edit`]'s.
+    pub fn apply_source_edit(
+        &self,
+        base: &Arc<AnalysisCtx>,
+        source: Arc<str>,
+    ) -> Result<SourceEdit, CmirError> {
+        if base.source().is_some_and(|text| **text == *source) {
+            return Ok(SourceEdit {
+                ctx: Arc::clone(base),
+                stats: InvalidationStats::default(),
+                reparse: ReparsePath::Unchanged,
+            });
+        }
+        let parse_span = ivy_telemetry::span("engine/edit", "parse");
+        let Reparsed { program, path } = match base.source() {
+            Some(text) => reparse_traced(text, &base.program, &source)?,
+            None => Reparsed {
+                program: parse_program(&source)?,
+                path: ReparsePath::Full,
+            },
+        };
+        drop(parse_span);
+        let identity_span = ivy_telemetry::span("engine/edit", "identity");
+        let hashes = match path {
+            ReparsePath::Function(index) => {
+                base.hashes().with_function(&base.program, &program, index)
+            }
+            ReparsePath::Unchanged => base.hashes().clone(),
+            ReparsePath::Full => ProgramHashes::of(&program),
+        };
+        drop(identity_span);
+        let (ctx, stats) = self.apply_hashed(base, program, hashes, Some(source));
+        Ok(SourceEdit {
+            ctx,
+            stats,
+            reparse: path,
+        })
+    }
+
+    /// The edit path both entry points share: diff, carry, register.
+    fn apply_hashed(
+        &self,
+        base: &Arc<AnalysisCtx>,
+        edited: Program,
+        hashes: ProgramHashes,
+        source: Option<Arc<str>>,
+    ) -> (Arc<AnalysisCtx>, InvalidationStats) {
         if hashes.program == base.program_hash {
             return (Arc::clone(base), InvalidationStats::default());
         }
         let (ctx, stats) = base.apply_edit(edited, hashes);
-        let ctx = Arc::new(ctx);
+        let ctx = Arc::new(match source {
+            Some(source) => ctx.with_source(source),
+            None => ctx,
+        });
         self.ctx_store.insert(ctx.program_hash, Arc::clone(&ctx));
         (ctx, stats)
     }

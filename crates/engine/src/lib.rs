@@ -17,6 +17,8 @@
 //!    ([`ProgramHashes`](ivy_cmir::content::ProgramHashes): env hash,
 //!    per-function content hashes, program hash), computed once per
 //!    program state; every context and cache key derives from it.
+//!    [`Engine::apply_source_edit`] takes an edit as source text and
+//!    re-parses and re-hashes only the edited function when it can.
 //!    [`AnalysisCtx`] is the `QueryDb`; the old string-keyed `Any` memo
 //!    table (and its runtime type-confusion panics) is gone.
 //! 2. **Plugins** — the [`Checker`] trait: a name, a required points-to
@@ -97,7 +99,7 @@ pub mod query;
 pub use cache::{CacheKey, DiagnosticCache};
 pub use checker::Checker;
 pub use diag::{Diagnostic, EngineStats, Evidence, Report, Severity};
-pub use engine::{CtxStore, Engine};
+pub use engine::{CtxStore, Engine, SourceEdit};
 pub use persist::PersistLayer;
 pub use query::{DurableQuery, InvalidationStats, Query, QueryDb, QueryKey};
 

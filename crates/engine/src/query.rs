@@ -245,11 +245,13 @@ pub struct QueryDb {
     /// context-store key and the content anchor for durable whole-program
     /// queries.
     pub program_hash: u64,
-    /// [`ProgramHashes::env`], served by [`EnvHash`].
-    env: u64,
-    /// [`ProgramHashes::functions`] (program order), served by
-    /// [`FnContent`] and diffed by [`QueryDb::apply_edit`].
-    fn_hashes: Vec<u64>,
+    /// The program's [`ProgramHashes`]: `env` is served by [`EnvHash`],
+    /// `functions` (program order) by [`FnContent`]; both are diffed by
+    /// [`QueryDb::apply_edit`] and key the points-to batches.
+    hashes: ProgramHashes,
+    /// The exact source text `program` was parsed from, when the db's
+    /// builder knew it: the base an edit of that text re-parses against.
+    source: Option<Arc<str>>,
     /// Cross-program cache of interned points-to constraint batches (shared
     /// by the engine across dbs so an edited program re-solves points-to
     /// from the cached constraint graph).
@@ -283,7 +285,7 @@ fn lock_recovering<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 impl QueryDb {
     /// Builds a db for a program (cheap: every artifact is lazy).
     pub fn new(program: &Program) -> QueryDb {
-        QueryDb::with_hashes(program, ProgramHashes::of(program))
+        QueryDb::with_hashes(program.clone(), ProgramHashes::of(program))
     }
 
     /// The identity a db for `program` would carry
@@ -292,18 +294,13 @@ impl QueryDb {
         ProgramHashes::of(program).program
     }
 
-    /// Builds a db from the program's already-computed hashes.
-    pub fn with_hashes(program: &Program, hashes: ProgramHashes) -> QueryDb {
-        let ProgramHashes {
-            env,
-            functions,
-            program: program_hash,
-        } = hashes;
+    /// Builds a db that owns `program`, from its already-computed hashes.
+    pub fn with_hashes(program: Program, hashes: ProgramHashes) -> QueryDb {
         QueryDb {
-            program: program.clone(),
-            program_hash,
-            env,
-            fn_hashes: functions,
+            program,
+            program_hash: hashes.program,
+            hashes,
+            source: None,
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
             solve_options: SolveOptions::default(),
@@ -328,6 +325,24 @@ impl QueryDb {
     pub fn with_persist(mut self, persist: Option<Arc<PersistLayer>>) -> QueryDb {
         self.persist = persist;
         self
+    }
+
+    /// Records the exact source text the program was parsed from (builder
+    /// style).
+    pub fn with_source(mut self, source: Arc<str>) -> QueryDb {
+        self.source = Some(source);
+        self
+    }
+
+    /// The exact source text the program was parsed from, if recorded.
+    pub fn source(&self) -> Option<&Arc<str>> {
+        self.source.as_ref()
+    }
+
+    /// The program's [`ProgramHashes`], computed once when the db was
+    /// built.
+    pub fn hashes(&self) -> &ProgramHashes {
+        &self.hashes
     }
 
     /// Sets how [`Pointsto`] solves run in this db (builder style).
@@ -505,9 +520,10 @@ impl QueryDb {
     /// Derives a db for an edited program from this one, invalidating only
     /// the queries the edit can actually reach.
     ///
-    /// `hashes` are the edited program's [`ProgramHashes`], computed once
-    /// by the caller. The edit is diffed at the input layer against this
-    /// db's stored hashes — nothing is re-hashed: every function whose
+    /// `edited` moves into the returned db, and `hashes` are its
+    /// [`ProgramHashes`], computed once by the caller. The edit is diffed
+    /// at the input layer against this db's stored hashes — nothing is
+    /// re-hashed: every function whose
     /// span-insensitive content hash changed (including added and removed
     /// functions) seeds its [`FnContent`] instance, and a changed type
     /// environment seeds [`EnvHash`]. The transitive *dependents* of the
@@ -531,7 +547,7 @@ impl QueryDb {
     /// construction).
     pub fn apply_edit(
         &self,
-        edited: &Program,
+        edited: Program,
         hashes: ProgramHashes,
     ) -> (QueryDb, InvalidationStats) {
         let new_db = QueryDb::with_hashes(edited, hashes)
@@ -552,7 +568,7 @@ impl QueryDb {
             .collect::<BTreeSet<String>>()
             .into_iter()
             .collect();
-        let env_changed = self.env != new_db.env;
+        let env_changed = self.hashes.env != new_db.hashes.env;
 
         let mut seeds: Vec<QueryRef> = changed_functions
             .iter()
@@ -675,7 +691,7 @@ impl QueryDb {
             .functions
             .iter()
             .map(|f| f.name.as_str())
-            .zip(self.fn_hashes.iter().copied())
+            .zip(self.hashes.functions.iter().copied())
             .collect()
     }
 
@@ -834,7 +850,7 @@ impl Query for FnContent {
             .functions
             .iter()
             .position(|f| f.name == *key)
-            .map_or(0, |i| db.fn_hashes[i])
+            .map_or(0, |i| db.hashes.functions[i])
     }
 }
 
@@ -850,7 +866,13 @@ impl Query for Pointsto {
         // Whole-program: any function edit (or env change) must reach this
         // result through the dependency graph.
         db.depend_on_program();
-        pointsto::analyze_incremental_with(&db.program, *key, &db.pts_cache, db.solve_options)
+        pointsto::analyze_incremental_with(
+            &db.program,
+            &db.hashes,
+            *key,
+            &db.pts_cache,
+            db.solve_options,
+        )
     }
 }
 
@@ -876,7 +898,7 @@ impl Query for Summaries {
     const NAME: &'static str = "engine/summaries";
 
     fn compute(db: &QueryDb, key: &Sensitivity) -> ProgramSummaries {
-        summary::summarize(&db.program, &db.fn_hashes, &db.get::<Callgraph>(key))
+        summary::summarize(&db.program, &db.hashes.functions, &db.get::<Callgraph>(key))
     }
 }
 
@@ -1014,7 +1036,7 @@ impl Query for EnvHash {
     const NAME: &'static str = "engine/env-hash";
 
     fn compute(db: &QueryDb, _key: &()) -> u64 {
-        db.env
+        db.hashes.env
     }
 }
 
@@ -1030,7 +1052,7 @@ mod tests {
     }
 
     fn edit(db: &QueryDb, edited: &Program) -> (QueryDb, InvalidationStats) {
-        db.apply_edit(edited, ProgramHashes::of(edited))
+        db.apply_edit(edited.clone(), ProgramHashes::of(edited))
     }
 
     static CALLS_A: AtomicUsize = AtomicUsize::new(0);

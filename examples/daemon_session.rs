@@ -163,8 +163,9 @@ fn main() -> ExitCode {
     };
     let inv = &outcome.invalidation;
     println!(
-        "edit:  changed=[{}] invalidated={} retained={} revalidated={} (retention {:.1}%)",
+        "edit:  changed=[{}] reparse={} invalidated={} retained={} revalidated={} (retention {:.1}%)",
         inv.changed_functions.join(", "),
+        outcome.reparse,
         inv.invalidated,
         inv.retained,
         inv.revalidated,

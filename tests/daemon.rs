@@ -538,6 +538,15 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
         ("requests", "ivy_daemon_requests_served_total"),
         ("analyzes", "ivy_daemon_analyzes_total"),
         ("edits", "ivy_daemon_edits_total"),
+        ("engine.edits.spliced", "ivy_daemon_edits_spliced_total"),
+        (
+            "engine.edits.reparse_function",
+            "ivy_daemon_edit_reparse_total{path=\"function\"}",
+        ),
+        (
+            "engine.edits.reparse_full",
+            "ivy_daemon_edit_reparse_total{path=\"full\"}",
+        ),
         ("engine.cache_hits", "ivy_daemon_cache_hits_total"),
         ("engine.cache_misses", "ivy_daemon_cache_misses_total"),
         ("engine.cached_results", "ivy_daemon_cached_results"),
@@ -1109,6 +1118,176 @@ fn a_memo_never_outlives_the_context_it_was_computed_from() {
     assert_eq!(memo_counter(&mut client, "hits"), hits + 1);
     assert_eq!(again.stats, after.stats);
 
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// A small program with a non-ASCII comment, so a splice offset can land
+/// inside a UTF-8 character.
+const SPLICE_SOURCE: &str = "fn f() {\n    g(1);\n}\n// caf\u{e9} na\u{ef}ve\nfn g(x: u32) {\n}\n";
+
+fn splice_frame(base: &str, digest: &str, at: &str, remove: &str, insert: &str) -> String {
+    format!(
+        r#"{{"cmd":"notify_edit","base":"{base}","digest":"{digest}","at":{at},"remove":{remove},"insert":{insert}}}"#
+    )
+}
+
+#[test]
+fn hostile_splice_frames_get_errors_and_the_connection_keeps_serving() {
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("splice"))).unwrap();
+    let mut client = Client::connect(handle.socket()).unwrap();
+    client.analyze(SPLICE_SOURCE).unwrap();
+    let base = SourceDigest::of(SPLICE_SOURCE).to_string();
+    let edited = SPLICE_SOURCE.replace("g(1)", "g(2)");
+    let digest = SourceDigest::of(&edited).to_string();
+    let at = SPLICE_SOURCE.find("g(1)").unwrap() + 2;
+    let inside_e_acute = SPLICE_SOURCE.find('\u{e9}').unwrap() + 1;
+    let len = SPLICE_SOURCE.len();
+
+    let mut stream = std::os::unix::net::UnixStream::connect(handle.socket()).unwrap();
+    for request in [
+        // Past the end, and an end that overflows u64.
+        splice_frame(&base, &digest, &(len + 1).to_string(), "0", r#""""#),
+        splice_frame(&base, &digest, &len.to_string(), "1", r#""""#),
+        splice_frame(&base, &digest, "1", "18446744073709551615", r#""""#),
+        // Offsets inside a UTF-8 character.
+        splice_frame(&base, &digest, &inside_e_acute.to_string(), "0", r#""x""#),
+        splice_frame(
+            &base,
+            &digest,
+            &(inside_e_acute - 1).to_string(),
+            "1",
+            r#""e""#,
+        ),
+        // A non-string insert, negative and missing offsets, bad digests.
+        splice_frame(&base, &digest, &at.to_string(), "1", "2"),
+        splice_frame(&base, &digest, "-1", "1", r#""2""#),
+        format!(r#"{{"cmd":"notify_edit","base":"{base}","digest":"{digest}","insert":"2"}}"#),
+        splice_frame("xyz", &digest, &at.to_string(), "1", r#""2""#),
+        splice_frame(&base, "42", &at.to_string(), "1", r#""2""#),
+        // A well-formed splice whose result does not have the digest.
+        splice_frame(&base, &base, &at.to_string(), "1", r#""2""#),
+    ] {
+        let answer = raw_request(&mut stream, &request);
+        assert_eq!(
+            answer.get("ok").and_then(Value::as_bool),
+            Some(false),
+            "{request} -> {answer:?}"
+        );
+        let stats = raw_request(&mut stream, r#"{"cmd":"stats"}"#);
+        assert_eq!(stats.get("ok").and_then(Value::as_bool), Some(true));
+    }
+
+    // An unknown base asks for the source, like an unknown analyze digest.
+    let unknown = SourceDigest::of("fn nobody() { }").to_string();
+    let answer = raw_request(
+        &mut stream,
+        &splice_frame(&unknown, &digest, &at.to_string(), "1", r#""2""#),
+    );
+    assert_eq!(
+        answer.get("need_source").and_then(Value::as_bool),
+        Some(true),
+        "{answer:?}"
+    );
+
+    // A well-formed splice to unparsable text gets the full-source error.
+    let broken = SPLICE_SOURCE.replace("g(1);", "g(1;");
+    let splice = ivy::daemon::protocol::Splice::between(SPLICE_SOURCE, &broken);
+    let via_splice = raw_request(
+        &mut stream,
+        &splice_frame(
+            &base,
+            &SourceDigest::of(&broken).to_string(),
+            &splice.at.to_string(),
+            &splice.remove.to_string(),
+            &ivy::engine::json::to_string(&Value::from(splice.insert)).unwrap(),
+        ),
+    );
+    let mut full = ivy::daemon::protocol::request("notify_edit");
+    full.insert("source".into(), Value::from(broken.as_str()));
+    write_frame(&mut stream, &Value::Object(full)).unwrap();
+    let via_source = read_frame(&mut stream).unwrap().unwrap();
+    let error = |v: &Value| v.get("error").and_then(Value::as_str).map(String::from);
+    assert!(
+        error(&via_splice).is_some_and(|e| e.starts_with("parse error:")),
+        "{via_splice:?}"
+    );
+    assert_eq!(error(&via_splice), error(&via_source));
+
+    // A good splice on the same connection still edits.
+    let answer = raw_request(
+        &mut stream,
+        &splice_frame(&base, &digest, &at.to_string(), "1", r#""2""#),
+    );
+    assert_eq!(answer.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        answer.get("reparse").and_then(Value::as_str),
+        Some("function")
+    );
+    drop(stream);
+    let stats = client.stats().unwrap();
+    let edits = stats.get("engine").and_then(|e| e.get("edits")).unwrap();
+    assert_eq!(edits.get("spliced").and_then(Value::as_u64), Some(1));
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// `pretty_program` of `program` with the first integer literal of the
+/// `pick`-th literal-bearing function body set to `value`: the edit
+/// rewrites digits only, so every line keeps its number.
+fn literal_edit(program: &mut ivy::cmir::Program, pick: usize, value: i64) -> String {
+    use ivy::cmir::ast::Expr;
+    use ivy::cmir::visit::{map_block_exprs, walk_block_exprs};
+    let candidates: Vec<usize> = (0..program.functions.len())
+        .filter(|&i| {
+            let mut found = false;
+            if let Some(body) = &program.functions[i].body {
+                walk_block_exprs(body, &mut |e| found |= matches!(e, Expr::Int(_)));
+            }
+            found
+        })
+        .collect();
+    let func = &mut program.functions[candidates[pick % candidates.len()]];
+    let body = func.body.as_ref().expect("candidate has a body");
+    let mut done = false;
+    func.body = Some(map_block_exprs(body, &mut |e| match e {
+        Expr::Int(_) if !done => {
+            done = true;
+            Expr::Int(value)
+        }
+        other => other,
+    }));
+    pretty_program(program)
+}
+
+#[test]
+fn fifty_spliced_edits_answer_byte_identically_to_batch() {
+    let source = kernel_source();
+    let mut program = parse_program(&source).unwrap();
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("fifty"))).unwrap();
+    let mut client = Client::connect(handle.socket()).unwrap();
+    client.analyze(&source).unwrap();
+    let batch = ivy::core::experiments::default_engine(0);
+    for i in 0..50 {
+        let edited = literal_edit(&mut program, i * 7919, 100_000 + i as i64);
+        let outcome = client.notify_edit(&edited).unwrap();
+        assert_eq!(outcome.reparse, "function", "edit {i}");
+        let answer = client.analyze(&edited).unwrap();
+        let expected = batch.analyze(&parse_program(&edited).unwrap());
+        assert_eq!(
+            answer.diagnostics_json,
+            expected.diagnostics_json(),
+            "edit {i}"
+        );
+    }
+    let stats = client.stats().unwrap();
+    let edits = stats.get("engine").and_then(|e| e.get("edits")).unwrap();
+    assert_eq!(edits.get("spliced").and_then(Value::as_u64), Some(49));
+    assert_eq!(
+        edits.get("reparse_function").and_then(Value::as_u64),
+        Some(50)
+    );
+    assert_eq!(edits.get("reparse_full").and_then(Value::as_u64), Some(0));
     client.shutdown().unwrap();
     handle.join();
 }

@@ -265,3 +265,29 @@ fn apply_edit_hashes_the_edited_program_once() {
         assert_eq!(phase(name), 1, "one {name} span per edit");
     }
 }
+
+#[test]
+fn a_full_context_store_records_one_evict_span_per_eviction() {
+    let _g = telemetry_guard();
+    let _restore = Restore;
+    telemetry::disable_all();
+    telemetry::reset();
+
+    let store = std::sync::Arc::new(ivy::engine::CtxStore::with_capacity(2));
+    let engine = ivy::engine::Engine::new().with_ctx_store(std::sync::Arc::clone(&store));
+    let programs: Vec<_> = (0..3)
+        .map(|i| ivy::cmir::parser::parse_program(&format!("fn f{i}() {{ }}")).unwrap())
+        .collect();
+    telemetry::enable_spans();
+    for program in &programs {
+        engine.context_for(program);
+    }
+    let spans = telemetry::spans_snapshot();
+    let evicts = spans
+        .iter()
+        .filter(|s| s.cat == "engine/ctx" && s.name == "evict")
+        .count();
+    assert_eq!(evicts, 1, "three contexts in a capacity-2 store evict once");
+    assert_eq!(store.evictions(), 1);
+    assert_eq!(store.len(), 2);
+}
