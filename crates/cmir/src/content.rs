@@ -80,7 +80,7 @@ impl ProgramHashes {
         let (old, new) = (&base.functions[index], &edited.functions[index]);
         let mut functions = self.functions.clone();
         functions[index] = function_content_hash(new);
-        let env = if same_signature(old, new) {
+        let env = if signature_hash(old) == signature_hash(new) {
             self.env
         } else {
             program_env_hash(edited)
@@ -100,30 +100,6 @@ impl ProgramHashes {
             program: h.finish(),
         }
     }
-}
-
-/// True when two functions agree on everything [`program_env_hash`]
-/// reads of a function: name, parameters, return type, attributes and
-/// subsystem.
-fn same_signature(a: &Function, b: &Function) -> bool {
-    let Function {
-        name,
-        params,
-        ret,
-        body: _,
-        attrs,
-        subsystem,
-        span: _,
-    } = a;
-    *name == b.name
-        && params.len() == b.params.len()
-        && params
-            .iter()
-            .zip(&b.params)
-            .all(|(p, q)| p.name == q.name && p.ty == q.ty)
-        && *ret == b.ret
-        && *attrs == b.attrs
-        && *subsystem == b.subsystem
 }
 
 /// Content hash of a function definition: name, signature, attributes,
@@ -185,24 +161,39 @@ pub fn program_env_hash(p: &Program) -> u64 {
     }
     functions.len().hash(&mut h);
     for f in functions {
-        let Function {
-            name,
-            params,
-            ret,
-            body: _,
-            attrs,
-            subsystem,
-            span: _,
-        } = f;
-        name.hash(&mut h);
-        params.len().hash(&mut h);
-        for p in params {
-            hash_decl(p, &mut h);
-        }
-        ret.hash(&mut h);
-        attrs.hash(&mut h);
-        subsystem.hash(&mut h);
+        hash_signature(f, &mut h);
     }
+    h.finish()
+}
+
+/// Hashes what [`program_env_hash`] reads of a function — its
+/// signature: name, parameters, return type, attributes and subsystem.
+fn hash_signature(f: &Function, h: &mut impl Hasher) {
+    let Function {
+        name,
+        params,
+        ret,
+        body: _,
+        attrs,
+        subsystem,
+        span: _,
+    } = f;
+    name.hash(h);
+    params.len().hash(h);
+    for p in params {
+        hash_decl(p, h);
+    }
+    ret.hash(h);
+    attrs.hash(h);
+    subsystem.hash(h);
+}
+
+/// [`hash_signature`] on its own: two functions with equal signature
+/// hashes leave [`program_env_hash`] unchanged when one replaces the
+/// other.
+fn signature_hash(f: &Function) -> u64 {
+    let mut h = FnvHasher::default();
+    hash_signature(f, &mut h);
     h.finish()
 }
 

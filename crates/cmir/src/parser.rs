@@ -55,12 +55,9 @@ pub fn parse_type(src: &str) -> Result<Type> {
     Ok(t)
 }
 
-/// How [`reparse_traced`] produced its program.
+/// How [`reparse`] produced its program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReparsePath {
-    /// The source is byte-identical to the base source: the result is
-    /// the base program.
-    Unchanged,
     /// Only the function at this index of [`Program::functions`] was
     /// lexed and parsed; every other item was taken from the base.
     Function(usize),
@@ -69,18 +66,16 @@ pub enum ReparsePath {
 }
 
 impl ReparsePath {
-    /// Stable lowercase name (`unchanged`, `function` or `full`).
+    /// Stable lowercase name (`function` or `full`).
     pub fn name(&self) -> &'static str {
         match self {
-            ReparsePath::Unchanged => "unchanged",
             ReparsePath::Function(_) => "function",
             ReparsePath::Full => "full",
         }
     }
 }
 
-/// A program produced by [`reparse_traced`], with the path that
-/// produced it.
+/// A program produced by [`reparse`], with the path that produced it.
 #[derive(Debug, Clone)]
 pub struct Reparsed {
     /// The parsed program: always equal to `parse_program` of the source.
@@ -91,27 +86,16 @@ pub struct Reparsed {
 
 /// Parses `src`, an edit of `base_src`, reusing every item of `base`
 /// (which must be `parse_program(base_src)`) that the edit cannot
-/// reach. The result is always equal to `parse_program(src)`, spans
+/// reach. The program is always equal to `parse_program(src)`, spans
 /// included, and an error carries the same message.
 ///
 /// The edit is the byte range where the two sources differ (common
 /// prefix and suffix removed). When that range lies inside one function
-/// item — from its first token up to the first token of the next item —
-/// and replaces as many newlines as it removes, only that function is
-/// lexed and parsed, at its absolute position. Every other case parses
-/// the whole source.
-pub fn reparse(base_src: &str, base: &Program, src: &str) -> Result<Program> {
-    reparse_traced(base_src, base, src).map(|r| r.program)
-}
-
-/// [`reparse`], also reporting which path produced the program.
-pub fn reparse_traced(base_src: &str, base: &Program, src: &str) -> Result<Reparsed> {
-    if src == base_src {
-        return Ok(Reparsed {
-            program: base.clone(),
-            path: ReparsePath::Unchanged,
-        });
-    }
+/// item — from its first token up to, but not touching, the end of the
+/// next item's first token — and replaces as many newlines as it
+/// removes, only that function is lexed and parsed, at its absolute
+/// position. Every other case parses the whole source.
+pub fn reparse(base_src: &str, base: &Program, src: &str) -> Result<Reparsed> {
     if let Some((index, function)) = reparse_function(base_src, base, src) {
         let mut functions = Vec::with_capacity(base.functions.len());
         functions.extend_from_slice(&base.functions[..index]);
@@ -157,7 +141,7 @@ pub fn changed_range(base: &str, edited: &str) -> (usize, usize, usize) {
     (at, old.len() - suffix, new.len() - suffix)
 }
 
-/// The function-level path of [`reparse_traced`]: the index of the one
+/// The function-level path of [`reparse`]: the index of the one
 /// function the edit touches and its re-parse, or `None` when the edit
 /// needs a full parse.
 fn reparse_function(base_src: &str, base: &Program, src: &str) -> Option<(usize, Function)> {
@@ -182,7 +166,11 @@ fn reparse_function(base_src: &str, base: &Program, src: &str) -> Option<(usize,
     }
     let start = lines.byte(base_src, span.start)?;
     let end = lines.byte(base_src, span.end)?;
-    if start > at || old_end > end {
+    // Only `start..end` is lexed, so an edit reaching `end` could change
+    // how the text after it lexes (`fn` + `//` comments out the rest of
+    // the line) unseen: it must stop short of `end`, unless the slice
+    // runs to the end of the input.
+    if start > at || old_end > end || (old_end == end && end < old.len()) {
         return None;
     }
     let old_tokens = lex_at(&base_src[start..end], span.start).ok()?;

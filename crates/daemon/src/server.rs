@@ -895,12 +895,11 @@ impl State {
         if spliced {
             self.edits_spliced.fetch_add(1, Ordering::Relaxed);
         }
-        let reparse_counter = match edit.reparse {
-            ReparsePath::Function(_) => Some(&self.reparse_function),
-            ReparsePath::Full => Some(&self.reparse_full),
-            ReparsePath::Unchanged => None,
-        };
-        if let Some(counter) = reparse_counter {
+        if let Some(path) = edit.reparse {
+            let counter = match path {
+                ReparsePath::Function(_) => &self.reparse_function,
+                ReparsePath::Full => &self.reparse_full,
+            };
             counter.fetch_add(1, Ordering::Relaxed);
         }
         self.set_resident(&edit.ctx);
@@ -911,7 +910,8 @@ impl State {
             "program_hash".into(),
             Value::from(format!("{:016x}", edit.ctx.program_hash)),
         );
-        m.insert("reparse".into(), Value::from(edit.reparse.name()));
+        let reparse = edit.reparse.as_ref().map_or("unchanged", ReparsePath::name);
+        m.insert("reparse".into(), Value::from(reparse));
         m.insert("invalidation".into(), invalidation_to_value(&edit.stats));
         Value::Object(m)
     }

@@ -21,7 +21,7 @@ use ivy_analysis::pointsto::{ConstraintCache, Sensitivity, SolveOptions};
 use ivy_analysis::summary::{fnv1a, mix};
 use ivy_cmir::ast::Program;
 use ivy_cmir::content::ProgramHashes;
-use ivy_cmir::parser::{parse_program, reparse_traced, ReparsePath, Reparsed};
+use ivy_cmir::parser::{parse_program, reparse, ReparsePath, Reparsed};
 use ivy_cmir::CmirError;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -235,8 +235,9 @@ pub struct SourceEdit {
     pub ctx: Arc<AnalysisCtx>,
     /// What the edit invalidated and what survived.
     pub stats: InvalidationStats,
-    /// How the edited source was parsed.
-    pub reparse: ReparsePath,
+    /// How the edited source was parsed: `None` when it is the base's
+    /// recorded text byte for byte, so nothing was parsed.
+    pub reparse: Option<ReparsePath>,
 }
 
 /// The analysis engine. Cheap to clone the configuration of (checkers are
@@ -448,7 +449,7 @@ impl Engine {
     /// The daemon's `notify_edit` path: applies `source`, the full text
     /// of an edited program, against the base context. `source` is
     /// re-parsed against the base's recorded text with
-    /// [`reparse_traced`], so an edit inside one function lexes and
+    /// [`reparse`], so an edit inside one function lexes and
     /// parses only that function and hashes only its content; a base
     /// without recorded text parses `source` whole. The edited program
     /// moves into the new context, which records `source`. A parse error
@@ -463,12 +464,12 @@ impl Engine {
             return Ok(SourceEdit {
                 ctx: Arc::clone(base),
                 stats: InvalidationStats::default(),
-                reparse: ReparsePath::Unchanged,
+                reparse: None,
             });
         }
         let parse_span = ivy_telemetry::span("engine/edit", "parse");
         let Reparsed { program, path } = match base.source() {
-            Some(text) => reparse_traced(text, &base.program, &source)?,
+            Some(text) => reparse(text, &base.program, &source)?,
             None => Reparsed {
                 program: parse_program(&source)?,
                 path: ReparsePath::Full,
@@ -480,7 +481,6 @@ impl Engine {
             ReparsePath::Function(index) => {
                 base.hashes().with_function(&base.program, &program, index)
             }
-            ReparsePath::Unchanged => base.hashes().clone(),
             ReparsePath::Full => ProgramHashes::of(&program),
         };
         drop(identity_span);
@@ -488,7 +488,7 @@ impl Engine {
         Ok(SourceEdit {
             ctx,
             stats,
-            reparse: path,
+            reparse: Some(path),
         })
     }
 

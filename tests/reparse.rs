@@ -5,7 +5,7 @@
 //! carries the same message.
 
 use ivy::cmir::ast::Program;
-use ivy::cmir::parser::{parse_program, reparse_traced, ReparsePath};
+use ivy::cmir::parser::{parse_program, reparse, ReparsePath};
 use ivy::cmir::pretty::pretty_program;
 use ivy::kernelgen::{kernel_source, KernelBuild, KernelConfig};
 use proptest::prelude::*;
@@ -178,7 +178,7 @@ proptest! {
             return Ok(());
         };
         let (name, expected_path) = KINDS[kind];
-        match (parse_program(&src), reparse_traced(base_src, base, &src)) {
+        match (parse_program(&src), reparse(base_src, base, &src)) {
             (Ok(full), Ok(re)) => {
                 prop_assert!(full == re.program, "{name}: programs differ");
                 if let Some(path) = expected_path {
@@ -206,7 +206,7 @@ fn every_function_of_the_printed_kernel_takes_the_function_path() {
         // A line-preserving edit just inside the closing brace.
         let at = start + close;
         let src = format!("{} {}", &base_src[..at], &base_src[at..]);
-        let re = reparse_traced(base_src, base, &src).unwrap();
+        let re = reparse(base_src, base, &src).unwrap();
         assert_eq!(re.path, ReparsePath::Function(index));
         assert!(
             re.program == parse_program(&src).unwrap(),
