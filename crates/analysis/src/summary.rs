@@ -5,7 +5,7 @@
 //! are served from here:
 //!
 //! * [`Condensation`] — Tarjan SCC condensation of a [`CallGraph`] plus a
-//!   bottom-up level order (level 0 = leaf SCCs), the unit of parallel
+//!   bottom-up level order (level 0 = leaf SCCs), the unit of engine
 //!   scheduling.
 //! * [`FunctionSummary`] — per-function facts: direct+indirect callees, the
 //!   span-insensitive content hash of the definition
@@ -63,8 +63,8 @@ pub struct Condensation {
     /// Function name → SCC index.
     pub scc_of: BTreeMap<String, usize>,
     /// Bottom-up waves of SCC indices: every SCC in `levels[i]` only calls
-    /// into SCCs at levels `< i`, so all SCCs of one level can be analyzed
-    /// in parallel once the previous levels are done.
+    /// into SCCs at levels `< i`, so all SCCs of one level are independent
+    /// once the previous levels are done.
     pub levels: Vec<Vec<usize>>,
 }
 

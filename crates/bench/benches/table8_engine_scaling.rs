@@ -1,7 +1,7 @@
-//! Bench for the analysis engine: throughput at 1/2/4/8 worker threads and
-//! warm-vs-cold cache over a `KernelConfig` sweep, with a machine-readable
-//! JSON summary for the bench trajectory — plus the telemetry
-//! disabled-mode overhead measurement on the warm path.
+//! Bench for the analysis engine: cold, warm and warm-process (persist)
+//! analyze over a `KernelConfig` sweep, with a machine-readable JSON
+//! summary for the bench trajectory — plus the telemetry disabled-mode
+//! overhead measurement on the warm path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ivy_bench::summary::Summary;
@@ -11,8 +11,6 @@ use ivy_kernelgen::{KernelBuild, KernelConfig};
 use serde_json::{Map, Value};
 use std::sync::Arc;
 use std::time::Instant;
-
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn median_secs(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -75,82 +73,77 @@ fn bench_engine_scaling(c: &mut Criterion) {
     let mut summary = Summary::new("table8_engine_scaling");
     let mut cfg = Map::new();
     cfg.insert("kernels".into(), Value::from("small,paper"));
-    cfg.insert("threads".into(), Value::from("1,2,4,8"));
     summary.config(Value::Object(cfg));
-    println!("\n==== Table 8: engine scaling (threads x cache temperature) ====");
+    println!("\n==== Table 8: engine scaling (kernel size x cache temperature) ====");
     println!(
-        "{:<8} {:>8} {:>12} {:>12} {:>9} {:>10}",
-        "kernel", "threads", "cold (s)", "warm (s)", "speedup", "warm hits"
+        "{:<8} {:>12} {:>12} {:>9} {:>10}",
+        "kernel", "cold (s)", "warm (s)", "speedup", "warm hits"
     );
     for (name, config) in &sweep {
         let build = KernelBuild::generate(config);
-        for &threads in &THREAD_SWEEP {
-            let cold = time_runs(
-                || {
-                    default_engine(threads).analyze(&build.program);
-                },
-                3,
-            );
-            let engine = default_engine(threads);
-            engine.analyze(&build.program); // prime the cache
-            let warm_report = engine.analyze(&build.program);
-            let warm = time_runs(
-                || {
-                    engine.analyze(&build.program);
-                },
-                3,
-            );
+        let cold = time_runs(
+            || {
+                default_engine(0).analyze(&build.program);
+            },
+            3,
+        );
+        let engine = default_engine(0);
+        engine.analyze(&build.program); // prime the cache
+        let warm_report = engine.analyze(&build.program);
+        let warm = time_runs(
+            || {
+                engine.analyze(&build.program);
+            },
+            3,
+        );
+        println!(
+            "{:<8} {:>12.4} {:>12.4} {:>8.1}x {:>9.1}%",
+            name,
+            cold,
+            warm,
+            cold / warm.max(1e-9),
+            warm_report.stats.hit_rate() * 100.0
+        );
+        let mut row = Map::new();
+        row.insert("kernel".into(), Value::from(*name));
+        row.insert("cold_seconds".into(), Value::from(cold));
+        row.insert("warm_seconds".into(), Value::from(warm));
+        row.insert(
+            "warm_hit_rate".into(),
+            Value::from(warm_report.stats.hit_rate()),
+        );
+        row.insert("functions".into(), Value::from(warm_report.stats.functions));
+        row.insert("sccs".into(), Value::from(warm_report.stats.sccs));
+        row.insert("levels".into(), Value::from(warm_report.stats.levels));
+        summary.push_row(row);
+        if *name == "paper" {
+            summary.headline("paper_cold_seconds", cold);
+            summary.headline("paper_warm_seconds", warm);
+            summary.headline("paper_warm_speedup", cold / warm.max(1e-9));
+        }
+        // Telemetry disabled-mode overhead on the warm path, measured on
+        // the small kernel's warm engine (the acceptance gate: must stay
+        // well under 2%).
+        if *name == "small" {
+            let (events, gate_ns, overhead_pct) =
+                telemetry_disabled_overhead_pct(&engine, &build.program, warm);
             println!(
-                "{:<8} {:>8} {:>12.4} {:>12.4} {:>8.1}x {:>9.1}%",
-                name,
-                threads,
-                cold,
-                warm,
-                cold / warm.max(1e-9),
-                warm_report.stats.hit_rate() * 100.0
+                "telemetry disabled-mode overhead: {events} events x {gate_ns:.2} ns gate \
+                 / {warm:.4} s warm = {overhead_pct:.4}%"
             );
             let mut row = Map::new();
             row.insert("kernel".into(), Value::from(*name));
-            row.insert("threads".into(), Value::from(threads));
-            row.insert("cold_seconds".into(), Value::from(cold));
+            row.insert("mode".into(), Value::from("telemetry_disabled_overhead"));
+            row.insert("telemetry_events_per_warm_run".into(), Value::from(events));
+            row.insert("disabled_gate_ns".into(), Value::from(gate_ns));
             row.insert("warm_seconds".into(), Value::from(warm));
-            row.insert(
-                "warm_hit_rate".into(),
-                Value::from(warm_report.stats.hit_rate()),
-            );
-            row.insert("functions".into(), Value::from(warm_report.stats.functions));
-            row.insert("sccs".into(), Value::from(warm_report.stats.sccs));
-            row.insert("levels".into(), Value::from(warm_report.stats.levels));
+            row.insert("overhead_pct".into(), Value::from(overhead_pct));
             summary.push_row(row);
-            if *name == "paper" && threads == 4 {
-                summary.headline("paper_cold_seconds_t4", cold);
-                summary.headline("paper_warm_seconds_t4", warm);
-                summary.headline("paper_warm_speedup_t4", cold / warm.max(1e-9));
-            }
-            // Telemetry disabled-mode overhead on the warm path, measured
-            // on the small kernel's 4-thread warm engine (the acceptance
-            // gate: must stay well under 2%).
-            if *name == "small" && threads == 4 {
-                let (events, gate_ns, overhead_pct) =
-                    telemetry_disabled_overhead_pct(&engine, &build.program, warm);
-                println!(
-                    "telemetry disabled-mode overhead: {events} events x {gate_ns:.2} ns gate \
-                     / {warm:.4} s warm = {overhead_pct:.4}%"
-                );
-                let mut row = Map::new();
-                row.insert("kernel".into(), Value::from(*name));
-                row.insert("mode".into(), Value::from("telemetry_disabled_overhead"));
-                row.insert("telemetry_events_per_warm_run".into(), Value::from(events));
-                row.insert("disabled_gate_ns".into(), Value::from(gate_ns));
-                row.insert("warm_seconds".into(), Value::from(warm));
-                row.insert("overhead_pct".into(), Value::from(overhead_pct));
-                summary.push_row(row);
-                summary.headline("telemetry_disabled_overhead_pct", overhead_pct);
-                assert!(
-                    overhead_pct < 2.0,
-                    "telemetry disabled-mode overhead {overhead_pct:.4}% exceeds the 2% budget"
-                );
-            }
+            summary.headline("telemetry_disabled_overhead_pct", overhead_pct);
+            assert!(
+                overhead_pct < 2.0,
+                "telemetry disabled-mode overhead {overhead_pct:.4}% exceeds the 2% budget"
+            );
         }
     }
     // Warm-*process* rows: a fresh engine with empty in-memory caches,
@@ -170,7 +163,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
         let _ = std::fs::remove_dir_all(&dir);
         // "Process A" fills the cache (and is itself the cold timing).
         let cold_start = Instant::now();
-        default_engine(4)
+        default_engine(0)
             .with_persist(Arc::new(PersistLayer::open(&dir).expect("persist dir")))
             .analyze(&build.program);
         let cold = cold_start.elapsed().as_secs_f64();
@@ -178,7 +171,7 @@ fn bench_engine_scaling(c: &mut Criterion) {
         let mut last_stats = None;
         let warm = time_runs(
             || {
-                let engine = default_engine(4)
+                let engine = default_engine(0)
                     .with_persist(Arc::new(PersistLayer::open(&dir).expect("persist dir")));
                 last_stats = Some(engine.analyze(&build.program).stats);
             },
@@ -219,14 +212,12 @@ fn bench_engine_scaling(c: &mut Criterion) {
     let build = KernelBuild::generate(&KernelConfig::small());
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
-    for &threads in &THREAD_SWEEP {
-        group.bench_function(format!("cold/t{threads}"), |b| {
-            b.iter(|| default_engine(threads).analyze(&build.program))
-        });
-    }
-    let engine = default_engine(4);
+    group.bench_function("cold", |b| {
+        b.iter(|| default_engine(0).analyze(&build.program))
+    });
+    let engine = default_engine(0);
     engine.analyze(&build.program);
-    group.bench_function("warm/t4", |b| b.iter(|| engine.analyze(&build.program)));
+    group.bench_function("warm", |b| b.iter(|| engine.analyze(&build.program)));
     group.finish();
 }
 

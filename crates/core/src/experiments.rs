@@ -466,8 +466,11 @@ pub fn pointsto_ablation(scale: &Scale) -> Vec<AblationRow> {
 /// The default engine: Deputy, CCount, and BlockStop registered as
 /// plugins — built from the shared [`ivy_daemon::fleet_checkers`] list,
 /// so the batch fleet and the daemon's resident fleet cannot drift.
-pub fn default_engine(threads: usize) -> Engine {
-    let mut engine = Engine::new().with_threads(threads);
+///
+/// The argument is ignored (the engine runs its waves on the calling
+/// thread); it stays until the repo benchmark, which passes `0`, drops it.
+pub fn default_engine(_threads: usize) -> Engine {
+    let mut engine = Engine::new();
     for checker in ivy_daemon::fleet_checkers(ivy_deputy::DeputyConfig::default()) {
         engine = engine.with_checker(checker);
     }
@@ -537,7 +540,7 @@ pub fn engine_results(scale: &Scale) -> EngineResult {
         .count();
     let false_positives = blockstop_errors.len() - real_bug_findings;
 
-    // Fleet mode: analyze seed-varied kernel variants concurrently with a
+    // Fleet mode: analyze seed-varied kernel variants in turn over one
     // fresh shared cache. Variants share almost all functions, so later
     // variants are served largely from cache entries of earlier ones.
     let variants: Vec<_> = (0..3)
@@ -548,9 +551,9 @@ pub fn engine_results(scale: &Scale) -> EngineResult {
         })
         .collect();
     let fleet = default_engine(0);
-    let reports = fleet.analyze_corpus(&variants);
-    let (hits, misses) = reports.iter().fold((0u64, 0u64), |(h, m), r| {
-        (h + r.stats.cache_hits, m + r.stats.cache_misses)
+    let (hits, misses) = variants.iter().fold((0u64, 0u64), |(h, m), p| {
+        let stats = fleet.analyze(p).stats;
+        (h + stats.cache_hits, m + stats.cache_misses)
     });
 
     let mut counts = BTreeMap::new();
@@ -575,7 +578,7 @@ pub fn engine_results(scale: &Scale) -> EngineResult {
         false_positives,
         cold: cold.stats,
         warm: warm.stats,
-        corpus_variants: reports.len(),
+        corpus_variants: variants.len(),
         corpus_hit_rate: if hits + misses == 0 {
             0.0
         } else {

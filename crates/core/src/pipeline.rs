@@ -10,7 +10,7 @@
 //! Since the engine rework, all three tools run as [`Checker`] plugins over
 //! shared, memoized [`AnalysisCtx`]s: points-to results and call graphs are
 //! computed once per program state instead of once per tool, checker work is
-//! scheduled bottom-up over the condensed call graph in parallel, and the
+//! scheduled bottom-up over the condensed call graph, and the
 //! pipeline's three program states (fixed → asserted → deputized) share one
 //! diagnostic cache and one context store — so running the same pipeline
 //! again (the analyze→fix→re-analyze loop) is served from cache instead of
@@ -34,8 +34,6 @@ use std::sync::Arc;
 pub struct Pipeline {
     /// The Deputy instance used for conversion.
     pub deputy: Deputy,
-    /// Worker threads for the engine (0 = one per hardware thread).
-    pub threads: usize,
     /// Record derivation provenance during every points-to solve, so
     /// `PointsToResult::why` can explain any fact the hardened report
     /// rests on. Costs memory and (bounded) time; off by default.
@@ -52,7 +50,6 @@ impl Default for Pipeline {
     fn default() -> Self {
         Pipeline {
             deputy: Deputy::default(),
-            threads: 0,
             provenance: false,
             cache: Arc::new(DiagnosticCache::new()),
             ctx_store: Arc::new(CtxStore::new()),
@@ -71,7 +68,6 @@ impl Clone for Pipeline {
     fn clone(&self) -> Self {
         Pipeline {
             deputy: self.deputy.clone(),
-            threads: self.threads,
             provenance: self.provenance,
             cache: Arc::clone(&self.cache),
             ctx_store: Arc::clone(&self.ctx_store),
@@ -87,7 +83,6 @@ impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("deputy", &self.deputy)
-            .field("threads", &self.threads)
             .field("cached_results", &self.cache.len())
             .finish()
     }
@@ -121,14 +116,6 @@ impl Pipeline {
     /// Creates a pipeline with default tool configurations.
     pub fn new() -> Self {
         Pipeline::default()
-    }
-
-    /// Creates a pipeline with an engine thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        Pipeline {
-            threads,
-            ..Pipeline::default()
-        }
     }
 
     /// Attaches a cross-process persist layer (builder style): all engine
@@ -229,7 +216,6 @@ impl Pipeline {
         // almost all function bodies, so each state regenerates constraints
         // only for the functions the previous stage actually rewrote.
         let engine = Engine::new()
-            .with_threads(self.threads)
             .with_provenance(self.provenance)
             .with_cache(Arc::clone(&self.cache))
             .with_ctx_store(Arc::clone(&self.ctx_store))

@@ -1,19 +1,19 @@
 //! `ivy-daemon` — serve the resident analysis engine on a Unix socket.
 //!
 //! ```text
-//! ivy-daemon <socket-path> [--cache-dir DIR] [--threads N] [--provenance]
+//! ivy-daemon <socket-path> [--cache-dir DIR] [--provenance]
 //! ```
 //!
 //! Blocks until a client sends `shutdown`. Defaults: no persist directory
-//! (memory-only), one engine worker per hardware thread, provenance off
-//! (`--provenance` records points-to derivations so the `explain` verb
-//! can answer).
+//! (memory-only), provenance off (`--provenance` records points-to
+//! derivations so the `explain` verb can answer). Each connection is
+//! served on its own thread; an analysis runs on its connection's thread.
 
 use ivy_daemon::{Daemon, DaemonConfig};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: ivy-daemon <socket-path> [--cache-dir DIR] [--threads N] [--provenance]");
+    eprintln!("usage: ivy-daemon <socket-path> [--cache-dir DIR] [--provenance]");
     ExitCode::FAILURE
 }
 
@@ -25,18 +25,14 @@ fn main() -> ExitCode {
     let mut config = DaemonConfig::new(socket);
     let mut rest = args[1..].iter();
     while let Some(flag) = rest.next() {
-        // `--provenance` takes no value, so match it before the flags
-        // that consume the next argument.
+        // `--provenance` takes no value, so match it before the flag that
+        // consumes the next argument.
         if flag == "--provenance" {
             config = config.with_provenance(true);
             continue;
         }
         match (flag.as_str(), rest.next()) {
             ("--cache-dir", Some(dir)) => config = config.with_cache_dir(dir),
-            ("--threads", Some(n)) => match n.parse() {
-                Ok(threads) => config = config.with_threads(threads),
-                Err(_) => return usage(),
-            },
             _ => return usage(),
         }
     }

@@ -58,7 +58,7 @@
 //! the base's context. Offsets past the end of the base, offsets that
 //! split a UTF-8 character, or a digest mismatch are errors. A base the
 //! index does not hold gets `need_source`, and the client resends the
-//! full text in the protocol-1 shape. That shape diffs against the
+//! full text in the full-source shape. That shape diffs against the
 //! resident context: the program the last `analyze` or edit served.
 //!
 //! ```text
@@ -80,10 +80,6 @@
 //! # Other verbs
 //!
 //! ```text
-//! -> {"cmd":"analyze","source":"fn f() { } ..."}      (protocol 1 shape)
-//! <- {"ok":true,"program_hash":"0f3a…","diagnostic_count":12,
-//!     "diagnostics_json":"[ ... ]","stats":{"functions":41,...}}
-//!
 //! -> {"cmd":"explain","fn":"f","lvalue":"p","target":"global x"}
 //! <- {"ok":true,"fact":"`f::p` may point to `global x`","replay_verified":true,
 //!     "provenance_facts":41,"chain":[{"fact":"f::p may point to global x",
@@ -93,10 +89,11 @@
 //! <- {"ok":true,"metrics_text":"# TYPE ivy_daemon_requests_served_total counter\n..."}
 //! ```
 //!
-//! Source-carrying `analyze` requests without a digest keep their
-//! protocol-1 behaviour and response shape. The protocol-1 `diagnostics`
-//! verb is gone: its answer is the `diagnostics_json` of `analyze`, and
-//! [`Client::diagnostics`](crate::Client::diagnostics) sends `analyze`. `metrics` returns a Prometheus-style text exposition
+//! `analyze` has one request shape: every frame carries a `digest`, and
+//! one without it gets an `ok:false` error naming the field. There is no
+//! `diagnostics` verb: its answer is the diagnostics of `analyze`, and
+//! [`Client::diagnostics`](crate::Client::diagnostics) sends `analyze`.
+//! `metrics` returns a Prometheus-style text exposition
 //! (request counts per verb, engine cache hit rates, answer-memo traffic,
 //! points-to batch reuse, persist traffic, plus every in-process
 //! telemetry counter); `stats` returns the same ground truth as
@@ -112,8 +109,9 @@ use std::io::{self, Read, Write};
 /// Version of the framing + message vocabulary; servers report it in
 /// `stats` responses so clients can detect skew. Version 2 added the
 /// digest-addressed `analyze` and its raw diagnostics frame; version 3
-/// the splice-framed `notify_edit` and its `reparse` field.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// the splice-framed `notify_edit` and its `reparse` field; version 4
+/// removed the digest-less `analyze` shape.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Upper bound on one frame's payload — a multi-megabyte kernel source
 /// fits comfortably; anything larger is a corrupt or hostile length

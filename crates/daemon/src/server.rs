@@ -42,8 +42,6 @@ pub struct DaemonConfig {
     /// Persist directory shared with batch runs and other workers; `None`
     /// runs memory-only.
     pub cache_dir: Option<PathBuf>,
-    /// Engine worker threads (0 = one per hardware thread).
-    pub threads: usize,
     /// Record points-to derivations so the `explain` verb can answer.
     pub provenance: bool,
     /// Deputy configuration for the served fleet. The default keeps
@@ -53,12 +51,11 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// A daemon on `socket` with no persistence and default parallelism.
+    /// A daemon on `socket` with no persistence.
     pub fn new(socket: impl Into<PathBuf>) -> DaemonConfig {
         DaemonConfig {
             socket: socket.into(),
             cache_dir: None,
-            threads: 0,
             provenance: false,
             deputy: ivy_deputy::DeputyConfig::default(),
         }
@@ -67,12 +64,6 @@ impl DaemonConfig {
     /// Attaches a persist directory (builder style).
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> DaemonConfig {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Sets the engine thread count (builder style).
-    pub fn with_threads(mut self, threads: usize) -> DaemonConfig {
-        self.threads = threads;
         self
     }
 
@@ -107,18 +98,20 @@ pub fn fleet_checkers(deputy: ivy_deputy::DeputyConfig) -> Vec<Arc<dyn ivy_engin
 /// ([`fleet_checkers`] at the default Deputy configuration) — the same
 /// fleet batch mode runs, which is what makes daemon answers
 /// byte-comparable to batch reports.
-pub fn fleet_engine(threads: usize, persist: Option<Arc<PersistLayer>>) -> Engine {
-    fleet_engine_with(threads, persist, ivy_deputy::DeputyConfig::default())
+///
+/// The first argument is ignored (the engine runs its waves on the calling
+/// thread); it stays until the repo benchmark, which passes `0`, drops it.
+pub fn fleet_engine(_threads: usize, persist: Option<Arc<PersistLayer>>) -> Engine {
+    fleet_engine_with(persist, ivy_deputy::DeputyConfig::default())
 }
 
 /// [`fleet_engine`] with an explicit Deputy configuration (the daemon
 /// passes [`DaemonConfig::deputy`] through here).
 pub fn fleet_engine_with(
-    threads: usize,
     persist: Option<Arc<PersistLayer>>,
     deputy: ivy_deputy::DeputyConfig,
 ) -> Engine {
-    let mut engine = Engine::new().with_threads(threads);
+    let mut engine = Engine::new();
     for checker in fleet_checkers(deputy) {
         engine = engine.with_checker(checker);
     }
@@ -709,21 +702,6 @@ impl State {
         report
     }
 
-    /// A protocol-1 `analyze`: the source is always attached.
-    fn analyze_source(&self, source: &str) -> Result<(Arc<AnalysisCtx>, Report), String> {
-        let program = parse_program(source).map_err(|e| format!("parse error: {e}"))?;
-        let digest = SourceDigest::of(source);
-        let source: Arc<str> = Arc::from(source);
-        let _gate = self
-            .edit_gate
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let (ctx, reused) = self.engine.context_for_source(program, Arc::clone(&source));
-        let report = self.run(&ctx, reused);
-        self.answers.remember(digest, ctx.program_hash, source);
-        Ok((ctx, report))
-    }
-
     /// The persist layer's lifetime prune count (0 without a layer), as
     /// a fresh run would report it.
     fn persist_pruned(&self) -> u64 {
@@ -743,18 +721,21 @@ impl State {
         }
     }
 
-    /// A digest-addressed `analyze`. Without `source`, the digest must
-    /// resolve to a resident context (else `need_source`); memoized bytes
-    /// that still match that context are the answer. With `source`, the
-    /// digest must name it, and the program is analyzed like a
-    /// protocol-1 request. Every answer the engine runs is recorded in
-    /// the index, and memoized when it was entirely cache-served.
-    fn analyze_digest(&self, digest: &Value, source: Option<&Value>) -> Reply {
+    /// An `analyze`, always addressed by digest. Without `source`, the
+    /// digest must resolve to a resident context (else `need_source`);
+    /// memoized bytes that still match that context are the answer. With
+    /// `source`, the digest must name it, and the program is parsed and
+    /// analyzed. Every answer the engine runs is recorded in the index,
+    /// and memoized when it was entirely cache-served.
+    fn analyze(&self, request: &Value) -> Reply {
         let fail = |message: &str| Reply::Message(error_response(message));
+        let Some(digest) = request.get("digest") else {
+            return fail("analyze needs a \"digest\" field (the source's 32-hex-digit digest)");
+        };
         let Some(digest) = digest.as_str().and_then(SourceDigest::parse) else {
             return fail("\"digest\" must be a string of 32 hex digits");
         };
-        let program = match source {
+        let program = match request.get("source") {
             None => None,
             Some(source) => {
                 let Some(source) = source.as_str() else {
@@ -1168,8 +1149,8 @@ impl State {
         self.verbs.counts[slot].fetch_add(1, Ordering::Relaxed);
         let _span = ivy_telemetry::span("daemon/request", verb);
         let start = Instant::now();
-        let response = match (cmd, request.get("digest")) {
-            ("analyze", Some(digest)) => self.analyze_digest(digest, request.get("source")),
+        let response = match cmd {
+            "analyze" => self.analyze(request),
             _ => Reply::Message(self.dispatch(cmd, request)),
         };
         let micros = start.elapsed().as_micros() as u64;
@@ -1189,33 +1170,6 @@ impl State {
 
     fn dispatch(&self, cmd: &str, request: &Value) -> Value {
         match cmd {
-            "analyze" => {
-                let Some(source) = request.get("source").and_then(Value::as_str) else {
-                    return error_response("analyze needs a \"source\" field");
-                };
-                self.analyzes.fetch_add(1, Ordering::Relaxed);
-                match self.analyze_source(source) {
-                    Err(message) => error_response(&message),
-                    Ok((ctx, report)) => {
-                        let mut m = Map::new();
-                        m.insert("ok".into(), Value::from(true));
-                        m.insert(
-                            "program_hash".into(),
-                            Value::from(format!("{:016x}", ctx.program_hash)),
-                        );
-                        m.insert(
-                            "diagnostics_json".into(),
-                            Value::from(report.diagnostics_json().as_str()),
-                        );
-                        m.insert(
-                            "diagnostic_count".into(),
-                            Value::from(report.diagnostics.len()),
-                        );
-                        m.insert("stats".into(), report.stats.to_value());
-                        Value::Object(m)
-                    }
-                }
-            }
             "notify_edit" => self.notify_edit(request),
             "stats" => self.stats(),
             "explain" => {
@@ -1355,8 +1309,8 @@ impl Daemon {
         // (`IVY_TRACE=1`) — a long-lived server must not accumulate span
         // records unasked.
         ivy_telemetry::enable_counters();
-        let engine = fleet_engine_with(config.threads, persist.clone(), config.deputy)
-            .with_provenance(config.provenance);
+        let engine =
+            fleet_engine_with(persist.clone(), config.deputy).with_provenance(config.provenance);
         let state = Arc::new(State {
             answers: AnswerMemo::new(engine.ctx_store().capacity()),
             engine,

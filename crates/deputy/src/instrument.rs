@@ -82,7 +82,7 @@ impl Deputy {
     /// default inference, without any check insertion. The engine adapter
     /// runs this once per program (memoized in the shared analysis context)
     /// and then drives [`convert_function`] per function, which is what
-    /// makes Deputy checking parallelizable and incrementally cacheable.
+    /// makes Deputy checking per-function and incrementally cacheable.
     pub fn prepare(&self, program: &Program) -> (Program, ConversionReport) {
         let mut report = ConversionReport::default();
         let mut program = program.clone();

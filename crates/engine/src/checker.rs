@@ -4,8 +4,8 @@
 //! required points-to [`Sensitivity`], and a per-function entry point that
 //! reads shared state from the [`AnalysisCtx`] and returns [`Diagnostic`]s.
 //! Scheduling a checker per *function* (rather than per program, as the seed
-//! pipeline did) is what lets the engine parallelize across functions and
-//! cache results across runs.
+//! pipeline did) is what lets the engine cache results per function across
+//! runs.
 
 use crate::diag::Diagnostic;
 use crate::AnalysisCtx;
@@ -38,8 +38,8 @@ pub trait Checker: Send + Sync {
     }
 
     /// Checks one function. Called bottom-up over the condensed call graph,
-    /// possibly from many threads at once; implementations must only go
-    /// through `ctx` for shared state.
+    /// possibly from several engine callers (daemon connections) at once;
+    /// implementations must only go through `ctx` for shared state.
     fn check_function(&self, ctx: &AnalysisCtx, func: &Function) -> Vec<Diagnostic>;
 
     /// Program-level diagnostics that are not attributable to any scheduled

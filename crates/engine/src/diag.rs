@@ -2,9 +2,9 @@
 //!
 //! Checkers return plain `Vec<Diagnostic>`; the engine merges, orders, and
 //! serializes them. Ordering is total and content-based (never dependent on
-//! scheduling), so a parallel run and a single-threaded run of the same
-//! program produce byte-identical reports — the determinism contract the
-//! engine's integration tests pin down.
+//! scheduling or cache temperature), so every run of the same program
+//! produces byte-identical reports — the determinism contract the engine's
+//! integration tests pin down.
 
 use ivy_cmir::Span;
 use serde::{Deserialize, Serialize};
@@ -206,7 +206,7 @@ pub struct EngineStats {
     pub checkers: usize,
     /// SCCs in the condensed call graph.
     pub sccs: usize,
-    /// Bottom-up parallel waves.
+    /// Bottom-up waves.
     pub levels: usize,
     /// Per-function results served from the in-memory incremental cache in
     /// this run.
@@ -400,7 +400,7 @@ impl Report {
     /// The diagnostics as a JSON array (stable: content-ordered, sorted
     /// keys). This deliberately excludes the run statistics, so two runs
     /// that found the same things serialize identically regardless of
-    /// thread count or cache temperature.
+    /// cache temperature.
     pub fn diagnostics_json(&self) -> String {
         let items: Vec<Value> = self.diagnostics.iter().map(|d| d.to_value()).collect();
         serde_json::to_string_pretty(&Value::Array(items)).expect("serializes")

@@ -1,12 +1,12 @@
-//! The engine: bottom-up parallel scheduling of checker plugins with
-//! incremental caching.
+//! The engine: bottom-up scheduling of checker plugins with incremental
+//! caching.
 //!
 //! [`Engine::analyze`] condenses the call graph into SCCs, orders the SCCs
 //! into bottom-up levels (a level only calls into lower levels), and runs
-//! every registered checker over every function of a level in parallel with
-//! rayon. Per-function results are served from the shared
-//! [`DiagnosticCache`] when the function's dependency cone and the
-//! checker's context fingerprint are unchanged. Analysis contexts
+//! every registered checker over every function of a level, one level
+//! after another on the calling thread. Per-function results are served
+//! from the shared [`DiagnosticCache`] when the function's dependency cone
+//! and the checker's context fingerprint are unchanged. Analysis contexts
 //! themselves are reused across runs of structurally equal programs, so the
 //! pipeline's analyze→fix→re-analyze loop stops paying for points-to and
 //! call-graph construction twice.
@@ -23,11 +23,8 @@ use ivy_cmir::ast::Program;
 use ivy_cmir::content::ProgramHashes;
 use ivy_cmir::parser::{parse_program, reparse, ReparsePath, Reparsed};
 use ivy_cmir::CmirError;
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
 use serde_json::Value;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default maximum number of analysis contexts kept resident for reuse.
@@ -244,7 +241,6 @@ pub struct SourceEdit {
 /// shared `Arc`s, the cache is shared by design).
 pub struct Engine {
     checkers: Vec<Arc<dyn Checker>>,
-    threads: usize,
     cache: Arc<DiagnosticCache>,
     ctx_store: Arc<CtxStore>,
     pts_cache: Arc<ConstraintCache>,
@@ -260,11 +256,10 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with no checkers, default parallelism, and a fresh cache.
+    /// An engine with no checkers and a fresh cache.
     pub fn new() -> Engine {
         Engine {
             checkers: Vec::new(),
-            threads: 0,
             cache: Arc::new(DiagnosticCache::new()),
             ctx_store: Arc::new(CtxStore::new()),
             pts_cache: Arc::new(ConstraintCache::new()),
@@ -291,12 +286,6 @@ impl Engine {
     /// Registers a checker plugin (builder style).
     pub fn with_checker(mut self, checker: Arc<dyn Checker>) -> Engine {
         self.checkers.push(checker);
-        self
-    }
-
-    /// Sets the worker thread count (0 = one per hardware thread).
-    pub fn with_threads(mut self, threads: usize) -> Engine {
-        self.threads = threads;
         self
     }
 
@@ -523,10 +512,8 @@ impl Engine {
         let summaries = ctx.summaries(sensitivity);
         let condensation = &summaries.condensation;
 
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
-        let persist_hits = AtomicU64::new(0);
-        let persist_misses = AtomicU64::new(0);
+        let (mut hits, mut misses) = (0u64, 0u64);
+        let (mut persist_hits, mut persist_misses) = (0u64, 0u64);
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
         // Program-level diagnostics (composite/global annotation errors and
@@ -535,88 +522,72 @@ impl Engine {
             diagnostics.extend(checker.check_program(ctx));
         }
 
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("thread pool builds");
-        pool.install(|| {
-            // Bottom-up over the condensation: each level only calls into
-            // completed levels, so its functions are independent units.
-            for (depth, level) in condensation.levels.iter().enumerate() {
-                let wave: Vec<&str> = level
-                    .iter()
-                    .flat_map(|&scc| condensation.sccs[scc].iter())
-                    .map(String::as_str)
-                    .collect();
-                let _wave_span = ivy_telemetry::span(
-                    "engine/wave",
-                    format!("wave:{depth} ({} sccs, {} fns)", level.len(), wave.len()),
-                );
-                let results: Vec<Vec<Diagnostic>> = wave
-                    .par_iter()
-                    .map(|name| {
-                        let Some(func) = ctx.program.function(name) else {
-                            return Vec::new();
-                        };
-                        let cone = summaries
-                            .cone_hash(name)
-                            .expect("scheduled function has a summary");
-                        let mut out = Vec::new();
-                        for checker in &self.checkers {
-                            let fingerprint = checker.context_fingerprint(ctx, func);
-                            let key = (checker.name(), cone, fingerprint);
-                            if let Some(cached) = self.cache.get(&key) {
-                                hits.fetch_add(1, Ordering::Relaxed);
-                                out.extend(cached.iter().cloned());
-                                continue;
-                            }
-                            // In-memory miss: the persist layer may have the
-                            // result from an earlier process.
-                            if let Some(reloaded) =
-                                self.persisted_diags(checker.name(), cone, fingerprint)
-                            {
-                                persist_hits.fetch_add(1, Ordering::Relaxed);
-                                self.cache.put(key, reloaded.clone());
-                                out.extend(reloaded);
-                                continue;
-                            }
-                            if self.persist.is_some() {
-                                persist_misses.fetch_add(1, Ordering::Relaxed);
-                            }
-                            misses.fetch_add(1, Ordering::Relaxed);
-                            let check_span = ivy_telemetry::span(
-                                "engine/checker",
-                                format!("{}:{name}", checker.name()),
-                            );
-                            let check_start =
-                                check_span.is_recording().then(std::time::Instant::now);
-                            let fresh = checker.check_function(ctx, func);
-                            drop(check_span);
-                            if let Some(start) = check_start {
-                                ivy_telemetry::counter_labeled(
-                                    "ivy_checker_micros_total",
-                                    "checker",
-                                    checker.name(),
-                                    start.elapsed().as_micros() as u64,
-                                );
-                            }
-                            if let Some(layer) = &self.persist {
-                                layer.put(
-                                    &diag_namespace(checker.name()),
-                                    DIAG_FORMAT,
-                                    diag_key(cone, fingerprint),
-                                    Value::Array(fresh.iter().map(Diagnostic::to_value).collect()),
-                                );
-                            }
-                            self.cache.put(key, fresh.clone());
-                            out.extend(fresh);
-                        }
-                        out
-                    })
-                    .collect();
-                diagnostics.extend(results.into_iter().flatten());
+        // Bottom-up over the condensation: each level only calls into
+        // completed levels, so its functions are independent units.
+        for (depth, level) in condensation.levels.iter().enumerate() {
+            let wave: Vec<&str> = level
+                .iter()
+                .flat_map(|&scc| condensation.sccs[scc].iter())
+                .map(String::as_str)
+                .collect();
+            let _wave_span = ivy_telemetry::span(
+                "engine/wave",
+                format!("wave:{depth} ({} sccs, {} fns)", level.len(), wave.len()),
+            );
+            for name in wave {
+                let Some(func) = ctx.program.function(name) else {
+                    continue;
+                };
+                let cone = summaries
+                    .cone_hash(name)
+                    .expect("scheduled function has a summary");
+                for checker in &self.checkers {
+                    let fingerprint = checker.context_fingerprint(ctx, func);
+                    let key = (checker.name(), cone, fingerprint);
+                    if let Some(cached) = self.cache.get(&key) {
+                        hits += 1;
+                        diagnostics.extend(cached.iter().cloned());
+                        continue;
+                    }
+                    // In-memory miss: the persist layer may have the
+                    // result from an earlier process.
+                    if let Some(reloaded) = self.persisted_diags(checker.name(), cone, fingerprint)
+                    {
+                        persist_hits += 1;
+                        self.cache.put(key, reloaded.clone());
+                        diagnostics.extend(reloaded);
+                        continue;
+                    }
+                    if self.persist.is_some() {
+                        persist_misses += 1;
+                    }
+                    misses += 1;
+                    let check_span =
+                        ivy_telemetry::span("engine/checker", format!("{}:{name}", checker.name()));
+                    let check_start = check_span.is_recording().then(std::time::Instant::now);
+                    let fresh = checker.check_function(ctx, func);
+                    drop(check_span);
+                    if let Some(start) = check_start {
+                        ivy_telemetry::counter_labeled(
+                            "ivy_checker_micros_total",
+                            "checker",
+                            checker.name(),
+                            start.elapsed().as_micros() as u64,
+                        );
+                    }
+                    if let Some(layer) = &self.persist {
+                        layer.put(
+                            &diag_namespace(checker.name()),
+                            DIAG_FORMAT,
+                            diag_key(cone, fingerprint),
+                            Value::Array(fresh.iter().map(Diagnostic::to_value).collect()),
+                        );
+                    }
+                    self.cache.put(key, fresh.clone());
+                    diagnostics.extend(fresh);
+                }
             }
-        });
+        }
 
         // Points-to substrate statistics, peeked rather than demanded: a
         // cold run computed the result above (the summaries depend on it),
@@ -630,10 +601,10 @@ impl Engine {
             checkers: self.checkers.len(),
             sccs: condensation.sccs.len(),
             levels: condensation.levels.len(),
-            cache_hits: hits.into_inner(),
-            cache_misses: misses.into_inner(),
-            persist_hits: persist_hits.into_inner(),
-            persist_misses: persist_misses.into_inner(),
+            cache_hits: hits,
+            cache_misses: misses,
+            persist_hits,
+            persist_misses,
             ctx_reused,
             ..EngineStats::default()
         };
@@ -695,38 +666,6 @@ impl Engine {
             .iter()
             .map(Diagnostic::from_value)
             .collect::<Option<Vec<_>>>()
-    }
-
-    /// Fleet/batch mode: analyzes many program variants concurrently, with
-    /// the diagnostic cache shared across variants — generated kernels
-    /// share most functions, so later variants are served largely from the
-    /// cache filled by earlier ones. Reports come back in input order.
-    pub fn analyze_corpus(&self, programs: &[Program]) -> Vec<Report> {
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("thread pool builds");
-        pool.install(|| {
-            programs
-                .par_iter()
-                .map(|p| {
-                    let (ctx, reused) = self.context_for(p);
-                    // Variant analyses run single-threaded internally; the
-                    // parallelism budget is spent across variants here.
-                    let inner = Engine {
-                        checkers: self.checkers.clone(),
-                        threads: 1,
-                        cache: Arc::clone(&self.cache),
-                        ctx_store: Arc::clone(&self.ctx_store),
-                        pts_cache: Arc::clone(&self.pts_cache),
-                        persist: self.persist.clone(),
-                        trace_out: None,
-                        provenance: self.provenance,
-                    };
-                    inner.analyze_with_ctx(&ctx, reused)
-                })
-                .collect()
-        })
     }
 }
 

@@ -1,4 +1,4 @@
-//! `ivy-engine` — the parallel, incremental, plugin-based analysis engine.
+//! `ivy-engine` — the incremental, plugin-based analysis engine.
 //!
 //! The paper's central claim is that sound analyses share one substrate and
 //! can be applied *together* to a whole kernel. This crate is that substrate
@@ -28,8 +28,9 @@
 //!    queries; new checkers need no engine changes (the STANSE-style
 //!    framework/plugin split).
 //! 3. **Scheduler** — [`Engine::analyze`] condenses the call graph into
-//!    SCCs, orders them into bottom-up levels, and fans each level out
-//!    across rayon workers.
+//!    SCCs, orders them into bottom-up levels, and runs the levels in order
+//!    on the calling thread. Concurrency comes from callers: a daemon
+//!    serves each connection on its own thread over one shared engine.
 //! 4. **Incremental + persistent caches** — per-function results are keyed
 //!    by a content hash of the function's transitive-callee *cone* plus a
 //!    checker context fingerprint ([`DiagnosticCache`]); after an edit only
@@ -41,9 +42,9 @@
 //!    fleet worker) starts warm and can reproduce a report without solving
 //!    points-to at all.
 //! 5. **Reports** — the unified [`Diagnostic`]/[`Report`] model with
-//!    stable-ordered JSON and SARIF serialization; parallel and
-//!    single-threaded runs produce byte-identical reports, and warm
-//!    (persist-served) runs reproduce cold reports byte-identically.
+//!    stable-ordered JSON and SARIF serialization; fresh engines produce
+//!    byte-identical reports, and warm (persist-served) runs reproduce
+//!    cold reports byte-identically.
 //!
 //! # Examples
 //!

@@ -8,7 +8,7 @@
 //! * [`cmir`] — the KC (kernel C subset) language front end.
 //! * [`analysis`] — dataflow, points-to, call-graph, and summary
 //!   infrastructure.
-//! * [`engine`] — the parallel, incremental, plugin-based analysis engine
+//! * [`engine`] — the incremental, plugin-based analysis engine
 //!   all checkers run on.
 //! * [`daemon`] — the resident analysis service: the engine behind a
 //!   Unix-domain socket, with dependency-driven invalidation across edits.

@@ -432,14 +432,14 @@ fn engine_answers_survive_a_panicking_checker_thread() {
 
     let program = parse_program(&kernel_source()).unwrap();
     let engine = Engine::new().with_checker(Arc::new(Grenade));
-    // The panic propagates out of this analyze (rayon joins the worker)...
+    // The panic propagates out of this analyze (it runs on this thread)...
     assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         engine.analyze(&program)
     }))
     .is_err());
     // ...but the engine's shared locks recovered: the same engine still
     // answers later requests instead of panicking on poisoned state.
-    let healthy = ivy::core::experiments::default_engine(1)
+    let healthy = ivy::core::experiments::default_engine(0)
         .with_cache(engine.cache())
         .with_ctx_store(engine.ctx_store())
         .analyze(&program);
@@ -920,32 +920,34 @@ fn protocol_1_source_frames_keep_their_response_shape() {
     let mut client = Client::connect(handle.socket()).unwrap();
     let v2 = client.analyze(&source).unwrap();
 
+    // `analyze` has one shape: a digest-less source frame is an error that
+    // names the missing field, not a second path to the engine.
     let mut stream = std::os::unix::net::UnixStream::connect(handle.socket()).unwrap();
     let mut request = ivy::daemon::protocol::request("analyze");
     request.insert("source".into(), Value::from(source.as_str()));
     write_frame(&mut stream, &Value::Object(request)).unwrap();
     let v1 = read_frame(&mut stream).unwrap().unwrap();
-    let mut keys: Vec<&str> = v1.as_object().unwrap().keys().map(String::as_str).collect();
-    keys.sort_unstable();
-    assert_eq!(
-        keys,
-        [
-            "diagnostic_count",
-            "diagnostics_json",
-            "ok",
-            "program_hash",
-            "stats"
-        ],
-        "v1 shape: no digest-path fields"
+    assert_eq!(v1.get("ok").and_then(Value::as_bool), Some(false));
+    let error = v1.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        error.contains("\"digest\""),
+        "a digest-less analyze names the digest field, got {error:?}"
     );
-    assert_eq!(
-        v1.get("diagnostics_json").and_then(Value::as_str),
-        Some(v2.diagnostics_json.as_str())
+
+    // The same connection still answers a digest `analyze`: the daemon
+    // has the digest resident, so the header and raw frame come back.
+    let digest = SourceDigest::of(&source).to_string();
+    let header = raw_request(
+        &mut stream,
+        &format!(r#"{{"cmd":"analyze","digest":"{digest}"}}"#),
     );
+    assert_eq!(header.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(
-        v1.get("program_hash").and_then(Value::as_str),
+        header.get("program_hash").and_then(Value::as_str),
         Some(v2.program_hash.as_str())
     );
+    let raw = ivy::daemon::protocol::read_raw_frame(&mut stream).unwrap();
+    assert_eq!(raw, v2.diagnostics_json);
 
     // The protocol-1 `diagnostics` verb folded into `analyze`: the frame
     // is now an unknown command.

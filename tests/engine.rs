@@ -1,5 +1,5 @@
 //! Integration tests for the analysis engine over the generated kernel:
-//! parallel determinism, incremental caching, dirty-cone invalidation,
+//! report determinism, incremental caching, dirty-cone invalidation,
 //! fleet (corpus) mode, and the program identity edits are diffed by.
 
 use ivy::blockstop::BlockStopChecker;
@@ -16,9 +16,8 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-fn kernel_engine(threads: usize) -> Engine {
+fn kernel_engine() -> Engine {
     Engine::new()
-        .with_threads(threads)
         .with_checker(Arc::new(DeputyChecker::new()))
         .with_checker(Arc::new(CCountChecker::new()))
         .with_checker(Arc::new(BlockStopChecker::new()))
@@ -32,20 +31,20 @@ fn persist_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn parallel_run_is_byte_identical_to_single_threaded() {
+fn fresh_engines_produce_byte_identical_reports() {
     let build = KernelBuild::generate(&KernelConfig::small());
-    let single = kernel_engine(1).analyze(&build.program);
-    let parallel = kernel_engine(4).analyze(&build.program);
-    assert!(!single.diagnostics.is_empty());
-    assert_eq!(single.diagnostics, parallel.diagnostics);
-    assert_eq!(single.diagnostics_json(), parallel.diagnostics_json());
-    assert_eq!(single.to_sarif(), parallel.to_sarif());
+    let first = kernel_engine().analyze(&build.program);
+    let second = kernel_engine().analyze(&build.program);
+    assert!(!first.diagnostics.is_empty());
+    assert_eq!(first.diagnostics, second.diagnostics);
+    assert_eq!(first.diagnostics_json(), second.diagnostics_json());
+    assert_eq!(first.to_sarif(), second.to_sarif());
 }
 
 #[test]
 fn unchanged_kernel_is_served_from_cache() {
     let build = KernelBuild::generate(&KernelConfig::small());
-    let engine = kernel_engine(4);
+    let engine = kernel_engine();
     let cold = engine.analyze(&build.program);
     assert_eq!(cold.stats.cache_hits, 0, "first run must be cold");
     assert!(cold.stats.cache_misses > 0);
@@ -68,7 +67,7 @@ fn unchanged_kernel_is_served_from_cache() {
 #[test]
 fn small_edit_recomputes_only_the_dirty_cone() {
     let build = KernelBuild::generate(&KernelConfig::small());
-    let engine = kernel_engine(4);
+    let engine = kernel_engine();
     engine.analyze(&build.program);
 
     // Edit one leaf-ish function body; everything outside its caller cone
@@ -108,7 +107,7 @@ fn small_edit_recomputes_only_the_dirty_cone() {
 #[test]
 fn reports_carry_pointsto_substrate_stats() {
     let build = KernelBuild::generate(&KernelConfig::small());
-    let report = kernel_engine(1).analyze(&build.program);
+    let report = kernel_engine().analyze(&build.program);
     assert!(report.stats.pointsto_initial_constraints > 0);
     assert!(
         report.stats.pointsto_constraints > report.stats.pointsto_initial_constraints,
@@ -133,9 +132,9 @@ fn corpus_mode_shares_the_cache_across_variants() {
             KernelBuild::generate(&config).program
         })
         .collect();
-    let engine = kernel_engine(4);
-    let reports = engine.analyze_corpus(&programs);
-    assert_eq!(reports.len(), 3);
+    // One engine analyzes the variants in turn over its shared cache.
+    let engine = kernel_engine();
+    let reports: Vec<_> = programs.iter().map(|p| engine.analyze(p)).collect();
     for r in &reports {
         assert!(!r.diagnostics.is_empty());
     }
@@ -148,7 +147,7 @@ fn corpus_mode_shares_the_cache_across_variants() {
     );
 
     // Corpus reports equal the individually-computed ones.
-    let solo = kernel_engine(1).analyze(&programs[1]);
+    let solo = kernel_engine().analyze(&programs[1]);
     assert_eq!(solo.diagnostics, reports[1].diagnostics);
 }
 
@@ -158,7 +157,7 @@ fn warm_start_from_persist_layer_reproduces_the_report_from_disk() {
     let dir = persist_dir("warm-start");
 
     // "Process A": cold engine, spills everything durable to the directory.
-    let cold = kernel_engine(4)
+    let cold = kernel_engine()
         .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
         .analyze(&build.program);
     assert_eq!(cold.stats.persist_hits, 0, "first process is cold");
@@ -166,7 +165,7 @@ fn warm_start_from_persist_layer_reproduces_the_report_from_disk() {
 
     // "Process B": a fresh engine with fresh in-memory caches; only the
     // directory is shared (everything process A held has been dropped).
-    let warm = kernel_engine(4)
+    let warm = kernel_engine()
         .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
         .analyze(&build.program);
 
@@ -199,7 +198,7 @@ fn warm_start_from_persist_layer_reproduces_the_report_from_disk() {
 fn corrupt_or_version_mismatched_cache_files_are_ignored_not_fatal() {
     let build = KernelBuild::generate(&KernelConfig::small());
     let dir = persist_dir("corrupt");
-    let cold = kernel_engine(2)
+    let cold = kernel_engine()
         .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
         .analyze(&build.program);
 
@@ -227,7 +226,7 @@ fn corrupt_or_version_mismatched_cache_files_are_ignored_not_fatal() {
 
     // A fresh process over the damaged cache recomputes what it must and
     // still produces the identical report.
-    let recovered = kernel_engine(2)
+    let recovered = kernel_engine()
         .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
         .analyze(&build.program);
     assert_eq!(recovered.diagnostics, cold.diagnostics);
@@ -240,7 +239,7 @@ fn persisted_deputy_bodies_make_redeputization_incremental() {
     let build = KernelBuild::generate(&KernelConfig::small());
     let dir = persist_dir("deputy-incremental");
     let layer = Arc::new(PersistLayer::open(&dir).unwrap());
-    let engine = kernel_engine(2).with_persist(Arc::clone(&layer));
+    let engine = kernel_engine().with_persist(Arc::clone(&layer));
     engine.analyze(&build.program);
     let instrumented_ns = "deputy/instrumented";
     let version = 1;
@@ -290,7 +289,7 @@ fn edit_sequences_keep_retention_high_and_answers_fresh() {
     // Phase A — in-process entries (recorded dependency edges): every
     // step of the sequence retains >=90% of the memoized results and
     // re-serves >=90% on the follow-up analyze, byte-identical to batch.
-    let engine = kernel_engine(2);
+    let engine = kernel_engine();
     engine.analyze(&build.program);
     let (mut ctx, _) = engine.context_for(&build.program);
     let mut current = build.program.clone();
@@ -310,7 +309,7 @@ fn edit_sequences_keep_retention_high_and_answers_fresh() {
         );
 
         let incremental = engine.analyze(&edited);
-        let scratch = kernel_engine(1).analyze(&edited);
+        let scratch = kernel_engine().analyze(&edited);
         assert_eq!(
             incremental.diagnostics_json(),
             scratch.diagnostics_json(),
@@ -333,10 +332,10 @@ fn edit_sequences_keep_retention_high_and_answers_fresh() {
     // engine pushed through the same edit sequence must never re-serve a
     // pre-edit result, at either step.
     let dir = persist_dir("edit-sequence");
-    kernel_engine(2)
+    kernel_engine()
         .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
         .analyze(&build.program);
-    let warm = kernel_engine(2).with_persist(Arc::new(PersistLayer::open(&dir).unwrap()));
+    let warm = kernel_engine().with_persist(Arc::new(PersistLayer::open(&dir).unwrap()));
     let report = warm.analyze(&build.program);
     assert!(
         report.stats.persist_hit_rate() >= 0.9,
@@ -348,7 +347,7 @@ fn edit_sequences_keep_retention_high_and_answers_fresh() {
         let edited = edit_step(&current, target);
         let (next, _) = warm.apply_edit(&ctx, &edited);
         let incremental = warm.analyze(&edited);
-        let scratch = kernel_engine(1).analyze(&edited);
+        let scratch = kernel_engine().analyze(&edited);
         assert_eq!(
             incremental.diagnostics_json(),
             scratch.diagnostics_json(),
@@ -363,7 +362,7 @@ fn edit_sequences_keep_retention_high_and_answers_fresh() {
 #[test]
 fn engine_finds_the_seeded_blocking_bugs() {
     let build = KernelBuild::generate(&KernelConfig::small());
-    let report = kernel_engine(0).analyze(&build.program);
+    let report = kernel_engine().analyze(&build.program);
     let blockstop_errors: Vec<_> = report
         .diagnostics
         .iter()
@@ -389,7 +388,7 @@ fn identity_base() -> &'static (Engine, Arc<AnalysisCtx>, Program) {
     static BASE: OnceLock<(Engine, Arc<AnalysisCtx>, Program)> = OnceLock::new();
     BASE.get_or_init(|| {
         let program = KernelBuild::generate(&KernelConfig::small()).program;
-        let engine = kernel_engine(1);
+        let engine = kernel_engine();
         engine.analyze(&program);
         let (ctx, _) = engine.context_for(&program);
         (engine, ctx, program)

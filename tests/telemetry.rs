@@ -34,7 +34,7 @@ fn engine_spans_nest_across_layers() {
     telemetry::enable_all();
 
     let build = KernelBuild::generate(&KernelConfig::small());
-    default_engine(2).analyze(&build.program);
+    default_engine(0).analyze(&build.program);
     let spans = telemetry::spans_snapshot();
 
     // Every layer shows up: the engine roof, the per-level waves, the
@@ -69,6 +69,30 @@ fn engine_spans_nest_across_layers() {
     assert!(wave.depth > analyze.depth, "waves nest under analyze");
     assert!(wave.start_us >= analyze.start_us);
     assert!(wave.start_us + wave.dur_us <= analyze.start_us + analyze.dur_us);
+
+    // Attribution: the waves run on the calling thread, so every checker
+    // span carries the analyze span's thread and lies inside a wave span
+    // on that thread. A per-layer self-time rollup over one thread's spans
+    // is then exact. Start and duration are truncated to whole
+    // microseconds separately, so an end may read 1 µs late.
+    let waves: Vec<_> = spans
+        .iter()
+        .filter(|s| s.cat == "engine/wave" && s.tid == analyze.tid)
+        .collect();
+    for checker in spans.iter().filter(|s| s.cat == "engine/checker") {
+        assert_eq!(
+            checker.tid, analyze.tid,
+            "checker span {} ran off the analyze thread",
+            checker.name
+        );
+        assert!(
+            waves.iter().any(|w| w.depth < checker.depth
+                && w.start_us <= checker.start_us
+                && checker.start_us + checker.dur_us <= w.start_us + w.dur_us + 1),
+            "checker span {} lies inside no wave span",
+            checker.name
+        );
+    }
 }
 
 #[test]
@@ -81,7 +105,7 @@ fn disabled_mode_records_nothing_and_meets_the_overhead_budget() {
     // A full cold+warm engine pass with telemetry disabled leaves the
     // recorder byte-empty: no spans, no counters, no drops.
     let build = KernelBuild::generate(&KernelConfig::small());
-    let engine = default_engine(2);
+    let engine = default_engine(0);
     engine.analyze(&build.program);
     engine.analyze(&build.program);
     assert!(telemetry::spans_snapshot().is_empty());
@@ -236,7 +260,7 @@ fn apply_edit_hashes_the_edited_program_once() {
     telemetry::reset();
 
     let program = KernelBuild::generate(&KernelConfig::small()).program;
-    let engine = default_engine(1);
+    let engine = default_engine(0);
     engine.analyze(&program);
     let (base, _) = engine.context_for(&program);
     let mut edited = program.clone();
