@@ -19,11 +19,14 @@
 //!
 //! The analysis is split into layered modules:
 //!
-//! * [`constraints`](self) — syntax-directed constraint generation, batched
-//!   per function; a batch depends only on the function's own definition
-//!   plus the whole-program type environment.
-//! * `intern` — [`Loc`] ↔ dense `u32` interning, so the solver runs on
-//!   integer indices and `Vec` adjacency instead of string-keyed maps.
+//! * `constraints` — syntax-directed constraint generation in one pass:
+//!   it walks the AST by reference and emits interned constraint batches,
+//!   one per function; a batch depends only on the function's own
+//!   definition plus the whole-program type environment.
+//! * `intern` — the symbol table and the dense `u32` location ids the
+//!   generator interns into, so the solver runs on integer indices and
+//!   `Vec` adjacency instead of string-keyed maps; a [`Loc`] is built only
+//!   when a caller asks for one.
 //! * `solve` — the serial worklist solver with **difference propagation**
 //!   (only newly-added locations flow along edges) and online
 //!   indirect-call resolution (discovering a function-pointer target adds
@@ -34,8 +37,9 @@
 //!   unification, the native representation for equality constraints
 //!   (the worklist encodes them as mirrored subset edges). The production
 //!   path: the default checker fleet runs only Steensgaard.
-//! * `naive` — the rescan-all reference solver, kept as the differential
-//!   oracle for the other two.
+//! * `naive` — the rescan-all reference solver over `Loc`-keyed maps (it
+//!   resolves the interned batches back to `Loc`s), kept as the
+//!   differential oracle for the other two.
 //!
 //! Dispatch is one rule: Steensgaard without provenance solves by
 //! union-find, everything else on the serial worklist. Every solve is
@@ -67,9 +71,9 @@ mod unify;
 
 use crate::summary::{fnv1a, mix};
 use constraints::{
-    gen_function_batch, gen_globals, gen_program, intern_batch, IConstraint, InternedBatch,
+    gen_function_batch, gen_globals, gen_program, IConstraint, InternedBatch, ProgramIndex,
 };
-use intern::SharedInterner;
+use intern::{LocInterner, SharedInterner};
 use ivy_cmir::ast::Program;
 use ivy_cmir::content::ProgramHashes;
 use ivy_provenance::{EdgeKind, ProvStore, SEED};
@@ -275,7 +279,7 @@ impl Solution {
             Ok(i) => self.sets[i]
                 .1
                 .iter()
-                .map(|&p| interner.resolve(p).clone())
+                .map(|&p| interner.resolve(p))
                 .collect(),
             Err(_) => BTreeSet::new(),
         }
@@ -287,8 +291,8 @@ impl Solution {
             .iter()
             .map(|(id, set)| {
                 (
-                    interner.resolve(*id).clone(),
-                    set.iter().map(|&p| interner.resolve(p).clone()).collect(),
+                    interner.resolve(*id),
+                    set.iter().map(|&p| interner.resolve(p)).collect(),
                 )
             })
             .collect()
@@ -516,16 +520,12 @@ impl PointsToResult {
         let (callee, tgt) = {
             let sol = self.solution()?;
             let mut interner = sol.interner.lock();
-            let mut callee = None;
-            'batches: for batch in gen_program(program, self.sensitivity) {
-                let interned = intern_batch(&batch, &mut interner);
-                for site in interned.sites {
-                    if site.func == func && site.callee_text == callee_text {
-                        callee = Some(site.callee);
-                        break 'batches;
-                    }
-                }
-            }
+            let index = ProgramIndex::new(program);
+            let callee = gen_program(&index, self.sensitivity, &mut interner)
+                .into_iter()
+                .flat_map(|batch| batch.sites)
+                .find(|site| site.func == func && site.callee_text == callee_text)
+                .map(|site| site.callee);
             (callee?, interner.lookup(&Loc::Func(target_fn.to_string()))?)
         };
         self.why_ids(callee, tgt)
@@ -540,20 +540,17 @@ impl PointsToResult {
             chain
                 .iter()
                 .map(|cs| ChainLink {
-                    dst: interner.resolve(cs.dst).clone(),
-                    pointee: interner.resolve(cs.pointee).clone(),
-                    src: (cs.src != SEED).then(|| interner.resolve(cs.src).clone()),
+                    dst: interner.resolve(cs.dst),
+                    pointee: interner.resolve(cs.pointee),
+                    src: (cs.src != SEED).then(|| interner.resolve(cs.src)),
                     rule: if cs.src == SEED {
                         "addr-of"
                     } else {
                         cs.edge.map_or("copy", |e| e.kind.name())
                     },
-                    via: cs.edge.map(|e| {
-                        (
-                            interner.resolve(e.trigger).clone(),
-                            interner.resolve(e.aux).clone(),
-                        )
-                    }),
+                    via: cs
+                        .edge
+                        .map(|e| (interner.resolve(e.trigger), interner.resolve(e.aux))),
                 })
                 .collect(),
         )
@@ -598,11 +595,15 @@ pub fn analyze_with(
     let (batches, bind) = {
         let _span = ivy_telemetry::span("pointsto/intern", sensitivity.name());
         let mut guard = interner.lock();
-        let batches: Vec<Arc<InternedBatch>> = gen_program(program, sensitivity)
-            .iter()
-            .map(|b| Arc::new(intern_batch(b, &mut guard)))
+        let index = ProgramIndex::new(program);
+        let generate_span = ivy_telemetry::span("pointsto/generate", sensitivity.name());
+        let batches: Vec<Arc<InternedBatch>> = gen_program(&index, sensitivity, &mut guard)
+            .into_iter()
+            .map(Arc::new)
             .collect();
-        let bind = solve::BindTable::build(program, &batches, &mut guard);
+        drop(generate_span);
+        let _bind_span = ivy_telemetry::span("pointsto/bind", sensitivity.name());
+        let bind = solve::BindTable::build(&index, &batches, &mut guard);
         (batches, bind)
     };
     let out = run_solver(sensitivity, &batches, &bind, opts);
@@ -613,16 +614,14 @@ pub fn analyze_with(
 }
 
 /// Runs the retained naive reference solver (rescan-all rounds over
-/// `Loc`-keyed `BTreeMap`s). Slow by design; used by the differential
-/// property tests and the solver-scaling bench.
+/// `Loc`-keyed `BTreeMap`s) on the program's interned constraints. Slow by
+/// design; used by the differential property tests and the solver-scaling
+/// bench.
 pub fn analyze_naive(program: &Program, sensitivity: Sensitivity) -> PointsToResult {
-    let mut constraints = Vec::new();
-    let mut indirect_sites = Vec::new();
-    for batch in gen_program(program, sensitivity) {
-        constraints.extend(batch.constraints);
-        indirect_sites.extend(batch.indirect_sites);
-    }
-    naive::solve_naive(program, sensitivity, constraints, indirect_sites)
+    let mut interner = LocInterner::default();
+    let index = ProgramIndex::new(program);
+    let batches = gen_program(&index, sensitivity, &mut interner);
+    naive::solve_naive(&index, sensitivity, &batches, &mut interner)
 }
 
 /// Replays every derivation step of a provenance-enabled solve against the
@@ -650,11 +649,12 @@ pub fn verify_derivations(program: &Program, r: &PointsToResult) -> Result<usize
     // Regenerate the constraints. Interning is append-only and idempotent,
     // so re-interning the same program yields the ids the solve used.
     let mut interner = sol.interner.lock();
-    let batches: Vec<Arc<InternedBatch>> = gen_program(program, r.sensitivity)
-        .iter()
-        .map(|b| Arc::new(intern_batch(b, &mut interner)))
+    let index = ProgramIndex::new(program);
+    let batches: Vec<Arc<InternedBatch>> = gen_program(&index, r.sensitivity, &mut interner)
+        .into_iter()
+        .map(Arc::new)
         .collect();
-    let bind = solve::BindTable::build(program, &batches, &mut interner);
+    let bind = solve::BindTable::build(&index, &batches, &mut interner);
     drop(interner);
 
     let mut addrof: HashSet<(u32, u32)> = HashSet::new();
@@ -748,20 +748,16 @@ pub fn verify_derivations(program: &Program, r: &PointsToResult) -> Result<usize
             EdgeKind::Store => e.aux == step.dst && stores.contains(&(e.trigger, step.src)),
             // A callee set gaining a function spawns arg → param and
             // ret → result edges (mirrored under Steensgaard).
-            EdgeKind::CallBind => bind
-                .func_names
-                .get(&e.aux)
-                .and_then(|name| bind.funcs.get(name))
-                .is_some_and(|(params, ret)| {
-                    sites.iter().any(|s| {
-                        s.callee == e.trigger
-                            && (params.iter().zip(&s.args).any(|(&p, &a)| {
-                                (step.src, step.dst) == (a, p)
-                                    || (steensgaard && (step.src, step.dst) == (p, a))
-                            }) || (step.src, step.dst) == (*ret, s.result)
-                                || (steensgaard && (step.src, step.dst) == (s.result, *ret)))
-                    })
-                }),
+            EdgeKind::CallBind => bind.funcs.get(&e.aux).is_some_and(|(params, ret)| {
+                sites.iter().any(|s| {
+                    s.callee == e.trigger
+                        && (params.iter().zip(&s.args).any(|(&p, &a)| {
+                            (step.src, step.dst) == (a, p)
+                                || (steensgaard && (step.src, step.dst) == (p, a))
+                        }) || (step.src, step.dst) == (*ret, s.result)
+                            || (steensgaard && (step.src, step.dst) == (s.result, *ret)))
+                })
+            }),
         };
         if !rule_ok {
             return Err(format!(
@@ -903,7 +899,10 @@ pub fn analyze_incremental_with(
     // the bind-table pre-resolution; the solve itself runs lock-free, so
     // solves sharing one cache (e.g. corpus variants) stay parallel.
     let intern_span = ivy_telemetry::span("pointsto/intern", sensitivity.name());
-    let mut interner = cache.interner.lock();
+    let mut guard = cache.interner.lock();
+    let interner: &mut LocInterner = &mut guard;
+    let index = ProgramIndex::new(program);
+    let generate_span = ivy_telemetry::span("pointsto/generate", sensitivity.name());
     let mut batches: Vec<Arc<InternedBatch>> = Vec::with_capacity(program.functions.len() + 1);
     let mut reused = 0usize;
     let mut generated = 0usize;
@@ -911,41 +910,40 @@ pub fn analyze_incremental_with(
         let mut map = cache.batches.lock().expect("batch map poisoned");
         let globals_key = mix(mix(fnv1a(b"pointsto/globals"), env), sens_tag);
         let mut fetch = |key: u64,
-                         make: &dyn Fn() -> constraints::LocBatch,
-                         interner: &mut intern::LocInterner| {
+                         interner: &mut LocInterner,
+                         make: &dyn Fn(&mut LocInterner) -> InternedBatch| {
             if let Some(batch) = map.get(&key) {
                 reused += 1;
                 return Arc::clone(batch);
             }
             generated += 1;
-            let batch = Arc::new(intern_batch(&make(), interner));
+            let batch = Arc::new(make(interner));
             if map.len() >= BATCH_CACHE_CAP {
                 map.clear();
             }
             map.insert(key, Arc::clone(&batch));
             batch
         };
-        batches.push(fetch(
-            globals_key,
-            &|| gen_globals(program, sensitivity),
-            &mut interner,
-        ));
+        batches.push(fetch(globals_key, interner, &|i| {
+            gen_globals(&index, sensitivity, i)
+        }));
         for (f, &content) in program.functions.iter().zip(&hashes.functions) {
             if f.body.is_none() {
                 continue;
             }
             let key = mix(mix(content, env), sens_tag);
-            batches.push(fetch(
-                key,
-                &|| gen_function_batch(program, sensitivity, f),
-                &mut interner,
-            ));
+            batches.push(fetch(key, interner, &|i| {
+                gen_function_batch(&index, sensitivity, i, f)
+            }));
         }
     }
+    drop(generate_span);
     cache.hits.fetch_add(reused as u64, Ordering::Relaxed);
     cache.misses.fetch_add(generated as u64, Ordering::Relaxed);
-    let bind = solve::BindTable::build(program, &batches, &mut interner);
-    drop(interner);
+    let bind_span = ivy_telemetry::span("pointsto/bind", sensitivity.name());
+    let bind = solve::BindTable::build(&index, &batches, interner);
+    drop(bind_span);
+    drop(guard);
     drop(intern_span);
 
     let out = run_solver(sensitivity, &batches, &bind, opts);

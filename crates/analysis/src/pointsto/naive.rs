@@ -4,28 +4,41 @@
 //! `iterations > 256` bailout, which has been deleted everywhere): rescan
 //! every constraint each round, clone whole points-to sets on every
 //! copy/load/store, append indirect-call bindings between rounds, repeat
-//! until nothing changes. It is deliberately slow and deliberately simple —
-//! the differential property tests (Klinger et al.-style) assert the
-//! worklist solver's `pts` and `indirect_targets` are identical to this
-//! implementation on generated programs, which is what lets the fast path
-//! evolve without a soundness leap of faith.
+//! until nothing changes. It reads the same interned batches the fast
+//! solvers consume, but resolves every location id back to its [`Loc`]
+//! through the interner and keeps its sets as `Loc`-keyed `BTreeMap`s, so
+//! it shares no solver state with them. It is deliberately slow and
+//! deliberately simple — the differential property tests (Klinger et
+//! al.-style) assert the worklist solver's `pts` and `indirect_targets` are
+//! identical to this implementation on generated programs, which is what
+//! lets the fast path evolve without a soundness leap of faith.
 
-use super::constraints::{Constraint, IndirectSite};
-use super::{PointsToResult, Sensitivity};
-use ivy_cmir::ast::Program;
+use super::constraints::{IConstraint, ISite, InternedBatch, ProgramIndex};
+use super::intern::{LocInterner, LocKey};
+use super::{Loc, PointsToResult, Sensitivity};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Runs the reference solver to a true fixpoint (no iteration cap: the
 /// constraint system is finite and monotone, so termination is by
-/// construction).
+/// construction). `batches` must have been generated against `interner`;
+/// the bindings for indirect calls are interned into it as they appear.
 pub(crate) fn solve_naive(
-    program: &Program,
+    index: &ProgramIndex<'_>,
     sensitivity: Sensitivity,
-    mut constraints: Vec<Constraint>,
-    indirect_sites: Vec<IndirectSite>,
+    batches: &[InternedBatch],
+    interner: &mut LocInterner,
 ) -> PointsToResult {
+    let mut constraints: Vec<IConstraint> = batches
+        .iter()
+        .flat_map(|b| b.constraints.iter().copied())
+        .collect();
+    let indirect_sites: Vec<&ISite> = batches.iter().flat_map(|b| &b.sites).collect();
+    // `locs[id]` is the `Loc` behind location id `id`.
+    let mut locs: Vec<Loc> = Vec::new();
+    resolve_new(&mut locs, interner);
+
     let initial_constraints = constraints.len();
-    let mut pts: BTreeMap<super::Loc, BTreeSet<super::Loc>> = BTreeMap::new();
+    let mut pts: BTreeMap<Loc, BTreeSet<Loc>> = BTreeMap::new();
     let mut bound: BTreeSet<(usize, String)> = BTreeSet::new();
     let mut iterations = 0usize;
 
@@ -34,23 +47,26 @@ pub(crate) fn solve_naive(
         let mut changed = false;
 
         for c in &constraints {
-            match c {
-                Constraint::AddrOf { dst, loc } => {
-                    changed |= pts.entry(dst.clone()).or_default().insert(loc.clone());
+            match *c {
+                IConstraint::AddrOf { dst, loc } => {
+                    changed |= pts
+                        .entry(locs[dst as usize].clone())
+                        .or_default()
+                        .insert(locs[loc as usize].clone());
                 }
-                Constraint::Copy { dst, src } => {
-                    changed |= copy_into(&mut pts, dst, src);
+                IConstraint::Copy { dst, src } => {
+                    changed |= copy_into(&mut pts, &locs[dst as usize], &locs[src as usize]);
                 }
-                Constraint::Load { dst, src } => {
-                    let targets = pts.get(src).cloned().unwrap_or_default();
+                IConstraint::Load { dst, src } => {
+                    let targets = pts.get(&locs[src as usize]).cloned().unwrap_or_default();
                     for t in targets {
-                        changed |= copy_into(&mut pts, dst, &t);
+                        changed |= copy_into(&mut pts, &locs[dst as usize], &t);
                     }
                 }
-                Constraint::Store { dst, src } => {
-                    let targets = pts.get(dst).cloned().unwrap_or_default();
+                IConstraint::Store { dst, src } => {
+                    let targets = pts.get(&locs[dst as usize]).cloned().unwrap_or_default();
                     for t in targets {
-                        changed |= copy_into(&mut pts, &t, src);
+                        changed |= copy_into(&mut pts, &t, &locs[src as usize]);
                     }
                 }
             }
@@ -61,11 +77,11 @@ pub(crate) fn solve_naive(
         let mut new_constraints = Vec::new();
         for (i, site) in indirect_sites.iter().enumerate() {
             let callees: Vec<String> = pts
-                .get(&site.callee_loc)
+                .get(&locs[site.callee as usize])
                 .map(|s| {
                     s.iter()
                         .filter_map(|l| match l {
-                            super::Loc::Func(f) => Some(f.clone()),
+                            Loc::Func(f) => Some(f.clone()),
                             _ => None,
                         })
                         .collect()
@@ -76,34 +92,33 @@ pub(crate) fn solve_naive(
                     continue;
                 }
                 changed = true;
-                if let Some(f) = program.function(&callee) {
+                if let Some(f) = index.function(&callee) {
+                    let func = interner.sym(&callee);
                     for (idx, param) in f.params.iter().enumerate() {
-                        if let Some(arg_loc) = site.arg_locs.get(idx) {
-                            new_constraints.push(Constraint::Copy {
-                                dst: super::Loc::Local {
-                                    func: callee.clone(),
-                                    var: param.name.clone(),
-                                },
-                                src: arg_loc.clone(),
+                        if let Some(&arg) = site.args.get(idx) {
+                            let var = interner.sym(&param.name);
+                            new_constraints.push(IConstraint::Copy {
+                                dst: interner.intern(LocKey::Local { func, var }),
+                                src: arg,
                             });
                         }
                     }
-                    new_constraints.push(Constraint::Copy {
-                        dst: site.result_loc.clone(),
-                        src: super::Loc::Ret(callee.clone()),
+                    new_constraints.push(IConstraint::Copy {
+                        dst: site.result,
+                        src: interner.intern(LocKey::Ret(func)),
                     });
                 }
             }
         }
+        resolve_new(&mut locs, interner);
         if sensitivity == Sensitivity::Steensgaard {
             // Equality-based: every copy constraint is bidirectional.
-            let reversed: Vec<Constraint> = new_constraints
+            let reversed: Vec<IConstraint> = new_constraints
                 .iter()
-                .filter_map(|c| match c {
-                    Constraint::Copy { dst, src } => Some(Constraint::Copy {
-                        dst: src.clone(),
-                        src: dst.clone(),
-                    }),
+                .filter_map(|c| match *c {
+                    IConstraint::Copy { dst, src } => {
+                        Some(IConstraint::Copy { dst: src, src: dst })
+                    }
                     _ => None,
                 })
                 .collect();
@@ -119,11 +134,11 @@ pub(crate) fn solve_naive(
     let mut indirect_targets: HashMap<(String, String), BTreeSet<String>> = HashMap::new();
     for site in &indirect_sites {
         let targets: BTreeSet<String> = pts
-            .get(&site.callee_loc)
+            .get(&locs[site.callee as usize])
             .map(|s| {
                 s.iter()
                     .filter_map(|l| match l {
-                        super::Loc::Func(f) => Some(f.clone()),
+                        Loc::Func(f) => Some(f.clone()),
                         _ => None,
                     })
                     .collect()
@@ -145,11 +160,15 @@ pub(crate) fn solve_naive(
     )
 }
 
-fn copy_into(
-    pts: &mut BTreeMap<super::Loc, BTreeSet<super::Loc>>,
-    dst: &super::Loc,
-    src: &super::Loc,
-) -> bool {
+/// Extends `locs` with the `Loc` of every id interned since it was last
+/// extended.
+fn resolve_new(locs: &mut Vec<Loc>, interner: &LocInterner) {
+    while locs.len() < interner.len() {
+        locs.push(interner.resolve(locs.len() as u32));
+    }
+}
+
+fn copy_into(pts: &mut BTreeMap<Loc, BTreeSet<Loc>>, dst: &Loc, src: &Loc) -> bool {
     if dst == src {
         return false;
     }

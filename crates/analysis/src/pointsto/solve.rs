@@ -30,10 +30,9 @@
 //! The union-find solver (`unify`) and the naive reference reach the same
 //! least fixpoint, so all three produce byte-identical sorted output sets.
 
-use super::constraints::{IConstraint, ISite, InternedBatch};
-use super::intern::LocInterner;
-use super::{Loc, Sensitivity};
-use ivy_cmir::ast::Program;
+use super::constraints::{IConstraint, ISite, InternedBatch, ProgramIndex};
+use super::intern::{LocInterner, LocKey};
+use super::Sensitivity;
 use ivy_provenance::{EdgeKind, ProvStore, SEED};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -52,14 +51,15 @@ pub(super) struct SolveOutput {
 }
 
 /// Everything the solver needs from the interner, pre-resolved so the
-/// solve itself can run without holding the interner lock:
-/// argument/return binding ids for every function the program defines, and
-/// the function names behind every `Loc::Func` id the plan can ever place
-/// into a points-to set (set elements only originate at `AddrOf` seeds, so
-/// scanning the plan's `AddrOf` operands covers them all).
+/// solve itself can run without holding the interner lock: for every
+/// `Loc::Func` id the plan can ever place into a points-to set, the
+/// function's name and its argument/return binding ids. Set elements only
+/// originate at `AddrOf` seeds, so scanning the plan's `AddrOf` operands
+/// covers every function an indirect call can reach.
 pub(super) struct BindTable {
-    /// Function name → (parameter location ids, return location id).
-    pub(super) funcs: HashMap<String, (Vec<u32>, u32)>,
+    /// `Loc::Func` pointee id → (parameter location ids, return location
+    /// id), for the functions the program declares.
+    pub(super) funcs: HashMap<u32, (Vec<u32>, u32)>,
     /// `Loc::Func` pointee id → function name.
     pub(super) func_names: HashMap<u32, String>,
     /// Largest id mentioned anywhere in the table.
@@ -68,37 +68,44 @@ pub(super) struct BindTable {
 
 impl BindTable {
     /// Builds the table for one solve plan. The caller must hold the
-    /// interner exclusively (this is the only phase that interns).
+    /// interner exclusively (this phase interns the binding locations).
+    /// Parameter and return locations are keyed by the same symbols the
+    /// generator uses, so a function a direct call already bound reuses
+    /// its ids.
     pub(crate) fn build(
-        program: &Program,
+        index: &ProgramIndex<'_>,
         batches: &[Arc<InternedBatch>],
         interner: &mut LocInterner,
     ) -> BindTable {
         let mut max_id = 0u32;
-        let mut funcs = HashMap::with_capacity(program.functions.len());
-        for f in &program.functions {
-            let params: Vec<u32> = f
-                .params
-                .iter()
-                .map(|p| {
-                    interner.intern(&Loc::Local {
-                        func: f.name.clone(),
-                        var: p.name.clone(),
-                    })
-                })
-                .collect();
-            let ret = interner.intern(&Loc::Ret(f.name.clone()));
-            max_id = params.iter().fold(max_id.max(ret), |m, &p| m.max(p));
-            funcs.insert(f.name.clone(), (params, ret));
-        }
+        let mut funcs = HashMap::new();
         let mut func_names = HashMap::new();
         for batch in batches {
             for c in &batch.constraints {
-                if let IConstraint::AddrOf { loc, .. } = *c {
-                    if let Loc::Func(name) = interner.resolve(loc) {
-                        func_names.insert(loc, name.clone());
-                    }
+                let IConstraint::AddrOf { loc, .. } = *c else {
+                    continue;
+                };
+                let LocKey::Func(func) = interner.key(loc) else {
+                    continue;
+                };
+                if func_names.contains_key(&loc) {
+                    continue;
                 }
+                let name = interner.name(func).to_string();
+                if let Some(f) = index.function(&name) {
+                    let params: Vec<u32> = f
+                        .params
+                        .iter()
+                        .map(|p| {
+                            let var = interner.sym(&p.name);
+                            interner.intern(LocKey::Local { func, var })
+                        })
+                        .collect();
+                    let ret = interner.intern(LocKey::Ret(func));
+                    max_id = params.iter().fold(max_id.max(ret), |m, &p| m.max(p));
+                    funcs.insert(loc, (params, ret));
+                }
+                func_names.insert(loc, name);
             }
         }
         BindTable {
@@ -374,8 +381,7 @@ impl<'a> Solver<'a> {
     /// exactly like) the constraints the naive reference appends.
     /// `trigger` is the site's callee node.
     fn bind_target(&mut self, args: &[u32], result: u32, func_pointee: u32, trigger: u32) {
-        let fname = &self.bind.func_names[&func_pointee];
-        let Some((params, ret)) = self.bind.funcs.get(fname) else {
+        let Some((params, ret)) = self.bind.funcs.get(&func_pointee) else {
             // Not a function the program declares (the naive reference
             // skips these bindings too).
             return;

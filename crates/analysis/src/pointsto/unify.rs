@@ -326,8 +326,7 @@ impl<'a> Unify<'a> {
         if !self.bound.insert((site_idx, func_pointee)) {
             return;
         }
-        let fname = &self.bind.func_names[&func_pointee];
-        let Some((params, ret)) = self.bind.funcs.get(fname) else {
+        let Some((params, ret)) = self.bind.funcs.get(&func_pointee) else {
             return;
         };
         let (params, ret) = (params.clone(), *ret);

@@ -1,6 +1,6 @@
 //! Ad-hoc solver timing harness for comparing the worklist and union-find
-//! solvers phase by phase (intern vs seed vs propagate, via telemetry
-//! spans). Ignored by default — not a correctness test; run with
+//! solvers phase by phase (the frontend's intern span with its generate and
+//! bind children, then seed and propagate, via telemetry spans). Ignored by default — not a correctness test; run with
 //! `cargo test -p ivy-analysis --release --test solver_timing -- --ignored --nocapture`.
 
 use ivy_analysis::pointsto::{analyze_with, Sensitivity, SolveOptions, SolverChoice};
@@ -34,7 +34,13 @@ fn steensgaard_solver_phase_timing() {
         }
     }
     let spans = ivy_telemetry::spans_snapshot();
-    for cat in ["pointsto/intern", "pointsto/seed", "pointsto/propagate"] {
+    for cat in [
+        "pointsto/intern",
+        "pointsto/generate",
+        "pointsto/bind",
+        "pointsto/seed",
+        "pointsto/propagate",
+    ] {
         let times: Vec<u64> = spans
             .iter()
             .filter(|s| s.cat == cat)

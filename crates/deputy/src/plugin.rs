@@ -120,6 +120,16 @@ impl Query for InstrumentedQuery {
 impl DurableQuery for InstrumentedQuery {
     const FORMAT_VERSION: u32 = 1;
 
+    /// The key's stable hash mixed with the function's content in `db`.
+    /// An entry for the current content keeps its durable key across
+    /// edits to other functions; an entry whose function has since been
+    /// edited gets a different one under the edited program, fails
+    /// revalidation and is dropped instead of being carried into every
+    /// later context.
+    fn durable_key(db: &QueryDb, key: &InstrumentedKey) -> u64 {
+        mix(key.stable_hash(), db.fn_content(&key.function))
+    }
+
     fn encode(value: &(Function, ConversionReport)) -> Value {
         let mut root = Map::new();
         root.insert(

@@ -487,3 +487,66 @@ proptest! {
         prop_assert_eq!(stats.changed_functions, text_changed.into_iter().collect::<Vec<_>>());
     }
 }
+
+/// FNV digests of `default_engine(0).analyze(..).diagnostics_json()` for the
+/// small and paper kernels, recorded before the points-to frontend was
+/// rewritten to intern during generation. The report must not change.
+const PINNED_DIAGNOSTICS: [(&str, u64); 2] = [
+    ("small", 0xb45d_2e53_83cc_a51f),
+    ("paper", 0xa302_c4dd_3eb0_b687),
+];
+
+#[test]
+fn diagnostics_match_the_pinned_digests() {
+    let mut mismatches = Vec::new();
+    for (kernel, pinned) in PINNED_DIAGNOSTICS {
+        let config = match kernel {
+            "small" => KernelConfig::small(),
+            _ => KernelConfig::paper(),
+        };
+        let program = KernelBuild::generate(&config).program;
+        let json = ivy::core::experiments::default_engine(0)
+            .analyze(&program)
+            .diagnostics_json();
+        let digest = ivy::analysis::summary::fnv1a(json.as_bytes());
+        eprintln!("{kernel}: {digest:#018x} ({} bytes)", json.len());
+        if digest != pinned {
+            mismatches.push(format!(
+                "{kernel}: digest {digest:#018x}, pinned {pinned:#018x}"
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "diagnostics changed:\n{}",
+        mismatches.join("\n")
+    );
+}
+
+/// An edit must not leave the edited function's old-content memo entries
+/// behind: Deputy's instrumented body is keyed by the function's content
+/// hash, and a stale-content entry that still revalidated would be carried
+/// into every later context. Twenty successive literal edits to one
+/// function keep the base table the same size after the first.
+#[test]
+fn literal_edits_keep_the_memo_table_bounded() {
+    let program = KernelBuild::generate(&KernelConfig::small()).program;
+    let engine = kernel_engine();
+    engine.analyze(&program);
+    let (mut ctx, _) = engine.context_for(&program);
+    let mut current = program;
+    let mut sizes = Vec::new();
+    for _ in 0..20 {
+        let edited = mutate(&current, 1, 7, 1);
+        let (next, stats) = engine.apply_edit(&ctx, &edited);
+        assert_eq!(stats.changed_functions.len(), 1, "one function per edit");
+        engine.analyze_with_ctx(&next, false);
+        sizes.push(stats.retained + stats.invalidated);
+        ctx = next;
+        current = edited;
+    }
+    assert!(
+        sizes[1..].iter().all(|&n| n == sizes[1]),
+        "the memo table grows by a stale entry per edit: {sizes:?}"
+    );
+}

@@ -38,11 +38,15 @@ fn engine_spans_nest_across_layers() {
     let spans = telemetry::spans_snapshot();
 
     // Every layer shows up: the engine roof, the per-level waves, the
-    // checker leaves, and the points-to solver phases underneath.
+    // checker leaves, and the points-to frontend and solver phases
+    // underneath.
     for cat in [
         "engine/analyze",
         "engine/wave",
         "engine/checker",
+        "pointsto/intern",
+        "pointsto/generate",
+        "pointsto/bind",
         "pointsto/seed",
         "pointsto/propagate",
     ] {
@@ -54,6 +58,24 @@ fn engine_spans_nest_across_layers() {
                 .map(|s| s.cat)
                 .collect::<std::collections::BTreeSet<_>>()
         );
+    }
+
+    // The frontend phases are children of the solve's intern span: one
+    // generate and one bind span inside each intern span, on its thread.
+    for intern in spans.iter().filter(|s| s.cat == "pointsto/intern") {
+        for cat in ["pointsto/generate", "pointsto/bind"] {
+            let children = spans
+                .iter()
+                .filter(|s| {
+                    s.cat == cat
+                        && s.tid == intern.tid
+                        && s.depth > intern.depth
+                        && s.start_us >= intern.start_us
+                        && s.start_us + s.dur_us <= intern.start_us + intern.dur_us + 1
+                })
+                .count();
+            assert_eq!(children, 1, "{cat} spans inside one pointsto/intern span");
+        }
     }
 
     // Nesting: each wave span sits strictly inside the analyze span on the
