@@ -15,9 +15,9 @@
 //! `headline` holds only numbers (so the dashboard can render any bench
 //! without bench-specific code). Schema 2 added the host context every
 //! perf comparison needs: `available_parallelism` (the machine) and
-//! `ivy_threads` (the solver thread setting, from `IVY_THREADS`) — a
-//! trajectory mixing 2-core and 64-core records is otherwise
-//! uninterpretable. The validator accepts schema 1 (without the host
+//! `ivy_threads` (the engine's thread count; the engine is serial, so the
+//! writer stamps 1) — a trajectory mixing 2-core and 64-core records is
+//! otherwise uninterpretable. The validator accepts schema 1 (without the host
 //! fields) and schema 2; the writer only produces 2. [`validate_file`]
 //! enforces exactly that shape and is what CI runs on every push;
 //! [`render_report`] turns the history into the per-PR markdown dashboard
@@ -50,7 +50,8 @@ pub struct Record {
     /// Hardware threads the recording host had (schema ≥2; `None` on
     /// schema-1 history).
     pub available_parallelism: Option<u64>,
-    /// Effective `IVY_THREADS` setting at recording time (schema ≥2).
+    /// Engine threads at recording time (schema ≥2; always 1 since the
+    /// engine became serial).
     pub ivy_threads: Option<u64>,
 }
 
@@ -118,7 +119,8 @@ pub fn append(bench: &str, config: Option<Value>, headline: Map) -> io::Result<P
                 .unwrap_or(1),
         ),
     );
-    record.insert("ivy_threads".into(), Value::from(ivy_threads()));
+    // The engine runs its checker waves on the calling thread.
+    record.insert("ivy_threads".into(), Value::from(1u64));
     if let Some(config) = config {
         record.insert("config".into(), config);
     }
@@ -134,16 +136,6 @@ pub fn append(bench: &str, config: Option<Value>, headline: Map) -> io::Result<P
         .open(&path)?;
     writeln!(file, "{line}")?;
     Ok(path)
-}
-
-/// The effective `IVY_THREADS` setting, parsed from the environment
-/// (default 1).
-pub fn ivy_threads() -> u64 {
-    std::env::var("IVY_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
 }
 
 fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
@@ -380,7 +372,7 @@ mod tests {
         assert_eq!(records[0].bench, "table_test");
         // The writer stamps host context on every record it produces.
         assert!(records[0].available_parallelism.is_some());
-        assert!(records[0].ivy_threads >= Some(1));
+        assert_eq!(records[0].ivy_threads, Some(1));
         let report = render_report(&records);
         assert!(report.contains("## table_test"));
         assert!(report.contains("cold_seconds"));

@@ -34,10 +34,6 @@ use std::sync::Arc;
 pub struct Pipeline {
     /// The Deputy instance used for conversion.
     pub deputy: Deputy,
-    /// Record derivation provenance during every points-to solve, so
-    /// `PointsToResult::why` can explain any fact the hardened report
-    /// rests on. Costs memory and (bounded) time; off by default.
-    pub provenance: bool,
     cache: Arc<DiagnosticCache>,
     ctx_store: Arc<CtxStore>,
     pts_cache: Arc<ConstraintCache>,
@@ -50,7 +46,6 @@ impl Default for Pipeline {
     fn default() -> Self {
         Pipeline {
             deputy: Deputy::default(),
-            provenance: false,
             cache: Arc::new(DiagnosticCache::new()),
             ctx_store: Arc::new(CtxStore::new()),
             pts_cache: Arc::new(ConstraintCache::new()),
@@ -68,7 +63,6 @@ impl Clone for Pipeline {
     fn clone(&self) -> Self {
         Pipeline {
             deputy: self.deputy.clone(),
-            provenance: self.provenance,
             cache: Arc::clone(&self.cache),
             ctx_store: Arc::clone(&self.ctx_store),
             pts_cache: Arc::clone(&self.pts_cache),
@@ -149,19 +143,6 @@ impl Pipeline {
         self
     }
 
-    /// Records derivation provenance during every engine stage (builder
-    /// style) — the pipeline face of the engine's `--provenance` switch.
-    /// Diagnostics stay byte-identical to a provenance-free run; the
-    /// recorded arena sizes surface in `report.stats.provenance_facts` /
-    /// `provenance_bytes`, and any fact of the final solve can then be
-    /// expanded into a derivation chain (`ivy-client explain` against a
-    /// daemon started with `--provenance` does the same for resident
-    /// state).
-    pub fn with_provenance(mut self, on: bool) -> Self {
-        self.provenance = on;
-        self
-    }
-
     /// One analyze round-trip against a resident daemon, decoded back into
     /// an engine [`Report`]. The daemon's `diagnostics_json` is the stable
     /// serialization, so the decoded report reproduces it byte-identically.
@@ -216,7 +197,6 @@ impl Pipeline {
         // almost all function bodies, so each state regenerates constraints
         // only for the functions the previous stage actually rewrote.
         let engine = Engine::new()
-            .with_provenance(self.provenance)
             .with_cache(Arc::clone(&self.cache))
             .with_ctx_store(Arc::clone(&self.ctx_store))
             .with_pointsto_cache(Arc::clone(&self.pts_cache));
@@ -326,7 +306,6 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ivy_cmir::pretty::pretty_program;
     use ivy_kernelgen::{KernelBuild, KernelConfig};
     use ivy_vm::{Value, Vm, VmConfig};
 
@@ -454,26 +433,6 @@ mod tests {
         handle.join();
         let fallback = Pipeline::new().with_daemon(&socket).recheck(&program);
         assert_eq!(local.diagnostics_json(), fallback.diagnostics_json());
-    }
-
-    #[test]
-    fn provenance_pipeline_matches_plain_run_and_surfaces_arena_stats() {
-        let build = KernelBuild::generate(&KernelConfig::small());
-        let plain = Pipeline::new().run(&build);
-        let explained = Pipeline::new().with_provenance(true).run(&build);
-        // Recording derivations may never change any answer.
-        assert_eq!(
-            plain.report.diagnostics_json(),
-            explained.report.diagnostics_json()
-        );
-        assert_eq!(
-            pretty_program(&plain.program),
-            pretty_program(&explained.program)
-        );
-        // ...but the arena it recorded is visible in the stats.
-        assert_eq!(plain.report.stats.provenance_facts, 0);
-        assert!(explained.report.stats.provenance_facts > 0);
-        assert!(explained.report.stats.provenance_bytes > 0);
     }
 
     #[test]

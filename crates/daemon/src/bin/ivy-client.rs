@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! ivy-client <socket-path> analyze <file.kc>
-//! ivy-client <socket-path> diagnostics <file.kc>
 //! ivy-client <socket-path> notify-edit <file.kc>
 //! ivy-client <socket-path> explain <fn> <lvalue> [target]
 //! ivy-client <socket-path> stats
@@ -10,12 +9,12 @@
 //! ivy-client <socket-path> shutdown
 //! ```
 //!
-//! `analyze`/`diagnostics` print the stable diagnostics JSON to stdout
-//! (what a batch run would have produced, byte-identically); `explain`
-//! prints the derivation chain behind a resident points-to fact or
-//! indirect-call resolution (needs a daemon started with `--provenance`
-//! and a prior `analyze`); `stats` prints the server counters; `metrics`
-//! prints the Prometheus-style text exposition.
+//! `analyze` prints the stable diagnostics JSON to stdout (what a batch
+//! run would have produced, byte-identically); `explain` prints the
+//! derivation chain behind a resident points-to fact or indirect-call
+//! resolution (needs a prior `analyze`; the daemon runs one traced solve
+//! per request); `stats` prints the server counters; `metrics` prints
+//! the Prometheus-style text exposition.
 //!
 //! `--trace-out <path>` (anywhere on the command line) records spans for
 //! the client side of the session — connect and each request round-trip —
@@ -28,7 +27,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ivy-client [--trace-out <trace.json>] <socket> <analyze|diagnostics|notify-edit> <file.kc>\n       \
+        "usage: ivy-client [--trace-out <trace.json>] <socket> <analyze|notify-edit> <file.kc>\n       \
          ivy-client [--trace-out <trace.json>] <socket> explain <fn> <lvalue> [target]\n       \
          ivy-client [--trace-out <trace.json>] <socket> <stats|metrics|shutdown>"
     );
@@ -62,16 +61,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 outcome.stats.persist_hits,
             );
             println!("{}", outcome.diagnostics_json);
-        }
-        "diagnostics" => {
-            let source = source_arg()?;
-            println!(
-                "{}",
-                ivy_telemetry::time("client/request", "diagnostics", || {
-                    client.diagnostics(&source)
-                })
-                .map_err(|e| e.to_string())?
-            );
         }
         "notify-edit" => {
             let source = source_arg()?;

@@ -1,19 +1,19 @@
 //! `ivy-daemon` — serve the resident analysis engine on a Unix socket.
 //!
 //! ```text
-//! ivy-daemon <socket-path> [--cache-dir DIR] [--provenance]
+//! ivy-daemon <socket-path> [--cache-dir DIR]
 //! ```
 //!
-//! Blocks until a client sends `shutdown`. Defaults: no persist directory
-//! (memory-only), provenance off (`--provenance` records points-to
-//! derivations so the `explain` verb can answer). Each connection is
+//! Blocks until a client sends `shutdown`. Default: no persist directory
+//! (memory-only). The `explain` verb needs no flag: each request runs its
+//! own traced points-to solve of the resident program. Each connection is
 //! served on its own thread; an analysis runs on its connection's thread.
 
 use ivy_daemon::{Daemon, DaemonConfig};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: ivy-daemon <socket-path> [--cache-dir DIR] [--provenance]");
+    eprintln!("usage: ivy-daemon <socket-path> [--cache-dir DIR]");
     ExitCode::FAILURE
 }
 
@@ -25,12 +25,6 @@ fn main() -> ExitCode {
     let mut config = DaemonConfig::new(socket);
     let mut rest = args[1..].iter();
     while let Some(flag) = rest.next() {
-        // `--provenance` takes no value, so match it before the flag that
-        // consumes the next argument.
-        if flag == "--provenance" {
-            config = config.with_provenance(true);
-            continue;
-        }
         match (flag.as_str(), rest.next()) {
             ("--cache-dir", Some(dir)) => config = config.with_cache_dir(dir),
             _ => return usage(),

@@ -35,11 +35,11 @@ pub struct ExplainOutcome {
     pub rendered: Vec<String>,
     /// Number of links in the chain.
     pub chain_len: usize,
-    /// Whether the daemon replayed the whole provenance store against the
-    /// program's constraints before answering (always true on success —
-    /// a failed replay is an error response).
+    /// Whether the daemon replayed every derivation step of its traced
+    /// solve against the program's constraints before answering (always
+    /// true on success — a failed replay is an error response).
     pub replay_verified: bool,
-    /// Total derivation steps the resident solve recorded.
+    /// Total derivation steps the traced solve recorded.
     pub provenance_facts: u64,
 }
 
@@ -145,12 +145,6 @@ impl Client {
         })
     }
 
-    /// The stable diagnostics serialization alone: [`Client::analyze`]'s
-    /// `diagnostics_json`, so it takes the digest path too.
-    pub fn diagnostics(&mut self, source: &str) -> io::Result<String> {
-        Ok(self.analyze(source)?.diagnostics_json)
-    }
-
     /// Notifies the daemon of an edit (the full edited source). The
     /// first edit of a client ships the whole source, and the daemon
     /// diffs it against the resident program; every later one ships only
@@ -200,8 +194,10 @@ impl Client {
     /// `lvalue` is either an indirect callee expression in `func` (the
     /// chain explains the call resolution) or a pointer slot (the chain
     /// explains one pointee — `target` picks which; `None` takes the
-    /// first). Needs a daemon started with `--provenance` and a prior
-    /// `analyze`.
+    /// first). Needs a prior `analyze`; the daemon picks the fact from
+    /// the resident answer and derives its chain with one traced solve
+    /// of the resident program plus a replay, so each call costs a
+    /// points-to solve.
     pub fn explain(
         &mut self,
         func: &str,

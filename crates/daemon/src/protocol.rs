@@ -91,8 +91,9 @@
 //!
 //! `analyze` has one request shape: every frame carries a `digest`, and
 //! one without it gets an `ok:false` error naming the field. There is no
-//! `diagnostics` verb: its answer is the diagnostics of `analyze`, and
-//! [`Client::diagnostics`](crate::Client::diagnostics) sends `analyze`.
+//! `diagnostics` verb: its answer is the diagnostics of `analyze`.
+//! `explain` picks the fact from the resident answer and derives its
+//! chain with its own traced solve of the resident program.
 //! `metrics` returns a Prometheus-style text exposition
 //! (request counts per verb, engine cache hit rates, answer-memo traffic,
 //! points-to batch reuse, persist traffic, plus every in-process

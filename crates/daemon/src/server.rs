@@ -18,12 +18,15 @@ use crate::protocol::{
     encode_frame, encode_raw_frame, error_response, invalidation_to_value, read_frame, response_ok,
     write_frame, SourceDigest, Splice, PROTOCOL_VERSION,
 };
-use ivy_analysis::pointsto::{verify_derivations, Loc};
+use ivy_analysis::pointsto::{
+    self, verify_derivations, ChainLink, Loc, PointsToResult, SolveOptions,
+};
 use ivy_blockstop::BlockStopChecker;
 use ivy_ccount::CCountChecker;
 use ivy_cmir::parser::{parse_program, ReparsePath};
+use ivy_cmir::Program;
 use ivy_deputy::plugin::DeputyChecker;
-use ivy_engine::{AnalysisCtx, Engine, EngineStats, PersistLayer, Report};
+use ivy_engine::{AnalysisCtx, Engine, PersistLayer, Report};
 use serde_json::{Map, Value};
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -42,8 +45,6 @@ pub struct DaemonConfig {
     /// Persist directory shared with batch runs and other workers; `None`
     /// runs memory-only.
     pub cache_dir: Option<PathBuf>,
-    /// Record points-to derivations so the `explain` verb can answer.
-    pub provenance: bool,
     /// Deputy configuration for the served fleet. The default keeps
     /// daemon answers byte-comparable to batch runs; sessions that want
     /// the indirect-annotation drift check opt in here.
@@ -56,7 +57,6 @@ impl DaemonConfig {
         DaemonConfig {
             socket: socket.into(),
             cache_dir: None,
-            provenance: false,
             deputy: ivy_deputy::DeputyConfig::default(),
         }
     }
@@ -64,12 +64,6 @@ impl DaemonConfig {
     /// Attaches a persist directory (builder style).
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> DaemonConfig {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Enables derivation recording for the `explain` verb (builder style).
-    pub fn with_provenance(mut self, on: bool) -> DaemonConfig {
-        self.provenance = on;
         self
     }
 
@@ -354,8 +348,6 @@ const SERIES: &[Series] = {
             Of(|s| s.engine.pointsto_cache().solves_cold())) },
         Series { label: Some(("mode", "incremental-repropagate")), ..counter("engine.pointsto.solves_repropagate", "ivy_daemon_pointsto_solves_total",
             Of(|s| s.engine.pointsto_cache().solves_repropagate())) },
-        gauge("engine.provenance_facts", "ivy_daemon_provenance_facts", Of(|s| s.provenance_facts.load(Relaxed))),
-        gauge("engine.provenance_bytes", "ivy_daemon_provenance_bytes", Of(|s| s.provenance_bytes.load(Relaxed))),
         gauge("engine.answer_memo.entries", "ivy_daemon_answer_memo_entries", Of(|s| s.answers.entries.load(Relaxed))),
         gauge("engine.answer_memo.bytes", "ivy_daemon_answer_memo_bytes", Of(|s| s.answers.bytes.load(Relaxed))),
         counter("engine.answer_memo.hits", "ivy_daemon_answer_memo_hits_total", Of(|s| s.answers.hits.load(Relaxed))),
@@ -376,13 +368,13 @@ const SERIES: &[Series] = {
 struct Memo {
     ctx: Weak<AnalysisCtx>,
     bytes: Arc<[u8]>,
-    stats: EngineStats,
+    /// The persist layer's lifetime prune count the answer reports.
+    persist_pruned: u64,
 }
 
 impl Memo {
     fn serves(&self, ctx: &Arc<AnalysisCtx>, persist_pruned: u64) -> bool {
-        std::ptr::eq(self.ctx.as_ptr(), Arc::as_ptr(ctx))
-            && self.stats.persist_pruned == persist_pruned
+        std::ptr::eq(self.ctx.as_ptr(), Arc::as_ptr(ctx)) && self.persist_pruned == persist_pruned
     }
 }
 
@@ -477,14 +469,14 @@ impl AnswerMemo {
         source: Arc<str>,
         ctx: &Arc<AnalysisCtx>,
         bytes: Arc<[u8]>,
-        stats: EngineStats,
+        persist_pruned: u64,
     ) {
         let mut index = self.lock();
         self.upsert(&mut index, digest, ctx.program_hash, source)
             .memo = Some(Arc::new(Memo {
             ctx: Arc::downgrade(ctx),
             bytes,
-            stats,
+            persist_pruned,
         }));
         self.publish(&index);
     }
@@ -565,6 +557,127 @@ enum Reply {
     Frames(Arc<[u8]>),
 }
 
+/// The fact an `explain` request names, picked from the resident answer:
+/// the indirect call through `callee` in `func` may reach `target`, or
+/// the pointer slot `loc` may point to `pointee`.
+enum Claim<'a> {
+    Indirect {
+        func: &'a str,
+        callee: &'a str,
+        target: String,
+    },
+    Slot {
+        loc: Loc,
+        pointee: Loc,
+    },
+}
+
+impl<'a> Claim<'a> {
+    /// Resolves `lvalue` in `func` against `pts`: an indirect callee
+    /// expression is explained as a call resolution; anything else names
+    /// a pointer slot (a global if the program declares one, else a
+    /// local). The target must be in the static answer; `None` takes
+    /// the first.
+    fn pick(
+        program: &Program,
+        pts: &PointsToResult,
+        func: &'a str,
+        lvalue: &'a str,
+        target: Option<&str>,
+    ) -> Result<Claim<'a>, String> {
+        if let Some(targets) = pts.indirect_targets_for(func, lvalue) {
+            let target = match target {
+                Some(t) if targets.contains(t) => t.to_string(),
+                Some(t) => {
+                    return Err(format!(
+                        "the static answer does not resolve `{lvalue}` in `{func}` to `{t}`; \
+                         it resolves to: {}",
+                        targets.iter().cloned().collect::<Vec<_>>().join(", ")
+                    ))
+                }
+                None => targets.iter().next().cloned().ok_or_else(|| {
+                    format!("the static answer resolves `{lvalue}` in `{func}` to no targets")
+                })?,
+            };
+            return Ok(Claim::Indirect {
+                func,
+                callee: lvalue,
+                target,
+            });
+        }
+        let loc = if program.global(lvalue).is_some() {
+            Loc::Global(lvalue.to_string())
+        } else {
+            Loc::Local {
+                func: func.to_string(),
+                var: lvalue.to_string(),
+            }
+        };
+        let set = pts.points_to(&loc);
+        let pointee = match target {
+            Some(t) => set
+                .iter()
+                .find(|p| p.to_string() == t)
+                .cloned()
+                .ok_or_else(|| {
+                    format!(
+                        "the static answer does not put `{t}` in the points-to set of `{loc}`; \
+                         the set is: {{{}}}",
+                        set.iter()
+                            .map(|p| p.to_string())
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    )
+                })?,
+            None => set.iter().next().cloned().ok_or_else(|| {
+                format!(
+                    "the points-to set of `{loc}` is empty: no seed constraint \
+                     (address-of or allocation) ever reaches it"
+                )
+            })?,
+        };
+        Ok(Claim::Slot { loc, pointee })
+    }
+
+    /// The fact as the response's `fact` field states it.
+    fn describe(&self) -> String {
+        match self {
+            Claim::Indirect {
+                func,
+                callee,
+                target,
+            } => format!("indirect call `{callee}` in `{func}` may reach `{target}`"),
+            Claim::Slot { loc, pointee } => format!("`{loc}` may point to `{pointee}`"),
+        }
+    }
+
+    /// Whether `pts` holds exactly this fact.
+    fn holds_in(&self, pts: &PointsToResult) -> bool {
+        match self {
+            Claim::Indirect {
+                func,
+                callee,
+                target,
+            } => pts
+                .indirect_targets_for(func, callee)
+                .is_some_and(|targets| targets.contains(target)),
+            Claim::Slot { loc, pointee } => pts.points_to(loc).contains(pointee),
+        }
+    }
+
+    /// The seed-first derivation chain of this fact in a traced solve.
+    fn chain(&self, program: &Program, traced: &PointsToResult) -> Option<Vec<ChainLink>> {
+        match self {
+            Claim::Indirect {
+                func,
+                callee,
+                target,
+            } => traced.why_indirect(program, func, callee, target),
+            Claim::Slot { loc, pointee } => traced.why(loc, pointee),
+        }
+    }
+}
+
 /// Encodes a digest-addressed answer: the JSON header announcing
 /// `diagnostics_bytes`, then the stable diagnostics serialization as one
 /// raw frame.
@@ -618,10 +731,6 @@ struct State {
     reparse_function: AtomicU64,
     reparse_full: AtomicU64,
     verbs: VerbMetrics,
-    /// Provenance volume of the most recent `analyze` (0 when provenance
-    /// is off or nothing has been analyzed yet).
-    provenance_facts: AtomicU64,
-    provenance_bytes: AtomicU64,
     /// Ring buffer of the most recent requests that took at least
     /// [`SLOW_REQUEST_MICROS`]; surfaced by the `stats` verb.
     slow: Mutex<SlowRing>,
@@ -687,18 +796,10 @@ impl State {
         *self.resident.lock().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(ctx));
     }
 
-    fn set_provenance(&self, stats: &EngineStats) {
-        self.provenance_facts
-            .store(stats.provenance_facts, Ordering::Relaxed);
-        self.provenance_bytes
-            .store(stats.provenance_bytes, Ordering::Relaxed);
-    }
-
     /// Runs the fleet over `ctx` and makes it the resident context.
     fn run(&self, ctx: &Arc<AnalysisCtx>, reused: bool) -> Report {
         let report = self.engine.analyze_with_ctx(ctx, reused);
         self.set_resident(ctx);
-        self.set_provenance(&report.stats);
         report
     }
 
@@ -768,7 +869,6 @@ impl State {
         if let Some(memo) = memo.filter(|m| m.serves(&ctx, self.persist_pruned())) {
             self.answers.hits.fetch_add(1, Ordering::Relaxed);
             self.set_resident(&ctx);
-            self.set_provenance(&memo.stats);
             return Reply::Frames(Arc::clone(&memo.bytes));
         }
         self.answers.misses.fetch_add(1, Ordering::Relaxed);
@@ -784,7 +884,7 @@ impl State {
         if s.ctx_reused && s.cache_misses == 0 && s.persist_hits == 0 && s.persist_flush_errors == 0
         {
             self.answers
-                .memoize(digest, source, &ctx, Arc::clone(&bytes), report.stats);
+                .memoize(digest, source, &ctx, Arc::clone(&bytes), s.persist_pruned);
         } else {
             self.answers.remember(digest, ctx.program_hash, source);
         }
@@ -1002,104 +1102,55 @@ impl State {
         text
     }
 
-    /// Answers an `explain` request against the resident context: resolves
-    /// `lvalue` in `func` to either an indirect-call expression or a
+    /// Answers an `explain` request: resolves `lvalue` in `func` against
+    /// the resident answer to either an indirect-call expression or a
     /// pointer slot, picks the claimed target (the request's, or the first
-    /// in the static answer), and returns the recorded derivation chain —
-    /// replay-verified against the program's constraints before it ships.
-    fn explain(&self, ctx: &AnalysisCtx, func: &str, lvalue: &str, target: Option<&str>) -> Value {
+    /// in the static answer), then derives that fact with one traced solve
+    /// of the resident program. The chain ships only if the traced solve
+    /// holds the exact fact and every one of its derivation steps replays
+    /// against the program's constraints.
+    fn explain(&self, func: &str, lvalue: &str, target: Option<&str>) -> Value {
         let sensitivity = self.engine.required_sensitivity();
-        let pts = ctx.pointsto(sensitivity);
-        if !pts.has_provenance() {
-            return error_response(
-                "the resident solve recorded no derivations; start the daemon with --provenance \
-                 and re-run analyze",
-            );
-        }
-        // An lvalue that is an indirect callee expression in `func` is
-        // explained as a call resolution; otherwise it names a pointer
-        // slot (a global if the program declares one, else a local).
-        let (fact, chain) = if let Some(targets) = pts.indirect_targets_for(func, lvalue) {
-            let chosen = match target {
-                Some(t) => {
-                    if !targets.contains(t) {
-                        return error_response(&format!(
-                            "the static answer does not resolve `{lvalue}` in `{func}` to \
-                             `{t}`; it resolves to: {}",
-                            targets.iter().cloned().collect::<Vec<_>>().join(", ")
-                        ));
-                    }
-                    t.to_string()
-                }
-                None => match targets.iter().next() {
-                    Some(first) => first.clone(),
-                    None => {
-                        return error_response(&format!(
-                            "the static answer resolves `{lvalue}` in `{func}` to no targets"
-                        ))
-                    }
-                },
+        // Reading the resident answer may compute it, so that read takes
+        // the shared side of the edit gate like an analyze does. The
+        // traced solve below reads only the immutable program.
+        let (ctx, resident) = {
+            let _gate = self
+                .edit_gate
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            let resident = self
+                .resident
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone();
+            let Some(ctx) = resident else {
+                return error_response("explain before any analyze: nothing is resident");
             };
-            let fact = format!("indirect call `{lvalue}` in `{func}` may reach `{chosen}`");
-            match pts.why_indirect(&ctx.program, func, lvalue, &chosen) {
-                Some(chain) => (fact, chain),
-                None => {
-                    return error_response(&format!(
-                        "no recorded derivation for {fact} (provenance store incomplete?)"
-                    ))
-                }
-            }
-        } else {
-            let loc = if ctx.program.global(lvalue).is_some() {
-                Loc::Global(lvalue.to_string())
-            } else {
-                Loc::Local {
-                    func: func.to_string(),
-                    var: lvalue.to_string(),
-                }
-            };
-            let set = pts.points_to(&loc);
-            let chosen = match target {
-                Some(t) => match set.iter().find(|p| p.to_string() == t) {
-                    Some(p) => p.clone(),
-                    None => {
-                        return error_response(&format!(
-                            "the static answer does not put `{t}` in the points-to set of \
-                             `{loc}`; the set is: {{{}}}",
-                            set.iter()
-                                .map(|p| p.to_string())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ))
-                    }
-                },
-                None => match set.iter().next() {
-                    Some(p) => p.clone(),
-                    None => {
-                        return error_response(&format!(
-                            "the points-to set of `{loc}` is empty: no seed constraint \
-                             (address-of or allocation) ever reaches it"
-                        ))
-                    }
-                },
-            };
-            let fact = format!("`{loc}` may point to `{chosen}`");
-            match pts.why(&loc, &chosen) {
-                Some(chain) => (fact, chain),
-                None => {
-                    return error_response(&format!(
-                        "no recorded derivation for {fact} (provenance store incomplete?)"
-                    ))
-                }
-            }
+            let pts = ctx.pointsto(sensitivity);
+            (ctx, pts)
         };
-        // Replay the whole store against the program before shipping any
-        // chain: an `explain` answer is a soundness artifact, and a chain
-        // from a corrupt store is worse than an error.
-        let replay = verify_derivations(&ctx.program, &pts);
-        let replay_verified = match replay {
-            Ok(_) => true,
-            Err(e) => return error_response(&format!("derivation replay failed: {e}")),
+        let claim = match Claim::pick(&ctx.program, &resident, func, lvalue, target) {
+            Ok(claim) => claim,
+            Err(message) => return error_response(&message),
+        };
+        let fact = claim.describe();
+        let traced = pointsto::analyze_with(
+            &ctx.program,
+            sensitivity,
+            SolveOptions::default().with_provenance(true),
+        );
+        if !claim.holds_in(&traced) {
+            return error_response(&format!("the traced solve does not derive {fact}"));
+        }
+        // Replay every derivation step against the program before shipping
+        // any chain: an `explain` answer is a soundness artifact, and a
+        // chain from a corrupt store is worse than an error.
+        if let Err(e) = verify_derivations(&ctx.program, &traced) {
+            return error_response(&format!("derivation replay failed: {e}"));
+        }
+        let Some(chain) = claim.chain(&ctx.program, &traced) else {
+            return error_response(&format!("no recorded derivation for {fact}"));
         };
         ivy_telemetry::counter("ivy_daemon_explains_total", 1);
         let links: Vec<Value> = chain
@@ -1129,10 +1180,10 @@ impl State {
         m.insert("fn".into(), Value::from(func));
         m.insert("lvalue".into(), Value::from(lvalue));
         m.insert("fact".into(), Value::from(fact.as_str()));
-        m.insert("replay_verified".into(), Value::from(replay_verified));
+        m.insert("replay_verified".into(), Value::from(true));
         m.insert(
             "provenance_facts".into(),
-            Value::from(pts.provenance_facts() as u64),
+            Value::from(traced.provenance_facts() as u64),
         );
         m.insert("chain".into(), Value::Array(links));
         m.insert("rendered".into(), Value::Array(rendered));
@@ -1180,21 +1231,7 @@ impl State {
                     return error_response("explain needs an \"lvalue\" field");
                 };
                 let target = request.get("target").and_then(Value::as_str);
-                // Explain reads the resident context like an analyze does,
-                // so it takes the shared side of the edit gate.
-                let _gate = self
-                    .edit_gate
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner);
-                let resident = self
-                    .resident
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone();
-                let Some(ctx) = resident else {
-                    return error_response("explain before any analyze: nothing is resident");
-                };
-                self.explain(&ctx, func, lvalue, target)
+                self.explain(func, lvalue, target)
             }
             "metrics" => {
                 let mut m = Map::new();
@@ -1309,8 +1346,7 @@ impl Daemon {
         // (`IVY_TRACE=1`) — a long-lived server must not accumulate span
         // records unasked.
         ivy_telemetry::enable_counters();
-        let engine =
-            fleet_engine_with(persist.clone(), config.deputy).with_provenance(config.provenance);
+        let engine = fleet_engine_with(persist.clone(), config.deputy);
         let state = Arc::new(State {
             answers: AnswerMemo::new(engine.ctx_store().capacity()),
             engine,
@@ -1326,8 +1362,6 @@ impl Daemon {
             reparse_function: AtomicU64::new(0),
             reparse_full: AtomicU64::new(0),
             verbs: VerbMetrics::default(),
-            provenance_facts: AtomicU64::new(0),
-            provenance_bytes: AtomicU64::new(0),
             slow: Mutex::new(SlowRing::new(SLOW_RING_CAP)),
             shutdown: AtomicBool::new(false),
             _socket_lock: socket_lock,
@@ -1489,6 +1523,8 @@ mod tests {
             let counter = matches!(row.kind, Kind::Counter);
             assert_eq!(row.name.ends_with("_total"), counter, "{}", row.name);
         }
+        // Derivations are computed per `explain`; no row gauges an arena.
+        assert!(SERIES.iter().all(|row| !row.path.contains("provenance")));
     }
 
     #[test]

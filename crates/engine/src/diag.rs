@@ -247,11 +247,6 @@ pub struct EngineStats {
     /// `"incremental-repropagate"` (empty when the run was served entirely
     /// from the persist layer and never solved).
     pub pointsto_solve_mode: String,
-    /// Derivation steps the provenance arena recorded for the scheduling
-    /// points-to solve (0 when provenance was off).
-    pub provenance_facts: u64,
-    /// Approximate bytes held by the provenance arena (0 when off).
-    pub provenance_bytes: u64,
 }
 
 impl EngineStats {
@@ -293,20 +288,12 @@ impl EngineStats {
             "pointsto_solve_mode".into(),
             Value::from(self.pointsto_solve_mode.clone()),
         );
-        stats.insert(
-            "provenance_facts".into(),
-            Value::from(self.provenance_facts),
-        );
-        stats.insert(
-            "provenance_bytes".into(),
-            Value::from(self.provenance_bytes),
-        );
         Value::Object(stats)
     }
 
     /// Decodes stats from their [`EngineStats::to_value`] form; `None`
     /// rejects malformed input. Keys this version no longer writes (the
-    /// solver-thread and delta-repair counters) are ignored.
+    /// solver-thread, delta-repair and provenance counters) are ignored.
     pub fn from_value(v: &Value) -> Option<EngineStats> {
         let count = |key: &str| v.get(key).and_then(Value::as_u64);
         let size = |key: &str| count(key).map(|n| n as usize);
@@ -334,9 +321,6 @@ impl EngineStats {
                 .and_then(Value::as_str)
                 .unwrap_or("cold")
                 .to_string(),
-            // Absent in pre-provenance encodings; default rather than reject.
-            provenance_facts: count("provenance_facts").unwrap_or(0),
-            provenance_bytes: count("provenance_bytes").unwrap_or(0),
         })
     }
 
@@ -585,17 +569,17 @@ mod tests {
             pointsto_batches_reused: 11,
             pointsto_batches_generated: 1,
             pointsto_solve_mode: "incremental-repropagate".into(),
-            provenance_facts: 321,
-            provenance_bytes: 4096,
         };
         assert_eq!(EngineStats::from_value(&stats.to_value()).unwrap(), stats);
-        // An older encoding that still carries the solver-thread and
-        // delta-repair counters decodes to the same stats.
+        // An older encoding that still carries the solver-thread,
+        // delta-repair and provenance counters decodes to the same stats.
         let mut older = stats.to_value();
         if let Value::Object(m) = &mut older {
             m.insert("pointsto_threads".into(), Value::from(4u64));
             m.insert("pointsto_delta_deleted".into(), Value::from(7u64));
             m.insert("pointsto_delta_rederived".into(), Value::from(19u64));
+            m.insert("provenance_facts".into(), Value::from(321u64));
+            m.insert("provenance_bytes".into(), Value::from(4096u64));
         }
         assert_eq!(EngineStats::from_value(&older).unwrap(), stats);
         assert!(EngineStats::from_value(&Value::from("nope")).is_none());

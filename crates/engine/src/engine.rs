@@ -17,7 +17,7 @@ use crate::diag::{Diagnostic, EngineStats, Report};
 use crate::persist::PersistLayer;
 use crate::query::{InvalidationStats, Pointsto};
 use crate::AnalysisCtx;
-use ivy_analysis::pointsto::{ConstraintCache, Sensitivity, SolveOptions};
+use ivy_analysis::pointsto::{ConstraintCache, Sensitivity};
 use ivy_analysis::summary::{fnv1a, mix};
 use ivy_cmir::ast::Program;
 use ivy_cmir::content::ProgramHashes;
@@ -246,7 +246,6 @@ pub struct Engine {
     pts_cache: Arc<ConstraintCache>,
     persist: Option<Arc<PersistLayer>>,
     trace_out: Option<std::path::PathBuf>,
-    provenance: bool,
 }
 
 impl Default for Engine {
@@ -265,22 +264,22 @@ impl Engine {
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
             trace_out: None,
-            provenance: false,
         }
     }
 
-    /// Turns on derivation tracing: every context this engine builds solves
-    /// points-to with a provenance arena attached, so `PointsToResult::why`
-    /// can explain any fact. Disabled-mode cost is one branch per derived
-    /// fact.
-    pub fn with_provenance(mut self, on: bool) -> Engine {
-        self.provenance = on;
+    /// Kept only because `perfbench` still calls it. An engine records no
+    /// derivations (a traced solve is its own `pointsto::analyze_with`
+    /// call), so `on` must be false.
+    #[doc(hidden)]
+    pub fn with_provenance(self, on: bool) -> Engine {
+        assert!(!on, "engines record no derivations; run a traced solve");
         self
     }
 
-    /// True when this engine records derivation provenance.
+    /// Kept only because `perfbench` still calls it: always false.
+    #[doc(hidden)]
     pub fn provenance_enabled(&self) -> bool {
-        self.provenance
+        false
     }
 
     /// Registers a checker plugin (builder style).
@@ -396,7 +395,6 @@ impl Engine {
         AnalysisCtx::with_hashes(program, hashes)
             .with_pointsto_cache(Arc::clone(&self.pts_cache))
             .with_persist(self.persist.clone())
-            .with_solve_options(SolveOptions::default().with_provenance(self.provenance))
     }
 
     /// Analyzes a program with every registered checker.
@@ -614,8 +612,6 @@ impl Engine {
             stats.pointsto_batches_reused = pts.batches_reused;
             stats.pointsto_batches_generated = pts.batches_generated;
             stats.pointsto_solve_mode = pts.mode.name().to_string();
-            stats.provenance_facts = pts.provenance_facts() as u64;
-            stats.provenance_bytes = pts.provenance_bytes() as u64;
         }
         // Checker results reloaded from (or missed in) the persist layer.
         // The layer's own counters see every entry lookup, every query

@@ -9,17 +9,14 @@
 //!
 //! **Sharding.** A namespace is a *directory* of per-writer shard files:
 //! every layer writes only its own `<namespace>/<writer>.json` shard and
-//! merges every shard (plus the legacy single-file layout) when the
-//! namespace is first read. Concurrent writers — several daemon workers, a
-//! batch run racing a daemon — therefore never clobber each other: the old
-//! single-file layout was safe (tmp+rename) but last-flush-wins, silently
-//! discarding whatever the losing process had computed. Content addressing
+//! merges every shard when the namespace is first read. Concurrent
+//! writers — several daemon workers, a batch run racing a daemon —
+//! therefore never clobber each other. Content addressing
 //! makes the merge trivial: two shards that both carry a key derived it
 //! from identical content, so union is lossless and order only breaks ties
 //! between byte-identical values. A shard carries only the keys its writer
-//! *owns* — written by that process, carried in its own previous shard, or
-//! adopted from the legacy single-file layout — so a warm reader never
-//! replicates other writers' shards into its own.
+//! *owns* — written by that process or carried in its own previous shard —
+//! so a warm reader never replicates other writers' shards into its own.
 //!
 //! **Compaction.** Namespaces grow monotonically across edits (every edit
 //! mints new content-addressed keys; old ones are never overwritten). Once
@@ -33,7 +30,8 @@
 //! directory, an unparsable shard, a file with the wrong container format,
 //! or a namespace written by a different `FORMAT_VERSION` of its query is
 //! *ignored* (treated as empty and later overwritten), never an error —
-//! a corrupt cache must cost a recomputation, not a crash.
+//! a corrupt cache must cost a recomputation, not a crash. So does a cache
+//! left in the pre-sharding single-file layout: it is never read.
 //!
 //! File layout:
 //!
@@ -44,8 +42,7 @@
 //!     w41300.json                {"format":1,"namespace":"engine/summaries",
 //!   diag-deputy/                  "version":<query FORMAT_VERSION>,
 //!     w41123.json                 "entries":{"<16-hex key>": <value>}}
-//!   blockstop-report.json        legacy pre-sharding file: read + adopted,
-//!   ...                          retired once migrated into a shard
+//!   ...
 //! ```
 
 use ivy_cmir::span::Pos;
@@ -70,18 +67,14 @@ pub const DEFAULT_COMPACT_THRESHOLD: usize = 4096;
 /// One loaded namespace: its payload version, the merged entries of every
 /// shard, which keys this process has read or written (the live set
 /// compaction preserves), and which keys this *writer* owns — written by
-/// this process, carried in its own previous shard, or adopted from the
-/// legacy single-file layout. Flushes emit only owned keys, so a warm
-/// reader never replicates other writers' shards into its own.
+/// this process or carried in its own previous shard. Flushes emit only
+/// owned keys, so a warm reader never replicates other writers' shards
+/// into its own.
 struct Namespace {
     version: u32,
     entries: HashMap<String, Value>,
     touched: HashSet<String>,
     own: HashSet<String>,
-    /// Keys adopted from the legacy single-file layout; once a flush has
-    /// written them all into this writer's shard, the legacy file is
-    /// removed so later writers stop re-adopting (and re-replicating) it.
-    legacy: HashSet<String>,
     dirty: bool,
 }
 
@@ -214,11 +207,6 @@ impl PersistLayer {
         &self.writer
     }
 
-    /// The legacy pre-sharding single file of a namespace (read-only).
-    fn legacy_file_of(&self, namespace: &str) -> PathBuf {
-        self.root.join(format!("{}.json", file_stem(namespace)))
-    }
-
     /// The shard directory of a namespace.
     fn dir_of(&self, namespace: &str) -> PathBuf {
         self.root.join(file_stem(namespace))
@@ -229,7 +217,7 @@ impl PersistLayer {
         self.dir_of(namespace).join(format!("{}.json", self.writer))
     }
 
-    /// Merges one shard (or legacy) file into `entries`, tolerating every
+    /// Merges one shard file into `entries`, tolerating every
     /// corruption mode by merging nothing; returns the keys it merged.
     fn merge_file(
         path: &Path,
@@ -261,23 +249,13 @@ impl PersistLayer {
         keys
     }
 
-    /// Loads a namespace: the legacy single file first, then every shard
-    /// in sorted filename order (deterministic merge; conflicting keys are
-    /// byte-identical by content addressing, so order only breaks ties).
-    /// Keys from this writer's own shard — and from the legacy file, which
-    /// is never written again and would otherwise strand its data — become
-    /// *owned* and are carried forward by future flushes.
+    /// Loads a namespace: every shard in sorted filename order
+    /// (deterministic merge; conflicting keys are byte-identical by content
+    /// addressing, so order only breaks ties). Keys from this writer's own
+    /// shard become *owned* and are carried forward by future flushes.
     fn load(&self, namespace: &str, version: u32) -> Namespace {
         let mut entries = HashMap::new();
-        let legacy: HashSet<String> = Self::merge_file(
-            &self.legacy_file_of(namespace),
-            namespace,
-            version,
-            &mut entries,
-        )
-        .into_iter()
-        .collect();
-        let mut own: HashSet<String> = legacy.clone();
+        let mut own: HashSet<String> = HashSet::new();
         let own_shard = self.shard_of(namespace);
         if let Ok(dir) = fs::read_dir(self.dir_of(namespace)) {
             let mut shards: Vec<PathBuf> = dir
@@ -298,7 +276,6 @@ impl PersistLayer {
             entries,
             touched: HashSet::new(),
             own,
-            legacy,
             dirty: false,
         }
     }
@@ -324,7 +301,6 @@ impl PersistLayer {
                 entries: HashMap::new(),
                 touched: HashSet::new(),
                 own: HashSet::new(),
-                legacy: HashSet::new(),
                 dirty: ns.dirty,
             };
         }
@@ -420,15 +396,6 @@ impl PersistLayer {
             ));
             fs::write(&tmp, text)?;
             fs::rename(&tmp, &path)?;
-            // One-time migration: once every adopted legacy key is safely
-            // in this writer's shard, retire the legacy file so later
-            // writers stop re-adopting (and re-replicating) its contents.
-            // Compaction may have dropped some adopted keys as stale — the
-            // legacy file then survives as their only home.
-            if !ns.legacy.is_empty() && ns.legacy.iter().all(|k| ns.entries.contains_key(k)) {
-                let _ = fs::remove_file(self.legacy_file_of(name));
-                ns.legacy.clear();
-            }
             ns.dirty = false;
             written += 1;
         }
@@ -529,33 +496,6 @@ mod tests {
         assert!(root.join("diag-ccount").join(&shard).exists());
         // Clean flushes write nothing.
         assert_eq!(layer.flush().unwrap(), 0);
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn legacy_single_file_layout_is_still_read() {
-        let root = temp_root("legacy");
-        fs::create_dir_all(&root).unwrap();
-        fs::write(
-            root.join("test-ns.json"),
-            "{\"format\":1,\"namespace\":\"test/ns\",\"version\":1,\
-             \"entries\":{\"0000000000000009\":9}}",
-        )
-        .unwrap();
-        let layer = PersistLayer::open(&root).unwrap();
-        assert_eq!(layer.get("test/ns", 1, 9).unwrap().as_u64(), Some(9));
-        // A flush migrates the adopted legacy keys into this writer's
-        // shard and then *retires* the legacy file, so later writers stop
-        // re-adopting (and re-replicating) its contents.
-        layer.put("test/ns", 1, 10, Value::from(10u64));
-        layer.flush().unwrap();
-        assert!(
-            !root.join("test-ns.json").exists(),
-            "fully-migrated legacy file is retired"
-        );
-        let reopened = PersistLayer::open(&root).unwrap();
-        assert_eq!(reopened.get("test/ns", 1, 9).unwrap().as_u64(), Some(9));
-        assert_eq!(reopened.get("test/ns", 1, 10).unwrap().as_u64(), Some(10));
         let _ = fs::remove_dir_all(&root);
     }
 

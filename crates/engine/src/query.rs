@@ -258,10 +258,6 @@ pub struct QueryDb {
     pts_cache: Arc<ConstraintCache>,
     /// Cross-process persistence, when attached.
     persist: Option<Arc<PersistLayer>>,
-    /// How [`Pointsto`] solves run for this db (solver choice, derivation
-    /// tracing). The default records no provenance; the engine's
-    /// `--provenance` switch turns it on per engine.
-    solve_options: SolveOptions,
     table: Mutex<HashMap<(TypeId, u64), Slot>>,
     /// `TypeId` → query `NAME`, filled as queries are demanded; lets
     /// invalidation translate dependency-graph refs (which use names) back
@@ -303,7 +299,6 @@ impl QueryDb {
             source: None,
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
-            solve_options: SolveOptions::default(),
             table: Mutex::new(HashMap::new()),
             names: Mutex::new(HashMap::new()),
             deps: Mutex::new(BTreeSet::new()),
@@ -343,17 +338,6 @@ impl QueryDb {
     /// built.
     pub fn hashes(&self) -> &ProgramHashes {
         &self.hashes
-    }
-
-    /// Sets how [`Pointsto`] solves run in this db (builder style).
-    pub fn with_solve_options(mut self, opts: SolveOptions) -> QueryDb {
-        self.solve_options = opts;
-        self
-    }
-
-    /// The solve options [`Pointsto`] computes with.
-    pub fn solve_options(&self) -> SolveOptions {
-        self.solve_options
     }
 
     /// The attached persist layer, if any.
@@ -552,8 +536,7 @@ impl QueryDb {
     ) -> (QueryDb, InvalidationStats) {
         let new_db = QueryDb::with_hashes(edited, hashes)
             .with_pointsto_cache(Arc::clone(&self.pts_cache))
-            .with_persist(self.persist.clone())
-            .with_solve_options(self.solve_options);
+            .with_persist(self.persist.clone());
 
         // 1. Input-layer diff: which functions' contents changed, and did
         //    the type environment change with them?
@@ -871,7 +854,7 @@ impl Query for Pointsto {
             &db.hashes,
             *key,
             &db.pts_cache,
-            db.solve_options,
+            SolveOptions::default(),
         )
     }
 }

@@ -162,8 +162,8 @@ impl ProvStore {
     }
 
     /// Approximate resident size of the arena in bytes (steps plus index
-    /// plus edge table) — what the `stats` verb reports as
-    /// `provenance_bytes`.
+    /// plus edge table) — what `PointsToResult::provenance_bytes`
+    /// reports.
     pub fn bytes(&self) -> usize {
         self.steps.len() * std::mem::size_of::<Step>()
             + self.fact_index.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())

@@ -7,9 +7,11 @@
 //! invalidation keeps everything outside the edited function's cone),
 //! and finally two `explain` round-trips — one for a raw points-to fact
 //! of the kernel's VFS dispatch table, one for the fact a Deputy
-//! diagnostic cites as evidence. The daemon runs with provenance on and
-//! Deputy's indirect-annotation drift check enabled; the corpus gains a
-//! small interface-drift snippet so that check has something to find.
+//! diagnostic cites as evidence. Each `explain` runs its own traced
+//! points-to solve of the resident program, so the daemon needs no
+//! switch for it. The daemon runs with Deputy's indirect-annotation
+//! drift check enabled; the corpus gains a small interface-drift snippet
+//! so that check has something to find.
 //!
 //! Environment:
 //! * `IVY_CACHE_DIR` — persist directory (default `target/ivy-cache`).
@@ -114,9 +116,8 @@ fn main() -> ExitCode {
     let cache = std::env::var("IVY_CACHE_DIR").unwrap_or_else(|_| "target/ivy-cache".to_string());
     let socket = std::env::temp_dir().join(format!("ivy-session-{}.sock", std::process::id()));
 
-    // Provenance on (the `explain` phase needs recorded derivations) and
-    // Deputy's drift check on (it is the fleet checker whose diagnostic
-    // the session explains).
+    // Deputy's drift check on: it is the fleet checker whose diagnostic
+    // the session explains.
     let deputy = ivy::deputy::DeputyConfig {
         check_indirect_annotations: true,
         ..Default::default()
@@ -124,7 +125,6 @@ fn main() -> ExitCode {
     let handle = match Daemon::spawn(
         DaemonConfig::new(&socket)
             .with_cache_dir(&cache)
-            .with_provenance(true)
             .with_deputy(deputy),
     ) {
         Ok(handle) => handle,

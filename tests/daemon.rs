@@ -570,8 +570,6 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
             "engine.pointsto.solves_repropagate",
             "ivy_daemon_pointsto_solves_total{mode=\"incremental-repropagate\"}",
         ),
-        ("engine.provenance_facts", "ivy_daemon_provenance_facts"),
-        ("engine.provenance_bytes", "ivy_daemon_provenance_bytes"),
         ("persist.hits", "ivy_daemon_persist_hits_total"),
         ("persist.misses", "ivy_daemon_persist_misses_total"),
         ("persist.writes", "ivy_daemon_persist_writes_total"),
@@ -765,9 +763,12 @@ fn unknown_verbs_are_metered_as_unknown_and_never_echoed_whole() {
 
 /// A small program with one function-pointer dispatch and one global
 /// pointer slot — enough surface for `explain` to answer in both modes.
+/// `stash` is a second handler an edit can retarget `hook` to.
 const EXPLAIN_SOURCE: &str = r#"
     global sink: u8 *;
+    global spare: u8 *;
     fn store(p: u8 *) { sink = p; }
+    fn stash(p: u8 *) { spare = p; }
     global hook: fnptr(u8 *) -> void;
     global data: u8[8];
     fn setup() { hook = store; }
@@ -776,8 +777,8 @@ const EXPLAIN_SOURCE: &str = r#"
 
 #[test]
 fn explain_verb_returns_replay_verified_derivations() {
-    let handle =
-        Daemon::spawn(DaemonConfig::new(socket_path("explain")).with_provenance(true)).unwrap();
+    // A default daemon: `explain` runs its own traced solve, no flag.
+    let handle = Daemon::spawn(DaemonConfig::new(socket_path("explain"))).unwrap();
     let mut client = Client::connect(handle.socket()).unwrap();
 
     // Explain before any analyze is a clean error, not a hang or a panic.
@@ -808,6 +809,11 @@ fn explain_verb_returns_replay_verified_derivations() {
         "flow through a call: {:?}",
         slot.rendered
     );
+    assert!(
+        slot.rendered[0].contains("addr-of seed"),
+        "{:?}",
+        slot.rendered
+    );
     assert!(slot.fact.contains("sink"), "{}", slot.fact);
 
     // A target the static answer does not contain is an error that lists
@@ -815,46 +821,30 @@ fn explain_verb_returns_replay_verified_derivations() {
     let err = client.explain("fire", "hook", Some("setup")).unwrap_err();
     assert!(err.to_string().contains("store"), "{err}");
 
-    // The stats verb surfaces the provenance volume of the last analyze.
-    let stats = client.stats().unwrap();
-    let engine_section = stats.get("engine").expect("engine section");
+    // After an edit retargets `hook`, the chain derives the edited
+    // program's target, and the old one is no longer in the answer.
+    let edited = EXPLAIN_SOURCE.replace("hook = store;", "hook = stash;");
+    client.notify_edit(&edited).unwrap();
+    let retargeted = client.explain("fire", "hook", None).unwrap();
+    assert!(retargeted.replay_verified);
+    assert!(retargeted.fact.contains("`stash`"), "{}", retargeted.fact);
     assert!(
-        engine_section
-            .get("provenance_facts")
-            .and_then(ivy::engine::json::Value::as_u64)
-            .map(|n| n > 0)
-            .unwrap_or(false),
-        "provenance_facts surfaced: {engine_section:?}"
+        retargeted
+            .rendered
+            .iter()
+            .any(|line| line.contains("stash")),
+        "chain names the edited target: {:?}",
+        retargeted.rendered
     );
+    let err = client.explain("fire", "hook", Some("store")).unwrap_err();
+    assert!(err.to_string().contains("stash"), "{err}");
+    let spare = client.explain("stash", "spare", None).unwrap();
     assert!(
-        engine_section
-            .get("provenance_bytes")
-            .and_then(ivy::engine::json::Value::as_u64)
-            .map(|n| n > 0)
-            .unwrap_or(false),
-        "provenance_bytes surfaced: {engine_section:?}"
+        spare.replay_verified && spare.chain_len > 1,
+        "{:?}",
+        spare.rendered
     );
 
-    client.shutdown().unwrap();
-    handle.join();
-}
-
-#[test]
-fn explain_without_provenance_is_a_clean_error_and_stats_report_zero() {
-    let handle = Daemon::spawn(DaemonConfig::new(socket_path("no-prov"))).unwrap();
-    let mut client = Client::connect(handle.socket()).unwrap();
-    client.analyze(EXPLAIN_SOURCE).unwrap();
-    let err = client.explain("fire", "hook", None).unwrap_err();
-    assert!(err.to_string().contains("--provenance"), "{err}");
-    let stats = client.stats().unwrap();
-    let engine_section = stats.get("engine").expect("engine section");
-    assert_eq!(
-        engine_section
-            .get("provenance_facts")
-            .and_then(ivy::engine::json::Value::as_u64),
-        Some(0),
-        "provenance off reports zero facts: {engine_section:?}"
-    );
     client.shutdown().unwrap();
     handle.join();
 }
@@ -902,9 +892,9 @@ fn a_repeated_analyze_is_a_memo_hit_identical_to_the_cached_answer() {
     let batch = ivy::core::experiments::default_engine(0).analyze(&parse_program(&source).unwrap());
     assert_eq!(batch.diagnostics_json(), hit.diagnostics_json);
     assert_eq!(batch.diagnostics.len(), hit.diagnostic_count);
-    // `diagnostics` takes the same digest path.
+    // A fourth analyze takes the same digest path to the memo.
     assert_eq!(
-        client.diagnostics(&source).unwrap(),
+        client.analyze(&source).unwrap().diagnostics_json,
         batch.diagnostics_json()
     );
     assert_eq!(memo_counter(&mut client, "hits"), 2);
