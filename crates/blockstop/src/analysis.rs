@@ -418,15 +418,20 @@ fn collect_sites_in_block(
                 collect_sites_in_expr(program, pts, func, c, *depth, span, out);
                 let mut d_then = *depth;
                 collect_sites_in_block(program, pts, func, t, &mut d_then, out);
+                let mut d_else = *depth;
                 if let Some(e) = e {
-                    let mut d_else = *depth;
                     collect_sites_in_block(program, pts, func, e, &mut d_else, out);
                 }
+                // Sound join: after the branch, the code may run holding
+                // whatever either path acquired.
+                *depth = d_then.max(d_else);
             }
             Stmt::While(c, b, _) => {
                 collect_sites_in_expr(program, pts, func, c, *depth, span, out);
                 let mut d_body = *depth;
                 collect_sites_in_block(program, pts, func, b, &mut d_body, out);
+                // The loop may run zero times or leave a lock held.
+                *depth = (*depth).max(d_body);
             }
             Stmt::Block(b) | Stmt::DelayedFreeScope(b, _) => {
                 collect_sites_in_block(program, pts, func, b, depth, out)
@@ -692,6 +697,45 @@ mod tests {
         // No findings against the benign paths.
         assert!(!callers.contains("queue_packet_atomic"));
         assert!(!callers.contains("echo_char"));
+    }
+
+    /// A lock taken inside an `if` or `while` body may still be held after
+    /// it; a lock released on the same path is not.
+    #[test]
+    fn lock_depth_survives_branch_and_loop_bodies() {
+        let p = parse_program(
+            r#"
+            #[allocator] #[blocking_if(flags)]
+            extern fn kmalloc(size: u32, flags: u32) -> void *;
+            extern fn spin_lock_irqsave(l: u32 *);
+            extern fn spin_unlock_irqrestore(l: u32 *);
+            global lk: u32 = 0;
+            fn locked_in_if(c: u32, len: u32) -> void * {
+                if (c) { spin_lock_irqsave(&lk); }
+                let buf: void * = kmalloc(len, 0x10);
+                return buf;
+            }
+            fn locked_in_while(c: u32, len: u32) -> void * {
+                while (c) { spin_lock_irqsave(&lk); c = 0; }
+                let buf: void * = kmalloc(len, 0x10);
+                return buf;
+            }
+            fn balanced_in_if(c: u32, len: u32) -> void * {
+                if (c) { spin_lock_irqsave(&lk); spin_unlock_irqrestore(&lk); }
+                let buf: void * = kmalloc(len, 0x10);
+                return buf;
+            }
+            "#,
+        )
+        .unwrap();
+        let r = BlockStop::new().analyze(&p);
+        let callers: BTreeSet<&str> = r.findings.iter().map(|f| f.caller.as_str()).collect();
+        assert_eq!(
+            callers,
+            BTreeSet::from(["locked_in_if", "locked_in_while"]),
+            "{:?}",
+            r.findings
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use ivy_blockstop::{insert_asserts, BlockStopChecker, BlockStopConfig, BlockStop
 use ivy_ccount::{CCountChecker, InstrumentationReport};
 use ivy_cmir::ast::Program;
 use ivy_deputy::plugin::DeputyChecker;
-use ivy_deputy::{ConversionReport, Deputy};
+use ivy_deputy::ConversionReport;
 use ivy_engine::{CtxStore, Diagnostic, DiagnosticCache, Engine, PersistLayer, Report};
 use ivy_kernelgen::KernelBuild;
 use std::io;
@@ -32,26 +32,21 @@ use std::sync::Arc;
 
 /// Configuration of the combined pipeline.
 pub struct Pipeline {
-    /// The Deputy instance used for conversion.
-    pub deputy: Deputy,
     cache: Arc<DiagnosticCache>,
     ctx_store: Arc<CtxStore>,
     pts_cache: Arc<ConstraintCache>,
     persist: Option<Arc<PersistLayer>>,
     daemon: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
 }
 
 impl Default for Pipeline {
     fn default() -> Self {
         Pipeline {
-            deputy: Deputy::default(),
             cache: Arc::new(DiagnosticCache::new()),
             ctx_store: Arc::new(CtxStore::new()),
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
             daemon: None,
-            trace_out: None,
         }
     }
 }
@@ -62,13 +57,11 @@ impl Clone for Pipeline {
     /// from the original's warm state.
     fn clone(&self) -> Self {
         Pipeline {
-            deputy: self.deputy.clone(),
             cache: Arc::clone(&self.cache),
             ctx_store: Arc::clone(&self.ctx_store),
             pts_cache: Arc::clone(&self.pts_cache),
             persist: self.persist.clone(),
             daemon: self.daemon.clone(),
-            trace_out: self.trace_out.clone(),
         }
     }
 }
@@ -76,7 +69,6 @@ impl Clone for Pipeline {
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
-            .field("deputy", &self.deputy)
             .field("cached_results", &self.cache.len())
             .finish()
     }
@@ -132,17 +124,6 @@ impl Pipeline {
         self
     }
 
-    /// Enables span recording and exports a Chrome trace-event JSON file
-    /// to `path` when [`Pipeline::run`] finishes (builder style). The
-    /// trace covers the pipeline's phase spans plus everything the engine
-    /// and solver record underneath them; open it in about://tracing or
-    /// Perfetto.
-    pub fn with_trace_out(mut self, path: impl Into<PathBuf>) -> Self {
-        ivy_telemetry::enable_spans();
-        self.trace_out = Some(path.into());
-        self
-    }
-
     /// One analyze round-trip against a resident daemon, decoded back into
     /// an engine [`Report`]. The daemon's `diagnostics_json` is the stable
     /// serialization, so the decoded report reproduces it byte-identically.
@@ -165,21 +146,14 @@ impl Pipeline {
     /// [`Pipeline::with_daemon`]) and reachable, the round-trip is served
     /// by the resident engine; otherwise an in-process engine pass runs.
     /// Both paths produce byte-identical stable serializations.
-    ///
-    /// The daemon always serves the *default* checker configurations (the
-    /// protocol carries no config yet — see the ROADMAP item), so a
-    /// pipeline with a non-default Deputy config never routes to it:
-    /// answers must come from the configuration the caller asked for, not
-    /// whichever happens to be resident.
     pub fn recheck(&self, program: &Program) -> Report {
-        let default_config = self.deputy.config == Deputy::default().config;
-        if let (Some(socket), true) = (&self.daemon, default_config) {
+        if let Some(socket) = &self.daemon {
             if let Ok(report) = Self::daemon_analyze(socket, program) {
                 return report;
             }
         }
         let mut engine = self.engine();
-        for checker in ivy_daemon::fleet_checkers(self.deputy.config) {
+        for checker in ivy_daemon::fleet_checkers(ivy_deputy::DeputyConfig::default()) {
             engine = engine.with_checker(checker);
         }
         engine.analyze(program)
@@ -239,7 +213,7 @@ impl Pipeline {
             asserted_functions: asserted,
             ..BlockStopConfig::default()
         }));
-        let deputy_checker = Arc::new(DeputyChecker::with_config(self.deputy.config));
+        let deputy_checker = Arc::new(DeputyChecker::new());
         let post_engine = self
             .engine()
             .with_checker(post_checker.clone())
@@ -252,8 +226,8 @@ impl Pipeline {
         // 4. Deputy conversion of the patched kernel (the program
         //    transformation; diagnostics already came from the engine
         //    pass). Assembled from the per-function instrumentations the
-        //    checker just memoized — keyed by deputy config — so neither a
-        //    cold nor a repeated pipeline run instruments twice.
+        //    checker just memoized, so neither a cold nor a repeated
+        //    pipeline run instruments twice.
         let conversion = ivy_telemetry::time("pipeline/phase", "deputize", || {
             (*deputy_checker.conversion(&post_ctx)).clone()
         });
@@ -283,12 +257,6 @@ impl Pipeline {
         let report = Report::new(diagnostics, stats);
         drop(report_span);
         drop(run_span);
-
-        if let Some(path) = &self.trace_out {
-            if let Err(err) = ivy_telemetry::write_chrome_trace(path) {
-                eprintln!("ivy-core: trace export to {} failed: {err}", path.display());
-            }
-        }
 
         Hardened {
             program: conversion.program,

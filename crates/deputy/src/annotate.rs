@@ -125,46 +125,92 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
     examined
 }
 
-/// Infers default annotations for unannotated pointers: `auto` bounds for
-/// pointers that the function indexes or offsets, `single` for everything
-/// else. Returns the number of defaults applied.
-pub fn infer_defaults(program: &mut Program, report: &mut ConversionReport) -> u64 {
-    // Collect, per function, the set of local/param names that are used with
-    // indexing or pointer arithmetic anywhere in the program.
+/// The defaulted environment instrumentation reads: composites, typedefs,
+/// globals, and every function's signature with `body: None`. Unannotated
+/// pointers in globals and fields default to `auto` (without per-site
+/// usage information the conservative choice, always checkable at run
+/// time); a defined function's parameters default as in [`with_defaults`],
+/// and an extern's are left as written. Bodies are only read, to count the
+/// defaults their locals get once [`with_defaults`] applies them; the total
+/// is added to `report.inferred_defaults`.
+pub fn default_env(program: &Program, report: &mut ConversionReport) -> Program {
     let mut inferred = 0;
-
-    for f in program.functions.iter_mut() {
-        let Some(body) = &f.body else {
-            continue;
-        };
-        let arithmetic_ptrs = pointers_used_with_arithmetic(f);
-        let new_body = visit::map_block(body, &mut |s| match s {
-            Stmt::Local(mut decl, init) => {
-                inferred += apply_default(&mut decl.ty, arithmetic_ptrs.contains(&decl.name));
-                vec![Stmt::Local(decl, init)]
+    let functions = program
+        .functions
+        .iter()
+        .map(|f| {
+            let mut sig = signature(f);
+            if f.body.is_some() {
+                let arithmetic_ptrs = pointers_used_with_arithmetic(f);
+                inferred += default_params(&mut sig, &arithmetic_ptrs);
+                visit::walk_fn_stmts(f, &mut |s| {
+                    if let Stmt::Local(decl, _) = s {
+                        inferred += apply_default(&mut decl.ty.clone(), false);
+                    }
+                });
             }
-            other => vec![other],
-        });
-        for p in &mut f.params {
-            inferred += apply_default(&mut p.ty, arithmetic_ptrs.contains(&p.name));
-        }
-        f.body = Some(new_body);
-    }
-
-    // Globals and fields: default to `auto` for arrays-of-unknown use, else
-    // `single`; without per-site usage information the conservative choice is
-    // `auto` (it is always checkable at run time).
-    for g in &mut program.globals {
+            sig
+        })
+        .collect();
+    let mut globals = program.globals.clone();
+    for g in &mut globals {
         inferred += apply_default(&mut g.decl.ty, true);
     }
-    for c in &mut program.composites {
+    let mut composites = program.composites.clone();
+    for c in &mut composites {
         for field in &mut c.fields {
             inferred += apply_default(&mut field.ty, true);
         }
     }
-
     report.inferred_defaults += inferred;
-    inferred
+    Program {
+        composites,
+        typedefs: program.typedefs.clone(),
+        globals,
+        functions,
+    }
+}
+
+/// One function with default annotations for its unannotated pointer
+/// parameters and locals: `auto` bounds for pointers that the function
+/// indexes or offsets ([`pointers_used_with_arithmetic`]), `single` for
+/// everything else. An extern declaration is returned as written. The
+/// body is copied once, with the defaults applied on the way.
+pub fn with_defaults(func: &Function) -> Function {
+    let Some(body) = &func.body else {
+        return func.clone();
+    };
+    let arithmetic_ptrs = pointers_used_with_arithmetic(func);
+    let mut out = signature(func);
+    default_params(&mut out, &arithmetic_ptrs);
+    out.body = Some(visit::map_block(body, &mut |s| match s {
+        Stmt::Local(mut decl, init) => {
+            apply_default(&mut decl.ty, arithmetic_ptrs.contains(&decl.name));
+            vec![Stmt::Local(decl, init)]
+        }
+        other => vec![other],
+    }));
+    out
+}
+
+/// A function's header without its body.
+fn signature(func: &Function) -> Function {
+    Function {
+        name: func.name.clone(),
+        params: func.params.clone(),
+        ret: func.ret.clone(),
+        body: None,
+        attrs: func.attrs.clone(),
+        subsystem: func.subsystem.clone(),
+        span: func.span,
+    }
+}
+
+fn default_params(func: &mut Function, arithmetic_ptrs: &BTreeSet<String>) -> u64 {
+    func.params
+        .iter_mut()
+        .map(|p| apply_default(&mut p.ty, arithmetic_ptrs.contains(&p.name)))
+        .sum()
 }
 
 fn apply_default(ty: &mut Type, used_with_arithmetic: bool) -> u64 {
@@ -338,45 +384,80 @@ mod tests {
             fn walks(p: u32 *, n: u32) -> u32 {
                 let acc: u32 = 0;
                 let i: u32 = 0;
+                let cur: u32 * = p;
                 while (i < n) { acc = acc + p[i]; i = i + 1; }
                 return acc;
             }
         "#;
-        let mut p = parse_program(src).unwrap();
+        let p = parse_program(src).unwrap();
+        let bounds = |ty: &Type| ty.ptr_annot().unwrap().bounds.clone();
+        let only = with_defaults(p.function("only_deref").unwrap());
+        assert_eq!(bounds(&only.params[0].ty), Bounds::Single);
+        let walks = with_defaults(p.function("walks").unwrap());
+        assert_eq!(bounds(&walks.params[0].ty), Bounds::Auto);
+        let mut local = None;
+        visit::walk_fn_stmts(&walks, &mut |s| {
+            if let Stmt::Local(decl, _) = s {
+                if decl.name == "cur" {
+                    local = Some(bounds(&decl.ty));
+                }
+            }
+        });
+        assert_eq!(local, Some(Bounds::Single));
+    }
+
+    /// The environment carries the same parameter defaults as
+    /// [`with_defaults`], no body, untouched extern parameters, and counts
+    /// the defaults the bodies' locals will get.
+    #[test]
+    fn default_env_is_body_free_and_counts_local_defaults() {
+        let src = r#"
+            struct node { next: struct node *; }
+            global head: struct node *;
+            extern fn ext(p: u8 *);
+            fn walks(p: u32 *, n: u32) -> u32 {
+                let cur: u32 * = p;
+                return p[n];
+            }
+        "#;
+        let p = parse_program(src).unwrap();
         let mut r = ConversionReport::default();
-        let n = infer_defaults(&mut p, &mut r);
-        assert!(n >= 2);
-        let only = &p.function("only_deref").unwrap().params[0].ty;
-        assert_eq!(only.ptr_annot().unwrap().bounds, Bounds::Single);
-        let walks = &p.function("walks").unwrap().params[0].ty;
-        assert_eq!(walks.ptr_annot().unwrap().bounds, Bounds::Auto);
+        let env = default_env(&p, &mut r);
+        // Field, global, one parameter and one local.
+        assert_eq!(r.inferred_defaults, 4);
+        assert!(env.functions.iter().all(|f| f.body.is_none()));
+        assert_eq!(
+            env.function("walks").unwrap().params,
+            with_defaults(p.function("walks").unwrap()).params
+        );
+        let ext = &env.function("ext").unwrap().params[0].ty;
+        assert_eq!(ext.ptr_annot().unwrap().bounds, Bounds::Unknown);
+        let head = &env.global("head").unwrap().decl.ty;
+        assert_eq!(head.ptr_annot().unwrap().bounds, Bounds::Auto);
     }
 
     #[test]
     fn trusted_pointers_not_defaulted() {
         let src = "fn f(p: u32 * trusted) -> u32 { return p[4]; }";
-        let mut p = parse_program(src).unwrap();
-        let mut r = ConversionReport::default();
-        infer_defaults(&mut p, &mut r);
-        let ann = p.function("f").unwrap().params[0]
-            .ty
-            .ptr_annot()
-            .unwrap()
-            .clone();
+        let p = parse_program(src).unwrap();
+        let f = with_defaults(p.function("f").unwrap());
+        let ann = f.params[0].ty.ptr_annot().unwrap();
         assert!(ann.trusted);
         assert_eq!(ann.bounds, Bounds::Unknown);
     }
 
     #[test]
     fn inference_is_idempotent() {
-        let src = "fn walks(p: u32 *, n: u32) -> u32 { return p[n]; }";
+        let src = "fn walks(p: u32 *, n: u32) -> u32 { let q: u32 * = p; return p[n]; }";
         let mut p = parse_program(src).unwrap();
+        let once = with_defaults(&p.functions[0]);
+        assert_ne!(once, p.functions[0]);
+        assert_eq!(with_defaults(&once), once);
+        p.functions[0] = once;
         let mut r = ConversionReport::default();
-        let first = infer_defaults(&mut p, &mut r);
-        let second = infer_defaults(&mut p, &mut r);
-        assert!(first > 0);
+        default_env(&p, &mut r);
         assert_eq!(
-            second, 0,
+            r.inferred_defaults, 0,
             "already-annotated pointers must not be touched again"
         );
     }

@@ -24,33 +24,6 @@ use ivy_cmir::types::{BoundExpr, Bounds, PtrAnnot, Type};
 use ivy_cmir::visit;
 use ivy_cmir::Span;
 
-/// Configuration of the Deputy conversion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeputyConfig {
-    /// Infer default annotations for unannotated pointers before checking.
-    pub infer_defaults: bool,
-    /// Insert run-time checks (turning this off yields a pure static report).
-    pub insert_checks: bool,
-    /// Run the redundant-check optimiser after insertion.
-    pub optimize: bool,
-    /// Check that the resolved targets of every indirect call agree on
-    /// their parameter types and annotations (engine plugin only: the check
-    /// queries the shared points-to analysis). Off by default — it warns
-    /// about latent interface drift rather than definite type errors.
-    pub check_indirect_annotations: bool,
-}
-
-impl Default for DeputyConfig {
-    fn default() -> Self {
-        DeputyConfig {
-            infer_defaults: true,
-            insert_checks: true,
-            optimize: true,
-            check_indirect_annotations: false,
-        }
-    }
-}
-
 /// Result of converting a program with Deputy.
 #[derive(Debug, Clone)]
 pub struct Conversion {
@@ -61,71 +34,69 @@ pub struct Conversion {
 }
 
 /// The Deputy tool.
-#[derive(Debug, Clone, Default)]
-pub struct Deputy {
-    /// Conversion configuration.
-    pub config: DeputyConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Deputy;
 
 impl Deputy {
-    /// Creates a Deputy instance with the default configuration.
+    /// Creates a Deputy instance.
     pub fn new() -> Self {
-        Deputy::default()
-    }
-
-    /// Creates a Deputy instance with a specific configuration.
-    pub fn with_config(config: DeputyConfig) -> Self {
-        Deputy { config }
+        Deputy
     }
 
     /// The preparation half of a conversion: annotation validation plus
-    /// default inference, without any check insertion. The engine adapter
-    /// runs this once per program (memoized in the shared analysis context)
-    /// and then drives [`convert_function`] per function, which is what
-    /// makes Deputy checking per-function and incrementally cacheable.
+    /// the body-free, defaulted environment that instrumentation reads
+    /// (see [`annotate::default_env`]), without any check insertion. The
+    /// engine adapter runs this once per program (memoized in the shared
+    /// analysis context) and then drives [`convert_function`] per
+    /// function, which is what makes Deputy checking per-function and
+    /// incrementally cacheable.
     pub fn prepare(&self, program: &Program) -> (Program, ConversionReport) {
         let mut report = ConversionReport::default();
-        let mut program = program.clone();
-        annotate::validate_annotations(&program, &mut report);
-        if self.config.infer_defaults {
-            annotate::infer_defaults(&mut program, &mut report);
-        }
-        (program, report)
+        annotate::validate_annotations(program, &mut report);
+        let env = annotate::default_env(program, &mut report);
+        (env, report)
     }
 
     /// Converts (deputizes) a whole program.
     pub fn convert(&self, program: &Program) -> Conversion {
-        let (mut program, mut report) = self.prepare(program);
-
-        if self.config.insert_checks {
-            let originals: Vec<Function> = program.functions.clone();
-            for func in &originals {
-                if func.body.is_none() {
-                    continue;
-                }
-                let instrumented = instrument_function(&program, func, &mut report);
-                program.add_function(instrumented);
-            }
-        }
-
-        if self.config.optimize {
-            let removed = crate::optimize::eliminate_redundant_checks(&mut program);
-            report.checks_optimized_away = removed;
-        }
-
-        Conversion { program, report }
+        let (env, report) = self.prepare(program);
+        let instrumented = program
+            .functions
+            .iter()
+            .filter(|f| f.body.is_some())
+            .map(|f| convert_function(&env, f));
+        assemble(&env, report, instrumented)
     }
 }
 
-/// Instruments a single function of an already-[`prepared`](Deputy::prepare)
-/// program, returning the instrumented function and a report containing only
-/// this function's contribution (check counts, static discharges,
-/// diagnostics). Summing these per-function reports over all functions
-/// reproduces the pre-optimization numbers of [`Deputy::convert`].
-pub fn convert_function(program: &Program, func: &Function) -> (Function, ConversionReport) {
+/// Defaults and instruments one function of a program against its
+/// [prepared](Deputy::prepare) environment, returning the instrumented
+/// function and a report containing only this function's contribution
+/// (check counts, static discharges, diagnostics). Summing these
+/// per-function reports over all functions reproduces the
+/// pre-optimization numbers of [`Deputy::convert`].
+pub fn convert_function(env: &Program, func: &Function) -> (Function, ConversionReport) {
     let mut report = ConversionReport::default();
-    let instrumented = instrument_function(program, func, &mut report);
+    let instrumented = instrument_function(env, annotate::with_defaults(func), &mut report);
     (instrumented, report)
+}
+
+/// The whole-program conversion: the environment with every
+/// instrumented function in place of its signature, the per-function
+/// reports merged into the preparation `report`, and the redundant-check
+/// optimiser run last.
+pub(crate) fn assemble(
+    env: &Program,
+    mut report: ConversionReport,
+    instrumented: impl Iterator<Item = (Function, ConversionReport)>,
+) -> Conversion {
+    let mut program = env.clone();
+    for (func, func_report) in instrumented {
+        report.merge(&func_report);
+        program.add_function(func);
+    }
+    report.checks_optimized_away = crate::optimize::eliminate_redundant_checks(&mut program);
+    Conversion { program, report }
 }
 
 /// A dominating comparison fact `lhs < rhs` collected from enclosing loop and
@@ -146,15 +117,11 @@ struct Instrumenter<'p> {
     current_span: Span,
 }
 
-fn instrument_function(
-    program: &Program,
-    func: &Function,
-    report: &mut ConversionReport,
-) -> Function {
+fn instrument_function(env: &Program, func: Function, report: &mut ConversionReport) -> Function {
     if func.attrs.trusted {
         // Whole function trusted: count its access sites but do not touch it.
         let mut sites = 0;
-        visit::walk_fn_stmts(func, &mut |s| {
+        visit::walk_fn_stmts(&func, &mut |s| {
             visit::walk_stmt_exprs(s, &mut |e| {
                 if matches!(e, Expr::Index(..) | Expr::Deref(_) | Expr::Arrow(..)) {
                     sites += 1;
@@ -162,24 +129,25 @@ fn instrument_function(
             });
         });
         report.trusted_sites += sites;
-        return func.clone();
+        return func;
     }
-    let mut ctx = TypeCtx::for_function(program, func);
+    let body = func
+        .body
+        .as_ref()
+        .expect("instrument_function requires a body");
+    let mut ctx = TypeCtx::for_function(env, &func);
     let mut inst = Instrumenter {
-        program,
-        func,
+        program: env,
+        func: &func,
         report,
         facts: Vec::new(),
         current_span: func.span,
     };
-    let body = func
-        .body
-        .clone()
-        .expect("instrument_function requires a body");
-    let new_body = inst.rewrite_block(&body, &mut ctx);
-    let mut out = func.clone();
-    out.body = Some(new_body);
-    out
+    let new_body = inst.rewrite_block(body, &mut ctx);
+    Function {
+        body: Some(new_body),
+        ..func
+    }
 }
 
 impl<'p> Instrumenter<'p> {

@@ -8,7 +8,8 @@
 //! The crate provides the whole conversion pipeline:
 //!
 //! * [`annotate`] — annotation validation and default inference for legacy
-//!   pointers (the incremental-conversion story).
+//!   pointers (the incremental-conversion story), applied to a body-free
+//!   environment and to each function as it is instrumented.
 //! * [`instrument`] — the checker itself: static discharge where provable,
 //!   run-time check insertion otherwise, `trusted` escape hatches respected
 //!   and counted.
@@ -55,8 +56,8 @@ pub mod plugin;
 pub mod report;
 pub mod stats;
 
-pub use instrument::{convert_function, Conversion, Deputy, DeputyConfig};
-pub use plugin::DeputyChecker;
+pub use instrument::{convert_function, Conversion, Deputy};
+pub use plugin::{DeputyChecker, DeputyConfig};
 pub use report::{BurdenStats, ConversionReport, DeputyDiagnostic, Severity, SiteOutcome};
 
 use ivy_cmir::ast::Program;

@@ -1,21 +1,24 @@
 //! The Deputy checker plugin for `ivy-engine`.
 //!
-//! Deputy checking decomposes cleanly per function: validation and default
-//! inference are prepared once per program ([`PreparedQuery`]), then each
-//! function is instrumented independently ([`InstrumentedQuery`]) —
-//! call-site obligations only consult *signatures* of callees, never their
-//! bodies. The instrumented query is a [`DurableQuery`] keyed by the
-//! function's span-insensitive content hash and the whole-program type
-//! environment hash: with a persist layer attached, re-deputization after
-//! a one-function edit re-instruments exactly the edited function — in
-//! this process or a later one — and the instrumented body travels as
+//! Deputy checking decomposes cleanly per function: validation and the
+//! defaulted environment are prepared once per program ([`PreparedQuery`]),
+//! then each function is defaulted and instrumented independently
+//! ([`InstrumentedQuery`]) — call-site obligations only consult
+//! *signatures* of callees, never their bodies. The environment is
+//! body-free (signatures, globals, composites, typedefs), so a context
+//! holds its program once: the only bodies Deputy keeps are the
+//! instrumented ones. The instrumented query is a [`DurableQuery`] keyed
+//! by the function's span-insensitive content hash and the whole-program
+//! type environment hash: with a persist layer attached, re-deputization
+//! after a one-function edit re-instruments exactly the edited function —
+//! in this process or a later one — and the instrumented body travels as
 //! pretty-printed KC source (the parser round-trips inserted checks).
 //! The cache fingerprint for per-function diagnostics is the env hash for
 //! the same reason: a body edit leaves every other function's Deputy
 //! result cached, which is exactly the dirty-cone behaviour the engine's
 //! incremental loop relies on.
 
-use crate::instrument::{convert_function, Conversion, Deputy, DeputyConfig};
+use crate::instrument::{assemble, convert_function, Conversion, Deputy};
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity as DeputySeverity};
 use ivy_analysis::callgraph::calls_in;
 use ivy_analysis::pointsto::Sensitivity;
@@ -32,10 +35,14 @@ use ivy_engine::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-impl QueryKey for DeputyConfig {
-    fn stable_hash(&self) -> u64 {
-        fnv1a(format!("{self:?}").as_bytes())
-    }
+/// Configuration of the Deputy engine plugin.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeputyConfig {
+    /// Check that the resolved targets of every indirect call agree on
+    /// their parameter types and annotations (the check queries the shared
+    /// points-to analysis). Off by default — it warns about latent
+    /// interface drift rather than definite type errors.
+    pub check_indirect_annotations: bool,
 }
 
 /// Deputy as an engine plugin.
@@ -45,31 +52,30 @@ pub struct DeputyChecker {
     pub config: DeputyConfig,
 }
 
-/// The prepared-program result: the program with defaults inferred, plus
-/// the validation/inference report.
+/// The prepared result: the defaulted, body-free environment, plus the
+/// validation/inference report.
 pub struct Prepared {
-    /// Program after validation and default inference.
-    pub program: Program,
+    /// Composites, typedefs, globals and function signatures, with
+    /// defaults inferred and no function bodies (see [`Deputy::prepare`]).
+    pub env: Program,
     /// Validation diagnostics and inference counts.
     pub report: ConversionReport,
 }
 
-/// Validation + default inference for a whole program, keyed by the
-/// conversion configuration.
+/// Validation + the defaulted environment for a whole program.
 pub struct PreparedQuery;
 
 impl Query for PreparedQuery {
-    type Key = DeputyConfig;
+    type Key = ();
     type Value = Prepared;
     const NAME: &'static str = "deputy/prepared";
 
-    fn compute(db: &QueryDb, key: &DeputyConfig) -> Prepared {
+    fn compute(db: &QueryDb, _: &()) -> Prepared {
         // Preparation reads every annotation in the program directly, so
         // dependency-driven invalidation must see the whole-program read.
         db.depend_on_program();
-        let deputy = Deputy::with_config(*key);
-        let (program, report) = deputy.prepare(&db.program);
-        Prepared { program, report }
+        let (env, report) = Deputy::new().prepare(&db.program);
+        Prepared { env, report }
     }
 }
 
@@ -79,8 +85,6 @@ impl Query for PreparedQuery {
 /// are unchanged — a one-function edit invalidates one entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstrumentedKey {
-    /// Conversion configuration.
-    pub config: DeputyConfig,
     /// Function name.
     pub function: String,
     /// Span-insensitive structural hash of the function definition.
@@ -91,13 +95,13 @@ pub struct InstrumentedKey {
 
 impl QueryKey for InstrumentedKey {
     fn stable_hash(&self) -> u64 {
-        let h = mix(self.config.stable_hash(), fnv1a(self.function.as_bytes()));
-        mix(mix(h, self.content_hash), self.env_hash)
+        let h = mix(fnv1a(self.function.as_bytes()), self.content_hash);
+        mix(h, self.env_hash)
     }
 }
 
 /// The instrumented ("deputized") form of one function against the
-/// prepared program, plus its conversion report. Durable: the body is
+/// prepared environment, plus its conversion report. Durable: the body is
 /// persisted as pretty-printed KC source and re-parsed on reload.
 pub struct InstrumentedQuery;
 
@@ -107,13 +111,12 @@ impl Query for InstrumentedQuery {
     const NAME: &'static str = "deputy/instrumented";
 
     fn compute(db: &QueryDb, key: &InstrumentedKey) -> (Function, ConversionReport) {
-        let prepared = db.get::<PreparedQuery>(&key.config);
-        let subject = prepared
+        let prepared = db.get::<PreparedQuery>(&());
+        let subject = db
             .program
             .function(&key.function)
-            .or_else(|| db.program.function(&key.function))
             .expect("instrumented query demanded for a known function");
-        convert_function(&prepared.program, subject)
+        convert_function(&prepared.env, subject)
     }
 }
 
@@ -148,39 +151,50 @@ impl DurableQuery for InstrumentedQuery {
 }
 
 /// Whole-program conversion assembled from the per-function
-/// instrumentations, keyed by configuration.
+/// instrumentations.
 pub struct ConversionQuery;
 
 impl Query for ConversionQuery {
-    type Key = DeputyConfig;
+    type Key = ();
     type Value = Conversion;
     const NAME: &'static str = "deputy/conversion";
 
-    fn compute(db: &QueryDb, key: &DeputyConfig) -> Conversion {
-        DeputyChecker::with_config(*key).assemble_conversion(db)
+    fn compute(db: &QueryDb, _: &()) -> Conversion {
+        let prepared = db.get::<PreparedQuery>(&());
+        let checker = DeputyChecker::new();
+        let instrumented = db
+            .program
+            .functions
+            .iter()
+            .filter(|f| f.body.is_some())
+            .map(|func| {
+                let instrumented = checker.instrumented(db, func);
+                (instrumented.0.clone(), instrumented.1.clone())
+            });
+        assemble(&prepared.env, prepared.report.clone(), instrumented)
     }
 }
 
 /// Resolved indirect-call target groups per function (see
-/// [`DeputyChecker::indirect_signature_groups`]); keyed by configuration
-/// and function name. Not durable: it reads points-to target sets, and is
-/// only demanded when the (off-by-default) drift check is enabled.
+/// [`DeputyChecker::indirect_signature_groups`]); keyed by function name.
+/// Not durable: it reads points-to target sets, and is only demanded when
+/// the (off-by-default) drift check is enabled.
 pub struct IndirectGroupsQuery;
 
 impl Query for IndirectGroupsQuery {
-    type Key = (DeputyConfig, String);
+    type Key = String;
     type Value = BTreeMap<String, BTreeMap<String, BTreeSet<String>>>;
     const NAME: &'static str = "deputy/indirect-groups";
 
-    fn compute(db: &QueryDb, key: &(DeputyConfig, String)) -> Self::Value {
+    fn compute(db: &QueryDb, key: &String) -> Self::Value {
         // The groups read this function's call sites plus whole-program
         // points-to targets (demanded below through the db); anchor the
         // direct body read to the function's content.
-        db.fn_content(&key.1);
-        let Some(func) = db.program.function(&key.1) else {
+        db.fn_content(key);
+        let Some(func) = db.program.function(key) else {
             return BTreeMap::new();
         };
-        DeputyChecker::with_config(key.0).compute_indirect_signature_groups(db, func)
+        DeputyChecker::new().compute_indirect_signature_groups(db, func)
     }
 }
 
@@ -287,17 +301,13 @@ impl DeputyChecker {
         DeputyChecker { config }
     }
 
-    fn config_hash(&self) -> u64 {
-        self.config.stable_hash()
-    }
-
-    /// The prepared program for a shared context, computed once.
+    /// The prepared environment for a shared context, computed once.
     pub fn prepared(&self, ctx: &AnalysisCtx) -> Arc<Prepared> {
-        ctx.get::<PreparedQuery>(&self.config)
+        ctx.get::<PreparedQuery>(&())
     }
 
     /// The instrumented form of one function (against the prepared
-    /// program), demanded through the durable query layer so the
+    /// environment), demanded through the durable query layer so the
     /// per-function checking pass, a later whole-program
     /// [`DeputyChecker::conversion`], and warm-started processes all share
     /// the work.
@@ -307,7 +317,6 @@ impl DeputyChecker {
         func: &Function,
     ) -> Arc<(Function, ConversionReport)> {
         let key = InstrumentedKey {
-            config: self.config,
             function: func.name.clone(),
             content_hash: function_content_hash(func),
             env_hash: ctx.env_hash(),
@@ -320,34 +329,7 @@ impl DeputyChecker {
     /// ran the checker pays nothing extra) and memoized itself. Produces
     /// the same program and report as [`Deputy::convert`].
     pub fn conversion(&self, ctx: &AnalysisCtx) -> Arc<Conversion> {
-        ctx.get::<ConversionQuery>(&self.config)
-    }
-
-    /// The body of [`ConversionQuery::compute`]; separated so the query
-    /// and direct callers share one implementation.
-    fn assemble_conversion(&self, db: &QueryDb) -> Conversion {
-        let prepared = db.get::<PreparedQuery>(&self.config);
-        let mut program = prepared.program.clone();
-        let mut report = prepared.report.clone();
-        if self.config.insert_checks {
-            let env_hash = db.env_hash();
-            for func in db.program.functions.iter().filter(|f| f.body.is_some()) {
-                let key = InstrumentedKey {
-                    config: self.config,
-                    function: func.name.clone(),
-                    content_hash: function_content_hash(func),
-                    env_hash,
-                };
-                let instrumented = db.get_durable::<InstrumentedQuery>(&key);
-                program.add_function(instrumented.0.clone());
-                report.merge(&instrumented.1);
-            }
-        }
-        if self.config.optimize {
-            report.checks_optimized_away =
-                crate::optimize::eliminate_redundant_checks(&mut program);
-        }
-        Conversion { program, report }
+        ctx.get::<ConversionQuery>(&())
     }
 
     /// Query path into the shared points-to substrate: for every indirect
@@ -362,7 +344,7 @@ impl DeputyChecker {
         ctx: &AnalysisCtx,
         func: &Function,
     ) -> Arc<BTreeMap<String, BTreeMap<String, BTreeSet<String>>>> {
-        ctx.get::<IndirectGroupsQuery>(&(self.config, func.name.clone()))
+        ctx.get::<IndirectGroupsQuery>(&func.name)
     }
 
     fn compute_indirect_signature_groups(
@@ -447,7 +429,8 @@ impl Checker for DeputyChecker {
         // exactly that. Bodies are covered by the cone hash. The indirect-
         // annotation check additionally reads points-to target sets, which
         // any body edit can change — fold the resolved groups in.
-        let mut h = mix(self.config_hash(), ctx.env_hash());
+        let check_indirect = u64::from(self.config.check_indirect_annotations);
+        let mut h = mix(check_indirect, ctx.env_hash());
         if self.config.check_indirect_annotations && func.body.is_some() {
             for (text, groups) in self.indirect_signature_groups(ctx, func).iter() {
                 h = mix(h, fnv1a(text.as_bytes()));
@@ -544,10 +527,8 @@ impl Checker for DeputyChecker {
             }
         }
 
-        if func.body.is_some() && self.config.insert_checks {
-            // Instrument the *prepared* copy of the function so inferred
-            // defaults are in effect, exactly as in `Deputy::convert`;
-            // demanded through the durable query so `conversion` (and warm
+        if func.body.is_some() {
+            // Demanded through the durable query so `conversion` (and warm
             // processes) reuse the same work.
             let instrumented = self.instrumented(ctx, func);
             let report = &instrumented.1;
@@ -656,7 +637,6 @@ mod tests {
 
         let config = DeputyConfig {
             check_indirect_annotations: true,
-            ..DeputyConfig::default()
         };
         let checker = DeputyChecker::with_config(config);
         let diags = checker.check_function(&ctx, fire);

@@ -245,7 +245,6 @@ pub struct Engine {
     ctx_store: Arc<CtxStore>,
     pts_cache: Arc<ConstraintCache>,
     persist: Option<Arc<PersistLayer>>,
-    trace_out: Option<std::path::PathBuf>,
 }
 
 impl Default for Engine {
@@ -263,7 +262,6 @@ impl Engine {
             ctx_store: Arc::new(CtxStore::new()),
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
-            trace_out: None,
         }
     }
 
@@ -315,17 +313,6 @@ impl Engine {
     /// layer when they finish.
     pub fn with_persist(mut self, persist: Arc<PersistLayer>) -> Engine {
         self.persist = Some(persist);
-        self
-    }
-
-    /// Enables span tracing for the whole process and exports the recorded
-    /// spans as Chrome trace-event JSON to `path` after every analysis this
-    /// engine runs (the file accumulates the session and can be opened in
-    /// `about://tracing` or Perfetto at any point).
-    pub fn with_trace_out(mut self, path: impl Into<std::path::PathBuf>) -> Engine {
-        ivy_telemetry::enable_spans();
-        ivy_telemetry::enable_counters();
-        self.trace_out = Some(path.into());
         self
     }
 
@@ -632,14 +619,6 @@ impl Engine {
             }
             // After the flush so this run's compaction is included.
             stats.persist_pruned = layer.pruned();
-        }
-        if let Some(path) = &self.trace_out {
-            if let Err(err) = ivy_telemetry::write_chrome_trace(path) {
-                eprintln!(
-                    "ivy-engine: trace export to {} failed: {err}",
-                    path.display()
-                );
-            }
         }
         Report::new(diagnostics, stats)
     }

@@ -120,7 +120,6 @@ fn main() -> ExitCode {
     // the session explains.
     let deputy = ivy::deputy::DeputyConfig {
         check_indirect_annotations: true,
-        ..Default::default()
     };
     let handle = match Daemon::spawn(
         DaemonConfig::new(&socket)

@@ -523,6 +523,31 @@ fn diagnostics_match_the_pinned_digests() {
     );
 }
 
+/// Deputy's prepared state is a body-free environment, so a resident
+/// context holds its program once; checked after a fleet `analyze` of the
+/// small kernel and again after one edit.
+#[test]
+fn deputy_prepared_environment_holds_no_function_body() {
+    let program = KernelBuild::generate(&KernelConfig::small()).program;
+    let engine = ivy::core::experiments::default_engine(0);
+    engine.analyze(&program);
+    let bodies = |ctx: &AnalysisCtx| {
+        let prepared = DeputyChecker::new().prepared(ctx);
+        prepared
+            .env
+            .functions
+            .iter()
+            .filter(|f| f.body.is_some())
+            .count()
+    };
+    let (ctx, reused) = engine.context_for(&program);
+    assert!(reused, "analyze left the context resident");
+    assert_eq!(bodies(&ctx), 0);
+    let (edited, _) = engine.apply_edit(&ctx, &mutate(&program, 1, 7, 1));
+    engine.analyze_with_ctx(&edited, false);
+    assert_eq!(bodies(&edited), 0);
+}
+
 /// An edit must not leave the edited function's old-content memo entries
 /// behind: Deputy's instrumented body is keyed by the function's content
 /// hash, and a stale-content entry that still revalidated would be carried
