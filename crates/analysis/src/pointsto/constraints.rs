@@ -6,10 +6,10 @@
 //! global initializers and one per defined function. Every location is a
 //! [`LocKey`] over the interner's symbol table and is interned to its id
 //! as the constraint that mentions it is emitted; no `Loc` string is built
-//! and nothing is interned twice. Variable and function names resolve
-//! through a [`ProgramIndex`] built once per solve, so a name lookup is a
-//! hash probe rather than a scan of the program; field accesses are typed
-//! by `TypeCtx`.
+//! and nothing is interned twice. Global names resolve through a
+//! [`ProgramIndex`] built once per solve and function names through the
+//! program's own name index, so a name lookup is never a scan of the
+//! program; field accesses are typed by `TypeCtx`.
 //!
 //! A batch depends *only* on the function's own definition and on the
 //! whole-program type environment (callee signatures and attributes,
@@ -70,33 +70,25 @@ pub(crate) struct InternedBatch {
 }
 
 /// Name resolution over one program, built once per solve: the first
-/// function and global of every name, as `Program::function` and
-/// `Program::global` would find them by scanning.
+/// global of every name, as `Program::global` would find it by scanning.
+/// Functions resolve through the program's own name index.
 pub(crate) struct ProgramIndex<'p> {
     program: &'p Program,
-    functions: FnvMap<&'p str, &'p Function>,
     globals: FnvMap<&'p str, &'p GlobalDef>,
 }
 
 impl<'p> ProgramIndex<'p> {
     pub(crate) fn new(program: &'p Program) -> ProgramIndex<'p> {
-        fn first_wins<'a, T>(items: impl Iterator<Item = (&'a str, T)>) -> FnvMap<&'a str, T> {
-            let mut map = FnvMap::default();
-            for (name, item) in items {
-                map.entry(name).or_insert(item);
-            }
-            map
+        let mut globals = FnvMap::default();
+        for g in program.globals.iter() {
+            globals.entry(g.decl.name.as_str()).or_insert(g);
         }
-        ProgramIndex {
-            program,
-            functions: first_wins(program.functions.iter().map(|f| (f.name.as_str(), f))),
-            globals: first_wins(program.globals.iter().map(|g| (g.decl.name.as_str(), g))),
-        }
+        ProgramIndex { program, globals }
     }
 
     /// The first function named `name`.
     pub(crate) fn function(&self, name: &str) -> Option<&'p Function> {
-        self.functions.get(name).copied()
+        self.program.function(name)
     }
 }
 
@@ -107,7 +99,7 @@ pub(crate) fn gen_globals(
     interner: &mut LocInterner,
 ) -> InternedBatch {
     let mut gen = ConstraintGen::new(index, sensitivity, interner);
-    for g in &index.program.globals {
+    for g in index.program.globals.iter() {
         if let Some(init) = &g.init {
             let unit = format!("__global_init_{}", g.decl.name);
             gen.begin(&unit, &[]);
@@ -329,16 +321,13 @@ impl<'g, 'p> ConstraintGen<'g, 'p> {
         if let Some(g) = self.index.globals.get(name) {
             return Some(Binding::Var(&g.decl.ty));
         }
-        self.index
-            .functions
-            .contains_key(name)
-            .then_some(Binding::Func)
+        self.index.function(name).map(|_| Binding::Func)
     }
 
     /// Whether `name`, bound as `binding`, denotes a function constant: a
     /// function no non-function-typed local or global shadows.
     fn is_function_constant(&self, name: &str, binding: Option<Binding<'p>>) -> bool {
-        self.index.functions.contains_key(name) && binding.is_none_or(Binding::is_func)
+        self.index.function(name).is_some() && binding.is_none_or(Binding::is_func)
     }
 
     /// The location of variable `name`, bound as `binding`: a global (even
@@ -350,7 +339,7 @@ impl<'g, 'p> ConstraintGen<'g, 'p> {
         if self.index.globals.contains_key(name) {
             return Some(LocKey::Global(self.sym(name)));
         }
-        if self.index.functions.contains_key(name) && binding.is_func() {
+        if self.index.function(name).is_some() && binding.is_func() {
             return None;
         }
         Some(LocKey::Local {

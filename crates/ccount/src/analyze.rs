@@ -113,7 +113,7 @@ pub fn analyze_by_function(program: &Program) -> BTreeMap<String, Instrumentatio
 pub fn analyze(program: &Program) -> InstrumentationReport {
     let mut report = InstrumentationReport::default();
 
-    for comp in &program.composites {
+    for comp in program.composites.iter() {
         let has_ptr = comp.fields.iter().any(|f| contains_pointer(program, &f.ty));
         if has_ptr {
             report.types_needing_layout += 1;

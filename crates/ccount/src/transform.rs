@@ -13,6 +13,7 @@ use ivy_cmir::parser::parse_expr;
 use ivy_cmir::visit;
 use ivy_cmir::Span;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One "null out this pointer before the frees in this function" fix.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,12 +100,12 @@ pub fn wrap_in_delayed_free(program: &mut Program, function: &str) {
 /// the number of checks inserted.
 pub fn insert_free_checks(program: &mut Program) -> u64 {
     let mut inserted = 0;
-    let originals: Vec<_> = program.functions.clone();
-    for func in originals {
+    for index in 0..program.functions.len() {
+        let func = &program.functions[index];
         if func.body.is_none() {
             continue;
         }
-        let rewritten = visit::map_fn_body(&func, &mut |s| match &s {
+        let rewritten = visit::map_fn_body(func, &mut |s| match &s {
             Stmt::Expr(e, span) => {
                 if let Some(arg) = free_argument(e) {
                     inserted += 1;
@@ -115,7 +116,7 @@ pub fn insert_free_checks(program: &mut Program) -> u64 {
             }
             _ => vec![s],
         });
-        program.add_function(rewritten);
+        program.functions.set(index, Arc::new(rewritten));
     }
     inserted
 }

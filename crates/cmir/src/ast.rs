@@ -8,10 +8,11 @@
 //! inserted run-time check (erased by `ivy-deputy::erase`), and
 //! [`Stmt::DelayedFreeScope`] marks a CCount delayed-free region.
 
+pub use crate::functions::Functions;
 use crate::span::Span;
 use crate::types::{BoundExpr, CompositeDef, Type};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -626,16 +627,22 @@ impl GlobalDef {
 
 /// A complete KC translation unit (whole program, in the paper's terms the
 /// whole stripped-down kernel).
+///
+/// Every item is shared: the functions one by one (see [`Functions`]) and
+/// the composites, typedefs and globals as one `Arc`'d list each. Cloning
+/// a program copies pointers, and a write clones only what it touches
+/// (through [`Arc::make_mut`] for the lists), so program states that
+/// differ in one function share everything else.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Program {
     /// Struct and union definitions.
-    pub composites: Vec<CompositeDef>,
+    pub composites: Arc<Vec<CompositeDef>>,
     /// Typedefs: name → underlying type.
-    pub typedefs: Vec<(String, Type)>,
+    pub typedefs: Arc<Vec<(String, Type)>>,
     /// Global variables.
-    pub globals: Vec<GlobalDef>,
+    pub globals: Arc<Vec<GlobalDef>>,
     /// Functions (definitions and extern declarations).
-    pub functions: Vec<Function>,
+    pub functions: Functions,
 }
 
 impl Program {
@@ -644,14 +651,16 @@ impl Program {
         Program::default()
     }
 
-    /// Looks up a function by name.
+    /// Looks up a function by name (the first definition of the name).
     pub fn function(&self, name: &str) -> Option<&Function> {
-        self.functions.iter().find(|f| f.name == name)
+        self.functions.get_arc(name).map(|f| &**f)
     }
 
-    /// Looks up a function by name, mutably.
+    /// Looks up a function by name, mutably (the first definition of the
+    /// name, unshared first).
     pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name == name)
+        let index = self.functions.position(name)?;
+        Some(&mut self.functions[index])
     }
 
     /// Looks up a struct or union definition by name.
@@ -683,35 +692,27 @@ impl Program {
         t
     }
 
-    /// Builds a map from function name to index for fast lookups.
-    pub fn function_index(&self) -> HashMap<String, usize> {
-        self.functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), i))
-            .collect()
-    }
-
     /// Names of all functions that have bodies.
     pub fn defined_functions(&self) -> impl Iterator<Item = &Function> {
         self.functions.iter().filter(|f| f.body.is_some())
     }
 
-    /// Adds a function, replacing any existing one with the same name.
+    /// Adds a function, replacing the first existing one with the same
+    /// name.
     pub fn add_function(&mut self, f: Function) {
-        if let Some(existing) = self.functions.iter_mut().find(|g| g.name == f.name) {
-            *existing = f;
-        } else {
-            self.functions.push(f);
+        match self.functions.position(&f.name) {
+            Some(index) => self.functions.set(index, Arc::new(f)),
+            None => self.functions.push(f),
         }
     }
 
     /// Adds a composite definition, replacing any existing one with the same name.
     pub fn add_composite(&mut self, c: CompositeDef) {
-        if let Some(existing) = self.composites.iter_mut().find(|g| g.name == c.name) {
+        let composites = Arc::make_mut(&mut self.composites);
+        if let Some(existing) = composites.iter_mut().find(|g| g.name == c.name) {
             *existing = c;
         } else {
-            self.composites.push(c);
+            composites.push(c);
         }
     }
 
@@ -720,21 +721,23 @@ impl Program {
     /// This models the paper's file-at-a-time incremental conversion: each
     /// converted "file" (module) can be re-linked into the kernel image.
     pub fn link(&mut self, other: Program) {
-        for c in other.composites {
+        for c in Arc::unwrap_or_clone(other.composites) {
             self.add_composite(c);
         }
-        for (name, ty) in other.typedefs {
-            if let Some(existing) = self.typedefs.iter_mut().find(|(n, _)| *n == name) {
+        for (name, ty) in Arc::unwrap_or_clone(other.typedefs) {
+            let typedefs = Arc::make_mut(&mut self.typedefs);
+            if let Some(existing) = typedefs.iter_mut().find(|(n, _)| *n == name) {
                 existing.1 = ty;
             } else {
-                self.typedefs.push((name, ty));
+                typedefs.push((name, ty));
             }
         }
-        for g in other.globals {
-            if let Some(existing) = self.globals.iter_mut().find(|e| e.decl.name == g.decl.name) {
+        for g in Arc::unwrap_or_clone(other.globals) {
+            let globals = Arc::make_mut(&mut self.globals);
+            if let Some(existing) = globals.iter_mut().find(|e| e.decl.name == g.decl.name) {
                 *existing = g;
             } else {
-                self.globals.push(g);
+                globals.push(g);
             }
         }
         for f in other.functions {
@@ -842,11 +845,33 @@ mod tests {
     }
 
     #[test]
+    fn add_function_replaces_the_first_definition_through_the_index() {
+        let mut p = Program::new();
+        p.add_function(Function::extern_decl("f", vec![], Type::Void));
+        p.functions
+            .push(Function::extern_decl("g", vec![], Type::Void));
+        p.functions
+            .push(Function::extern_decl("f", vec![], Type::i32()));
+        assert_eq!(p.function("f").unwrap().ret, Type::Void, "first wins");
+        let shared = Arc::clone(&p.functions.arcs()[1]);
+        p.add_function(Function::new("f", vec![], Type::Void, vec![]));
+        assert_eq!(p.functions.len(), 3, "replaced, not appended");
+        assert!(p.functions[0].body.is_some());
+        assert_eq!(p.functions[2].ret, Type::i32(), "later duplicate untouched");
+        assert!(Arc::ptr_eq(&shared, &p.functions.arcs()[1]));
+        p.add_function(Function::extern_decl("h", vec![], Type::Void));
+        assert_eq!(p.functions.position("h"), Some(3));
+        p.function_mut("g").unwrap().name = "k".into();
+        assert!(p.function("g").is_none());
+        assert_eq!(p.functions.position("k"), Some(1));
+    }
+
+    #[test]
     fn resolve_typedef_chain() {
         let mut p = Program::new();
-        p.typedefs.push(("size_t".into(), Type::Int(IntKind::U32)));
-        p.typedefs
-            .push(("len_t".into(), Type::Named("size_t".into())));
+        let typedefs = Arc::make_mut(&mut p.typedefs);
+        typedefs.push(("size_t".into(), Type::Int(IntKind::U32)));
+        typedefs.push(("len_t".into(), Type::Named("size_t".into())));
         let t = Type::Named("len_t".into());
         assert_eq!(p.resolve_type(&t), &Type::Int(IntKind::U32));
         let unknown = Type::Named("missing".into());

@@ -6,6 +6,7 @@
 
 use crate::ast::{Block, Expr, FuncAttrs, Function, GlobalDef, Program, Stmt, VarDecl};
 use crate::types::{BoundExpr, CompositeDef, Field, Type};
+use std::sync::Arc;
 
 /// Builder for a [`Function`].
 #[derive(Debug, Clone)]
@@ -192,13 +193,13 @@ impl ProgramBuilder {
 
     /// Adds a typedef.
     pub fn typedef(mut self, name: impl Into<String>, ty: Type) -> Self {
-        self.program.typedefs.push((name.into(), ty));
+        Arc::make_mut(&mut self.program.typedefs).push((name.into(), ty));
         self
     }
 
     /// Adds a global variable.
     pub fn global(mut self, name: impl Into<String>, ty: Type, init: Option<Expr>) -> Self {
-        self.program.globals.push(GlobalDef::new(name, ty, init));
+        Arc::make_mut(&mut self.program.globals).push(GlobalDef::new(name, ty, init));
         self
     }
 

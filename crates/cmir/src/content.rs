@@ -124,7 +124,7 @@ pub fn program_env_hash(p: &Program) -> u64 {
     } = p;
     let mut h = FnvHasher::default();
     composites.len().hash(&mut h);
-    for c in composites {
+    for c in composites.iter() {
         let crate::types::CompositeDef {
             name,
             is_union,
@@ -148,7 +148,7 @@ pub fn program_env_hash(p: &Program) -> u64 {
     }
     typedefs.hash(&mut h);
     globals.len().hash(&mut h);
-    for g in globals {
+    for g in globals.iter() {
         let crate::ast::GlobalDef { decl, init } = g;
         hash_decl(decl, &mut h);
         match init {
@@ -515,7 +515,7 @@ mod tests {
         assert_eq!(global.functions, p.functions);
         assert_ne!(global.program, p.program);
         let mut swapped = parse_program(SRC).unwrap();
-        swapped.functions.swap(0, 1);
+        swapped.functions = swapped.functions.arcs().iter().rev().cloned().collect();
         assert_ne!(ProgramHashes::of(&swapped).program, p.program);
     }
 }

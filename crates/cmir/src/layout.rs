@@ -251,7 +251,7 @@ mod tests {
                 Field::new("bytes", Type::Array(Box::new(Type::u8()), 12)),
             ],
         ));
-        p.typedefs.push(("size_t".into(), Type::u32()));
+        std::sync::Arc::make_mut(&mut p.typedefs).push(("size_t".into(), Type::u32()));
         p
     }
 

@@ -45,6 +45,7 @@ pub mod builder;
 pub mod cfg;
 pub mod content;
 pub mod error;
+pub mod functions;
 pub mod layout;
 pub mod lexer;
 pub mod parser;
@@ -56,7 +57,8 @@ pub mod types;
 pub mod visit;
 
 pub use ast::{
-    BinOp, Block, Check, Expr, FuncAttrs, Function, GlobalDef, Program, Stmt, UnOp, VarDecl,
+    BinOp, Block, Check, Expr, FuncAttrs, Function, Functions, GlobalDef, Program, Stmt, UnOp,
+    VarDecl,
 };
 pub use error::{CmirError, Result};
 pub use span::{Pos, Span};

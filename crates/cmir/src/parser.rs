@@ -23,13 +23,14 @@
 
 use crate::ast::BinOp;
 use crate::ast::{
-    Block, Check, Expr, FuncAttrs, Function, GlobalDef, Program, Stmt, UnOp, VarDecl,
+    Block, Check, Expr, FuncAttrs, Function, Functions, GlobalDef, Program, Stmt, UnOp, VarDecl,
 };
 use crate::error::{CmirError, Result};
 use crate::lexer::{lex, lex_at};
 use crate::span::{Pos, Span};
 use crate::token::{Token, TokenKind};
 use crate::types::{BoundExpr, Bounds, CompositeDef, Field, FuncType, IntKind, PtrAnnot, Type};
+use std::sync::Arc;
 
 /// Parses a complete KC source string into a [`Program`].
 pub fn parse_program(src: &str) -> Result<Program> {
@@ -97,16 +98,8 @@ pub struct Reparsed {
 /// position. Every other case parses the whole source.
 pub fn reparse(base_src: &str, base: &Program, src: &str) -> Result<Reparsed> {
     if let Some((index, function)) = reparse_function(base_src, base, src) {
-        let mut functions = Vec::with_capacity(base.functions.len());
-        functions.extend_from_slice(&base.functions[..index]);
-        functions.push(function);
-        functions.extend_from_slice(&base.functions[index + 1..]);
-        let program = Program {
-            composites: base.composites.clone(),
-            typedefs: base.typedefs.clone(),
-            globals: base.globals.clone(),
-            functions,
-        };
+        let mut program = base.clone();
+        program.functions.set(index, Arc::new(function));
         return Ok(Reparsed {
             program,
             path: ReparsePath::Function(index),
@@ -158,6 +151,7 @@ fn reparse_function(base_src: &str, base: &Program, src: &str) -> Option<(usize,
     let edit_start = lines.pos(base_src, at);
     let index = base
         .functions
+        .arcs()
         .partition_point(|f| f.span.start <= edit_start)
         .checked_sub(1)?;
     let span = base.functions[index].span;
@@ -350,17 +344,25 @@ impl Parser {
     // ----- items -----
 
     fn program(&mut self) -> Result<Program> {
-        let mut program = Program::new();
+        let (mut composites, mut typedefs, mut globals) = (Vec::new(), Vec::new(), Vec::new());
+        let mut functions = Functions::new();
         loop {
             match self.peek() {
-                TokenKind::Eof => return Ok(program),
+                TokenKind::Eof => {
+                    return Ok(Program {
+                        composites: Arc::new(composites),
+                        typedefs: Arc::new(typedefs),
+                        globals: Arc::new(globals),
+                        functions,
+                    })
+                }
                 TokenKind::Ident(kw) if kw == "struct" => {
                     let c = self.composite(false)?;
-                    program.composites.push(c);
+                    composites.push(c);
                 }
                 TokenKind::Ident(kw) if kw == "union" => {
                     let c = self.composite(true)?;
-                    program.composites.push(c);
+                    composites.push(c);
                 }
                 TokenKind::Ident(kw) if kw == "typedef" => {
                     self.bump();
@@ -368,7 +370,7 @@ impl Parser {
                     self.expect(TokenKind::Assign)?;
                     let ty = self.ty()?;
                     self.expect(TokenKind::Semi)?;
-                    program.typedefs.push((name, ty));
+                    typedefs.push((name, ty));
                 }
                 TokenKind::Ident(kw) if kw == "global" => {
                     self.bump();
@@ -381,14 +383,14 @@ impl Parser {
                         None
                     };
                     self.expect(TokenKind::Semi)?;
-                    program.globals.push(GlobalDef {
+                    globals.push(GlobalDef {
                         decl: VarDecl::new(name, ty),
                         init,
                     });
                 }
                 TokenKind::Hash | TokenKind::Ident(_) => {
                     let f = self.function()?;
-                    program.functions.push(f);
+                    functions.push(f);
                 }
                 other => {
                     return Err(CmirError::parse(

@@ -12,17 +12,17 @@ use std::fmt::Write as _;
 /// Pretty-prints a whole program.
 pub fn pretty_program(p: &Program) -> String {
     let mut out = String::new();
-    for (name, ty) in &p.typedefs {
+    for (name, ty) in p.typedefs.iter() {
         let _ = writeln!(out, "typedef {name} = {};", type_str(ty));
     }
     if !p.typedefs.is_empty() {
         out.push('\n');
     }
-    for c in &p.composites {
+    for c in p.composites.iter() {
         out.push_str(&pretty_composite(c));
         out.push('\n');
     }
-    for g in &p.globals {
+    for g in p.globals.iter() {
         match &g.init {
             Some(e) => {
                 let _ = writeln!(

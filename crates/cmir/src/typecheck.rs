@@ -45,7 +45,7 @@ pub fn validate_program(program: &Program) -> Validation {
             ));
         }
     }
-    for c in &program.composites {
+    for c in program.composites.iter() {
         let mut fields = HashMap::new();
         for fld in &c.fields {
             if fields.insert(fld.name.clone(), ()).is_some() {
@@ -57,7 +57,7 @@ pub fn validate_program(program: &Program) -> Validation {
             check_type_defined(program, &fld.ty, fld.span, &mut v);
         }
     }
-    for g in &program.globals {
+    for g in program.globals.iter() {
         check_type_defined(program, &g.decl.ty, g.decl.span, &mut v);
     }
     for f in &program.functions {

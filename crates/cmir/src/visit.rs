@@ -6,6 +6,7 @@
 //! their actual logic.
 
 use crate::ast::{Block, Check, Expr, Function, Program, Stmt};
+use std::sync::Arc;
 
 /// Calls `f` on every expression in the statement, including nested ones,
 /// in evaluation order.
@@ -222,16 +223,16 @@ pub fn map_expr(expr: &Expr, f: &mut dyn FnMut(Expr) -> Expr) -> Expr {
 /// removed, and delayed-free scopes become ordinary blocks.
 pub fn erase_program(program: &Program) -> Program {
     let mut out = program.clone();
-    for c in &mut out.composites {
+    for c in Arc::make_mut(&mut out.composites) {
         for field in &mut c.fields {
             field.ty = field.ty.erased();
             field.when = None;
         }
     }
-    for (_, ty) in &mut out.typedefs {
+    for (_, ty) in Arc::make_mut(&mut out.typedefs) {
         *ty = ty.erased();
     }
-    for g in &mut out.globals {
+    for g in Arc::make_mut(&mut out.globals) {
         g.decl.ty = g.decl.ty.erased();
     }
     out.functions = out

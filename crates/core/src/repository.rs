@@ -71,7 +71,7 @@ impl Repository {
                 },
             );
         }
-        for c in &program.composites {
+        for c in program.composites.iter() {
             let mut fields = BTreeMap::new();
             for field in &c.fields {
                 fields.insert(field.name.clone(), type_str(&field.ty));

@@ -18,6 +18,7 @@ use ivy_cmir::ast::{Expr, Function, Program, Stmt};
 use ivy_cmir::types::{Bounds, PtrAnnot, Type};
 use ivy_cmir::visit;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Validates every annotation in the program, appending diagnostics to the
 /// report. Returns the number of annotations examined.
@@ -30,7 +31,7 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
         .collect();
 
     // Struct/union field annotations may reference sibling fields.
-    for comp in &program.composites {
+    for comp in program.composites.iter() {
         let siblings: BTreeSet<String> = comp.fields.iter().map(|f| f.name.clone()).collect();
         for field in &comp.fields {
             examined += count_annotations(&field.ty);
@@ -60,7 +61,7 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
     }
 
     // Globals may reference other globals.
-    for g in &program.globals {
+    for g in program.globals.iter() {
         examined += count_annotations(&g.decl.ty);
         for var in annotation_vars(&g.decl.ty) {
             if !globals.contains(var.as_str()) {
@@ -153,11 +154,11 @@ pub fn default_env(program: &Program, report: &mut ConversionReport) -> Program 
         })
         .collect();
     let mut globals = program.globals.clone();
-    for g in &mut globals {
+    for g in Arc::make_mut(&mut globals) {
         inferred += apply_default(&mut g.decl.ty, true);
     }
     let mut composites = program.composites.clone();
-    for c in &mut composites {
+    for c in Arc::make_mut(&mut composites) {
         for field in &mut c.fields {
             inferred += apply_default(&mut field.ty, true);
         }

@@ -11,19 +11,16 @@ use ivy_cmir::pretty;
 use ivy_cmir::visit;
 use std::collections::BTreeSet;
 
-/// Removes redundant checks from every function; returns how many were
-/// eliminated.
+/// Removes redundant checks from every function, rewriting each body in
+/// place; returns how many were eliminated.
 pub fn eliminate_redundant_checks(program: &mut Program) -> u64 {
     let mut removed = 0;
-    let originals: Vec<_> = program.functions.clone();
-    for func in originals {
-        if func.body.is_none() {
+    for index in 0..program.functions.len() {
+        let Some(body) = &program.functions[index].body else {
             continue;
-        }
-        let mut new_func = func.clone();
-        let body = func.body.as_ref().expect("checked above");
-        new_func.body = Some(optimize_block(body, &mut removed));
-        program.add_function(new_func);
+        };
+        let body = optimize_block(body, &mut removed);
+        program.functions[index].body = Some(body);
     }
     removed
 }

@@ -16,7 +16,7 @@ pub fn burden(program: &Program) -> BurdenStats {
     let mut stats = BurdenStats::default();
 
     // Composite definitions: one line per field plus two for braces.
-    for comp in &program.composites {
+    for comp in program.composites.iter() {
         let lines = comp.fields.len() as u64 + 2;
         stats.total_lines += lines;
         let annotated = comp.fields.iter().filter(|f| f.is_annotated()).count() as u64;
@@ -30,7 +30,7 @@ pub fn burden(program: &Program) -> BurdenStats {
     }
 
     // Globals and typedefs: one line each.
-    for g in &program.globals {
+    for g in program.globals.iter() {
         stats.total_lines += 1;
         if g.decl.ty.is_annotated() {
             stats.annotated_lines += 1;

@@ -354,8 +354,8 @@ impl Engine {
     /// Returns the shared analysis context for a program, reusing the one
     /// from a previous run when the program is structurally equal up to
     /// spans. The program's [`ProgramHashes`] are computed once, before
-    /// the store lookup; on a miss they move into the new context (with
-    /// its AST copy).
+    /// the store lookup; on a miss they move into the new context, with a
+    /// clone of `program` that shares every item with it.
     pub fn context_for(&self, program: &Program) -> (Arc<AnalysisCtx>, bool) {
         let hashes = ProgramHashes::of(program);
         self.ctx_store.get_or_insert_with(hashes.program, || {
@@ -400,8 +400,9 @@ impl Engine {
     ///
     /// The edited program is hashed exactly once (the `engine/edit`
     /// `identity` span); the base context's stored hashes are the other
-    /// side of the diff. The new context owns a copy of `edited`;
-    /// [`Engine::apply_source_edit`] is the same path without the copy.
+    /// side of the diff. The new context holds a clone of `edited`, which
+    /// shares every item with it; [`Engine::apply_source_edit`] is the
+    /// same path for an edit given as source text.
     ///
     /// Callers must not run this concurrently with analyses of the *base*
     /// context: the invalidation walk snapshots the base db's dependency

@@ -541,16 +541,7 @@ impl QueryDb {
         // 1. Input-layer diff: which functions' contents changed, and did
         //    the type environment change with them?
         let walk_span = ivy_telemetry::span("engine/edit", "walk");
-        let old_fns = self.content_by_name();
-        let new_fns = new_db.content_by_name();
-        let changed_functions: Vec<String> = old_fns
-            .keys()
-            .chain(new_fns.keys())
-            .filter(|name| old_fns.get(*name) != new_fns.get(*name))
-            .map(|name| name.to_string())
-            .collect::<BTreeSet<String>>()
-            .into_iter()
-            .collect();
+        let changed_functions = changed_names(&self.definitions(), &new_db.definitions());
         let env_changed = self.hashes.env != new_db.hashes.env;
 
         let mut seeds: Vec<QueryRef> = changed_functions
@@ -668,14 +659,19 @@ impl QueryDb {
         (new_db, stats)
     }
 
-    /// Function name → content hash, from the stored hashes.
-    fn content_by_name(&self) -> BTreeMap<&str, u64> {
-        self.program
+    /// `(name, content hash)` of every function definition, from the
+    /// stored hashes, sorted by name; the definitions of one name stay in
+    /// program order.
+    fn definitions(&self) -> Vec<(&str, u64)> {
+        let mut defs: Vec<(&str, u64)> = self
+            .program
             .functions
             .iter()
             .map(|f| f.name.as_str())
             .zip(self.hashes.functions.iter().copied())
-            .collect()
+            .collect();
+        defs.sort_by_key(|&(name, _)| name);
+        defs
     }
 
     /// Walks the reverse dependency edges upward from the queued refs,
@@ -803,14 +799,32 @@ impl QueryDb {
     /// [`QueryDb::apply_edit`] cannot see that an edit reaches them.
     pub fn depend_on_program(&self) {
         self.env_hash();
-        let names: Vec<String> = self
-            .program
-            .functions
-            .iter()
-            .map(|f| f.name.clone())
-            .collect();
-        for name in &names {
-            self.fn_content(name);
+        for f in &self.program.functions {
+            self.fn_content(&f.name);
+        }
+    }
+}
+
+/// The names whose definitions differ between two [`QueryDb::definitions`]
+/// lists: a name defined on one side only, or whose definitions differ in
+/// number or content. Every definition counts, not only the first one
+/// [`FnContent`] reads: a query may read any of them (a checker visits
+/// each function), so an edit to a later duplicate must seed its name.
+fn changed_names(old: &[(&str, u64)], new: &[(&str, u64)]) -> Vec<String> {
+    let mut old = old.chunk_by(|a, b| a.0 == b.0).peekable();
+    let mut new = new.chunk_by(|a, b| a.0 == b.0).peekable();
+    let mut changed = Vec::new();
+    loop {
+        let (o, n) = match (old.peek(), new.peek()) {
+            (None, None) => return changed,
+            (Some(o), Some(n)) if o[0].0 == n[0].0 => (old.next(), new.next()),
+            (Some(o), Some(n)) if o[0].0 < n[0].0 => (old.next(), None),
+            (Some(_), None) => (old.next(), None),
+            _ => (None, new.next()),
+        };
+        if o != n {
+            let name = o.or(n).map(|defs| defs[0].0);
+            changed.extend(name.map(str::to_string));
         }
     }
 }
@@ -831,8 +845,7 @@ impl Query for FnContent {
     fn compute(db: &QueryDb, key: &String) -> u64 {
         db.program
             .functions
-            .iter()
-            .position(|f| f.name == *key)
+            .position(key)
             .map_or(0, |i| db.hashes.functions[i])
     }
 }

@@ -10,7 +10,8 @@
 //! different executable subset, while staying realistic kernel code.
 //! This module is the single definition, so the harnesses cannot drift.
 
-use ivy_cmir::ast::Program;
+use ivy_cmir::ast::{Function, Program};
+use std::sync::Arc;
 
 /// A tiny deterministic RNG (SplitMix64) for the sub-sampling decisions;
 /// property-test shims hand us a seed and this stretches it.
@@ -39,18 +40,22 @@ impl Mix {
 pub fn subsample_program(base: &Program, seed: u64, drop_pct: u64, strip_pct: u64) -> Program {
     let mut rng = Mix(seed);
     let mut program = base.clone();
-    let mut functions = Vec::with_capacity(base.functions.len());
-    for f in &base.functions {
-        if rng.chance(drop_pct) {
-            continue;
-        }
-        let mut f = f.clone();
-        if f.body.is_some() && rng.chance(strip_pct) {
-            f.body = None;
-        }
-        functions.push(f);
-    }
-    program.functions = functions;
+    program.functions = base
+        .functions
+        .arcs()
+        .iter()
+        .filter_map(|f| {
+            if rng.chance(drop_pct) {
+                None
+            } else if f.body.is_some() && rng.chance(strip_pct) {
+                let mut stripped = Function::clone(f);
+                stripped.body = None;
+                Some(Arc::new(stripped))
+            } else {
+                Some(Arc::clone(f))
+            }
+        })
+        .collect();
     program
 }
 

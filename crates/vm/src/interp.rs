@@ -137,10 +137,6 @@ pub struct Vm {
     /// Offsets within heap/global objects where pointer values are stored
     /// (keyed by object base). Used for type-aware free/memset/memcpy.
     pub(crate) ptr_slots: HashMap<u32, BTreeSet<u32>>,
-    /// Shared per-function definitions, so a call looks up an `Arc`
-    /// instead of deep-cloning the function body (the seed interpreter
-    /// cloned every body on every call).
-    fns: HashMap<String, Arc<Function>>,
     /// Attached dynamic-fact tracer, if any (see [`crate::trace`]).
     tracer: Option<Box<dyn Tracer>>,
     /// Live stack slots, `base -> (size, function, variable)`; maintained
@@ -172,18 +168,11 @@ impl Vm {
             locks_held: Vec::new(),
             delayed_free_stack: Vec::new(),
             ptr_slots: HashMap::new(),
-            fns: HashMap::new(),
             tracer: None,
             trace_locals: BTreeMap::new(),
             trace_events: 0,
             program,
         };
-        for f in &vm.program.functions {
-            // First definition wins, matching `Program::function`.
-            vm.fns
-                .entry(f.name.clone())
-                .or_insert_with(|| Arc::new(f.clone()));
-        }
         vm.assign_function_addresses();
         vm.layout_globals()?;
         Ok(vm)
@@ -323,8 +312,8 @@ impl Vm {
     }
 
     fn layout_globals(&mut self) -> VmResult<()> {
-        let globals: Vec<_> = self.program.globals.clone();
-        for g in &globals {
+        let globals = Arc::clone(&self.program.globals);
+        for g in globals.iter() {
             let size = self.size_of(&g.decl.ty)? as u32;
             let addr = self.mem.alloc_global(size);
             self.globals
@@ -332,7 +321,7 @@ impl Vm {
             self.global_names.insert(addr, g.decl.name.clone());
         }
         // Initialisers may reference other globals, so run them after layout.
-        for g in &globals {
+        for g in globals.iter() {
             if let Some(init) = &g.init {
                 let frame = Frame {
                     func: "<global-init>".to_string(),
@@ -918,7 +907,9 @@ impl Vm {
             ));
         }
 
-        let func = self.fns.get(name).cloned();
+        // The program's own handle: a call shares the definition instead
+        // of cloning its body.
+        let func = self.program.functions.get_arc(name).cloned();
         match func {
             Some(f) if f.body.is_some() => {
                 self.note_blocking_entry(&f, &args);

@@ -5,7 +5,7 @@
 use ivy::blockstop::BlockStopChecker;
 use ivy::ccount::CCountChecker;
 use ivy::cmir::ast::{Expr, Program};
-use ivy::cmir::parser::parse_program;
+use ivy::cmir::parser::{parse_program, ReparsePath};
 use ivy::cmir::pretty::{pretty_function, pretty_program};
 use ivy::cmir::visit::{map_block_exprs, walk_block_exprs};
 use ivy::deputy::DeputyChecker;
@@ -408,7 +408,7 @@ fn mutate(base: &Program, kind: u8, pick: u64, delta: i64) -> Program {
             .filter(|&i| matches!(out.globals[i].init, Some(Expr::Int(v)) if v >= 0))
             .collect();
         let i = inits[nth(inits.len())];
-        if let Some(Expr::Int(v)) = &mut out.globals[i].init {
+        if let Some(Expr::Int(v)) = &mut Arc::make_mut(&mut out.globals)[i].init {
             *v += delta;
         }
         return out;
@@ -574,4 +574,110 @@ fn literal_edits_keep_the_memo_table_bounded() {
         sizes[1..].iter().all(|&n| n == sizes[1]),
         "the memo table grows by a stale entry per edit: {sizes:?}"
     );
+}
+
+/// Two functions named `f`: the first takes a spinlock and then
+/// allocates, the second does not, and `g` calls `f`.
+const DUPLICATE_F: &str = r#"
+#[allocator] #[blocking_if(flags)]
+extern fn kmalloc(size: u32, flags: u32) -> void *;
+extern fn spin_lock_irqsave(l: u32 *);
+
+global lk: u32 = 0;
+
+fn f(len: u32) -> void * {
+    spin_lock_irqsave(&lk);
+    let buf: void * = kmalloc(len, 0);
+    return buf;
+}
+
+fn f(len: u32) -> void * {
+    return null;
+}
+
+fn g() {
+    f(8);
+}
+"#;
+
+/// An edit to the first of two same-named definitions seeds that name,
+/// so the daemon's incremental answer equals a fresh batch analysis of
+/// the edited source (which reports the now-sleeping allocation).
+#[test]
+fn an_edit_to_the_first_of_two_same_named_functions_matches_batch() {
+    let engine = ivy::core::experiments::default_engine(0);
+    let base = parse_program(DUPLICATE_F).expect("base parses");
+    let (ctx, _) = engine.context_for_source(base, Arc::from(DUPLICATE_F));
+    engine.analyze_with_ctx(&ctx, false);
+
+    let edited = DUPLICATE_F.replacen("kmalloc(len, 0)", "kmalloc(len, 0x10)", 1);
+    let edit = engine
+        .apply_source_edit(&ctx, Arc::from(edited.as_str()))
+        .expect("edit parses");
+    assert_eq!(edit.stats.changed_functions, vec!["f".to_string()]);
+    let incremental = engine.analyze_with_ctx(&edit.ctx, false).diagnostics_json();
+
+    let fresh = parse_program(&edited).expect("edited source parses");
+    let batch = ivy::core::experiments::default_engine(0)
+        .analyze(&fresh)
+        .diagnostics_json();
+    assert!(
+        batch.contains("blockstop/atomic-call"),
+        "batch reports the allocation under the lock: {batch}"
+    );
+    assert_eq!(incremental, batch);
+}
+
+/// A function-level edit shares every untouched function and the whole
+/// environment with its base: the new context's program holds the base's
+/// own `Arc`s, and only the edited function is a new allocation.
+#[test]
+fn a_function_level_edit_shares_every_untouched_item_with_its_base() {
+    let source = pretty_program(&KernelBuild::generate(&KernelConfig::small()).program);
+    let engine = kernel_engine();
+    let base = parse_program(&source).expect("kernel parses");
+    let (ctx, _) = engine.context_for_source(base, Arc::from(source.as_str()));
+    engine.analyze_with_ctx(&ctx, false);
+
+    let edited = mutate(&ctx.program, 1, 3, 1);
+    let changed = (0..edited.functions.len())
+        .find(|&i| edited.functions[i] != ctx.program.functions[i])
+        .expect("the mutation changed a function");
+    let edit = engine
+        .apply_source_edit(&ctx, Arc::from(pretty_program(&edited).as_str()))
+        .expect("edit parses");
+    assert_eq!(edit.reparse, Some(ReparsePath::Function(changed)));
+
+    let (old, new) = (&ctx.program, &edit.ctx.program);
+    assert!(Arc::ptr_eq(&old.composites, &new.composites));
+    assert!(Arc::ptr_eq(&old.typedefs, &new.typedefs));
+    assert!(Arc::ptr_eq(&old.globals, &new.globals));
+    assert_eq!(old.functions.len(), new.functions.len());
+    for (i, (a, b)) in old
+        .functions
+        .arcs()
+        .iter()
+        .zip(new.functions.arcs())
+        .enumerate()
+    {
+        assert_eq!(Arc::ptr_eq(a, b), i != changed, "function {i} ({})", a.name);
+    }
+}
+
+/// `Engine::analyze(&p)` keeps `p`'s own functions in the resident
+/// context rather than copies of them.
+#[test]
+fn analyze_holds_the_callers_functions_without_copying_them() {
+    let program = KernelBuild::generate(&KernelConfig::small()).program;
+    let engine = kernel_engine();
+    engine.analyze(&program);
+    let (ctx, reused) = engine.context_for(&program);
+    assert!(reused, "analyze left the context resident");
+    assert!(Arc::ptr_eq(&ctx.program.globals, &program.globals));
+    assert!(program
+        .functions
+        .arcs()
+        .iter()
+        .zip(ctx.program.functions.arcs())
+        .all(|(a, b)| Arc::ptr_eq(a, b)));
 }
