@@ -14,37 +14,11 @@ use ivy_cmir::visit;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// How a call edge was discovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum EdgeKind {
-    /// Direct call by name.
-    Direct,
-    /// Call through a function pointer, resolved by points-to analysis.
-    Indirect,
-}
-
-/// A single call site inside a function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CallSite {
-    /// The calling function.
-    pub caller: String,
-    /// The callee expression, printed (a function name for direct calls).
-    pub callee_text: String,
-    /// Possible targets.
-    pub targets: BTreeSet<String>,
-    /// Whether the call is direct or via a function pointer.
-    pub kind: EdgeKind,
-    /// Number of arguments at the site.
-    pub argc: usize,
-}
-
 /// A whole-program call graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CallGraph {
     /// Outgoing edges: caller → set of callees.
     pub edges: BTreeMap<String, BTreeSet<String>>,
-    /// All call sites, in deterministic program order.
-    pub sites: Vec<CallSite>,
     /// Functions whose outgoing edges are incomplete because they contain
     /// inline assembly (the paper's explicit soundness caveat).
     pub opaque_functions: BTreeSet<String>,
@@ -62,31 +36,23 @@ impl CallGraph {
                 cg.opaque_functions.insert(func.name.clone());
             }
             cg.edges.entry(func.name.clone()).or_default();
-            for (callee_expr, argc) in calls_in(func) {
-                let (targets, kind) = match &callee_expr {
+            for (callee_expr, _argc) in calls_in(func) {
+                let targets = match callee_expr {
                     Expr::Var(name) if program.function(name).is_some() => {
-                        (BTreeSet::from([name.clone()]), EdgeKind::Direct)
+                        BTreeSet::from([name.clone()])
                     }
                     other => {
-                        let text = expr_str(other);
-                        let t = pointsto.indirect_call_targets(&func.name, &text);
-                        (t, EdgeKind::Indirect)
+                        let t = pointsto.indirect_call_targets(&func.name, &expr_str(other));
+                        if t.is_empty() {
+                            cg.unresolved_sites += 1;
+                        }
+                        t
                     }
                 };
-                if targets.is_empty() && kind == EdgeKind::Indirect {
-                    cg.unresolved_sites += 1;
-                }
                 cg.edges
                     .entry(func.name.clone())
                     .or_default()
-                    .extend(targets.iter().cloned());
-                cg.sites.push(CallSite {
-                    caller: func.name.clone(),
-                    callee_text: expr_str(&callee_expr),
-                    targets,
-                    kind,
-                    argc,
-                });
+                    .extend(targets);
             }
         }
         cg
@@ -212,12 +178,12 @@ impl CallGraph {
 
 /// Enumerates every call expression in a function body: (callee expression,
 /// argument count), in deterministic traversal order.
-pub fn calls_in(func: &Function) -> Vec<(Expr, usize)> {
+pub fn calls_in(func: &Function) -> Vec<(&Expr, usize)> {
     let mut out = Vec::new();
     visit::walk_fn_stmts(func, &mut |stmt| {
         visit::walk_stmt_exprs(stmt, &mut |e| {
             if let Expr::Call(callee, args) = e {
-                out.push(((**callee).clone(), args.len()));
+                out.push((&**callee, args.len()));
             }
         });
     });
@@ -274,12 +240,6 @@ mod tests {
             "edges: {:?}",
             cg.callees("flush_to_ldisc")
         );
-        let site = cg
-            .sites
-            .iter()
-            .find(|s| s.caller == "flush_to_ldisc")
-            .unwrap();
-        assert_eq!(site.kind, EdgeKind::Indirect);
     }
 
     #[test]

@@ -48,10 +48,10 @@ pub mod lattice;
 pub mod pointsto;
 pub mod summary;
 
-pub use callgraph::{CallGraph, CallSite, EdgeKind};
+pub use callgraph::CallGraph;
 pub use dataflow::{solve, Direction, Solution, Transfer};
 pub use lattice::{BoolLattice, Lattice, MapLattice, SetLattice};
 pub use pointsto::{
     analyze, analyze_incremental, analyze_naive, ConstraintCache, Loc, PointsToResult, Sensitivity,
 };
-pub use summary::{Condensation, FunctionSummary, ProgramSummaries};
+pub use summary::{Condensation, ProgramSummaries};

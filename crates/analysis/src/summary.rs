@@ -7,14 +7,17 @@
 //! * [`Condensation`] — Tarjan SCC condensation of a [`CallGraph`] plus a
 //!   bottom-up level order (level 0 = leaf SCCs), the unit of engine
 //!   scheduling.
-//! * [`FunctionSummary`] — per-function facts: direct+indirect callees, the
-//!   span-insensitive content hash of the definition
-//!   ([`ivy_cmir::content::function_content_hash`]), and a *cone hash*
-//!   mixing the content hash with the cone hashes of everything reachable
-//!   from the function. Two functions with equal cone hashes have
-//!   structurally identical bodies *and* structurally identical transitive
-//!   callees, which is what makes the hash a sound cache key for bottom-up
-//!   analyses.
+//! * a *cone hash* per function ([`ProgramSummaries::cone_hash`]), mixing
+//!   the span-insensitive content hash of the definition
+//!   ([`ivy_cmir::content::function_content_hash`]) with the cone hashes of
+//!   everything reachable from the function. Two functions with equal cone
+//!   hashes have structurally identical bodies *and* structurally identical
+//!   transitive callees, which is what makes the hash a sound cache key for
+//!   bottom-up analyses.
+//!
+//! That is all the engine reads, so it is all a [`ProgramSummaries`] keeps:
+//! callee sets stay in the call graph, and the per-function SCC index and
+//! content hash live only while the summaries are built.
 
 use crate::callgraph::CallGraph;
 use ivy_cmir::ast::Program;
@@ -38,49 +41,31 @@ pub fn mix(hash: u64, value: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Summary of one function for scheduling and caching.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FunctionSummary {
-    /// Function name.
-    pub name: String,
-    /// Every possible callee (direct and points-to-resolved indirect).
-    pub callees: BTreeSet<String>,
-    /// Span-insensitive content hash of the definition (attributes,
-    /// signature, body).
-    pub content_hash: u64,
-    /// Hash of the definition plus the cone hashes of all transitive
-    /// callees (SCC-aware, so recursion is well-defined).
-    pub cone_hash: u64,
-    /// Index of the function's SCC in [`Condensation::sccs`].
-    pub scc: usize,
-}
-
 /// SCC condensation of a call graph with a bottom-up schedule.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Condensation {
     /// The strongly connected components; members sorted by name.
     pub sccs: Vec<Vec<String>>,
-    /// Function name → SCC index.
-    pub scc_of: BTreeMap<String, usize>,
     /// Bottom-up waves of SCC indices: every SCC in `levels[i]` only calls
     /// into SCCs at levels `< i`, so all SCCs of one level are independent
     /// once the previous levels are done.
     pub levels: Vec<Vec<usize>>,
 }
 
-/// Summaries for a whole program.
-#[derive(Debug, Clone, Default)]
+/// Summaries for a whole program: the engine's schedule and cache keys.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProgramSummaries {
-    /// Per-function summaries.
-    pub functions: BTreeMap<String, FunctionSummary>,
-    /// The condensation used to order them.
+    /// Function name → cone hash (the definition plus the cone hashes of
+    /// all transitive callees, SCC-aware so recursion is well-defined).
+    pub cone_hashes: BTreeMap<String, u64>,
+    /// The condensation that orders the functions bottom-up.
     pub condensation: Condensation,
 }
 
 impl ProgramSummaries {
     /// The cone hash for a function, if it is known.
     pub fn cone_hash(&self, func: &str) -> Option<u64> {
-        self.functions.get(func).map(|s| s.cone_hash)
+        self.cone_hashes.get(func).copied()
     }
 }
 
@@ -147,20 +132,16 @@ pub fn tarjan_sccs(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
     sccs
 }
 
-/// Tarjan SCC over function names; edges come from the call graph
-/// (restricted to functions that exist in the program, so calls to VM
-/// builtins do not create phantom nodes).
-fn tarjan(nodes: &[String], edges: &BTreeMap<String, BTreeSet<String>>) -> Vec<Vec<String>> {
-    let id_of: BTreeMap<&str, usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
+/// Tarjan SCC over function names, as node indices; edges come from the
+/// call graph (restricted to functions that exist in the program, so calls
+/// to VM builtins do not create phantom nodes).
+fn tarjan(nodes: &[&str], edges: &BTreeMap<String, BTreeSet<String>>) -> Vec<Vec<usize>> {
+    let id_of: BTreeMap<&str, usize> = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
     let succ: Vec<Vec<usize>> = nodes
         .iter()
         .map(|n| {
             edges
-                .get(n)
+                .get(*n)
                 .map(|cs| {
                     cs.iter()
                         .filter_map(|c| id_of.get(c.as_str()).copied())
@@ -170,65 +151,60 @@ fn tarjan(nodes: &[String], edges: &BTreeMap<String, BTreeSet<String>>) -> Vec<V
         })
         .collect();
     tarjan_sccs(&succ)
-        .into_iter()
-        .map(|comp| {
-            let mut comp: Vec<String> = comp.into_iter().map(|i| nodes[i].clone()).collect();
-            comp.sort();
-            comp
-        })
-        .collect()
 }
 
-impl Condensation {
-    /// Builds the condensation of `cg` over the functions of `program`.
-    /// Tarjan emits SCCs with callees before callers, which directly yields
-    /// the bottom-up level structure.
-    pub fn build(program: &Program, cg: &CallGraph) -> Condensation {
-        let nodes: Vec<String> = program.functions.iter().map(|f| f.name.clone()).collect();
-        let sccs = tarjan(&nodes, &cg.edges);
-        let mut scc_of = BTreeMap::new();
-        for (i, comp) in sccs.iter().enumerate() {
-            for name in comp {
-                scc_of.insert(name.clone(), i);
-            }
+/// Builds the condensation of `cg` over the functions of `program`, with
+/// the SCC index of every function name. Tarjan emits SCCs with callees
+/// before callers, which directly yields the bottom-up level structure.
+fn condense<'p>(program: &'p Program, cg: &CallGraph) -> (Condensation, BTreeMap<&'p str, usize>) {
+    let nodes: Vec<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
+    let comps = tarjan(&nodes, &cg.edges);
+    let mut scc_of = BTreeMap::new();
+    for (i, comp) in comps.iter().enumerate() {
+        for &n in comp {
+            scc_of.insert(nodes[n], i);
         }
+    }
+    let sccs: Vec<Vec<String>> = comps
+        .iter()
+        .map(|comp| {
+            let mut names: Vec<String> = comp.iter().map(|&n| nodes[n].to_string()).collect();
+            names.sort();
+            names
+        })
+        .collect();
 
-        // Level = 1 + max(level of callee SCCs); SCCs arrive in an order
-        // where callees precede callers, so one pass suffices.
-        let mut level_of = vec![0usize; sccs.len()];
-        for (i, comp) in sccs.iter().enumerate() {
-            let mut level = 0usize;
-            for member in comp {
-                if let Some(callees) = cg.edges.get(member) {
-                    for callee in callees {
-                        if let Some(&j) = scc_of.get(callee) {
-                            if j != i {
-                                level = level.max(level_of[j] + 1);
-                            }
+    // Level = 1 + max(level of callee SCCs); SCCs arrive in an order
+    // where callees precede callers, so one pass suffices.
+    let mut level_of = vec![0usize; sccs.len()];
+    for (i, comp) in sccs.iter().enumerate() {
+        let mut level = 0usize;
+        for member in comp {
+            if let Some(callees) = cg.edges.get(member) {
+                for callee in callees {
+                    if let Some(&j) = scc_of.get(callee.as_str()) {
+                        if j != i {
+                            level = level.max(level_of[j] + 1);
                         }
                     }
                 }
             }
-            level_of[i] = level;
         }
-        let max_level = level_of.iter().copied().max().unwrap_or(0);
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
-        for (i, &l) in level_of.iter().enumerate() {
-            levels[l].push(i);
-        }
-        Condensation {
-            sccs,
-            scc_of,
-            levels,
-        }
+        level_of[i] = level;
     }
+    let max_level = level_of.iter().copied().max().unwrap_or(0);
+    let mut levels: Vec<Vec<usize>> = vec![Vec::new(); max_level + 1];
+    for (i, &l) in level_of.iter().enumerate() {
+        levels[l].push(i);
+    }
+    (Condensation { sccs, levels }, scc_of)
 }
 
-/// Builds the per-function summaries of a program over a call graph.
+/// Builds the summaries of a program over a call graph.
 /// `content_hashes` holds each function's content hash in program order
 /// ([`ivy_cmir::content::ProgramHashes::functions`]).
 pub fn summarize(program: &Program, content_hashes: &[u64], cg: &CallGraph) -> ProgramSummaries {
-    let condensation = Condensation::build(program, cg);
+    let (condensation, scc_of) = condense(program, cg);
     let content: BTreeMap<&str, u64> = program
         .functions
         .iter()
@@ -250,7 +226,7 @@ pub fn summarize(program: &Program, content_hashes: &[u64], cg: &CallGraph) -> P
         for member in comp {
             if let Some(callees) = cg.edges.get(member) {
                 for callee in callees {
-                    if let Some(&j) = condensation.scc_of.get(callee) {
+                    if let Some(&j) = scc_of.get(callee.as_str()) {
                         if j != i {
                             callee_sccs.insert(j);
                         }
@@ -264,23 +240,12 @@ pub fn summarize(program: &Program, content_hashes: &[u64], cg: &CallGraph) -> P
         scc_cone[i] = h;
     }
 
-    let mut functions = BTreeMap::new();
-    for f in &program.functions {
-        let scc = condensation.scc_of[&f.name];
-        let callees = cg.edges.get(&f.name).cloned().unwrap_or_default();
-        functions.insert(
-            f.name.clone(),
-            FunctionSummary {
-                name: f.name.clone(),
-                callees,
-                content_hash: content[f.name.as_str()],
-                cone_hash: mix(scc_cone[scc], content[f.name.as_str()]),
-                scc,
-            },
-        );
-    }
+    let cone_hashes = scc_of
+        .iter()
+        .map(|(&name, &scc)| (name.to_string(), mix(scc_cone[scc], content[name])))
+        .collect();
     ProgramSummaries {
-        functions,
+        cone_hashes,
         condensation,
     }
 }
@@ -314,13 +279,10 @@ mod tests {
     #[test]
     fn condensation_groups_recursion_and_levels_are_bottom_up() {
         let (p, cg) = build(SRC);
-        let cond = Condensation::build(&p, &cg);
-        let scc_rec_a = cond.scc_of["rec_a"];
-        assert_eq!(
-            scc_rec_a, cond.scc_of["rec_b"],
-            "mutual recursion in one SCC"
-        );
-        assert_ne!(cond.scc_of["leaf"], cond.scc_of["mid"]);
+        let (cond, scc_of) = condense(&p, &cg);
+        let scc_rec_a = scc_of["rec_a"];
+        assert_eq!(scc_rec_a, scc_of["rec_b"], "mutual recursion in one SCC");
+        assert_ne!(scc_of["leaf"], scc_of["mid"]);
         // Every SCC's callees live at strictly lower levels.
         let level_of = |scc: usize| {
             cond.levels
@@ -328,9 +290,9 @@ mod tests {
                 .position(|l| l.contains(&scc))
                 .expect("every scc has a level")
         };
-        assert!(level_of(cond.scc_of["leaf"]) < level_of(cond.scc_of["mid"]));
-        assert!(level_of(cond.scc_of["mid"]) < level_of(scc_rec_a));
-        assert!(level_of(scc_rec_a) < level_of(cond.scc_of["top"]));
+        assert!(level_of(scc_of["leaf"]) < level_of(scc_of["mid"]));
+        assert!(level_of(scc_of["mid"]) < level_of(scc_rec_a));
+        assert!(level_of(scc_rec_a) < level_of(scc_of["top"]));
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //! scheduled bottom-up over the condensed call graph, and the
 //! pipeline's three program states (fixed → asserted → deputized) share one
 //! diagnostic cache and one context store — so running the same pipeline
-//! again (the analyze→fix→re-analyze loop) is served from cache instead of
-//! paying full price twice.
+//! again (the analyze→fix→re-analyze loop) serves its diagnostics from
+//! cache. The Deputy conversion itself is not cached: the engine keeps
+//! only per-function Deputy reports, so every run calls
+//! [`Deputy::convert`](ivy_deputy::Deputy::convert) afresh.
 
 use crate::experiments::fix_plan_for;
 use crate::repository::Repository;
@@ -23,7 +25,7 @@ use ivy_blockstop::{insert_asserts, BlockStopChecker, BlockStopConfig, BlockStop
 use ivy_ccount::{CCountChecker, InstrumentationReport};
 use ivy_cmir::ast::Program;
 use ivy_deputy::plugin::DeputyChecker;
-use ivy_deputy::ConversionReport;
+use ivy_deputy::{ConversionReport, Deputy};
 use ivy_engine::{CtxStore, Diagnostic, DiagnosticCache, Engine, PersistLayer, Report};
 use ivy_kernelgen::KernelBuild;
 use std::io;
@@ -213,11 +215,10 @@ impl Pipeline {
             asserted_functions: asserted,
             ..BlockStopConfig::default()
         }));
-        let deputy_checker = Arc::new(DeputyChecker::new());
         let post_engine = self
             .engine()
             .with_checker(post_checker.clone())
-            .with_checker(deputy_checker.clone());
+            .with_checker(Arc::new(DeputyChecker::new()));
         let (post_ctx, post_reused) = post_engine.context_for(&with_asserts);
         let post_report = post_engine.analyze_with_ctx(&post_ctx, post_reused);
         let blockstop_after = (*post_checker.report(&post_ctx)).clone();
@@ -225,11 +226,10 @@ impl Pipeline {
 
         // 4. Deputy conversion of the patched kernel (the program
         //    transformation; diagnostics already came from the engine
-        //    pass). Assembled from the per-function instrumentations the
-        //    checker just memoized, so neither a cold nor a repeated
-        //    pipeline run instruments twice.
+        //    pass). The engine's Deputy queries keep only per-function
+        //    reports, so this instruments every function a second time.
         let conversion = ivy_telemetry::time("pipeline/phase", "deputize", || {
-            (*deputy_checker.conversion(&post_ctx)).clone()
+            Deputy::new().convert(&with_asserts)
         });
 
         // 5. CCount static report on the deputized kernel, and the shared
@@ -350,7 +350,7 @@ mod tests {
             .run(&build);
 
         // "Process B": every in-memory cache is fresh; only the directory
-        // is shared. Deputization and checking are served from disk.
+        // is shared. Checking is served from disk.
         let second = Pipeline::new()
             .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
             .run(&build);
@@ -359,14 +359,9 @@ mod tests {
             first.report.diagnostics_json(),
             second.report.diagnostics_json()
         );
-        // The hardened programs are textually identical (AST spans may
-        // differ: reloaded instrumented bodies carry spans from their
-        // pretty-printed persisted form, which never affect semantics,
-        // hashing, or serialized output).
-        assert_eq!(
-            ivy_cmir::pretty::pretty_program(&first.program),
-            ivy_cmir::pretty::pretty_program(&second.program)
-        );
+        // The hardened programs are identical: each process converts
+        // the kernel itself.
+        assert_eq!(first.program, second.program);
         assert!(
             second.report.stats.persist_hits > 0,
             "warm pipeline process must be served from the persist layer: {:?}",

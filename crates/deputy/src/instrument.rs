@@ -57,46 +57,37 @@ impl Deputy {
         (env, report)
     }
 
-    /// Converts (deputizes) a whole program.
+    /// Converts (deputizes) a whole program: every defined function is
+    /// instrumented against the prepared environment and put in place of
+    /// its signature, the per-function reports are merged into the
+    /// preparation report, and the redundant-check optimiser runs last.
     pub fn convert(&self, program: &Program) -> Conversion {
-        let (env, report) = self.prepare(program);
-        let instrumented = program
-            .functions
-            .iter()
-            .filter(|f| f.body.is_some())
-            .map(|f| convert_function(&env, f));
-        assemble(&env, report, instrumented)
+        let (env, mut report) = self.prepare(program);
+        let mut converted = env.clone();
+        for func in program.functions.iter().filter(|f| f.body.is_some()) {
+            let (instrumented, func_report) = convert_function(&env, func);
+            report.merge(&func_report);
+            converted.add_function(instrumented);
+        }
+        report.checks_optimized_away = crate::optimize::eliminate_redundant_checks(&mut converted);
+        Conversion {
+            program: converted,
+            report,
+        }
     }
 }
 
 /// Defaults and instruments one function of a program against its
 /// [prepared](Deputy::prepare) environment, returning the instrumented
 /// function and a report containing only this function's contribution
-/// (check counts, static discharges, diagnostics). Summing these
-/// per-function reports over all functions reproduces the
-/// pre-optimization numbers of [`Deputy::convert`].
+/// (check counts, static discharges, diagnostics). Merging these
+/// per-function reports into the preparation report reproduces
+/// [`Deputy::convert`]'s report up to `checks_optimized_away`, which only
+/// the whole-program optimiser sets.
 pub fn convert_function(env: &Program, func: &Function) -> (Function, ConversionReport) {
     let mut report = ConversionReport::default();
     let instrumented = instrument_function(env, annotate::with_defaults(func), &mut report);
     (instrumented, report)
-}
-
-/// The whole-program conversion: the environment with every
-/// instrumented function in place of its signature, the per-function
-/// reports merged into the preparation `report`, and the redundant-check
-/// optimiser run last.
-pub(crate) fn assemble(
-    env: &Program,
-    mut report: ConversionReport,
-    instrumented: impl Iterator<Item = (Function, ConversionReport)>,
-) -> Conversion {
-    let mut program = env.clone();
-    for (func, func_report) in instrumented {
-        report.merge(&func_report);
-        program.add_function(func);
-    }
-    report.checks_optimized_away = crate::optimize::eliminate_redundant_checks(&mut program);
-    Conversion { program, report }
 }
 
 /// A dominating comparison fact `lhs < rhs` collected from enclosing loop and

@@ -5,27 +5,28 @@
 //! then each function is defaulted and instrumented independently
 //! ([`InstrumentedQuery`]) — call-site obligations only consult
 //! *signatures* of callees, never their bodies. The environment is
-//! body-free (signatures, globals, composites, typedefs), so a context
-//! holds its program once: the only bodies Deputy keeps are the
-//! instrumented ones. The instrumented query is a [`DurableQuery`] keyed
-//! by the function's span-insensitive content hash and the whole-program
-//! type environment hash: with a persist layer attached, re-deputization
-//! after a one-function edit re-instruments exactly the edited function —
-//! in this process or a later one — and the instrumented body travels as
-//! pretty-printed KC source (the parser round-trips inserted checks).
-//! The cache fingerprint for per-function diagnostics is the env hash for
-//! the same reason: a body edit leaves every other function's Deputy
-//! result cached, which is exactly the dirty-cone behaviour the engine's
-//! incremental loop relies on.
+//! body-free (signatures, globals, composites, typedefs), and the
+//! per-function query keeps only the function's [`ConversionReport`]: the
+//! instrumented body is built, read for its report, and dropped, so a
+//! context holds its program once and no Deputy body besides. The
+//! instrumented program itself is [`Deputy::convert`]'s job.
+//!
+//! The instrumented query is a [`DurableQuery`] keyed by the function's
+//! span-insensitive content hash and the whole-program type environment
+//! hash: with a persist layer attached, re-checking after a one-function
+//! edit re-instruments exactly the edited function — in this process or a
+//! later one. The cache fingerprint for per-function diagnostics is the
+//! env hash for the same reason: a body edit leaves every other function's
+//! Deputy result cached, which is exactly the dirty-cone behaviour the
+//! engine's incremental loop relies on.
 
-use crate::instrument::{assemble, convert_function, Conversion, Deputy};
+use crate::instrument::{convert_function, Deputy};
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity as DeputySeverity};
 use ivy_analysis::callgraph::calls_in;
 use ivy_analysis::pointsto::Sensitivity;
 use ivy_cmir::ast::{Expr, Function, Program};
 use ivy_cmir::content::function_content_hash;
-use ivy_cmir::parser::parse_program;
-use ivy_cmir::pretty::{expr_str, pretty_function, type_str};
+use ivy_cmir::pretty::{expr_str, type_str};
 use ivy_engine::hash::{fnv1a, mix};
 use ivy_engine::json::{Map, Value};
 use ivy_engine::persist::{span_from_value, span_to_value};
@@ -100,28 +101,30 @@ impl QueryKey for InstrumentedKey {
     }
 }
 
-/// The instrumented ("deputized") form of one function against the
-/// prepared environment, plus its conversion report. Durable: the body is
-/// persisted as pretty-printed KC source and re-parsed on reload.
+/// The conversion report of one function instrumented against the
+/// prepared environment (see [`convert_function`]): its check counts,
+/// static discharges and diagnostics. The instrumented body is not kept.
 pub struct InstrumentedQuery;
 
 impl Query for InstrumentedQuery {
     type Key = InstrumentedKey;
-    type Value = (Function, ConversionReport);
+    type Value = ConversionReport;
     const NAME: &'static str = "deputy/instrumented";
 
-    fn compute(db: &QueryDb, key: &InstrumentedKey) -> (Function, ConversionReport) {
+    fn compute(db: &QueryDb, key: &InstrumentedKey) -> ConversionReport {
         let prepared = db.get::<PreparedQuery>(&());
         let subject = db
             .program
             .function(&key.function)
             .expect("instrumented query demanded for a known function");
-        convert_function(&prepared.env, subject)
+        convert_function(&prepared.env, subject).1
     }
 }
 
 impl DurableQuery for InstrumentedQuery {
-    const FORMAT_VERSION: u32 = 1;
+    /// Version 2: the report alone. Version 1 also carried the
+    /// instrumented body as pretty-printed KC source.
+    const FORMAT_VERSION: u32 = 2;
 
     /// The key's stable hash mixed with the function's content in `db`.
     /// An entry for the current content keeps its durable key across
@@ -133,45 +136,12 @@ impl DurableQuery for InstrumentedQuery {
         mix(key.stable_hash(), db.fn_content(&key.function))
     }
 
-    fn encode(value: &(Function, ConversionReport)) -> Value {
-        let mut root = Map::new();
-        root.insert(
-            "func".into(),
-            Value::from(pretty_function(&value.0).as_str()),
-        );
-        root.insert("report".into(), report_to_value(&value.1));
-        Value::Object(root)
+    fn encode(value: &ConversionReport) -> Value {
+        report_to_value(value)
     }
 
-    fn decode(raw: &Value) -> Option<(Function, ConversionReport)> {
-        let program = parse_program(raw.get("func")?.as_str()?).ok()?;
-        let func = program.functions.into_iter().next()?;
-        Some((func, report_from_value(raw.get("report")?)?))
-    }
-}
-
-/// Whole-program conversion assembled from the per-function
-/// instrumentations.
-pub struct ConversionQuery;
-
-impl Query for ConversionQuery {
-    type Key = ();
-    type Value = Conversion;
-    const NAME: &'static str = "deputy/conversion";
-
-    fn compute(db: &QueryDb, _: &()) -> Conversion {
-        let prepared = db.get::<PreparedQuery>(&());
-        let checker = DeputyChecker::new();
-        let instrumented = db
-            .program
-            .functions
-            .iter()
-            .filter(|f| f.body.is_some())
-            .map(|func| {
-                let instrumented = checker.instrumented(db, func);
-                (instrumented.0.clone(), instrumented.1.clone())
-            });
-        assemble(&prepared.env, prepared.report.clone(), instrumented)
+    fn decode(raw: &Value) -> Option<ConversionReport> {
+        report_from_value(raw)
     }
 }
 
@@ -306,30 +276,17 @@ impl DeputyChecker {
         ctx.get::<PreparedQuery>(&())
     }
 
-    /// The instrumented form of one function (against the prepared
-    /// environment), demanded through the durable query layer so the
-    /// per-function checking pass, a later whole-program
-    /// [`DeputyChecker::conversion`], and warm-started processes all share
-    /// the work.
-    pub fn instrumented(
-        &self,
-        ctx: &AnalysisCtx,
-        func: &Function,
-    ) -> Arc<(Function, ConversionReport)> {
+    /// The conversion report of one function (instrumented against the
+    /// prepared environment), demanded through the durable query layer so
+    /// the per-function checking pass and warm-started processes share the
+    /// work.
+    pub fn instrumented(&self, ctx: &AnalysisCtx, func: &Function) -> Arc<ConversionReport> {
         let key = InstrumentedKey {
             function: func.name.clone(),
             content_hash: function_content_hash(func),
             env_hash: ctx.env_hash(),
         };
         ctx.get_durable::<InstrumentedQuery>(&key)
-    }
-
-    /// The full conversion of a context's program, assembled from the
-    /// memoized per-function instrumentations (so a pipeline that already
-    /// ran the checker pays nothing extra) and memoized itself. Produces
-    /// the same program and report as [`Deputy::convert`].
-    pub fn conversion(&self, ctx: &AnalysisCtx) -> Arc<Conversion> {
-        ctx.get::<ConversionQuery>(&())
     }
 
     /// Query path into the shared points-to substrate: for every indirect
@@ -355,10 +312,10 @@ impl DeputyChecker {
         let pts = db.pointsto(self.sensitivity());
         let mut out: BTreeMap<String, BTreeMap<String, BTreeSet<String>>> = BTreeMap::new();
         for (callee_expr, _argc) in calls_in(func) {
-            if matches!(&callee_expr, Expr::Var(name) if db.program.function(name).is_some()) {
+            if matches!(callee_expr, Expr::Var(name) if db.program.function(name).is_some()) {
                 continue; // direct call
             }
-            let text = expr_str(&callee_expr);
+            let text = expr_str(callee_expr);
             if out.contains_key(&text) {
                 continue;
             }
@@ -528,10 +485,9 @@ impl Checker for DeputyChecker {
         }
 
         if func.body.is_some() {
-            // Demanded through the durable query so `conversion` (and warm
-            // processes) reuse the same work.
-            let instrumented = self.instrumented(ctx, func);
-            let report = &instrumented.1;
+            // Demanded through the durable query so warm processes reuse
+            // the work.
+            let report = self.instrumented(ctx, func);
             out.extend(report.diagnostics.iter().map(Self::to_diagnostic));
             if report.total_runtime_checks() > 0 || report.static_discharged > 0 {
                 let kinds: Vec<String> = report
@@ -582,35 +538,23 @@ mod tests {
     "#;
 
     #[test]
-    fn plugin_conversion_matches_deputy_convert() {
-        let p = parse_program(SRC).unwrap();
-        let direct = Deputy::new().convert(&p);
-        let ctx = AnalysisCtx::new(&p);
-        let via_plugin = DeputyChecker::new().conversion(&ctx);
-        assert_eq!(direct.program, via_plugin.program);
-        assert_eq!(direct.report, via_plugin.report);
-    }
-
-    #[test]
-    fn instrumented_bodies_roundtrip_through_the_durable_encoding() {
+    fn instrumented_reports_roundtrip_through_the_durable_encoding() {
         let p = parse_program(SRC).unwrap();
         let ctx = AnalysisCtx::new(&p);
         let checker = DeputyChecker::new();
         let sum = ctx.program.function("sum").unwrap();
-        let instrumented = checker.instrumented(&ctx, sum);
-        let encoded = InstrumentedQuery::encode(&instrumented);
-        let (func, report) =
-            <InstrumentedQuery as DurableQuery>::decode(&encoded).expect("decodes");
-        // The reloaded body is structurally identical (spans aside: the
-        // content hash ignores them, and so does program equality-of-text).
-        assert_eq!(pretty_function(&func), pretty_function(&instrumented.0));
-        assert_eq!(
-            function_content_hash(&func),
-            function_content_hash(&instrumented.0)
-        );
-        assert_eq!(report, instrumented.1);
+        let report = checker.instrumented(&ctx, sum);
+        assert!(report.total_runtime_checks() + report.static_discharged > 0);
+        let encoded = InstrumentedQuery::encode(&report);
+        let decoded = <InstrumentedQuery as DurableQuery>::decode(&encoded).expect("decodes");
+        assert_eq!(decoded, *report);
         // Tampering is rejected.
         assert!(<InstrumentedQuery as DurableQuery>::decode(&Value::from(1u64)).is_none());
+        let Value::Object(mut root) = encoded else {
+            unreachable!("reports encode as an object")
+        };
+        root.insert("static_discharged".into(), Value::from("many"));
+        assert!(<InstrumentedQuery as DurableQuery>::decode(&Value::Object(root)).is_none());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 
 use crate::persist::PersistLayer;
 use ivy_analysis::pointsto::{self, ConstraintCache, PointsToResult, Sensitivity, SolveOptions};
-use ivy_analysis::summary::{self, fnv1a, mix, Condensation, FunctionSummary, ProgramSummaries};
+use ivy_analysis::summary::{self, fnv1a, mix, Condensation, ProgramSummaries};
 use ivy_analysis::CallGraph;
 use ivy_cmir::ast::Program;
 use ivy_cmir::cfg::Cfg;
@@ -518,7 +518,7 @@ impl QueryDb {
     /// edited program is *revalidated* (kept, and propagation stops there):
     /// by the [`DurableQuery::durable_key`] contract an equal key
     /// guarantees an equal value, so e.g. an unedited function's
-    /// instrumented body survives even though it was derived from
+    /// Deputy report survives even though it was derived from
     /// whole-program state. The same key check runs in reverse for entries
     /// *adopted from the persist layer*: an adopted entry recorded no
     /// dependency edges (its compute never ran in this process), so
@@ -761,8 +761,8 @@ impl QueryDb {
         self.get::<Callgraph>(&sensitivity)
     }
 
-    /// Per-function summaries (content/cone hashes, SCC condensation) over
-    /// the call graph at a precision level. Durable: with a persist layer
+    /// The cone hash of every function and the SCC schedule over the call
+    /// graph at a precision level. Durable: with a persist layer
     /// attached, a warm process reloads these from disk without solving
     /// points-to at all.
     pub fn summaries(&self, sensitivity: Sensitivity) -> Arc<ProgramSummaries> {
@@ -885,7 +885,8 @@ impl Query for Callgraph {
     }
 }
 
-/// Per-function summaries and SCC condensation over [`Callgraph`].
+/// The engine's schedule and cache keys over [`Callgraph`]: a cone hash
+/// per function and the SCC condensation's `sccs` and `levels`.
 pub struct Summaries;
 
 impl Query for Summaries {
@@ -899,28 +900,21 @@ impl Query for Summaries {
 }
 
 impl DurableQuery for Summaries {
-    /// Version 2: content and cone hashes are structural
-    /// ([`ivy_cmir::content`]) rather than hashes of pretty-printed text,
-    /// and the unread `env_hash` field is gone.
-    const FORMAT_VERSION: u32 = 2;
+    /// Version 3: only what the scheduler reads — the cone hash per
+    /// function name, the SCCs and the levels. Version 2 also stored each
+    /// function's callees, content hash and SCC index.
+    const FORMAT_VERSION: u32 = 3;
 
     fn durable_key(db: &QueryDb, key: &Sensitivity) -> u64 {
         mix(db.program_hash, key.stable_hash())
     }
 
     fn encode(value: &ProgramSummaries) -> Value {
-        let mut functions = Map::new();
-        for (name, s) in &value.functions {
-            let mut f = Map::new();
-            f.insert(
-                "callees".into(),
-                Value::Array(s.callees.iter().map(|c| Value::from(c.as_str())).collect()),
-            );
-            f.insert("content_hash".into(), Value::from(s.content_hash));
-            f.insert("cone_hash".into(), Value::from(s.cone_hash));
-            f.insert("scc".into(), Value::from(s.scc));
-            functions.insert(name.clone(), Value::Object(f));
-        }
+        let cone_hashes: Map = value
+            .cone_hashes
+            .iter()
+            .map(|(name, &h)| (name.clone(), Value::from(h)))
+            .collect();
         let sccs: Vec<Value> = value
             .condensation
             .sccs
@@ -934,23 +928,32 @@ impl DurableQuery for Summaries {
             .map(|l| Value::Array(l.iter().map(|&i| Value::from(i)).collect()))
             .collect();
         let mut root = Map::new();
-        root.insert("functions".into(), Value::Object(functions));
+        root.insert("cone_hashes".into(), Value::Object(cone_hashes));
         root.insert("sccs".into(), Value::Array(sccs));
         root.insert("levels".into(), Value::Array(levels));
         Value::Object(root)
     }
 
+    /// Rejects (so the engine recomputes) any entry the scheduler could
+    /// not walk: a level naming an SCC that does not exist, an SCC member
+    /// that is not a string, or a member without a cone hash.
     fn decode(raw: &Value) -> Option<ProgramSummaries> {
+        let cone_hashes: BTreeMap<String, u64> = raw
+            .get("cone_hashes")?
+            .as_object()?
+            .iter()
+            .map(|(name, h)| Some((name.clone(), h.as_u64()?)))
+            .collect::<Option<_>>()?;
         let sccs: Vec<Vec<String>> = raw
             .get("sccs")?
             .as_array()?
             .iter()
             .map(|c| {
-                c.as_array().map(|ns| {
-                    ns.iter()
-                        .filter_map(|n| n.as_str().map(String::from))
-                        .collect()
-                })
+                c.as_array()?
+                    .iter()
+                    .map(|n| n.as_str().filter(|n| cone_hashes.contains_key(*n)))
+                    .map(|n| n.map(String::from))
+                    .collect()
             })
             .collect::<Option<_>>()?;
         let levels: Vec<Vec<usize>> = raw
@@ -958,45 +961,16 @@ impl DurableQuery for Summaries {
             .as_array()?
             .iter()
             .map(|l| {
-                l.as_array().map(|is| {
-                    is.iter()
-                        .filter_map(|i| i.as_u64().map(|v| v as usize))
-                        .collect()
-                })
+                l.as_array()?
+                    .iter()
+                    .map(|i| i.as_u64().filter(|&i| i < sccs.len() as u64))
+                    .map(|i| i.map(|i| i as usize))
+                    .collect()
             })
             .collect::<Option<_>>()?;
-        let mut scc_of = BTreeMap::new();
-        for (i, comp) in sccs.iter().enumerate() {
-            for name in comp {
-                scc_of.insert(name.clone(), i);
-            }
-        }
-        let mut functions = BTreeMap::new();
-        for (name, f) in raw.get("functions")?.as_object()?.iter() {
-            let callees: BTreeSet<String> = f
-                .get("callees")?
-                .as_array()?
-                .iter()
-                .filter_map(|c| c.as_str().map(String::from))
-                .collect();
-            functions.insert(
-                name.clone(),
-                FunctionSummary {
-                    name: name.clone(),
-                    callees,
-                    content_hash: f.get("content_hash")?.as_u64()?,
-                    cone_hash: f.get("cone_hash")?.as_u64()?,
-                    scc: f.get("scc")?.as_u64()? as usize,
-                },
-            );
-        }
         Some(ProgramSummaries {
-            functions,
-            condensation: Condensation {
-                sccs,
-                scc_of,
-                levels,
-            },
+            cone_hashes,
+            condensation: Condensation { sccs, levels },
         })
     }
 }
@@ -1129,7 +1103,7 @@ mod tests {
         let p2 = db.pointsto(Sensitivity::Steensgaard);
         assert!(Arc::ptr_eq(&p1, &p2));
         let s = db.summaries(Sensitivity::Steensgaard);
-        assert!(s.functions.contains_key("a"));
+        assert!(s.cone_hash("a").is_some());
         assert!(db.cfg("a").is_some());
         assert!(db.cfg("missing").is_none());
     }
@@ -1164,10 +1138,7 @@ mod tests {
         let s = db.summaries(Sensitivity::Steensgaard);
         let decoded = <Summaries as DurableQuery>::decode(&Summaries::encode(&s))
             .expect("well-formed encoding decodes");
-        assert_eq!(decoded.functions, s.functions);
-        assert_eq!(decoded.condensation.sccs, s.condensation.sccs);
-        assert_eq!(decoded.condensation.levels, s.condensation.levels);
-        assert_eq!(decoded.condensation.scc_of, s.condensation.scc_of);
+        assert_eq!(decoded, *s);
         // Tampered encodings are rejected, not mis-decoded.
         assert!(<Summaries as DurableQuery>::decode(&Value::from("garbage")).is_none());
     }
@@ -1204,7 +1175,7 @@ mod tests {
 
         // Recomputation in the new db is correct and rebuilds the edges.
         let s = new_db.summaries(Sensitivity::Steensgaard);
-        assert!(s.functions.contains_key("c"));
+        assert!(s.cone_hash("c").is_some());
         assert!(new_db.depends_on(Summaries::NAME, Callgraph::NAME));
         assert_ne!(new_db.fn_content("c"), db.fn_content("c"));
         assert_eq!(new_db.fn_content("lone"), db.fn_content("lone"));
@@ -1223,7 +1194,7 @@ mod tests {
         assert!(stats.env_changed);
         assert!(new_db.peek::<Pointsto>(&Sensitivity::Steensgaard).is_none());
         assert_eq!(
-            new_db.summaries(Sensitivity::Steensgaard).functions.len(),
+            new_db.summaries(Sensitivity::Steensgaard).cone_hashes.len(),
             3
         );
     }
@@ -1231,7 +1202,7 @@ mod tests {
     #[test]
     fn apply_edit_revalidates_content_keyed_durable_entries() {
         /// A durable query keyed (and durably keyed) purely by content —
-        /// the shape of the per-function instrumented-body entries whose
+        /// the shape of the per-function Deputy report entries whose
         /// survival across edits the daemon depends on.
         struct ContentKeyed;
         impl Query for ContentKeyed {

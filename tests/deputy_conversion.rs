@@ -1,11 +1,12 @@
 //! Pins Deputy's whole-program conversion of the generated kernels: the
-//! FNV-1a digest of the pretty-printed deputized program, reached both
-//! through `Deputy::convert` and through the engine plugin's memoized
-//! assembly, plus the small kernel's report counts. A refactor of the
-//! conversion may change how the program is built, never what comes out.
+//! FNV-1a digest of the pretty-printed deputized program from
+//! `Deputy::convert`, plus the small kernel's report counts. A refactor of
+//! the conversion may change how the program is built, never what comes
+//! out. The engine plugin keeps only per-function reports; merged into the
+//! prepared report they must reproduce the conversion's report.
 
 use ivy::cmir::pretty::pretty_program;
-use ivy::deputy::{Deputy, DeputyChecker};
+use ivy::deputy::{ConversionReport, Deputy, DeputyChecker};
 use ivy::engine::AnalysisCtx;
 use ivy::kernelgen::{KernelBuild, KernelConfig};
 use std::collections::BTreeMap;
@@ -15,28 +16,26 @@ const PINNED_CONVERSIONS: [(&str, u64); 2] = [
     ("paper", 0x4124_1b62_08c7_6fce),
 ];
 
+fn kernel(name: &str) -> ivy::cmir::ast::Program {
+    let config = match name {
+        "small" => KernelConfig::small(),
+        _ => KernelConfig::paper(),
+    };
+    KernelBuild::generate(&config).program
+}
+
 #[test]
 fn deputy_conversion_matches_the_pinned_digests() {
     let mut mismatches = Vec::new();
     for (kernel, pinned) in PINNED_CONVERSIONS {
-        let config = match kernel {
-            "small" => KernelConfig::small(),
-            _ => KernelConfig::paper(),
-        };
-        let program = KernelBuild::generate(&config).program;
-        let direct = Deputy::new().convert(&program);
-        let via_plugin = DeputyChecker::new().conversion(&AnalysisCtx::new(&program));
-        for (path, conversion) in [("convert", &direct), ("plugin", &*via_plugin)] {
-            let digest =
-                ivy::analysis::summary::fnv1a(pretty_program(&conversion.program).as_bytes());
-            eprintln!("{kernel} {path}: {digest:#018x}");
-            if digest != pinned {
-                mismatches.push(format!(
-                    "{kernel} {path}: digest {digest:#018x}, pinned {pinned:#018x}"
-                ));
-            }
+        let direct = Deputy::new().convert(&self::kernel(kernel));
+        let digest = ivy::analysis::summary::fnv1a(pretty_program(&direct.program).as_bytes());
+        eprintln!("{kernel}: {digest:#018x}");
+        if digest != pinned {
+            mismatches.push(format!(
+                "{kernel}: digest {digest:#018x}, pinned {pinned:#018x}"
+            ));
         }
-        assert_eq!(direct.report, via_plugin.report, "{kernel}");
         if kernel == "small" {
             let report = &direct.report;
             assert_eq!(report.inferred_defaults, 130);
@@ -59,4 +58,25 @@ fn deputy_conversion_matches_the_pinned_digests() {
         "conversion changed:\n{}",
         mismatches.join("\n")
     );
+}
+
+/// The engine plugin's per-function reports, merged into its prepared
+/// report, equal `Deputy::convert`'s report on both kernels, except
+/// `checks_optimized_away`: only the whole-program optimiser sets it.
+#[test]
+fn per_function_deputy_reports_merge_into_the_conversion_report() {
+    for (kernel, _) in PINNED_CONVERSIONS {
+        let program = self::kernel(kernel);
+        let direct = Deputy::new().convert(&program).report;
+        let ctx = AnalysisCtx::new(&program);
+        let checker = DeputyChecker::new();
+        let mut merged: ConversionReport = checker.prepared(&ctx).report.clone();
+        for func in ctx.program.functions.iter().filter(|f| f.body.is_some()) {
+            merged.merge(&checker.instrumented(&ctx, func));
+        }
+        assert_eq!(merged.checks_optimized_away, 0, "{kernel}");
+        assert!(direct.checks_optimized_away > 0, "{kernel}");
+        merged.checks_optimized_away = direct.checks_optimized_away;
+        assert_eq!(merged, direct, "{kernel}");
+    }
 }

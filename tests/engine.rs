@@ -234,19 +234,88 @@ fn corrupt_or_version_mismatched_cache_files_are_ignored_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A summaries entry that parses but that the scheduler could not walk —
+/// a level naming a missing SCC, a member that is not a string, a member
+/// without a cone hash — is recomputed: the warm report equals the cold
+/// one instead of panicking or dropping functions from the schedule.
 #[test]
-fn persisted_deputy_bodies_make_redeputization_incremental() {
+fn tampered_summaries_entries_are_recomputed_not_fatal() {
+    use ivy::engine::json::{self, Map, Value};
+    let build = KernelBuild::generate(&KernelConfig::small());
+    let dir = persist_dir("tampered-summaries");
+    let cold = kernel_engine()
+        .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
+        .analyze(&build.program);
+    let ns = dir.join("engine-summaries");
+    let shard = std::fs::read_dir(&ns).unwrap().next().unwrap().unwrap();
+    let shard_name = shard.file_name();
+    let original = json::from_str(&std::fs::read_to_string(shard.path()).unwrap()).unwrap();
+
+    let level_out_of_range = |s: &mut Map| {
+        let sccs = s["sccs"].as_array().unwrap().len();
+        let level = Value::Array(vec![0u64.into(), sccs.into()]);
+        s.insert("levels".into(), Value::Array(vec![level]));
+    };
+    let member_not_a_string = |s: &mut Map| {
+        let scc = Value::Array(vec![7u64.into()]);
+        s.insert("sccs".into(), Value::Array(vec![scc]));
+        let level = Value::Array(vec![0u64.into()]);
+        s.insert("levels".into(), Value::Array(vec![level]));
+    };
+    let member_without_cone_hash = |s: &mut Map| {
+        let scc = Value::Array(vec!["no_such_function".into()]);
+        s.insert("sccs".into(), Value::Array(vec![scc]));
+        let level = Value::Array(vec![0u64.into()]);
+        s.insert("levels".into(), Value::Array(vec![level]));
+    };
+    let tamperings: [&dyn Fn(&mut Map); 3] = [
+        &level_out_of_range,
+        &member_not_a_string,
+        &member_without_cone_hash,
+    ];
+    for tamper in tamperings {
+        // Leave only the summaries shard, with every entry tampered.
+        let mut planted = original.clone();
+        let Value::Object(root) = &mut planted else {
+            panic!("a shard is an object")
+        };
+        let Some(Value::Object(entries)) = root.get_mut("entries") else {
+            panic!("a shard has entries")
+        };
+        assert!(!entries.is_empty(), "cold run persisted its summaries");
+        for entry in entries.values_mut() {
+            let Value::Object(summaries) = entry else {
+                panic!("summaries encode as an object")
+            };
+            tamper(summaries);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&ns).unwrap();
+        std::fs::write(ns.join(&shard_name), json::to_string(&planted).unwrap()).unwrap();
+
+        let layer = Arc::new(PersistLayer::open(&dir).unwrap());
+        let warm = kernel_engine()
+            .with_persist(Arc::clone(&layer))
+            .analyze(&build.program);
+        assert!(layer.hits() > 0, "the planted entry was read");
+        assert_eq!(warm.diagnostics_json(), cold.diagnostics_json());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn persisted_deputy_reports_make_redeputization_incremental() {
     let build = KernelBuild::generate(&KernelConfig::small());
     let dir = persist_dir("deputy-incremental");
     let layer = Arc::new(PersistLayer::open(&dir).unwrap());
     let engine = kernel_engine().with_persist(Arc::clone(&layer));
     engine.analyze(&build.program);
     let instrumented_ns = "deputy/instrumented";
-    let version = 1;
+    let version = 2;
     let before = layer.entry_count(instrumented_ns, version);
-    assert!(before > 0, "cold run persisted instrumented bodies");
+    assert!(before > 0, "cold run persisted per-function reports");
 
-    // Edit one function body; only its instrumented body is regenerated
+    // Edit one function body; only its report is regenerated
     // (its content hash changed; every other function's entry is still
     // valid because the type environment is untouched).
     let mut edited = build.program.clone();
@@ -261,7 +330,7 @@ fn persisted_deputy_bodies_make_redeputization_incremental() {
     assert_eq!(
         after,
         before + 1,
-        "a one-function edit must add exactly one instrumented-body entry"
+        "a one-function edit must add exactly one per-function report entry"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -549,7 +618,7 @@ fn deputy_prepared_environment_holds_no_function_body() {
 }
 
 /// An edit must not leave the edited function's old-content memo entries
-/// behind: Deputy's instrumented body is keyed by the function's content
+/// behind: Deputy's per-function report is keyed by the function's content
 /// hash, and a stale-content entry that still revalidated would be carried
 /// into every later context. Twenty successive literal edits to one
 /// function keep the base table the same size after the first.
