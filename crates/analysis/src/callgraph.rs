@@ -35,32 +35,27 @@ impl CallGraph {
             if func.attrs.inline_asm {
                 cg.opaque_functions.insert(func.name.clone());
             }
-            cg.edges.entry(func.name.clone()).or_default();
-            for (callee_expr, _argc) in calls_in(func) {
-                let targets = match callee_expr {
-                    Expr::Var(name) if program.function(name).is_some() => {
-                        BTreeSet::from([name.clone()])
+            let callees = cg.edges.entry(func.name.clone()).or_default();
+            for_each_callee(func, &mut |callee| match callee {
+                Expr::Var(name) if program.function(name).is_some() => {
+                    callees.insert(name.clone());
+                }
+                other => {
+                    let targets = pointsto.indirect_targets_for(&func.name, &expr_str(other));
+                    match targets.filter(|t| !t.is_empty()) {
+                        Some(targets) => callees.extend(targets.iter().cloned()),
+                        None => cg.unresolved_sites += 1,
                     }
-                    other => {
-                        let t = pointsto.indirect_call_targets(&func.name, &expr_str(other));
-                        if t.is_empty() {
-                            cg.unresolved_sites += 1;
-                        }
-                        t
-                    }
-                };
-                cg.edges
-                    .entry(func.name.clone())
-                    .or_default()
-                    .extend(targets);
-            }
+                }
+            });
         }
         cg
     }
 
-    /// The callees of a function (empty set if unknown).
-    pub fn callees(&self, func: &str) -> BTreeSet<String> {
-        self.edges.get(func).cloned().unwrap_or_default()
+    /// The callees of a function (empty if unknown).
+    pub fn callees(&self, func: &str) -> &BTreeSet<String> {
+        static NONE: BTreeSet<String> = BTreeSet::new();
+        self.edges.get(func).unwrap_or(&NONE)
     }
 
     /// The callers of a function.
@@ -98,21 +93,6 @@ impl CallGraph {
         result
     }
 
-    /// Every function reachable from `root` by following call edges
-    /// (including `root` itself).
-    pub fn reachable_from(&self, root: &str) -> BTreeSet<String> {
-        let mut seen: BTreeSet<String> = BTreeSet::from([root.to_string()]);
-        let mut queue: VecDeque<String> = VecDeque::from([root.to_string()]);
-        while let Some(f) = queue.pop_front() {
-            for callee in self.callees(&f) {
-                if seen.insert(callee.clone()) {
-                    queue.push_back(callee);
-                }
-            }
-        }
-        seen
-    }
-
     /// Longest acyclic call-chain depth starting from `root`, following call
     /// edges, where each function contributes `weight(name)`.
     ///
@@ -142,7 +122,7 @@ impl CallGraph {
         }
         let mut best = 0;
         for callee in self.callees(f) {
-            best = best.max(self.depth_rec(&callee, weight, memo, on_stack));
+            best = best.max(self.depth_rec(callee, weight, memo, on_stack));
         }
         on_stack.remove(f);
         let total = best + weight(f);
@@ -161,14 +141,14 @@ impl CallGraph {
             }
             // f is recursive if it can reach itself through at least one edge.
             let mut seen = BTreeSet::new();
-            let mut queue: VecDeque<String> = self.callees(f).into_iter().collect();
+            let mut queue: VecDeque<String> = self.callees(f).iter().cloned().collect();
             while let Some(g) = queue.pop_front() {
                 if g == *f {
                     out.insert(f.clone());
                     break;
                 }
                 if seen.insert(g.clone()) {
-                    queue.extend(self.callees(&g));
+                    queue.extend(self.callees(&g).iter().cloned());
                 }
             }
         }
@@ -176,18 +156,16 @@ impl CallGraph {
     }
 }
 
-/// Enumerates every call expression in a function body: (callee expression,
-/// argument count), in deterministic traversal order.
-pub fn calls_in(func: &Function) -> Vec<(&Expr, usize)> {
-    let mut out = Vec::new();
+/// Calls `f` on the callee expression of every call in a function body,
+/// in deterministic traversal order.
+pub fn for_each_callee<'a>(func: &'a Function, f: &mut dyn FnMut(&'a Expr)) {
     visit::walk_fn_stmts(func, &mut |stmt| {
         visit::walk_stmt_exprs(stmt, &mut |e| {
-            if let Expr::Call(callee, args) = e {
-                out.push((&**callee, args.len()));
+            if let Expr::Call(callee, _) = e {
+                f(callee);
             }
         });
     });
-    out
 }
 
 #[cfg(test)]
@@ -281,14 +259,5 @@ mod tests {
         let cg = graph();
         let d = cg.max_weighted_depth("read_chan", &|_| 64);
         assert_eq!(d, 128, "read_chan -> wait_for_completion = 2 frames");
-    }
-
-    #[test]
-    fn reachability() {
-        let cg = graph();
-        let r = cg.reachable_from("flush_to_ldisc");
-        assert!(r.contains("read_chan"));
-        assert!(r.contains("wait_for_completion"));
-        assert!(!r.contains("schedule"));
     }
 }

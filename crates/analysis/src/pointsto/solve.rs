@@ -367,7 +367,7 @@ impl<'a> Solver<'a> {
             return;
         }
         if let Some(prov) = &mut self.prov {
-            prov.record_edge(u, v, trigger, aux, kind);
+            prov.record_copy_edge(u, v, trigger, aux, kind);
         }
         self.copy_out[u as usize].push(v);
         if !self.sets[u as usize].is_empty() {

@@ -1,6 +1,6 @@
 //! Bench for the resident analysis daemon: request latency and throughput
 //! over the Unix-socket protocol, cold vs warm, and the cost of an
-//! edit round-trip with dependency-driven invalidation — the serving-layer
+//! edit round-trip with content-keyed invalidation — the serving-layer
 //! numbers the batch benches cannot see (framing, socket hops, resident
 //! state).
 

@@ -29,7 +29,7 @@ use ivy_cmir::pretty::expr_str;
 use ivy_cmir::visit;
 use ivy_cmir::Span;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 
 /// The GFP flag bit that allows an allocation to sleep. Must match
 /// `ivy_vm::GFP_WAIT` (the VM's kernel ABI).
@@ -319,14 +319,14 @@ impl BlockStop {
         while let Some(f) = queue.pop_front() {
             for callee in callgraph.callees(&f) {
                 if program
-                    .function(&callee)
+                    .function(callee)
                     .map(|g| g.body.is_some())
                     .unwrap_or(false)
-                    && !atomic.contains_key(&callee)
-                    && !self.config.asserted_functions.contains(&callee)
+                    && !atomic.contains_key(callee)
+                    && !self.config.asserted_functions.contains(callee)
                 {
                     atomic.insert(callee.clone(), AtomicReason::CalledFromAtomic);
-                    queue.push_back(callee);
+                    queue.push_back(callee.clone());
                 }
             }
         }
@@ -391,129 +391,142 @@ impl BlockStop {
     /// conditional allocator called with flags that may sleep.
     fn collect_sites(&self, program: &Program, pts: &ivy_analysis::PointsToResult) -> Vec<Site> {
         let mut out = Vec::new();
+        let globals: HashSet<&str> = program
+            .globals
+            .iter()
+            .map(|g| g.decl.name.as_str())
+            .collect();
         for func in program.functions.iter().filter(|f| f.body.is_some()) {
             let body = func.body.as_ref().expect("filtered");
+            let mut vars: Vec<&str> = func.params.iter().map(|p| p.name.as_str()).collect();
+            visit::walk_fn_stmts(func, &mut |stmt| {
+                if let Stmt::Local(decl, _) = stmt {
+                    vars.push(&decl.name);
+                }
+            });
+            let caller = Caller {
+                program,
+                pts,
+                func,
+                vars,
+                globals: &globals,
+            };
             let mut depth: u32 = if func.attrs.disables_irq { 1 } else { 0 };
-            collect_sites_in_block(program, pts, func, body, &mut depth, &mut out);
+            caller.collect_sites_in_block(body, &mut depth, &mut out);
         }
         out
     }
 }
 
-fn collect_sites_in_block(
-    program: &Program,
-    pts: &ivy_analysis::PointsToResult,
-    func: &Function,
-    block: &Block,
-    depth: &mut u32,
-    out: &mut Vec<Site>,
-) {
-    for stmt in &block.stmts {
-        // The statement's span localizes every call inside it — KC
-        // expressions carry no spans of their own, so the enclosing
-        // statement is the finest line-accurate anchor available.
-        let span = stmt.span();
-        match stmt {
-            Stmt::If(c, t, e, _) => {
-                collect_sites_in_expr(program, pts, func, c, *depth, span, out);
-                let mut d_then = *depth;
-                collect_sites_in_block(program, pts, func, t, &mut d_then, out);
-                let mut d_else = *depth;
-                if let Some(e) = e {
-                    collect_sites_in_block(program, pts, func, e, &mut d_else, out);
+/// One function whose call sites are being collected.
+struct Caller<'a> {
+    program: &'a Program,
+    pts: &'a ivy_analysis::PointsToResult,
+    func: &'a Function,
+    /// The function's parameter and local names.
+    vars: Vec<&'a str>,
+    /// The program's global names.
+    globals: &'a HashSet<&'a str>,
+}
+
+impl Caller<'_> {
+    fn collect_sites_in_block(&self, block: &Block, depth: &mut u32, out: &mut Vec<Site>) {
+        for stmt in &block.stmts {
+            // The statement's span localizes every call inside it — KC
+            // expressions carry no spans of their own, so the enclosing
+            // statement is the finest line-accurate anchor available.
+            let span = stmt.span();
+            match stmt {
+                Stmt::If(c, t, e, _) => {
+                    self.collect_sites_in_expr(c, *depth, span, out);
+                    let mut d_then = *depth;
+                    self.collect_sites_in_block(t, &mut d_then, out);
+                    let mut d_else = *depth;
+                    if let Some(e) = e {
+                        self.collect_sites_in_block(e, &mut d_else, out);
+                    }
+                    // Sound join: after the branch, the code may run holding
+                    // whatever either path acquired.
+                    *depth = d_then.max(d_else);
                 }
-                // Sound join: after the branch, the code may run holding
-                // whatever either path acquired.
-                *depth = d_then.max(d_else);
-            }
-            Stmt::While(c, b, _) => {
-                collect_sites_in_expr(program, pts, func, c, *depth, span, out);
-                let mut d_body = *depth;
-                collect_sites_in_block(program, pts, func, b, &mut d_body, out);
-                // The loop may run zero times or leave a lock held.
-                *depth = (*depth).max(d_body);
-            }
-            Stmt::Block(b) | Stmt::DelayedFreeScope(b, _) => {
-                collect_sites_in_block(program, pts, func, b, depth, out)
-            }
-            Stmt::Check(Check::AssertMayBlock { .. }, _) => {}
-            other => {
-                // Track atomic region transitions from the calls in this
-                // statement, in order.
-                let mut exprs: Vec<&Expr> = Vec::new();
-                visit::walk_stmt_exprs(other, &mut |e| exprs.push(e));
-                for e in exprs {
-                    if let Expr::Call(callee, _) = e {
-                        if let Expr::Var(name) = &**callee {
-                            if ATOMIC_ENTER.contains(&name.as_str()) {
-                                collect_sites_in_expr(program, pts, func, e, *depth, span, out);
-                                *depth += 1;
-                                continue;
+                Stmt::While(c, b, _) => {
+                    self.collect_sites_in_expr(c, *depth, span, out);
+                    let mut d_body = *depth;
+                    self.collect_sites_in_block(b, &mut d_body, out);
+                    // The loop may run zero times or leave a lock held.
+                    *depth = (*depth).max(d_body);
+                }
+                Stmt::Block(b) | Stmt::DelayedFreeScope(b, _) => {
+                    self.collect_sites_in_block(b, depth, out)
+                }
+                Stmt::Check(Check::AssertMayBlock { .. }, _) => {}
+                other => {
+                    // Track atomic region transitions from the calls in this
+                    // statement, in order.
+                    let mut exprs: Vec<&Expr> = Vec::new();
+                    visit::walk_stmt_exprs(other, &mut |e| exprs.push(e));
+                    for e in exprs {
+                        if let Expr::Call(callee, _) = e {
+                            if let Expr::Var(name) = &**callee {
+                                if ATOMIC_ENTER.contains(&name.as_str()) {
+                                    self.collect_sites_in_expr(e, *depth, span, out);
+                                    *depth += 1;
+                                    continue;
+                                }
+                                if ATOMIC_EXIT.contains(&name.as_str()) {
+                                    *depth = depth.saturating_sub(1);
+                                    self.collect_sites_in_expr(e, *depth, span, out);
+                                    continue;
+                                }
                             }
-                            if ATOMIC_EXIT.contains(&name.as_str()) {
-                                *depth = depth.saturating_sub(1);
-                                collect_sites_in_expr(program, pts, func, e, *depth, span, out);
-                                continue;
-                            }
+                            self.collect_one_site(e, *depth, span, out);
                         }
-                        collect_one_site(program, pts, func, e, *depth, span, out);
                     }
                 }
             }
         }
     }
-}
 
-fn collect_sites_in_expr(
-    program: &Program,
-    pts: &ivy_analysis::PointsToResult,
-    func: &Function,
-    e: &Expr,
-    depth: u32,
-    span: Span,
-    out: &mut Vec<Site>,
-) {
-    visit::walk_expr(e, &mut |sub| {
-        if matches!(sub, Expr::Call(..)) {
-            collect_one_site(program, pts, func, sub, depth, span, out);
-        }
-    });
-}
+    fn collect_sites_in_expr(&self, e: &Expr, depth: u32, span: Span, out: &mut Vec<Site>) {
+        visit::walk_expr(e, &mut |sub| {
+            if matches!(sub, Expr::Call(..)) {
+                self.collect_one_site(sub, depth, span, out);
+            }
+        });
+    }
 
-fn collect_one_site(
-    program: &Program,
-    pts: &ivy_analysis::PointsToResult,
-    func: &Function,
-    call: &Expr,
-    depth: u32,
-    span: Span,
-    out: &mut Vec<Site>,
-) {
-    let Expr::Call(callee, args) = call else {
-        return;
-    };
-    let (targets, callee_text, waits) = match &**callee {
-        Expr::Var(name) => {
-            // Direct calls resolve to the named function whether it is
-            // defined, a builtin, or an undeclared external.
-            let waits = waits_for_memory(program, name, args);
-            let targets = BTreeSet::from([name.clone()]);
-            (targets, name.clone(), waits)
-        }
-        other => {
-            let text = expr_str(other);
-            let targets = pts.indirect_call_targets(&func.name, &text);
-            (targets, text, false)
-        }
-    };
-    out.push(Site {
-        caller: func.name.clone(),
-        callee_text,
-        targets,
-        waits_for_memory: waits,
-        in_atomic_region: depth > 0,
-        span,
-    });
+    fn collect_one_site(&self, call: &Expr, depth: u32, span: Span, out: &mut Vec<Site>) {
+        let Expr::Call(callee, args) = call else {
+            return;
+        };
+        let (targets, callee_text, waits) = match &**callee {
+            // A bare name that is not one of the caller's variables is a
+            // direct call, whether to a defined function, a builtin, or an
+            // undeclared external.
+            Expr::Var(name)
+                if !self.vars.contains(&name.as_str()) && !self.globals.contains(name.as_str()) =>
+            {
+                let waits = waits_for_memory(self.program, name, args);
+                let targets = BTreeSet::from([name.clone()]);
+                (targets, name.clone(), waits)
+            }
+            // A function pointer, named by a variable or reached through
+            // an expression: its targets come from points-to.
+            other => {
+                let text = expr_str(other);
+                let targets = self.pts.indirect_call_targets(&self.func.name, &text);
+                (targets, text, false)
+            }
+        };
+        out.push(Site {
+            caller: self.func.name.clone(),
+            callee_text,
+            targets,
+            waits_for_memory: waits,
+            in_atomic_region: depth > 0,
+            span,
+        });
+    }
 }
 
 /// True if this call is to a conditional allocator with flags that allow
@@ -560,7 +573,7 @@ fn blocking_chain(from: &str, cg: &CallGraph, seeds: &BTreeSet<String>) -> Vec<S
         for callee in cg.callees(&f) {
             if seen.insert(callee.clone()) {
                 prev.insert(callee.clone(), f.clone());
-                queue.push_back(callee);
+                queue.push_back(callee.clone());
             }
         }
     }
@@ -736,6 +749,43 @@ mod tests {
             "{:?}",
             r.findings
         );
+    }
+
+    /// A call through a function pointer named by a bare variable — a
+    /// global or a parameter — resolves through points-to, like a call
+    /// through a struct field.
+    #[test]
+    fn bare_function_pointer_calls_resolve_through_pointsto() {
+        let p = parse_program(
+            r#"
+            #[blocking]
+            extern fn msleep(ms: u32);
+            global hook: fnptr() -> void;
+            fn slow() { msleep(10); }
+            fn install() { hook = slow; }
+            #[irq_handler]
+            fn tick() { hook(); }
+            fn call(cb: fnptr() -> void) { cb(); }
+            #[irq_handler]
+            fn tock() { call(slow); }
+            "#,
+        )
+        .unwrap();
+        let r = BlockStop::new().analyze(&p);
+        for (caller, pointer) in [("tick", "hook"), ("call", "cb")] {
+            let finding = r
+                .findings
+                .iter()
+                .find(|f| f.caller == caller && f.callee_text == pointer)
+                .unwrap_or_else(|| panic!("{caller}: {pointer}() is missed: {:?}", r.findings));
+            assert_eq!(
+                finding.blocking_targets,
+                BTreeSet::from(["slow".to_string()])
+            );
+        }
+        for f in ["slow", "tick", "call", "tock"] {
+            assert!(r.may_block.contains(f), "{f} may block: {:?}", r.may_block);
+        }
     }
 
     #[test]

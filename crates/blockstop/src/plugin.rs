@@ -55,11 +55,6 @@ impl Query for ReportQuery {
 impl DurableQuery for ReportQuery {
     const FORMAT_VERSION: u32 = 1;
 
-    fn durable_key(db: &QueryDb, key: &BlockStopConfig) -> u64 {
-        // Whole-program artifact: valid exactly for this program content.
-        mix(db.program_hash, key.stable_hash())
-    }
-
     fn encode(report: &BlockStopReport) -> Value {
         let findings: Vec<Value> = report
             .findings

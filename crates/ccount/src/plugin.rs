@@ -14,7 +14,9 @@ use ivy_cmir::ast::Function;
 use ivy_engine::hash::{fnv1a, mix};
 use ivy_engine::json::Value;
 use ivy_engine::persist::{string_set_from_value, strings_to_value};
-use ivy_engine::{AnalysisCtx, Checker, Diagnostic, DurableQuery, Query, QueryDb, Severity};
+use ivy_engine::{
+    AnalysisCtx, Checker, Diagnostic, DurableQuery, Query, QueryDb, QueryKey, Severity,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -28,9 +30,6 @@ impl Query for ProgramReportQuery {
     const NAME: &'static str = "ccount/report";
 
     fn compute(db: &QueryDb, _key: &()) -> InstrumentationReport {
-        // Reads every function body directly: connect it to the input
-        // layer so dependency-driven invalidation can reach it.
-        db.depend_on_program();
         analyze(&db.program)
     }
 }
@@ -47,23 +46,26 @@ impl Query for FnReportQuery {
     const NAME: &'static str = "ccount/fn-report";
 
     fn compute(db: &QueryDb, key: &String) -> InstrumentationReport {
-        // Per-function, but resolved against the type environment: tie it
-        // to its function's content and the env for invalidation.
-        db.fn_content(key);
-        db.env_hash();
         let func = db
             .program
             .function(key)
             .expect("fn-report queried for a known function");
         analyze_function(&db.program, func)
     }
+
+    /// Per-function, but resolved against the type environment: the
+    /// function's content and the env hash.
+    fn content_key(db: &QueryDb, key: &String) -> u64 {
+        mix(mix(key.stable_hash(), db.fn_content(key)), db.env_hash())
+    }
 }
 
 /// Alias query against the shared points-to substrate: the candidate heap
 /// allocation sites of every pointer the function frees as a raw `void *`.
 /// These are exactly the objects whose layout would have to be registered
-/// with CCount, so the untyped-free warning can name them. Durable (keyed
-/// by program content): the fingerprint reads it on every pass, and a warm
+/// with CCount, so the untyped-free warning can name them. Durable, with
+/// the default (whole-program) content key: the fingerprint reads it on
+/// every pass for a function that frees untyped pointers, and a warm
 /// process must serve it without solving points-to.
 pub struct UntypedFreeSitesQuery;
 
@@ -99,12 +101,6 @@ impl Query for UntypedFreeSitesQuery {
 
 impl DurableQuery for UntypedFreeSitesQuery {
     const FORMAT_VERSION: u32 = 1;
-
-    fn durable_key(db: &QueryDb, key: &String) -> u64 {
-        // The sites come from whole-program points-to: valid exactly for
-        // this program content.
-        mix(db.program_hash, fnv1a(key.as_bytes()))
-    }
 
     fn encode(sites: &BTreeSet<String>) -> Value {
         strings_to_value(sites)
@@ -159,8 +155,16 @@ impl Checker for CCountChecker {
         // and global/param types; the env hash covers those. The untyped-
         // free hints additionally read points-to sets, which can change
         // with *any* body edit — fold the queried sites in so cached
-        // diagnostics are replayed only when the hints would reproduce.
+        // diagnostics are replayed only when the hints would reproduce. A
+        // function with no untyped free roots has no sites to fold in.
         let mut h = mix(0xcc0417, ctx.env_hash());
+        if self
+            .function_report(ctx, func)
+            .untyped_free_roots
+            .is_empty()
+        {
+            return h;
+        }
         for site in self.alloc_sites_of_untyped_frees(ctx, func).iter() {
             h = mix(h, fnv1a(site.as_bytes()));
         }

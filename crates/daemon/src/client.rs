@@ -150,7 +150,8 @@ impl Client {
     /// diffs it against the resident program; every later one ships only
     /// a splice against the previous edit's source, falling back to the
     /// whole source if the daemon no longer holds that base. Only the
-    /// dependency-reachable cone of the edit is invalidated.
+    /// memoized results whose content key the edit changed are
+    /// invalidated.
     pub fn notify_edit(&mut self, source: &str) -> io::Result<EditOutcome> {
         let digest = SourceDigest::of(source);
         let mut response = None;

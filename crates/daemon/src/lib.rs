@@ -22,15 +22,14 @@
 //!   computed against — content, messages, and severities stay exact;
 //!   only the line numbers of *unchanged* functions may lag until their
 //!   results recompute. Span re-anchoring is a ROADMAP item.
-//! * **Dependency-driven invalidation.** `notify_edit` ships an edit as a
+//! * **Content-keyed invalidation.** `notify_edit` ships an edit as a
 //!   splice against the previous edit's text, re-parses only the edited
-//!   function when the edit stays inside one, diffs the edited program
-//!   against its base at the input layer (per-function content hashes +
-//!   the type environment) and discards only the
-//!   transitive *dependents* of what changed, per the dependency edges the
-//!   query db recorded while computing — everything else is re-served from
-//!   memory. Content-keyed durable results are *revalidated* rather than
-//!   dropped even when they are dependency-reachable.
+//!   function when the edit stays inside one, and carries every memoized
+//!   result whose content key (a hash of what it was computed from: its
+//!   function's content, the type environment, or the whole program) is
+//!   unchanged for the edited program. Whole-program results recompute;
+//!   an unedited function's per-function results are re-served from
+//!   memory.
 //! * **Fleet-safe persistence.** The persist layer writes per-writer shard
 //!   files (`<cache>/<namespace>/<writer>.json`), so concurrent daemon
 //!   workers and batch runs racing a daemon merge losslessly instead of

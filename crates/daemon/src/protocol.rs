@@ -71,6 +71,12 @@
 //!     "seeds":1,"invalidated":9,"retained":210,"revalidated":64}}
 //! ```
 //!
+//! In `invalidation`, `seeds` counts the changed inputs (one per changed
+//! function, plus one when the type environment changed); `invalidated`
+//! and `retained` count the memoized results dropped and carried, by
+//! whether their content key changed; `revalidated` counts the carried
+//! results that are durable, whose on-disk key is that same content key.
+//!
 //! Both shapes re-parse the edited text against the base text, and
 //! `reparse` says how: `function` when the edit stays inside one
 //! function and keeps its line count (only that function is lexed and

@@ -6,10 +6,11 @@
 //! context store, points-to constraint cache, and persist shards — so the
 //! first client pays the cold solve and everyone after (and every repeat
 //! request) is served from resident state. `notify_edit` keeps that state
-//! alive *across* program states: the recorded query dependency edges
-//! invalidate only the edited functions' reachable cone, and the rest of
-//! the memoized artifacts carry over (see
-//! [`Engine::apply_edit`]). A repeated `analyze` of bytes the daemon has
+//! alive *across* program states: every memoized artifact whose content
+//! key is unchanged by the edit carries over, and only the rest recompute
+//! (see [`Engine::apply_edit`]). An edit needs no lock against in-flight
+//! analyzes: each entry is judged by the key of the program it was
+//! computed from. A repeated `analyze` of bytes the daemon has
 //! already answered costs a lookup: the answer index resolves the source
 //! digest to a resident context, and an entirely cache-served answer is
 //! memoized as the encoded response bytes (see [`crate::protocol`]).
@@ -33,7 +34,7 @@ use std::io::{self, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
@@ -709,14 +710,6 @@ struct State {
     persist: Option<Arc<PersistLayer>>,
     resident: Mutex<Option<Arc<AnalysisCtx>>>,
     answers: AnswerMemo,
-    /// Serializes `notify_edit` against in-flight analyzes. `apply_edit`
-    /// snapshots the resident db's dependency edges and memo table; a
-    /// compute racing that snapshot could publish a memo entry whose
-    /// edges were not yet recorded, and the entry would be carried into
-    /// the edited db as clean with a pre-edit value. Analyzes take the
-    /// shared side (concurrent clients still run in parallel); an edit
-    /// takes it exclusively and waits for them to drain.
-    edit_gate: RwLock<()>,
     /// Clones of every open client stream (keyed by fd), so shutdown can
     /// unblock connections idling in a read instead of waiting on them
     /// forever.
@@ -851,10 +844,6 @@ impl State {
                 }
             }
         };
-        let _gate = self
-            .edit_gate
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
         let (ctx, reused, memo, source) = match program {
             Some((program, source)) => {
                 let (ctx, reused) = self.engine.context_for_source(program, Arc::clone(&source));
@@ -955,10 +944,6 @@ impl State {
             };
             (Arc::from(source), SourceDigest::of(source), None)
         };
-        let _gate = self
-            .edit_gate
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
         let base = base.or_else(|| {
             self.resident
                 .lock()
@@ -1111,25 +1096,15 @@ impl State {
     /// against the program's constraints.
     fn explain(&self, func: &str, lvalue: &str, target: Option<&str>) -> Value {
         let sensitivity = self.engine.required_sensitivity();
-        // Reading the resident answer may compute it, so that read takes
-        // the shared side of the edit gate like an analyze does. The
-        // traced solve below reads only the immutable program.
-        let (ctx, resident) = {
-            let _gate = self
-                .edit_gate
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            let resident = self
-                .resident
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clone();
-            let Some(ctx) = resident else {
-                return error_response("explain before any analyze: nothing is resident");
-            };
-            let pts = ctx.pointsto(sensitivity);
-            (ctx, pts)
+        let Some(ctx) = self
+            .resident
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+        else {
+            return error_response("explain before any analyze: nothing is resident");
         };
+        let resident = ctx.pointsto(sensitivity);
         let claim = match Claim::pick(&ctx.program, &resident, func, lvalue, target) {
             Ok(claim) => claim,
             Err(message) => return error_response(&message),
@@ -1352,7 +1327,6 @@ impl Daemon {
             engine,
             persist,
             resident: Mutex::new(None),
-            edit_gate: RwLock::new(()),
             connections: Mutex::new(std::collections::HashMap::new()),
             started: Instant::now(),
             requests: AtomicU64::new(0),

@@ -22,7 +22,7 @@
 
 use crate::instrument::{convert_function, Deputy};
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity as DeputySeverity};
-use ivy_analysis::callgraph::calls_in;
+use ivy_analysis::callgraph::for_each_callee;
 use ivy_analysis::pointsto::Sensitivity;
 use ivy_cmir::ast::{Expr, Function, Program};
 use ivy_cmir::content::function_content_hash;
@@ -72,9 +72,6 @@ impl Query for PreparedQuery {
     const NAME: &'static str = "deputy/prepared";
 
     fn compute(db: &QueryDb, _: &()) -> Prepared {
-        // Preparation reads every annotation in the program directly, so
-        // dependency-driven invalidation must see the whole-program read.
-        db.depend_on_program();
         let (env, report) = Deputy::new().prepare(&db.program);
         Prepared { env, report }
     }
@@ -119,22 +116,21 @@ impl Query for InstrumentedQuery {
             .expect("instrumented query demanded for a known function");
         convert_function(&prepared.env, subject).1
     }
+
+    /// The key's stable hash mixed with the function's content in `db`.
+    /// An entry for the current content keeps its key across edits to
+    /// other functions; an entry whose function has since been edited
+    /// gets a different one under the edited program and is dropped
+    /// instead of being carried into every later context.
+    fn content_key(db: &QueryDb, key: &InstrumentedKey) -> u64 {
+        mix(key.stable_hash(), db.fn_content(&key.function))
+    }
 }
 
 impl DurableQuery for InstrumentedQuery {
     /// Version 2: the report alone. Version 1 also carried the
     /// instrumented body as pretty-printed KC source.
     const FORMAT_VERSION: u32 = 2;
-
-    /// The key's stable hash mixed with the function's content in `db`.
-    /// An entry for the current content keeps its durable key across
-    /// edits to other functions; an entry whose function has since been
-    /// edited gets a different one under the edited program, fails
-    /// revalidation and is dropped instead of being carried into every
-    /// later context.
-    fn durable_key(db: &QueryDb, key: &InstrumentedKey) -> u64 {
-        mix(key.stable_hash(), db.fn_content(&key.function))
-    }
 
     fn encode(value: &ConversionReport) -> Value {
         report_to_value(value)
@@ -157,10 +153,6 @@ impl Query for IndirectGroupsQuery {
     const NAME: &'static str = "deputy/indirect-groups";
 
     fn compute(db: &QueryDb, key: &String) -> Self::Value {
-        // The groups read this function's call sites plus whole-program
-        // points-to targets (demanded below through the db); anchor the
-        // direct body read to the function's content.
-        db.fn_content(key);
         let Some(func) = db.program.function(key) else {
             return BTreeMap::new();
         };
@@ -311,16 +303,16 @@ impl DeputyChecker {
     ) -> BTreeMap<String, BTreeMap<String, BTreeSet<String>>> {
         let pts = db.pointsto(self.sensitivity());
         let mut out: BTreeMap<String, BTreeMap<String, BTreeSet<String>>> = BTreeMap::new();
-        for (callee_expr, _argc) in calls_in(func) {
+        for_each_callee(func, &mut |callee_expr| {
             if matches!(callee_expr, Expr::Var(name) if db.program.function(name).is_some()) {
-                continue; // direct call
+                return; // direct call
             }
             let text = expr_str(callee_expr);
             if out.contains_key(&text) {
-                continue;
+                return;
             }
             let Some(targets) = pts.indirect_targets_for(&func.name, &text) else {
-                continue;
+                return;
             };
             let mut groups: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
             for target in targets {
@@ -338,7 +330,7 @@ impl DeputyChecker {
             if !groups.is_empty() {
                 out.insert(text, groups);
             }
-        }
+        });
         out
     }
 

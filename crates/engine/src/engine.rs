@@ -54,8 +54,8 @@ fn diag_key(cone: u64, fingerprint: u64) -> u64 {
 /// its memoized artifacts to all.
 ///
 /// Residency is capped: beyond the capacity the least-recently-used
-/// context is evicted (each slot anchors a program's whole memoized query
-/// graph, so an uncapped store grows without bound in a long-lived
+/// context is evicted (each slot anchors a program's whole memo table, so
+/// an uncapped store grows without bound in a long-lived
 /// daemon). The seed behaviour — clearing the whole map when full — threw
 /// away every hot context whenever one cold program arrived.
 pub struct CtxStore {
@@ -390,26 +390,20 @@ impl Engine {
         self.analyze_with_ctx(&ctx, reused)
     }
 
-    /// Applies an edited program against a resident context:
-    /// dependency-driven invalidation discards only the queries the edit
-    /// can reach through the recorded edges, every other memoized result
-    /// is carried into a context for the edited program, and that context
-    /// is registered in the store so the next [`Engine::analyze`] of the
-    /// edited program starts from it. Returns the new context and what the
-    /// edit invalidated. A no-op edit returns the base context unchanged.
+    /// Applies an edited program against a resident context: every
+    /// memoized result whose content key is unchanged for the edited
+    /// program is carried into a context for it (see
+    /// [`AnalysisCtx::apply_edit`]), and that context is registered in the
+    /// store so the next [`Engine::analyze`] of the edited program starts
+    /// from it. Returns the new context and what the edit invalidated. A
+    /// no-op edit returns the base context unchanged. Analyses of the base
+    /// context may run concurrently.
     ///
     /// The edited program is hashed exactly once (the `engine/edit`
     /// `identity` span); the base context's stored hashes are the other
     /// side of the diff. The new context holds a clone of `edited`, which
     /// shares every item with it; [`Engine::apply_source_edit`] is the
     /// same path for an edit given as source text.
-    ///
-    /// Callers must not run this concurrently with analyses of the *base*
-    /// context: the invalidation walk snapshots the base db's dependency
-    /// edges and memo table, and a compute publishing its memo entry
-    /// before its edges are recorded would be carried over as clean. The
-    /// daemon serializes `notify_edit` against in-flight analyzes with a
-    /// reader-writer gate for exactly this reason.
     pub fn apply_edit(
         &self,
         base: &Arc<AnalysisCtx>,
@@ -428,8 +422,7 @@ impl Engine {
     /// parses only that function and hashes only its content; a base
     /// without recorded text parses `source` whole. The edited program
     /// moves into the new context, which records `source`. A parse error
-    /// is `parse_program`'s error for `source`. The concurrency contract
-    /// is [`Engine::apply_edit`]'s.
+    /// is `parse_program`'s error for `source`.
     pub fn apply_source_edit(
         &self,
         base: &Arc<AnalysisCtx>,

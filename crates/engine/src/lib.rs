@@ -7,13 +7,14 @@
 //! 1. **Queries** — the typed, demand-driven [`query`] subsystem: every
 //!    artifact (points-to, call graphs, summaries, CFGs, checker-owned
 //!    precomputations) is a [`query::Query`] with a typed key and value,
-//!    memoized per `(query, key)` in a [`query::QueryDb`] that records
-//!    dependency edges between queries — and *uses* them:
+//!    memoized per `(query, key)` in a [`query::QueryDb`] under a
+//!    *content key*: a hash of what the result was computed from (the
+//!    whole program by default; a function's content, or that and the
+//!    type environment, for per-function queries that declare it).
 //!    [`QueryDb::apply_edit`] / [`Engine::apply_edit`] derive a db for an
-//!    edited program by invalidating only the transitive dependents of
-//!    the changed function contents (with content-keyed durable entries
-//!    revalidated rather than dropped), which is what keeps a resident
-//!    daemon warm across edits. Each db holds its program's identity
+//!    edited program by carrying exactly the entries whose content key is
+//!    unchanged, which is what keeps a resident daemon warm across
+//!    edits. Each db holds its program's identity
 //!    ([`ProgramHashes`](ivy_cmir::content::ProgramHashes): env hash,
 //!    per-function content hashes, program hash), computed once per
 //!    program state; every context and cache key derives from it.

@@ -5,10 +5,13 @@
 //! type naming the artifact, a typed [`Query::Key`], a typed
 //! [`Query::Value`], and a `compute` function that derives the value from
 //! the [`QueryDb`] on first demand. The db memoizes per `(query type,
-//! key)`, records dependency edges between queries as they demand each
-//! other, and — for queries that opt into [`DurableQuery`] — spills results
-//! to the cross-process [`PersistLayer`](crate::persist::PersistLayer) and
-//! reloads them in later processes.
+//! key)` and stores each result under its [`Query::content_key`]: a hash
+//! of everything the result was computed from. One rule decides what an
+//! edit keeps — [`QueryDb::apply_edit`] carries exactly the entries whose
+//! content key is unchanged for the edited program — and queries that opt
+//! into [`DurableQuery`] spill their results to the cross-process
+//! [`PersistLayer`](crate::persist::PersistLayer) under the same key and
+//! reload them in later processes.
 //!
 //! This replaces the seed engine's string-keyed `Any` memo table
 //! (`AnalysisCtx::memo`). That API had a panic class built in: two checkers
@@ -40,18 +43,16 @@ use ivy_cmir::cfg::Cfg;
 use ivy_cmir::content::ProgramHashes;
 use serde_json::{Map, Value};
 use std::any::{Any, TypeId};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A key a query can be demanded at.
 ///
 /// `stable_hash` must be deterministic across processes (no `std::hash`
-/// randomization) — it is the memo-slot index and, for [`DurableQuery`]
-/// entries, part of the on-disk cache key. Keys whose durable results
-/// depend on program *content* must fold the relevant content hashes in
-/// (or the query must override [`DurableQuery::durable_key`]).
+/// randomization) — it is the memo-slot index and part of the default
+/// [`Query::content_key`], which is also the on-disk key of a
+/// [`DurableQuery`] entry.
 pub trait QueryKey: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// Process-independent hash of the key.
     fn stable_hash(&self) -> u64;
@@ -100,39 +101,44 @@ impl<A: QueryKey, B: QueryKey, C: QueryKey> QueryKey for (A, B, C) {
 ///
 /// Implementors are unit types; the db computes `Q::compute(db, key)` at
 /// most once per `(Q, key)` and shares the `Arc`'d result. `compute` may
-/// demand other queries through the db — those reads are recorded as
-/// dependency edges (see [`QueryDb::dependencies`]).
+/// demand other queries through the db.
 pub trait Query: 'static {
     /// Key type this query is demanded at.
     type Key: QueryKey;
     /// Result type.
     type Value: Send + Sync + 'static;
     /// Stable human-readable name (`"<owner>/<artifact>"` by convention).
-    /// Used for dependency-edge reporting and as the persistence namespace;
-    /// *not* used for memo addressing (the [`TypeId`] is), so two query
-    /// types with colliding names still cannot alias.
+    /// Used in telemetry and as the persistence namespace; *not* used for
+    /// memo addressing (the [`TypeId`] is), so two query types with
+    /// colliding names still cannot alias.
     const NAME: &'static str;
     /// Computes the value for a key. Must be deterministic in `(db, key)`.
     fn compute(db: &QueryDb, key: &Self::Key) -> Self::Value;
+
+    /// The entry's content key: a hash of everything `compute` reads for
+    /// `key` in `db`, transitively. Equal keys must guarantee equal values
+    /// across program states and processes: [`QueryDb::apply_edit`]
+    /// carries an entry into the edited db exactly when its key is
+    /// unchanged there, and a [`DurableQuery`] is stored on disk under it.
+    ///
+    /// The default anchors the entry to the whole program, so a query
+    /// that declares nothing is never carried across a program change. A
+    /// query that reads less overrides it with the stored hashes it
+    /// depends on ([`QueryDb::fn_content`], [`QueryDb::env_hash`]); a key
+    /// function must not demand queries.
+    fn content_key(db: &QueryDb, key: &Self::Key) -> u64 {
+        mix(db.program_hash, key.stable_hash())
+    }
 }
 
 /// A [`Query`] whose results additionally spill to the cross-process
 /// [`PersistLayer`] (when one is attached to the db) and are reloaded from
-/// disk in later processes instead of being recomputed.
+/// disk in later processes instead of being recomputed. The on-disk key is
+/// the entry's [`Query::content_key`].
 pub trait DurableQuery: Query {
     /// Version of the encoded representation; bumping it invalidates every
     /// persisted entry of this query (old files are ignored, not read).
     const FORMAT_VERSION: u32;
-
-    /// The on-disk cache key. Must be *content-addressed*: equal keys must
-    /// guarantee equal results across processes and program states. The
-    /// default is the key's stable hash; queries whose keys do not capture
-    /// all inputs (e.g. whole-program artifacts keyed only by sensitivity)
-    /// must override this to mix in the content hashes they depend on.
-    fn durable_key(db: &QueryDb, key: &Self::Key) -> u64 {
-        let _ = db;
-        key.stable_hash()
-    }
 
     /// Encodes a value for persistence.
     fn encode(value: &Self::Value) -> Value;
@@ -142,47 +148,30 @@ pub trait DurableQuery: Query {
     fn decode(raw: &Value) -> Option<Self::Value>;
 }
 
-/// A `(query name, key hash)` pair identifying one query instance in the
-/// dependency graph.
-pub type QueryRef = (&'static str, u64);
-
-/// Recomputes a durable query instance's content-addressed key against an
-/// arbitrary db. Stored with the memoized entry so invalidation can ask
-/// "would this entry's on-disk key be the same for the edited program?" —
-/// the durable contract (equal keys guarantee equal results) then lets a
-/// dependency-reachable entry be *revalidated* instead of discarded.
-type Revalidator = Arc<dyn Fn(&QueryDb) -> u64 + Send + Sync>;
-
 /// One memoized result: the type-erased `(Q::Key, Arc<Q::Value>)` payload
-/// plus, for durable queries, the durable key it was stored under and the
-/// closure that recomputes that key.
-struct SlotEntry {
+/// and the content key it was computed (or loaded) under.
+struct Entry {
     payload: Box<dyn Any + Send + Sync>,
-    durable: Option<(u64, Revalidator)>,
-    /// True when the value was adopted from the persist layer rather than
-    /// computed: its compute never ran in this process, so it has no
-    /// recorded dependency edges and [`QueryDb::apply_edit`] must judge it
-    /// by its durable key alone.
-    adopted: bool,
+    content_key: u64,
+    /// Stored by [`QueryDb::get_durable`]; counted as `revalidated` when
+    /// an edit carries it.
+    durable: bool,
 }
 
-type Slot = Arc<Mutex<Vec<SlotEntry>>>;
-
-thread_local! {
-    /// Stack of queries currently computing on this thread; the top is the
-    /// dependent of any query demanded next.
-    static ACTIVE: RefCell<Vec<QueryRef>> = const { RefCell::new(Vec::new()) };
+/// Every entry of one query at one key hash (more than one only when two
+/// keys' stable hashes collide), plus the query's content-key function,
+/// which re-keys an entry's payload against another db.
+struct Slot {
+    content_key: fn(&QueryDb, &(dyn Any + Send + Sync)) -> u64,
+    entries: Mutex<Vec<Entry>>,
 }
 
-/// Pops the active-query stack even if `compute` unwinds.
-struct ActiveGuard;
-
-impl Drop for ActiveGuard {
-    fn drop(&mut self) {
-        ACTIVE.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
+/// [`Slot::content_key`] for query `Q`.
+fn rekey<Q: Query>(db: &QueryDb, payload: &(dyn Any + Send + Sync)) -> u64 {
+    let (key, _) = payload
+        .downcast_ref::<(Q::Key, Arc<Q::Value>)>()
+        .expect("a slot holds one query's entries");
+    Q::content_key(db, key)
 }
 
 /// What one [`QueryDb::apply_edit`] invalidated and what it kept.
@@ -193,14 +182,15 @@ pub struct InvalidationStats {
     pub changed_functions: Vec<String>,
     /// Whether the whole-program type environment changed.
     pub env_changed: bool,
-    /// Input-layer query instances seeded dirty.
+    /// Changed inputs: one per changed function, plus one when the type
+    /// environment changed.
     pub seeds: usize,
-    /// Memoized results discarded (transitive dependents of the seeds).
+    /// Memoized results discarded (their content key changed).
     pub invalidated: usize,
     /// Memoized results carried into the new db.
     pub retained: usize,
-    /// Dependency-reachable durable results kept because their
-    /// content-addressed key is unchanged for the edited program.
+    /// The retained results that are durable: their content key, which is
+    /// also their on-disk key, is unchanged for the edited program.
     pub revalidated: usize,
 }
 
@@ -242,12 +232,12 @@ pub struct QueryDb {
     /// The program under analysis.
     pub program: Program,
     /// The program's identity ([`ProgramHashes::program`]): the engine's
-    /// context-store key and the content anchor for durable whole-program
-    /// queries.
+    /// context-store key and the default content key's anchor.
     pub program_hash: u64,
-    /// The program's [`ProgramHashes`]: `env` is served by [`EnvHash`],
-    /// `functions` (program order) by [`FnContent`]; both are diffed by
-    /// [`QueryDb::apply_edit`] and key the points-to batches.
+    /// The program's [`ProgramHashes`]: `env` is read by
+    /// [`QueryDb::env_hash`], `functions` (program order) by
+    /// [`QueryDb::fn_content`]; both are diffed by [`QueryDb::apply_edit`]
+    /// and key the points-to batches.
     hashes: ProgramHashes,
     /// The exact source text `program` was parsed from, when the db's
     /// builder knew it: the base an edit of that text re-parses against.
@@ -258,12 +248,7 @@ pub struct QueryDb {
     pts_cache: Arc<ConstraintCache>,
     /// Cross-process persistence, when attached.
     persist: Option<Arc<PersistLayer>>,
-    table: Mutex<HashMap<(TypeId, u64), Slot>>,
-    /// `TypeId` → query `NAME`, filled as queries are demanded; lets
-    /// invalidation translate dependency-graph refs (which use names) back
-    /// to memo-table slots (which use type ids).
-    names: Mutex<HashMap<TypeId, &'static str>>,
-    deps: Mutex<BTreeSet<(QueryRef, QueryRef)>>,
+    table: Mutex<HashMap<(TypeId, u64), Arc<Slot>>>,
     computed: AtomicU64,
     memo_hits: AtomicU64,
     persist_hits: AtomicU64,
@@ -300,8 +285,6 @@ impl QueryDb {
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
             table: Mutex::new(HashMap::new()),
-            names: Mutex::new(HashMap::new()),
-            deps: Mutex::new(BTreeSet::new()),
             computed: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             persist_hits: AtomicU64::new(0),
@@ -350,19 +333,7 @@ impl QueryDb {
         Arc::clone(&self.pts_cache)
     }
 
-    fn slot(&self, type_id: TypeId, name: &'static str, key_hash: u64) -> Slot {
-        lock_recovering(&self.names).entry(type_id).or_insert(name);
-        let mut table = lock_recovering(&self.table);
-        Arc::clone(table.entry((type_id, key_hash)).or_default())
-    }
-
-    fn record_edge(&self, child: QueryRef) {
-        if let Some(parent) = ACTIVE.with(|s| s.borrow().last().copied()) {
-            lock_recovering(&self.deps).insert((parent, child));
-        }
-    }
-
-    fn scan<Q: Query>(entries: &[SlotEntry], key: &Q::Key) -> Option<Arc<Q::Value>> {
+    fn scan<Q: Query>(entries: &[Entry], key: &Q::Key) -> Option<Arc<Q::Value>> {
         entries.iter().find_map(|e| {
             e.payload
                 .downcast_ref::<(Q::Key, Arc<Q::Value>)>()
@@ -371,14 +342,46 @@ impl QueryDb {
         })
     }
 
-    fn compute_entry<Q: Query>(&self, key: &Q::Key, key_hash: u64) -> Arc<Q::Value> {
+    fn compute_entry<Q: Query>(&self, key: &Q::Key) -> Arc<Q::Value> {
         let _span = ivy_telemetry::span("engine/query", Q::NAME);
         ivy_telemetry::counter_labeled("ivy_query_computed_total", "query", Q::NAME, 1);
-        ACTIVE.with(|s| s.borrow_mut().push((Q::NAME, key_hash)));
-        let guard = ActiveGuard;
         let value = Arc::new(Q::compute(self, key));
-        drop(guard);
         self.computed.fetch_add(1, Ordering::Relaxed);
+        value
+    }
+
+    /// The memo path [`QueryDb::get`] and [`QueryDb::get_durable`] share:
+    /// a hit returns the stored value; a miss computes the content key,
+    /// has `fill` produce the value for it, and stores the entry under it.
+    fn memo<Q: Query>(
+        &self,
+        key: &Q::Key,
+        durable: bool,
+        fill: impl FnOnce(u64) -> Arc<Q::Value>,
+    ) -> Arc<Q::Value> {
+        let slot = Arc::clone(
+            lock_recovering(&self.table)
+                .entry((TypeId::of::<Q>(), key.stable_hash()))
+                .or_insert_with(|| {
+                    Arc::new(Slot {
+                        content_key: rekey::<Q>,
+                        entries: Mutex::new(Vec::new()),
+                    })
+                }),
+        );
+        let mut entries = lock_recovering(&slot.entries);
+        if let Some(found) = Self::scan::<Q>(&entries, key) {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            ivy_telemetry::counter_labeled("ivy_query_memo_hits_total", "query", Q::NAME, 1);
+            return found;
+        }
+        let content_key = Q::content_key(self, key);
+        let value = fill(content_key);
+        entries.push(Entry {
+            payload: Box::new((key.clone(), Arc::clone(&value))),
+            content_key,
+            durable,
+        });
         value
     }
 
@@ -390,79 +393,31 @@ impl QueryDb {
     /// and deadlocks — dependencies must be acyclic, which the bottom-up
     /// artifact stack guarantees by construction.
     pub fn get<Q: Query>(&self, key: &Q::Key) -> Arc<Q::Value> {
-        let key_hash = key.stable_hash();
-        self.record_edge((Q::NAME, key_hash));
-        let slot = self.slot(TypeId::of::<Q>(), Q::NAME, key_hash);
-        let mut entries = lock_recovering(&slot);
-        if let Some(found) = Self::scan::<Q>(&entries, key) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            ivy_telemetry::counter_labeled("ivy_query_memo_hits_total", "query", Q::NAME, 1);
-            return found;
-        }
-        let value = self.compute_entry::<Q>(key, key_hash);
-        entries.push(SlotEntry {
-            payload: Box::new((key.clone(), Arc::clone(&value))),
-            durable: None,
-            adopted: false,
-        });
-        value
+        self.memo::<Q>(key, false, |_| self.compute_entry::<Q>(key))
     }
 
     /// Demands a durable query: like [`QueryDb::get`], but a memo miss
-    /// consults the attached persist layer before computing, and fresh
-    /// results are spilled back to it.
+    /// consults the attached persist layer under the entry's content key
+    /// before computing, and fresh results are spilled back to it.
     pub fn get_durable<Q: DurableQuery>(&self, key: &Q::Key) -> Arc<Q::Value> {
-        let key_hash = key.stable_hash();
-        self.record_edge((Q::NAME, key_hash));
-        let slot = self.slot(TypeId::of::<Q>(), Q::NAME, key_hash);
-        let mut entries = lock_recovering(&slot);
-        if let Some(found) = Self::scan::<Q>(&entries, key) {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            ivy_telemetry::counter_labeled("ivy_query_memo_hits_total", "query", Q::NAME, 1);
-            return found;
-        }
-        let durable_key = Q::durable_key(self, key);
-        let revalidator: Revalidator = {
-            let key = key.clone();
-            Arc::new(move |db: &QueryDb| Q::durable_key(db, &key))
-        };
-        if let Some(layer) = &self.persist {
+        self.memo::<Q>(key, true, |content_key| {
+            let Some(layer) = &self.persist else {
+                return self.compute_entry::<Q>(key);
+            };
             if let Some(value) = layer
-                .get(Q::NAME, Q::FORMAT_VERSION, durable_key)
+                .get(Q::NAME, Q::FORMAT_VERSION, content_key)
                 .and_then(|raw| Q::decode(&raw))
             {
                 self.persist_hits.fetch_add(1, Ordering::Relaxed);
                 ivy_telemetry::counter_labeled("ivy_query_persist_hits_total", "query", Q::NAME, 1);
-                let value = Arc::new(value);
-                // The compute never ran, so this entry has no outgoing
-                // dependency edges; [`QueryDb::apply_edit`] compensates by
-                // re-keying every walk-unreachable durable entry against
-                // the edited program instead of trusting reachability.
-                entries.push(SlotEntry {
-                    payload: Box::new((key.clone(), Arc::clone(&value))),
-                    durable: Some((durable_key, revalidator)),
-                    adopted: true,
-                });
-                return value;
+                return Arc::new(value);
             }
             self.persist_misses.fetch_add(1, Ordering::Relaxed);
             ivy_telemetry::counter_labeled("ivy_query_persist_misses_total", "query", Q::NAME, 1);
-            let value = self.compute_entry::<Q>(key, key_hash);
-            layer.put(Q::NAME, Q::FORMAT_VERSION, durable_key, Q::encode(&value));
-            entries.push(SlotEntry {
-                payload: Box::new((key.clone(), Arc::clone(&value))),
-                durable: Some((durable_key, revalidator)),
-                adopted: false,
-            });
-            return value;
-        }
-        let value = self.compute_entry::<Q>(key, key_hash);
-        entries.push(SlotEntry {
-            payload: Box::new((key.clone(), Arc::clone(&value))),
-            durable: Some((durable_key, revalidator)),
-            adopted: false,
-        });
-        value
+            let value = self.compute_entry::<Q>(key);
+            layer.put(Q::NAME, Q::FORMAT_VERSION, content_key, Q::encode(&value));
+            value
+        })
     }
 
     /// The memoized value for a query instance, if it has already been
@@ -470,23 +425,11 @@ impl QueryDb {
     /// this to report points-to statistics without forcing a solve on runs
     /// that were served entirely from caches.
     pub fn peek<Q: Query>(&self, key: &Q::Key) -> Option<Arc<Q::Value>> {
-        let slot = self.slot(TypeId::of::<Q>(), Q::NAME, key.stable_hash());
-        let entries = lock_recovering(&slot);
+        let slot = lock_recovering(&self.table)
+            .get(&(TypeId::of::<Q>(), key.stable_hash()))
+            .cloned()?;
+        let entries = lock_recovering(&slot.entries);
         Self::scan::<Q>(&entries, key)
-    }
-
-    /// The dependency edges recorded so far: `(dependent, dependency)`
-    /// pairs of `(query name, key hash)`.
-    pub fn dependencies(&self) -> Vec<(QueryRef, QueryRef)> {
-        lock_recovering(&self.deps).iter().cloned().collect()
-    }
-
-    /// True if a `dependent`-named query was recorded demanding a
-    /// `dependency`-named query (at any keys).
-    pub fn depends_on(&self, dependent: &str, dependency: &str) -> bool {
-        lock_recovering(&self.deps)
-            .iter()
-            .any(|((p, _), (c, _))| *p == dependent && *c == dependency)
     }
 
     /// Query-traffic counters for this db.
@@ -499,163 +442,74 @@ impl QueryDb {
         }
     }
 
-    // ---- dependency-driven invalidation -------------------------------
+    // ---- edits ---------------------------------------------------------
 
-    /// Derives a db for an edited program from this one, invalidating only
-    /// the queries the edit can actually reach.
+    /// Derives a db for an edited program from this one, keeping every
+    /// memoized result whose [`Query::content_key`] is unchanged.
     ///
     /// `edited` moves into the returned db, and `hashes` are its
-    /// [`ProgramHashes`], computed once by the caller. The edit is diffed
-    /// at the input layer against this db's stored hashes — nothing is
-    /// re-hashed: every function whose
-    /// span-insensitive content hash changed (including added and removed
-    /// functions) seeds its [`FnContent`] instance, and a changed type
-    /// environment seeds [`EnvHash`]. The transitive *dependents* of the
-    /// seeds — per the dependency edges recorded while this db computed —
-    /// are discarded; every other memoized result is carried into the new
-    /// db and served from memory without recompute. A dependency-reachable
-    /// durable entry whose content-addressed key is unchanged for the
-    /// edited program is *revalidated* (kept, and propagation stops there):
-    /// by the [`DurableQuery::durable_key`] contract an equal key
-    /// guarantees an equal value, so e.g. an unedited function's
-    /// Deputy report survives even though it was derived from
-    /// whole-program state. The same key check runs in reverse for entries
-    /// *adopted from the persist layer*: an adopted entry recorded no
-    /// dependency edges (its compute never ran in this process), so
-    /// reachability cannot vouch for it and it is kept only if its
-    /// content-addressed key still matches under the edited program.
+    /// [`ProgramHashes`], computed once by the caller. Each entry's key is
+    /// recomputed on the edited db by its query's key function, which
+    /// reads only stored hashes, and the entry is carried exactly when the
+    /// key matches the one it was stored under. Whole-program results
+    /// (default key) are therefore dropped by any edit, while an unedited
+    /// function's CFG or Deputy report survives. An entry loaded from the
+    /// persist layer is judged by the same key as one computed here, and
+    /// an entry a concurrent compute publishes on this db carries the key
+    /// of the program it was computed from, so edits need not wait for
+    /// analyses of this db. The stats report which functions (and whether
+    /// the environment) changed, by diffing the stored hashes.
     ///
     /// The returned db shares the points-to constraint cache, the persist
-    /// layer, and the retained memo slots with `self`; both dbs stay
-    /// usable (retained results are valid for either program by
-    /// construction).
+    /// layer, and the carried memo slots with `self`; both dbs stay usable.
     pub fn apply_edit(
         &self,
         edited: Program,
         hashes: ProgramHashes,
     ) -> (QueryDb, InvalidationStats) {
-        let new_db = QueryDb::with_hashes(edited, hashes)
+        let mut new_db = QueryDb::with_hashes(edited, hashes)
             .with_pointsto_cache(Arc::clone(&self.pts_cache))
             .with_persist(self.persist.clone());
-
-        // 1. Input-layer diff: which functions' contents changed, and did
-        //    the type environment change with them?
-        let walk_span = ivy_telemetry::span("engine/edit", "walk");
+        let _span = ivy_telemetry::span("engine/edit", "carry");
         let changed_functions = changed_names(&self.definitions(), &new_db.definitions());
         let env_changed = self.hashes.env != new_db.hashes.env;
-
-        let mut seeds: Vec<QueryRef> = changed_functions
-            .iter()
-            .map(|name| (FnContent::NAME, name.clone().stable_hash()))
-            .collect();
-        if env_changed {
-            seeds.push((EnvHash::NAME, ().stable_hash()));
-        }
-
-        // 2. Walk the recorded dependency graph upward from the seeds,
-        //    stopping at durable entries whose content key still matches.
-        let edges = self.dependencies();
-        let mut rdeps: HashMap<QueryRef, Vec<QueryRef>> = HashMap::new();
-        for (parent, child) in &edges {
-            rdeps.entry(*child).or_default().push(*parent);
-        }
-        let mut dirty: HashSet<QueryRef> = seeds.iter().copied().collect();
-        let mut clean: HashSet<QueryRef> = HashSet::new();
-        let mut queue: Vec<QueryRef> = seeds.clone();
-        self.propagate_dirty(&rdeps, &mut queue, &mut dirty, &mut clean, &new_db);
-        drop(walk_span);
-
-        // Snapshot the table before touching any slot lock: an in-flight
-        // compute on another thread holds its slot lock and may demand the
-        // table lock, so holding both here would deadlock a live daemon.
-        let names = lock_recovering(&self.names).clone();
-        let slots: Vec<((TypeId, u64), Slot)> = lock_recovering(&self.table)
-            .iter()
-            .map(|(key, slot)| (*key, Arc::clone(slot)))
-            .collect();
-
-        // 2b. Re-key every *adopted* entry the walk could not reach. An
-        //    entry adopted from the persist layer recorded no dependency
-        //    edges (its compute never ran in this process), so
-        //    reachability alone cannot prove it current — without this
-        //    sweep, a daemon restarted over a warm cache directory would
-        //    carry pre-edit whole-program results into the new db
-        //    unconditionally. A key mismatch dirties the entry and
-        //    propagates upward exactly like a seed. Entries that *were*
-        //    computed here are exempt: their edges record exactly what
-        //    they read, so unreachable means unaffected — a key check
-        //    would over-invalidate queries whose durable key is anchored
-        //    more coarsely than what they actually read (e.g. a
-        //    program-hash-keyed per-function query that only touches
-        //    points-to when the function frees untyped pointers). Checks
-        //    run outside every lock: a revalidator may demand queries on
-        //    the new db.
-        let rekey_span = ivy_telemetry::span("engine/edit", "rekey");
-        let mut rekeyed: Vec<QueryRef> = Vec::new();
-        for ((type_id, key_hash), slot) in &slots {
-            let name = names.get(type_id).copied().unwrap_or("");
-            let q = (name, *key_hash);
-            if dirty.contains(&q) || clean.contains(&q) {
-                continue;
-            }
-            let checks: Vec<(u64, Revalidator)> = lock_recovering(slot)
-                .iter()
-                .filter(|e| e.adopted)
-                .filter_map(|e| e.durable.as_ref().map(|(k, r)| (*k, Arc::clone(r))))
-                .collect();
-            if checks
-                .iter()
-                .any(|(old_key, reval)| reval(&new_db) != *old_key)
-            {
-                dirty.insert(q);
-                rekeyed.push(q);
-            }
-        }
-        self.propagate_dirty(&rdeps, &mut rekeyed, &mut dirty, &mut clean, &new_db);
-        drop(rekey_span);
-
-        // 3. Carry every slot outside the dirty set into the new db, and
-        //    every edge whose dependent survived (a dirty dependent will
-        //    re-record its edges when it recomputes).
-        let _carry_span = ivy_telemetry::span("engine/edit", "carry");
         let mut stats = InvalidationStats {
+            seeds: changed_functions.len() + usize::from(env_changed),
             changed_functions,
             env_changed,
-            seeds: seeds.len(),
-            revalidated: clean.len(),
             ..InvalidationStats::default()
         };
-        {
-            let mut new_table = lock_recovering(&new_db.table);
-            for ((type_id, key_hash), slot) in slots {
-                let entry_count = lock_recovering(&slot).len();
-                if entry_count == 0 {
-                    continue;
-                }
-                let name = names.get(&type_id).copied().unwrap_or("");
-                if dirty.contains(&(name, key_hash)) {
-                    stats.invalidated += entry_count;
-                } else {
-                    // `or_insert`, not `insert`: a revalidator demanding
-                    // queries on the new db may already have computed this
-                    // slot there, and that fresh result is the one whose
-                    // edges the new db recorded.
-                    new_table.entry((type_id, key_hash)).or_insert(slot);
-                    stats.retained += entry_count;
-                }
+
+        // Snapshot the table before touching any slot lock: an in-flight
+        // compute holds its slot lock and may demand the table lock.
+        let slots: Vec<((TypeId, u64), Arc<Slot>)> = lock_recovering(&self.table)
+            .iter()
+            .map(|(at, slot)| (*at, Arc::clone(slot)))
+            .collect();
+        let mut carried = HashMap::with_capacity(slots.len());
+        for (at, slot) in slots {
+            // A slot is carried whole or not at all; it holds more than
+            // one entry only on a key-hash collision.
+            let (len, durable, unchanged) = {
+                let entries = lock_recovering(&slot.entries);
+                let unchanged = entries
+                    .iter()
+                    .all(|e| (slot.content_key)(&new_db, &*e.payload) == e.content_key);
+                let durable = entries.iter().filter(|e| e.durable).count();
+                (entries.len(), durable, unchanged)
+            };
+            if !unchanged {
+                stats.invalidated += len;
+            } else if len > 0 {
+                stats.retained += len;
+                stats.revalidated += durable;
+                carried.insert(at, slot);
             }
         }
-        // Merge rather than assign, for the same reason: revalidator
-        // demands during the walk already recorded their own names and
-        // edges on the new db, and overwriting would orphan those memo
-        // entries (their slots would resolve to no name and carry no
-        // edges, so a later edit could retain them as unreachable).
-        lock_recovering(&new_db.names).extend(names);
-        lock_recovering(&new_db.deps).extend(
-            edges
-                .into_iter()
-                .filter(|(parent, _)| !dirty.contains(parent)),
-        );
+        *new_db
+            .table
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = carried;
         (new_db, stats)
     }
 
@@ -672,79 +526,6 @@ impl QueryDb {
             .collect();
         defs.sort_by_key(|&(name, _)| name);
         defs
-    }
-
-    /// Walks the reverse dependency edges upward from the queued refs,
-    /// marking every transitive dependent dirty unless all of its entries
-    /// revalidate against the new db (in which case propagation stops
-    /// there and the ref joins the clean set).
-    fn propagate_dirty(
-        &self,
-        rdeps: &HashMap<QueryRef, Vec<QueryRef>>,
-        queue: &mut Vec<QueryRef>,
-        dirty: &mut HashSet<QueryRef>,
-        clean: &mut HashSet<QueryRef>,
-        new_db: &QueryDb,
-    ) {
-        while let Some(q) = queue.pop() {
-            let Some(parents) = rdeps.get(&q) else {
-                continue;
-            };
-            for &parent in parents {
-                if dirty.contains(&parent) || clean.contains(&parent) {
-                    continue;
-                }
-                if self.revalidates(parent, new_db) {
-                    clean.insert(parent);
-                    continue;
-                }
-                dirty.insert(parent);
-                queue.push(parent);
-            }
-        }
-    }
-
-    /// True if every memoized entry recorded under a query ref is durable
-    /// and would be stored under the same content-addressed key by the new
-    /// db — in which case the durable contract guarantees the value is
-    /// still exact and the entry need not be invalidated.
-    fn revalidates(&self, q: QueryRef, new_db: &QueryDb) -> bool {
-        let type_ids: Vec<TypeId> = lock_recovering(&self.names)
-            .iter()
-            .filter(|(_, name)| **name == q.0)
-            .map(|(type_id, _)| *type_id)
-            .collect();
-        let slots: Vec<Slot> = {
-            let table = lock_recovering(&self.table);
-            type_ids
-                .iter()
-                .filter_map(|type_id| table.get(&(*type_id, q.1)).cloned())
-                .collect()
-        };
-        let mut found_any = false;
-        for slot in slots {
-            // Collect the durable keys first: the revalidator may demand
-            // cheap queries on the new db, which must not happen under this
-            // slot's lock.
-            let checks: Vec<(u64, Revalidator)> = {
-                let entries = lock_recovering(&slot);
-                let mut checks = Vec::new();
-                for entry in entries.iter() {
-                    let Some((old_key, reval)) = &entry.durable else {
-                        return false;
-                    };
-                    checks.push((*old_key, Arc::clone(reval)));
-                }
-                checks
-            };
-            for (old_key, reval) in checks {
-                if reval(new_db) != old_key {
-                    return false;
-                }
-                found_any = true;
-            }
-        }
-        found_any
     }
 
     // ---- built-in artifact accessors ----------------------------------
@@ -777,39 +558,28 @@ impl QueryDb {
     }
 
     /// Hash of the whole-program type environment (signatures, composites,
-    /// typedefs, globals — bodies excluded).
+    /// typedefs, globals — bodies excluded), as stored when the db was
+    /// built.
     pub fn env_hash(&self) -> u64 {
-        *self.get::<EnvHash>(&())
+        self.hashes.env
     }
 
-    /// Span-insensitive content hash of one function (0 when the program
-    /// has no function of that name). This is the input layer of the
-    /// dependency graph: edits seed invalidation at [`FnContent`]
-    /// instances, so any query that reads a function body — directly or
-    /// transitively — must be connected to them (see
-    /// [`QueryDb::depend_on_program`]).
+    /// Span-insensitive content hash of one function's first definition,
+    /// as stored when the db was built (0 when the program has no function
+    /// of that name).
     pub fn fn_content(&self, function: &str) -> u64 {
-        *self.get::<FnContent>(&function.to_string())
-    }
-
-    /// Records the running query's dependency on the *whole* program: the
-    /// type environment plus every function's content. Whole-program
-    /// queries whose `compute` reads `db.program` directly (rather than
-    /// through other queries) must call this first, or
-    /// [`QueryDb::apply_edit`] cannot see that an edit reaches them.
-    pub fn depend_on_program(&self) {
-        self.env_hash();
-        for f in &self.program.functions {
-            self.fn_content(&f.name);
-        }
+        self.program
+            .functions
+            .position(function)
+            .map_or(0, |i| self.hashes.functions[i])
     }
 }
 
 /// The names whose definitions differ between two [`QueryDb::definitions`]
 /// lists: a name defined on one side only, or whose definitions differ in
 /// number or content. Every definition counts, not only the first one
-/// [`FnContent`] reads: a query may read any of them (a checker visits
-/// each function), so an edit to a later duplicate must seed its name.
+/// [`QueryDb::fn_content`] reads, so an edit to a later duplicate reports
+/// its name.
 fn changed_names(old: &[(&str, u64)], new: &[(&str, u64)]) -> Vec<String> {
     let mut old = old.chunk_by(|a, b| a.0 == b.0).peekable();
     let mut new = new.chunk_by(|a, b| a.0 == b.0).peekable();
@@ -831,25 +601,6 @@ fn changed_names(old: &[(&str, u64)], new: &[(&str, u64)]) -> Vec<String> {
 
 // ---- built-in queries --------------------------------------------------
 
-/// Span-insensitive content hash of one function definition (key: function
-/// name; value 0 when no such function exists). An *input* query: its
-/// instances are the seeds [`QueryDb::apply_edit`] marks dirty, so its own
-/// compute reads the db's stored hashes directly by design.
-pub struct FnContent;
-
-impl Query for FnContent {
-    type Key = String;
-    type Value = u64;
-    const NAME: &'static str = "engine/fn-content";
-
-    fn compute(db: &QueryDb, key: &String) -> u64 {
-        db.program
-            .functions
-            .position(key)
-            .map_or(0, |i| db.hashes.functions[i])
-    }
-}
-
 /// Points-to analysis at a [`Sensitivity`].
 pub struct Pointsto;
 
@@ -859,9 +610,6 @@ impl Query for Pointsto {
     const NAME: &'static str = "engine/pointsto";
 
     fn compute(db: &QueryDb, key: &Sensitivity) -> PointsToResult {
-        // Whole-program: any function edit (or env change) must reach this
-        // result through the dependency graph.
-        db.depend_on_program();
         pointsto::analyze_incremental_with(
             &db.program,
             &db.hashes,
@@ -904,10 +652,6 @@ impl DurableQuery for Summaries {
     /// function name, the SCCs and the levels. Version 2 also stored each
     /// function's callees, content hash and SCC index.
     const FORMAT_VERSION: u32 = 3;
-
-    fn durable_key(db: &QueryDb, key: &Sensitivity) -> u64 {
-        mix(db.program_hash, key.stable_hash())
-    }
 
     fn encode(value: &ProgramSummaries) -> Value {
         let cone_hashes: Map = value
@@ -984,29 +728,16 @@ impl Query for CfgOf {
     const NAME: &'static str = "engine/cfg";
 
     fn compute(db: &QueryDb, key: &String) -> Cfg {
-        // Tie the CFG to its function's content so an edit invalidates
-        // exactly this instance.
-        db.fn_content(key);
         Cfg::build(
             db.program
                 .function(key)
                 .expect("cfg queried for a defined function"),
         )
     }
-}
 
-/// Hash of the whole-program type environment ([`ProgramHashes::env`]).
-/// Like [`FnContent`], an *input* query: [`QueryDb::apply_edit`] seeds it
-/// directly when the diff shows the environment changed.
-pub struct EnvHash;
-
-impl Query for EnvHash {
-    type Key = ();
-    type Value = u64;
-    const NAME: &'static str = "engine/env-hash";
-
-    fn compute(db: &QueryDb, _key: &()) -> u64 {
-        db.hashes.env
+    /// The CFG reads only its function's body: an edit elsewhere keeps it.
+    fn content_key(db: &QueryDb, key: &String) -> u64 {
+        mix(key.stable_hash(), db.fn_content(key))
     }
 }
 
@@ -1115,13 +846,55 @@ mod tests {
     }
 
     #[test]
-    fn dependency_edges_are_recorded() {
+    fn apply_edit_carries_exactly_the_entries_whose_content_key_is_unchanged() {
+        /// Declares no key: anchored to the whole program.
+        struct Anchored;
+        impl Query for Anchored {
+            type Key = String;
+            type Value = usize;
+            const NAME: &'static str = "test/anchored";
+            fn compute(db: &QueryDb, _key: &String) -> usize {
+                db.program.functions.len()
+            }
+        }
+        /// Keyed by its function's content.
+        struct BodyLen;
+        impl Query for BodyLen {
+            type Key = String;
+            type Value = usize;
+            const NAME: &'static str = "test/body-len";
+            fn compute(db: &QueryDb, key: &String) -> usize {
+                let func = db.program.function(key).expect("defined");
+                func.body.as_ref().map_or(0, |b| b.stmts.len())
+            }
+            fn content_key(db: &QueryDb, key: &String) -> u64 {
+                mix(key.stable_hash(), db.fn_content(key))
+            }
+        }
+
         let db = small_db();
-        db.summaries(Sensitivity::Steensgaard);
-        assert!(db.depends_on(Summaries::NAME, Callgraph::NAME));
-        assert!(db.depends_on(Callgraph::NAME, Pointsto::NAME));
-        // The leaf computed nothing below it.
-        assert!(!db.depends_on(Pointsto::NAME, Callgraph::NAME));
+        let (a, b) = ("a".to_string(), "b".to_string());
+        for f in [&a, &b] {
+            db.get::<Anchored>(f);
+            db.get::<BodyLen>(f);
+        }
+        let edited = parse_program("fn a() { b(); b(); } fn b() { }").unwrap();
+        let (new_db, stats) = edit(&db, &edited);
+        assert_eq!(stats.changed_functions, vec![a.clone()]);
+        assert_eq!(stats.seeds, 1);
+        assert_eq!((stats.invalidated, stats.retained), (3, 1));
+        assert_eq!(stats.revalidated, 0, "no durable entry was carried");
+
+        // The default key drops an entry on any edit; a content key keeps
+        // it unless its own function changed.
+        assert!(new_db.peek::<Anchored>(&a).is_none());
+        assert!(new_db.peek::<Anchored>(&b).is_none());
+        assert!(new_db.peek::<BodyLen>(&a).is_none());
+        let kept = new_db
+            .peek::<BodyLen>(&b)
+            .expect("unedited function's entry survives");
+        assert!(Arc::ptr_eq(&kept, &db.peek::<BodyLen>(&b).unwrap()));
+        assert_eq!(*new_db.get::<BodyLen>(&a), 2);
     }
 
     #[test]
@@ -1163,20 +936,14 @@ mod tests {
         assert!(stats.retained > 0, "unrelated per-function results survive");
 
         // The whole-program points-to result was dropped; the unedited
-        // functions' CFGs and content hashes were carried over.
+        // functions' CFGs were carried over.
         assert!(new_db.peek::<Pointsto>(&Sensitivity::Steensgaard).is_none());
         assert!(new_db.peek::<CfgOf>(&"a".to_string()).is_some());
         assert!(new_db.peek::<CfgOf>(&"lone".to_string()).is_some());
-        assert!(new_db.peek::<FnContent>(&"lone".to_string()).is_some());
-        assert!(
-            new_db.peek::<FnContent>(&"c".to_string()).is_none(),
-            "the edited function's content hash is a seed"
-        );
 
-        // Recomputation in the new db is correct and rebuilds the edges.
+        // Recomputation in the new db is correct.
         let s = new_db.summaries(Sensitivity::Steensgaard);
         assert!(s.cone_hash("c").is_some());
-        assert!(new_db.depends_on(Summaries::NAME, Callgraph::NAME));
         assert_ne!(new_db.fn_content("c"), db.fn_content("c"));
         assert_eq!(new_db.fn_content("lone"), db.fn_content("lone"));
     }
@@ -1187,7 +954,7 @@ mod tests {
         db.summaries(Sensitivity::Steensgaard);
 
         // Adding a function changes the env (its signature joins the
-        // environment) and seeds its own content instance.
+        // environment) and reports the new function as changed.
         let grown = parse_program("fn a() { b(); } fn b() { } fn d() { }").unwrap();
         let (new_db, stats) = edit(&db, &grown);
         assert_eq!(stats.changed_functions, vec!["d".to_string()]);
@@ -1201,19 +968,19 @@ mod tests {
 
     #[test]
     fn apply_edit_revalidates_content_keyed_durable_entries() {
-        /// A durable query keyed (and durably keyed) purely by content —
-        /// the shape of the per-function Deputy report entries whose
-        /// survival across edits the daemon depends on.
+        /// A durable query whose content key is its key alone — the
+        /// shape of the per-function Deputy report entries whose survival
+        /// across edits the daemon depends on.
         struct ContentKeyed;
         impl Query for ContentKeyed {
             type Key = u64;
             type Value = u64;
             const NAME: &'static str = "test/content-keyed";
-            fn compute(db: &QueryDb, key: &u64) -> u64 {
-                // Reads whole-program state, so it is dependency-reachable
-                // from every function edit...
-                db.depend_on_program();
+            fn compute(_db: &QueryDb, key: &u64) -> u64 {
                 key * 3
+            }
+            fn content_key(_db: &QueryDb, key: &u64) -> u64 {
+                key.stable_hash()
             }
         }
         impl DurableQuery for ContentKeyed {
@@ -1230,15 +997,15 @@ mod tests {
         db.get_durable::<ContentKeyed>(&7);
         let edited = parse_program("fn a() { b(); b(); } fn b() { }").unwrap();
         let (new_db, stats) = edit(&db, &edited);
-        // ...but its durable key is untouched by the edit, so it is
-        // revalidated rather than discarded.
+        // Its content key is untouched by the edit, so it is carried
+        // rather than discarded.
         assert!(stats.revalidated >= 1);
         assert!(new_db.peek::<ContentKeyed>(&7).is_some());
     }
 
     #[test]
     fn apply_edit_rekeys_entries_adopted_from_the_persist_layer() {
-        /// A whole-program durable query anchored to the program hash —
+        /// A whole-program durable query with the default content key —
         /// the shape of [`Summaries`].
         struct WholeProgram;
         impl Query for WholeProgram {
@@ -1246,15 +1013,11 @@ mod tests {
             type Value = u64;
             const NAME: &'static str = "test/whole-program";
             fn compute(db: &QueryDb, _key: &()) -> u64 {
-                db.depend_on_program();
                 db.program.functions.len() as u64
             }
         }
         impl DurableQuery for WholeProgram {
             const FORMAT_VERSION: u32 = 1;
-            fn durable_key(db: &QueryDb, key: &()) -> u64 {
-                mix(db.program_hash, key.stable_hash())
-            }
             fn encode(value: &u64) -> Value {
                 Value::from(*value)
             }
@@ -1275,9 +1038,9 @@ mod tests {
             layer.flush().unwrap();
         }
 
-        // "Process two" adopts it from disk: a persist hit records no
-        // dependency edges, so the edit walk cannot reach the entry from
-        // the changed-function seeds.
+        // "Process two" loads it from disk: its compute never runs here,
+        // and the edit judges it by the same content key as a computed
+        // entry.
         let layer = Arc::new(PersistLayer::open(&dir).unwrap());
         let db = QueryDb::new(&program).with_persist(Some(layer));
         db.get_durable::<WholeProgram>(&());
@@ -1287,7 +1050,7 @@ mod tests {
         let (new_db, _) = edit(&db, &edited);
         assert!(
             new_db.peek::<WholeProgram>(&()).is_none(),
-            "an edge-less whole-program entry must be re-keyed out on edit"
+            "a loaded whole-program entry must be re-keyed out on edit"
         );
         // Recomputing in the new db stores the entry under the edited
         // program's key.

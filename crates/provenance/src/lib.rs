@@ -125,7 +125,7 @@ impl ProvStore {
     }
 
     /// Records why a dynamic copy edge `u -> v` exists (first wins).
-    pub fn record_edge(&mut self, u: u32, v: u32, trigger: u32, aux: u32, kind: EdgeKind) {
+    pub fn record_copy_edge(&mut self, u: u32, v: u32, trigger: u32, aux: u32, kind: EdgeKind) {
         self.edges
             .entry(pack(u, v))
             .or_insert(EdgeProv { trigger, aux, kind });
@@ -239,7 +239,7 @@ mod tests {
     fn dynamic_edges_annotate_the_links_that_crossed_them() {
         let mut p = ProvStore::new();
         p.record_fact(0, 10, SEED);
-        p.record_edge(0, 1, 5, 9, EdgeKind::Load);
+        p.record_copy_edge(0, 1, 5, 9, EdgeKind::Load);
         p.record_fact(1, 10, 0);
         let chain = p.why(1, 10).unwrap();
         assert_eq!(chain[0].edge, None);
@@ -248,7 +248,7 @@ mod tests {
         assert_eq!(e.kind, EdgeKind::Load);
         assert_eq!(e.kind.name(), "load");
         // Edge justifications are first-wins too.
-        p.record_edge(0, 1, 6, 6, EdgeKind::Store);
+        p.record_copy_edge(0, 1, 6, 6, EdgeKind::Store);
         assert_eq!(p.edge_prov(0, 1).unwrap().trigger, 5);
     }
 }

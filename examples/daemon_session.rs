@@ -3,8 +3,9 @@
 //! Spawns an in-process daemon over the generated kernel corpus, then
 //! drives one editing session through a client: a cold `analyze`, a
 //! `notify_edit` of one leaf function, a warm re-`analyze` that is
-//! served almost entirely from resident state (dependency-driven
-//! invalidation keeps everything outside the edited function's cone),
+//! served almost entirely from resident state (content-keyed
+//! invalidation keeps every result whose content key the edit left
+//! unchanged),
 //! and finally two `explain` round-trips — one for a raw points-to fact
 //! of the kernel's VFS dispatch table, one for the fact a Deputy
 //! diagnostic cites as evidence. Each `explain` runs its own traced
@@ -154,8 +155,8 @@ fn main() -> ExitCode {
         cold.stats.persist_hit_rate()
     );
 
-    // 2. Edit one leaf function; only its dependency-reachable cone may be
-    //    invalidated.
+    // 2. Edit one leaf function; only results whose content key the edit
+    //    changed may be invalidated.
     let outcome = match client.notify_edit(&edited) {
         Ok(outcome) => outcome,
         Err(e) => return fail(strict, &format!("notify_edit failed: {e}")),
@@ -179,8 +180,8 @@ fn main() -> ExitCode {
             ),
         );
     }
-    // The input-layer diff being right is not enough: the graph walk must
-    // not have dragged the clean majority down with the seed.
+    // The input-layer diff being right is not enough: the content keys
+    // must keep the clean majority.
     if inv.invalidated * 3 >= inv.invalidated + inv.retained {
         return fail(
             strict,
@@ -192,7 +193,7 @@ fn main() -> ExitCode {
     }
 
     // 3. Warm request over the edited program: resident state plus the
-    //    persist shards serve everything outside the dirty cone.
+    //    persist shards serve everything the edit left unchanged.
     let start = Instant::now();
     let warm = match client.analyze(&edited) {
         Ok(warm) => warm,

@@ -11,7 +11,7 @@
 //! * [`engine`] — the incremental, plugin-based analysis engine
 //!   all checkers run on.
 //! * [`daemon`] — the resident analysis service: the engine behind a
-//!   Unix-domain socket, with dependency-driven invalidation across edits.
+//!   Unix-domain socket, with content-keyed invalidation across edits.
 //! * [`vm`] — the execution substrate (memory model, interpreter, cost model).
 //! * [`deputy`] — the Deputy dependent type system (§2.1).
 //! * [`ccount`] — CCount reference-count checking of manual memory
