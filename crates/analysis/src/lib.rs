@@ -15,6 +15,8 @@
 //! * [`callgraph`] — call-graph construction (direct + indirect edges),
 //!   backwards property propagation, reachability, and weighted depth
 //!   queries for the stack-bound extension.
+//! * [`summary`] — the `fnv1a`/`mix` content-hashing primitives every
+//!   cache and persist key is built from.
 //!
 //! # Examples
 //!
@@ -54,4 +56,3 @@ pub use lattice::{BoolLattice, Lattice, MapLattice, SetLattice};
 pub use pointsto::{
     analyze, analyze_incremental, analyze_naive, ConstraintCache, Loc, PointsToResult, Sensitivity,
 };
-pub use summary::{Condensation, ProgramSummaries};

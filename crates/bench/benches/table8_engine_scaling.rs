@@ -113,8 +113,6 @@ fn bench_engine_scaling(c: &mut Criterion) {
             Value::from(warm_report.stats.hit_rate()),
         );
         row.insert("functions".into(), Value::from(warm_report.stats.functions));
-        row.insert("sccs".into(), Value::from(warm_report.stats.sccs));
-        row.insert("levels".into(), Value::from(warm_report.stats.levels));
         summary.push_row(row);
         if *name == "paper" {
             summary.headline("paper_cold_seconds", cold);
@@ -149,8 +147,8 @@ fn bench_engine_scaling(c: &mut Criterion) {
     // Warm-*process* rows: a fresh engine with empty in-memory caches,
     // pointed at a persist directory a previous "process" populated. This
     // is the cross-process warm start (CI runs, fleet workers): the warm
-    // engine reloads summaries, checker reports, and per-function
-    // diagnostics from disk and never solves points-to.
+    // engine reloads checker reports and per-function diagnostics from
+    // disk and never solves points-to.
     println!("\n---- warm process (persistent cross-process cache) ----");
     println!(
         "{:<8} {:>12} {:>14} {:>9} {:>13}",

@@ -8,9 +8,10 @@
 //! attributes findings to their caller function at the flagged call-site
 //! span. The report is a [`DurableQuery`]: with a persist layer attached,
 //! a warm process reloads it from `target/ivy-cache/` instead of solving
-//! points-to again. The cache fingerprint folds in the caller-derived
-//! state a finding depends on beyond the function's callee cone: the
-//! function's atomic/may-block membership and its own finding set.
+//! points-to again. The cache fingerprint folds in everything a finding
+//! depends on beyond the function's own definitions: the function's
+//! atomic/may-block membership (derived from callers and callees) and its
+//! own finding set.
 
 use crate::analysis::{AtomicReason, BlockStop, BlockStopConfig, BlockStopReport, Finding};
 use ivy_analysis::pointsto::Sensitivity;
@@ -210,10 +211,10 @@ impl Checker for BlockStopChecker {
     }
 
     fn context_fingerprint(&self, ctx: &AnalysisCtx, func: &Function) -> u64 {
-        // Atomic context and finding attribution depend on *callers*, which
-        // the cone hash cannot see; hash the function's slice of the
-        // memoized report so cached diagnostics are replayed only when they
-        // would be recomputed identically.
+        // Atomic context and may-block facts depend on callers and callees,
+        // which the engine's key cannot see; hash the function's slice of
+        // the memoized report so cached diagnostics are replayed only when
+        // they would be recomputed identically.
         let report = self.report(ctx);
         let mut h = self.config_hash();
         h = mix(h, u64::from(report.may_block.contains(&func.name)));

@@ -14,7 +14,7 @@
 //!
 //! [`ProgramHashes`] bundles these into the identity of a program state:
 //! the analysis engine computes it once per state and keys its context
-//! store, its edit diff and its function summaries on it.
+//! store, its edit diff and its per-function diagnostic keys on it.
 //!
 //! Every match below destructures all fields explicitly: adding a field or
 //! variant to the AST breaks compilation here rather than silently

@@ -6,7 +6,7 @@
 //! is where the three tools meet:
 //!
 //! * [`pipeline`] — applies all three tools to a kernel in one pass via
-//!   `ivy-engine` (shared analysis context, bottom-up scheduling,
+//!   `ivy-engine` (shared analysis context, per-function scheduling,
 //!   incremental cache), producing a "hardened" program plus the combined
 //!   reports.
 //! * [`experiments`] — one function per table/experiment of the paper

@@ -10,8 +10,7 @@
 //! Since the engine rework, all three tools run as [`Checker`] plugins over
 //! shared, memoized [`AnalysisCtx`]s: points-to results and call graphs are
 //! computed once per program state instead of once per tool, checker work is
-//! scheduled bottom-up over the condensed call graph, and the
-//! pipeline's three program states (fixed → asserted → deputized) share one
+//! cached per function, and the pipeline's three program states (fixed → asserted → deputized) share one
 //! diagnostic cache and one context store — so running the same pipeline
 //! again (the analyze→fix→re-analyze loop) serves its diagnostics from
 //! cache. The Deputy conversion itself is not cached: the engine keeps

@@ -17,8 +17,7 @@
 //! edit re-instruments exactly the edited function — in this process or a
 //! later one. The cache fingerprint for per-function diagnostics is the
 //! env hash for the same reason: a body edit leaves every other function's
-//! Deputy result cached, which is exactly the dirty-cone behaviour the
-//! engine's incremental loop relies on.
+//! Deputy result cached.
 
 use crate::instrument::{convert_function, Deputy};
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity as DeputySeverity};
@@ -117,20 +116,26 @@ impl Query for InstrumentedQuery {
         convert_function(&prepared.env, subject).1
     }
 
-    /// The key's stable hash mixed with the function's content in `db`.
-    /// An entry for the current content keeps its key across edits to
-    /// other functions; an entry whose function has since been edited
-    /// gets a different one under the edited program and is dropped
-    /// instead of being carried into every later context.
+    /// The key's stable hash mixed with the function's content and the
+    /// env hash in `db`. An entry for the current content and environment
+    /// keeps its key across body edits to other functions; an entry whose
+    /// function or environment has since changed gets a different one
+    /// under the edited program and is dropped instead of being carried
+    /// into every later context.
     fn content_key(db: &QueryDb, key: &InstrumentedKey) -> u64 {
-        mix(key.stable_hash(), db.fn_content(&key.function))
+        mix(
+            mix(key.stable_hash(), db.fn_content(&key.function)),
+            db.env_hash(),
+        )
     }
 }
 
 impl DurableQuery for InstrumentedQuery {
-    /// Version 2: the report alone. Version 1 also carried the
-    /// instrumented body as pretty-printed KC source.
-    const FORMAT_VERSION: u32 = 2;
+    /// Version 3: the report alone, stored under a content key that also
+    /// mixes in the db's env hash. Version 2 used the same payload under a
+    /// key without it; version 1 also carried the instrumented body as
+    /// pretty-printed KC source.
+    const FORMAT_VERSION: u32 = 3;
 
     fn encode(value: &ConversionReport) -> Value {
         report_to_value(value)
@@ -375,9 +380,10 @@ impl Checker for DeputyChecker {
     fn context_fingerprint(&self, ctx: &AnalysisCtx, func: &Function) -> u64 {
         // Per-function instrumentation reads callee *signatures* (and
         // composite layouts) from the prepared program; the env hash covers
-        // exactly that. Bodies are covered by the cone hash. The indirect-
-        // annotation check additionally reads points-to target sets, which
-        // any body edit can change — fold the resolved groups in.
+        // exactly that. The function's own body is in the engine's key. The
+        // indirect-annotation check additionally reads points-to target
+        // sets, which any body edit can change — fold the resolved groups
+        // in.
         let check_indirect = u64::from(self.config.check_indirect_annotations);
         let mut h = mix(check_indirect, ctx.env_hash());
         if self.config.check_indirect_annotations && func.body.is_some() {

@@ -1,11 +1,13 @@
 //! The incremental diagnostic cache.
 //!
-//! Results are keyed by `(checker, cone hash, context fingerprint)`: the
-//! cone hash covers the function's own definition and everything it can
-//! transitively call, the fingerprint covers whatever else the checker
-//! declared (configuration, type environment, caller context). After an
-//! edit, only the dirty cone misses; an unchanged program is served
-//! entirely from cache. The cache is shared — across repeated runs, across
+//! Results are keyed by `(checker, definitions hash, context
+//! fingerprint)`: the definitions hash covers every definition of the
+//! function's name ([`QueryDb::definitions`](crate::QueryDb::definitions)),
+//! the fingerprint covers whatever else the checker declared
+//! (configuration, type environment, points-to facts, caller context).
+//! After an edit, only the edited functions and those whose fingerprint
+//! changed miss; an unchanged program is served entirely from cache. The
+//! cache is shared — across repeated runs, across
 //! the analyze→fix→re-analyze pipeline loop, and across corpus variants,
 //! where generated kernels share most of their functions and therefore most
 //! of their cache entries.
@@ -15,8 +17,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Cache key: checker name, function cone hash, checker context
-/// fingerprint.
+/// Cache key: checker name, hash of the function's definitions, checker
+/// context fingerprint.
 pub type CacheKey = (&'static str, u64, u64);
 
 /// Shared, thread-safe diagnostic cache with hit/miss accounting.

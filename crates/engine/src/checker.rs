@@ -19,32 +19,33 @@ pub trait Checker: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// The points-to precision this checker needs from the shared context.
-    /// The engine computes the scheduling call graph at the most precise
-    /// level any registered checker requires.
+    /// A report carries the points-to statistics of the most precise level
+    /// any registered checker requires.
     fn sensitivity(&self) -> Sensitivity {
         Sensitivity::Steensgaard
     }
 
     /// A fingerprint of everything this checker's per-function result
-    /// depends on *beyond* the function's own transitive-callee cone:
-    /// configuration, the type environment, caller-derived context, ...
+    /// depends on *beyond* the function's own definitions: configuration,
+    /// the type environment, points-to facts, caller-derived context, ...
     ///
-    /// The incremental cache key for `(checker, function)` is the pair of
-    /// the function's cone hash and this fingerprint; a checker whose
-    /// results depend on state not captured by either must fold that state
-    /// in here, or stale diagnostics will be replayed.
+    /// The incremental cache key for `(checker, function)` is a hash of
+    /// every definition of the function's name plus this fingerprint. A
+    /// callee's body is not part of the key: a checker whose result reads
+    /// it, or any other state neither covers, must fold that state in
+    /// here, or stale diagnostics will be replayed.
     fn context_fingerprint(&self, _ctx: &AnalysisCtx, _func: &Function) -> u64 {
         0
     }
 
-    /// Checks one function. Called bottom-up over the condensed call graph,
-    /// possibly from several engine callers (daemon connections) at once;
-    /// implementations must only go through `ctx` for shared state.
+    /// Checks one function: the first definition of each name, in program
+    /// order, possibly from several engine callers (daemon connections) at
+    /// once; implementations must only go through `ctx` for shared state.
     fn check_function(&self, ctx: &AnalysisCtx, func: &Function) -> Vec<Diagnostic>;
 
     /// Program-level diagnostics that are not attributable to any scheduled
     /// function (e.g. annotation errors on composite fields or globals).
-    /// Called once per analysis, before the per-function waves; not cached
+    /// Called once per analysis, before the per-function wave; not cached
     /// (implementations should derive these from context-memoized state).
     fn check_program(&self, _ctx: &AnalysisCtx) -> Vec<Diagnostic> {
         Vec::new()

@@ -200,14 +200,10 @@ impl Diagnostic {
 /// Run statistics reported alongside the diagnostics.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Functions scheduled (defined and extern).
+    /// Function definitions in the program (defined and extern).
     pub functions: usize,
     /// Registered checkers.
     pub checkers: usize,
-    /// SCCs in the condensed call graph.
-    pub sccs: usize,
-    /// Bottom-up waves.
-    pub levels: usize,
     /// Per-function results served from the in-memory incremental cache in
     /// this run.
     pub cache_hits: u64,
@@ -256,8 +252,6 @@ impl EngineStats {
         let mut stats = Map::new();
         stats.insert("functions".into(), Value::from(self.functions));
         stats.insert("checkers".into(), Value::from(self.checkers));
-        stats.insert("sccs".into(), Value::from(self.sccs));
-        stats.insert("levels".into(), Value::from(self.levels));
         stats.insert("cache_hits".into(), Value::from(self.cache_hits));
         stats.insert("cache_misses".into(), Value::from(self.cache_misses));
         stats.insert("persist_hits".into(), Value::from(self.persist_hits));
@@ -293,15 +287,14 @@ impl EngineStats {
 
     /// Decodes stats from their [`EngineStats::to_value`] form; `None`
     /// rejects malformed input. Keys this version no longer writes (the
-    /// solver-thread, delta-repair and provenance counters) are ignored.
+    /// solver-thread, delta-repair and provenance counters, and the SCC and
+    /// level counts) are ignored.
     pub fn from_value(v: &Value) -> Option<EngineStats> {
         let count = |key: &str| v.get(key).and_then(Value::as_u64);
         let size = |key: &str| count(key).map(|n| n as usize);
         Some(EngineStats {
             functions: size("functions")?,
             checkers: size("checkers")?,
-            sccs: size("sccs")?,
-            levels: size("levels")?,
             cache_hits: count("cache_hits")?,
             cache_misses: count("cache_misses")?,
             persist_hits: count("persist_hits")?,
@@ -555,8 +548,6 @@ mod tests {
         let stats = EngineStats {
             functions: 12,
             checkers: 3,
-            sccs: 9,
-            levels: 4,
             cache_hits: 30,
             cache_misses: 6,
             persist_hits: 2,

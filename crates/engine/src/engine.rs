@@ -1,15 +1,13 @@
-//! The engine: bottom-up scheduling of checker plugins with incremental
-//! caching.
+//! The engine: checker plugins run per function with incremental caching.
 //!
-//! [`Engine::analyze`] condenses the call graph into SCCs, orders the SCCs
-//! into bottom-up levels (a level only calls into lower levels), and runs
-//! every registered checker over every function of a level, one level
-//! after another on the calling thread. Per-function results are served
-//! from the shared [`DiagnosticCache`] when the function's dependency cone
-//! and the checker's context fingerprint are unchanged. Analysis contexts
-//! themselves are reused across runs of structurally equal programs, so the
-//! pipeline's analyze→fix→re-analyze loop stops paying for points-to and
-//! call-graph construction twice.
+//! [`Engine::analyze`] visits each function name once, in program order,
+//! on the calling thread, and runs every registered checker over it.
+//! Per-function results are served from the shared [`DiagnosticCache`]
+//! when the name's definitions and the checker's context fingerprint are
+//! unchanged. No checker reads a callee's body, so functions need no
+//! call-graph order. Analysis contexts themselves are reused across runs of
+//! structurally equal programs, so the pipeline's analyze→fix→re-analyze
+//! loop stops paying for points-to and call-graph construction twice.
 
 use crate::cache::DiagnosticCache;
 use crate::checker::{sensitivity_rank, Checker};
@@ -31,21 +29,23 @@ use std::sync::{Arc, Mutex, PoisonError};
 const CTX_CACHE_CAP: usize = 16;
 
 /// Payload version of persisted per-function diagnostic entries; bump when
-/// the diagnostic encoding changes. Version 2 added structured evidence:
-/// format-1 entries decode fine but would silently lack citations, so they
-/// are obsoleted and recomputed.
-const DIAG_FORMAT: u32 = 2;
+/// the diagnostic encoding or key changes. Version 2 added structured
+/// evidence (format-1 entries would silently lack citations); version 3
+/// keys an entry by the function's own definitions instead of a hash of
+/// its transitive callees.
+const DIAG_FORMAT: u32 = 3;
 
 /// Persist namespace for one checker's per-function diagnostics.
 fn diag_namespace(checker: &str) -> String {
     format!("diag/{checker}")
 }
 
-/// Content-addressed persist key for one per-function checker result: the
-/// cone hash covers the function and its transitive callees, the
-/// fingerprint covers everything else the checker declared.
-fn diag_key(cone: u64, fingerprint: u64) -> u64 {
-    mix(mix(fnv1a(b"diag"), cone), fingerprint)
+/// Content-addressed persist key for one per-function checker result:
+/// `definitions` hashes every definition of the function's name
+/// ([`AnalysisCtx::definitions`]), the fingerprint covers everything else
+/// the checker declared.
+fn diag_key(definitions: u64, fingerprint: u64) -> u64 {
+    mix(mix(fnv1a(b"diag"), definitions), fingerprint)
 }
 
 /// A shareable LRU store of analysis contexts, keyed by program hash.
@@ -342,7 +342,8 @@ impl Engine {
     }
 
     /// The most precise points-to sensitivity any registered checker
-    /// requires; also the precision of the scheduling call graph.
+    /// requires; the precision whose points-to statistics a report
+    /// carries.
     pub fn required_sensitivity(&self) -> Sensitivity {
         self.checkers
             .iter()
@@ -487,99 +488,77 @@ impl Engine {
             "engine/analyze",
             format!("analyze:{:016x}", ctx.program_hash),
         );
-        let sensitivity = self.required_sensitivity();
-        let summaries = ctx.summaries(sensitivity);
-        let condensation = &summaries.condensation;
-
         let (mut hits, mut misses) = (0u64, 0u64);
         let (mut persist_hits, mut persist_misses) = (0u64, 0u64);
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
         // Program-level diagnostics (composite/global annotation errors and
-        // the like) have no scheduled function to ride on.
+        // the like) belong to no function.
         for checker in &self.checkers {
             diagnostics.extend(checker.check_program(ctx));
         }
 
-        // Bottom-up over the condensation: each level only calls into
-        // completed levels, so its functions are independent units.
-        for (depth, level) in condensation.levels.iter().enumerate() {
-            let wave: Vec<&str> = level
-                .iter()
-                .flat_map(|&scc| condensation.sccs[scc].iter())
-                .map(String::as_str)
-                .collect();
-            let _wave_span = ivy_telemetry::span(
-                "engine/wave",
-                format!("wave:{depth} ({} sccs, {} fns)", level.len(), wave.len()),
-            );
-            for name in wave {
-                let Some(func) = ctx.program.function(name) else {
+        let definitions = ctx.definitions();
+        let wave_span = ivy_telemetry::span("engine/wave", format!("{} fns", definitions.len()));
+        for (func, defs) in definitions {
+            for checker in &self.checkers {
+                let fingerprint = checker.context_fingerprint(ctx, func);
+                let key = (checker.name(), defs, fingerprint);
+                if let Some(cached) = self.cache.get(&key) {
+                    hits += 1;
+                    diagnostics.extend(cached.iter().cloned());
                     continue;
-                };
-                let cone = summaries
-                    .cone_hash(name)
-                    .expect("scheduled function has a summary");
-                for checker in &self.checkers {
-                    let fingerprint = checker.context_fingerprint(ctx, func);
-                    let key = (checker.name(), cone, fingerprint);
-                    if let Some(cached) = self.cache.get(&key) {
-                        hits += 1;
-                        diagnostics.extend(cached.iter().cloned());
-                        continue;
-                    }
-                    // In-memory miss: the persist layer may have the
-                    // result from an earlier process.
-                    if let Some(reloaded) = self.persisted_diags(checker.name(), cone, fingerprint)
-                    {
-                        persist_hits += 1;
-                        self.cache.put(key, reloaded.clone());
-                        diagnostics.extend(reloaded);
-                        continue;
-                    }
-                    if self.persist.is_some() {
-                        persist_misses += 1;
-                    }
-                    misses += 1;
-                    let check_span =
-                        ivy_telemetry::span("engine/checker", format!("{}:{name}", checker.name()));
-                    let check_start = check_span.is_recording().then(std::time::Instant::now);
-                    let fresh = checker.check_function(ctx, func);
-                    drop(check_span);
-                    if let Some(start) = check_start {
-                        ivy_telemetry::counter_labeled(
-                            "ivy_checker_micros_total",
-                            "checker",
-                            checker.name(),
-                            start.elapsed().as_micros() as u64,
-                        );
-                    }
-                    if let Some(layer) = &self.persist {
-                        layer.put(
-                            &diag_namespace(checker.name()),
-                            DIAG_FORMAT,
-                            diag_key(cone, fingerprint),
-                            Value::Array(fresh.iter().map(Diagnostic::to_value).collect()),
-                        );
-                    }
-                    self.cache.put(key, fresh.clone());
-                    diagnostics.extend(fresh);
                 }
+                // In-memory miss: the persist layer may have the result
+                // from an earlier process.
+                if let Some(reloaded) = self.persisted_diags(checker.name(), defs, fingerprint) {
+                    persist_hits += 1;
+                    self.cache.put(key, reloaded.clone());
+                    diagnostics.extend(reloaded);
+                    continue;
+                }
+                if self.persist.is_some() {
+                    persist_misses += 1;
+                }
+                misses += 1;
+                let check_span = ivy_telemetry::span(
+                    "engine/checker",
+                    format!("{}:{}", checker.name(), func.name),
+                );
+                let check_start = check_span.is_recording().then(std::time::Instant::now);
+                let fresh = checker.check_function(ctx, func);
+                drop(check_span);
+                if let Some(start) = check_start {
+                    ivy_telemetry::counter_labeled(
+                        "ivy_checker_micros_total",
+                        "checker",
+                        checker.name(),
+                        start.elapsed().as_micros() as u64,
+                    );
+                }
+                if let Some(layer) = &self.persist {
+                    layer.put(
+                        &diag_namespace(checker.name()),
+                        DIAG_FORMAT,
+                        diag_key(defs, fingerprint),
+                        Value::Array(fresh.iter().map(Diagnostic::to_value).collect()),
+                    );
+                }
+                self.cache.put(key, fresh.clone());
+                diagnostics.extend(fresh);
             }
         }
+        drop(wave_span);
 
         // Points-to substrate statistics, peeked rather than demanded: a
-        // cold run computed the result above (the summaries depend on it),
-        // but a run served entirely from the persist layer never solves
-        // points-to — forcing a solve just for the stats would throw the
+        // checker may have demanded the result above, but a run served
+        // entirely from the persist layer never solves points-to — forcing a solve just for the stats would throw the
         // warm start away. For a reused context the numbers describe the
         // run that first built the result.
-        let pts = ctx.peek::<Pointsto>(&sensitivity);
+        let pts = ctx.peek::<Pointsto>(&self.required_sensitivity());
         let mut stats = EngineStats {
             functions: ctx.program.functions.len(),
             checkers: self.checkers.len(),
-            sccs: condensation.sccs.len(),
-            levels: condensation.levels.len(),
             cache_hits: hits,
             cache_misses: misses,
             persist_hits,
@@ -622,14 +601,14 @@ impl Engine {
     fn persisted_diags(
         &self,
         checker: &str,
-        cone: u64,
+        definitions: u64,
         fingerprint: u64,
     ) -> Option<Vec<Diagnostic>> {
         let layer = self.persist.as_ref()?;
         let raw = layer.get(
             &diag_namespace(checker),
             DIAG_FORMAT,
-            diag_key(cone, fingerprint),
+            diag_key(definitions, fingerprint),
         )?;
         raw.as_array()?
             .iter()
@@ -641,6 +620,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ivy_cmir::ast::Function;
     use ivy_cmir::parser::parse_program;
 
     fn program_named(i: usize) -> Program {
@@ -700,17 +680,30 @@ mod tests {
         assert_eq!(store.misses(), 2);
     }
 
+    /// A checker that finds nothing; its results persist under
+    /// `diag/probe`.
+    struct Probe;
+
+    impl Checker for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn check_function(&self, _ctx: &AnalysisCtx, _func: &Function) -> Vec<Diagnostic> {
+            Vec::new()
+        }
+    }
+
     #[test]
     fn flush_io_errors_surface_in_engine_stats() {
         let root = std::env::temp_dir().join(format!("ivy-flush-err-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).unwrap();
-        // Make the summaries namespace unwritable: occupy its shard
-        // *directory* path with a plain file so the flush's
+        // Make the checker's diagnostics namespace unwritable: occupy its
+        // shard *directory* path with a plain file so the flush's
         // `create_dir_all` fails even when the test runs as root (a
         // read-only mode bit alone would not stop uid 0), and drop the
         // root's write bit for unprivileged runs.
-        std::fs::write(root.join("engine-summaries"), "not a directory").unwrap();
+        std::fs::write(root.join("diag-probe"), "not a directory").unwrap();
         #[cfg(unix)]
         {
             use std::os::unix::fs::PermissionsExt;
@@ -718,7 +711,9 @@ mod tests {
         }
 
         let layer = Arc::new(PersistLayer::open(&root).expect("existing dir opens"));
-        let engine = Engine::new().with_persist(layer);
+        let engine = Engine::new()
+            .with_checker(Arc::new(Probe))
+            .with_persist(layer);
         let report = engine.analyze(&program_named(0));
         assert_eq!(
             report.stats.persist_flush_errors, 1,
@@ -733,7 +728,9 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&root);
         let layer = Arc::new(PersistLayer::open(&root).unwrap());
-        let engine = Engine::new().with_persist(layer);
+        let engine = Engine::new()
+            .with_checker(Arc::new(Probe))
+            .with_persist(layer);
         let report = engine.analyze(&program_named(1));
         assert_eq!(report.stats.persist_flush_errors, 0);
         let _ = std::fs::remove_dir_all(&root);

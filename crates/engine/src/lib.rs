@@ -5,7 +5,7 @@
 //! turned into an execution engine. It has five layers:
 //!
 //! 1. **Queries** — the typed, demand-driven [`query`] subsystem: every
-//!    artifact (points-to, call graphs, summaries, CFGs, checker-owned
+//!    artifact (points-to, call graphs, CFGs, checker-owned
 //!    precomputations) is a [`query::Query`] with a typed key and value,
 //!    memoized per `(query, key)` in a [`query::QueryDb`] under a
 //!    *content key*: a hash of what the result was computed from (the
@@ -28,15 +28,16 @@
 //!    through adapter impls in their own crates and define their own typed
 //!    queries; new checkers need no engine changes (the STANSE-style
 //!    framework/plugin split).
-//! 3. **Scheduler** — [`Engine::analyze`] condenses the call graph into
-//!    SCCs, orders them into bottom-up levels, and runs the levels in order
-//!    on the calling thread. Concurrency comes from callers: a daemon
-//!    serves each connection on its own thread over one shared engine.
+//! 3. **Scheduler** — [`Engine::analyze`] visits each function name once,
+//!    in program order, on the calling thread. No checker reads a callee's
+//!    body, so no order between functions is needed. Concurrency comes
+//!    from callers: a daemon serves each connection on its own thread over
+//!    one shared engine.
 //! 4. **Incremental + persistent caches** — per-function results are keyed
-//!    by a content hash of the function's transitive-callee *cone* plus a
-//!    checker context fingerprint ([`DiagnosticCache`]); after an edit only
-//!    the dirty cone recomputes, and re-analyzing an unchanged kernel is
-//!    served entirely from cache. With a [`PersistLayer`] attached
+//!    by a hash of the function's own definitions plus a checker context
+//!    fingerprint ([`DiagnosticCache`]); after an edit only the edited
+//!    functions and those whose fingerprint changed recompute, and
+//!    re-analyzing an unchanged kernel is served entirely from cache. With a [`PersistLayer`] attached
 //!    ([`Engine::with_persist`]), per-function diagnostics and every
 //!    [`query::DurableQuery`] result additionally spill to versioned JSON
 //!    under `target/ivy-cache/`, so a *separate process* (a CI run, a
@@ -107,8 +108,8 @@ pub use query::{DurableQuery, InvalidationStats, Query, QueryDb, QueryKey};
 
 /// The shared analysis context every checker receives: one [`QueryDb`]
 /// per program state, built once and handed to every checker. Whole-program
-/// artifacts (points-to per sensitivity, call graphs, per-function CFGs,
-/// SCC summaries) are built-in queries computed on first demand;
+/// artifacts (points-to per sensitivity, call graphs, per-function CFGs)
+/// are built-in queries computed on first demand;
 /// checker-owned precomputations are [`Query`] impls in the checker crates.
 pub type AnalysisCtx = QueryDb;
 

@@ -37,10 +37,10 @@
 //!
 //! ```text
 //! target/ivy-cache/
-//!   engine-summaries/            one directory per namespace...
+//!   diag-deputy/                 one directory per namespace...
 //!     w41123.json                ...one shard per writer:
-//!     w41300.json                {"format":1,"namespace":"engine/summaries",
-//!   diag-deputy/                  "version":<query FORMAT_VERSION>,
+//!     w41300.json                {"format":1,"namespace":"diag/deputy",
+//!   deputy-instrumented/          "version":<query FORMAT_VERSION>,
 //!     w41123.json                 "entries":{"<16-hex key>": <value>}}
 //!   ...
 //! ```

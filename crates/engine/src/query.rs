@@ -1,7 +1,7 @@
 //! The typed, demand-driven query subsystem.
 //!
 //! Everything an analysis can ask for — points-to results, call graphs,
-//! summaries, CFGs, checker-owned precomputations — is a [`Query`]: a unit
+//! CFGs, checker-owned precomputations — is a [`Query`]: a unit
 //! type naming the artifact, a typed [`Query::Key`], a typed
 //! [`Query::Value`], and a `compute` function that derives the value from
 //! the [`QueryDb`] on first demand. The db memoizes per `(query type,
@@ -24,26 +24,27 @@
 //!
 //! ```compile_fail
 //! use ivy_engine::query::{Query, QueryDb};
-//! use ivy_engine::query::Summaries;
+//! use ivy_engine::query::Callgraph;
 //! use ivy_analysis::pointsto::Sensitivity;
 //! # use ivy_cmir::parser::parse_program;
 //! let db = QueryDb::new(&parse_program("fn f() { }").unwrap());
-//! // The old `ctx.memo::<String>("summaries/steensgaard", ...)` would have
+//! // The old `ctx.memo::<String>("callgraph/steensgaard", ...)` would have
 //! // compiled and panicked at run time on the type confusion. The typed
 //! // query API rejects the wrong value type at compile time:
-//! let s: std::sync::Arc<String> = db.get::<Summaries>(&Sensitivity::Steensgaard);
+//! let s: std::sync::Arc<String> = db.get::<Callgraph>(&Sensitivity::Steensgaard);
 //! ```
 
 use crate::persist::PersistLayer;
 use ivy_analysis::pointsto::{self, ConstraintCache, PointsToResult, Sensitivity, SolveOptions};
-use ivy_analysis::summary::{self, fnv1a, mix, Condensation, ProgramSummaries};
+use ivy_analysis::summary::{fnv1a, mix};
 use ivy_analysis::CallGraph;
-use ivy_cmir::ast::Program;
+use ivy_cmir::ast::{Function, Program};
 use ivy_cmir::cfg::Cfg;
 use ivy_cmir::content::ProgramHashes;
-use serde_json::{Map, Value};
+use serde_json::Value;
 use std::any::{Any, TypeId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry as MapEntry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -471,7 +472,7 @@ impl QueryDb {
             .with_pointsto_cache(Arc::clone(&self.pts_cache))
             .with_persist(self.persist.clone());
         let _span = ivy_telemetry::span("engine/edit", "carry");
-        let changed_functions = changed_names(&self.definitions(), &new_db.definitions());
+        let changed_functions = changed_names(self, &new_db);
         let env_changed = self.hashes.env != new_db.hashes.env;
         let mut stats = InvalidationStats {
             seeds: changed_functions.len() + usize::from(env_changed),
@@ -513,21 +514,6 @@ impl QueryDb {
         (new_db, stats)
     }
 
-    /// `(name, content hash)` of every function definition, from the
-    /// stored hashes, sorted by name; the definitions of one name stay in
-    /// program order.
-    fn definitions(&self) -> Vec<(&str, u64)> {
-        let mut defs: Vec<(&str, u64)> = self
-            .program
-            .functions
-            .iter()
-            .map(|f| f.name.as_str())
-            .zip(self.hashes.functions.iter().copied())
-            .collect();
-        defs.sort_by_key(|&(name, _)| name);
-        defs
-    }
-
     // ---- built-in artifact accessors ----------------------------------
 
     /// Points-to results at a precision level. Solved incrementally against
@@ -542,13 +528,9 @@ impl QueryDb {
         self.get::<Callgraph>(&sensitivity)
     }
 
-    /// The cone hash of every function and the SCC schedule over the call
-    /// graph at a precision level. Durable: with a persist layer
-    /// attached, a warm process reloads these from disk without solving
-    /// points-to at all.
-    pub fn summaries(&self, sensitivity: Sensitivity) -> Arc<ProgramSummaries> {
-        self.get_durable::<Summaries>(&sensitivity)
-    }
+    /// Kept only because `perfbench` still calls it: does nothing.
+    #[doc(hidden)]
+    pub fn summaries(&self, _sensitivity: Sensitivity) {}
 
     /// The CFG of one defined function.
     pub fn cfg(&self, function: &str) -> Option<Arc<Cfg>> {
@@ -573,30 +555,54 @@ impl QueryDb {
             .position(function)
             .map_or(0, |i| self.hashes.functions[i])
     }
+
+    /// Each function name once, in program order, as its first definition
+    /// (the one [`Program::function`] returns) with a hash of every
+    /// definition of the name, from the stored hashes: the content hash
+    /// itself for a name defined once, the definitions' hashes mixed in
+    /// program order otherwise. An edit to any definition of a name
+    /// changes its hash.
+    pub fn definitions(&self) -> Vec<(&Function, u64)> {
+        let functions = &self.program.functions;
+        let mut first: HashMap<&str, usize> = HashMap::with_capacity(functions.len());
+        let mut defs: Vec<(&Function, u64)> = Vec::with_capacity(functions.len());
+        for (func, &hash) in functions.iter().zip(&self.hashes.functions) {
+            match first.entry(func.name.as_str()) {
+                MapEntry::Vacant(slot) => {
+                    slot.insert(defs.len());
+                    defs.push((func, hash));
+                }
+                MapEntry::Occupied(slot) => {
+                    let combined = &mut defs[*slot.get()].1;
+                    *combined = mix(*combined, hash);
+                }
+            }
+        }
+        defs
+    }
 }
 
-/// The names whose definitions differ between two [`QueryDb::definitions`]
-/// lists: a name defined on one side only, or whose definitions differ in
-/// number or content. Every definition counts, not only the first one
+/// The names whose definitions differ between two dbs, sorted: a name
+/// defined in one only, or whose [`QueryDb::definitions`] hash differs.
+/// Every definition counts, not only the first one
 /// [`QueryDb::fn_content`] reads, so an edit to a later duplicate reports
 /// its name.
-fn changed_names(old: &[(&str, u64)], new: &[(&str, u64)]) -> Vec<String> {
-    let mut old = old.chunk_by(|a, b| a.0 == b.0).peekable();
-    let mut new = new.chunk_by(|a, b| a.0 == b.0).peekable();
-    let mut changed = Vec::new();
-    loop {
-        let (o, n) = match (old.peek(), new.peek()) {
-            (None, None) => return changed,
-            (Some(o), Some(n)) if o[0].0 == n[0].0 => (old.next(), new.next()),
-            (Some(o), Some(n)) if o[0].0 < n[0].0 => (old.next(), None),
-            (Some(_), None) => (old.next(), None),
-            _ => (None, new.next()),
-        };
-        if o != n {
-            let name = o.or(n).map(|defs| defs[0].0);
-            changed.extend(name.map(str::to_string));
-        }
+fn changed_names(old: &QueryDb, new: &QueryDb) -> Vec<String> {
+    fn by_name(db: &QueryDb) -> HashMap<&str, u64> {
+        db.definitions()
+            .into_iter()
+            .map(|(func, hash)| (func.name.as_str(), hash))
+            .collect()
     }
+    let (old, new) = (by_name(old), by_name(new));
+    let mut changed: Vec<String> = old
+        .iter()
+        .filter(|(name, hash)| new.get(*name) != Some(hash))
+        .chain(new.iter().filter(|(name, _)| !old.contains_key(*name)))
+        .map(|(name, _)| name.to_string())
+        .collect();
+    changed.sort();
+    changed
 }
 
 // ---- built-in queries --------------------------------------------------
@@ -630,92 +636,6 @@ impl Query for Callgraph {
 
     fn compute(db: &QueryDb, key: &Sensitivity) -> CallGraph {
         CallGraph::build(&db.program, &db.get::<Pointsto>(key))
-    }
-}
-
-/// The engine's schedule and cache keys over [`Callgraph`]: a cone hash
-/// per function and the SCC condensation's `sccs` and `levels`.
-pub struct Summaries;
-
-impl Query for Summaries {
-    type Key = Sensitivity;
-    type Value = ProgramSummaries;
-    const NAME: &'static str = "engine/summaries";
-
-    fn compute(db: &QueryDb, key: &Sensitivity) -> ProgramSummaries {
-        summary::summarize(&db.program, &db.hashes.functions, &db.get::<Callgraph>(key))
-    }
-}
-
-impl DurableQuery for Summaries {
-    /// Version 3: only what the scheduler reads — the cone hash per
-    /// function name, the SCCs and the levels. Version 2 also stored each
-    /// function's callees, content hash and SCC index.
-    const FORMAT_VERSION: u32 = 3;
-
-    fn encode(value: &ProgramSummaries) -> Value {
-        let cone_hashes: Map = value
-            .cone_hashes
-            .iter()
-            .map(|(name, &h)| (name.clone(), Value::from(h)))
-            .collect();
-        let sccs: Vec<Value> = value
-            .condensation
-            .sccs
-            .iter()
-            .map(|c| Value::Array(c.iter().map(|n| Value::from(n.as_str())).collect()))
-            .collect();
-        let levels: Vec<Value> = value
-            .condensation
-            .levels
-            .iter()
-            .map(|l| Value::Array(l.iter().map(|&i| Value::from(i)).collect()))
-            .collect();
-        let mut root = Map::new();
-        root.insert("cone_hashes".into(), Value::Object(cone_hashes));
-        root.insert("sccs".into(), Value::Array(sccs));
-        root.insert("levels".into(), Value::Array(levels));
-        Value::Object(root)
-    }
-
-    /// Rejects (so the engine recomputes) any entry the scheduler could
-    /// not walk: a level naming an SCC that does not exist, an SCC member
-    /// that is not a string, or a member without a cone hash.
-    fn decode(raw: &Value) -> Option<ProgramSummaries> {
-        let cone_hashes: BTreeMap<String, u64> = raw
-            .get("cone_hashes")?
-            .as_object()?
-            .iter()
-            .map(|(name, h)| Some((name.clone(), h.as_u64()?)))
-            .collect::<Option<_>>()?;
-        let sccs: Vec<Vec<String>> = raw
-            .get("sccs")?
-            .as_array()?
-            .iter()
-            .map(|c| {
-                c.as_array()?
-                    .iter()
-                    .map(|n| n.as_str().filter(|n| cone_hashes.contains_key(*n)))
-                    .map(|n| n.map(String::from))
-                    .collect()
-            })
-            .collect::<Option<_>>()?;
-        let levels: Vec<Vec<usize>> = raw
-            .get("levels")?
-            .as_array()?
-            .iter()
-            .map(|l| {
-                l.as_array()?
-                    .iter()
-                    .map(|i| i.as_u64().filter(|&i| i < sccs.len() as u64))
-                    .map(|i| i.map(|i| i as usize))
-                    .collect()
-            })
-            .collect::<Option<_>>()?;
-        Some(ProgramSummaries {
-            cone_hashes,
-            condensation: Condensation { sccs, levels },
-        })
     }
 }
 
@@ -833,8 +753,9 @@ mod tests {
         let p1 = db.pointsto(Sensitivity::Steensgaard);
         let p2 = db.pointsto(Sensitivity::Steensgaard);
         assert!(Arc::ptr_eq(&p1, &p2));
-        let s = db.summaries(Sensitivity::Steensgaard);
-        assert!(s.cone_hash("a").is_some());
+        let cg = db.callgraph(Sensitivity::Steensgaard);
+        assert!(Arc::ptr_eq(&cg, &db.callgraph(Sensitivity::Steensgaard)));
+        assert!(cg.callees("a").contains("b"));
         assert!(db.cfg("a").is_some());
         assert!(db.cfg("missing").is_none());
     }
@@ -906,22 +827,11 @@ mod tests {
     }
 
     #[test]
-    fn summaries_roundtrip_through_the_durable_encoding() {
-        let db = small_db();
-        let s = db.summaries(Sensitivity::Steensgaard);
-        let decoded = <Summaries as DurableQuery>::decode(&Summaries::encode(&s))
-            .expect("well-formed encoding decodes");
-        assert_eq!(decoded, *s);
-        // Tampered encodings are rejected, not mis-decoded.
-        assert!(<Summaries as DurableQuery>::decode(&Value::from("garbage")).is_none());
-    }
-
-    #[test]
     fn apply_edit_invalidates_only_the_dependent_cone() {
         let db = QueryDb::new(
             &parse_program("fn a() { b(); } fn b() { c(); } fn c() { } fn lone() { }").unwrap(),
         );
-        db.summaries(Sensitivity::Steensgaard);
+        db.callgraph(Sensitivity::Steensgaard);
         db.cfg("a");
         db.cfg("lone");
 
@@ -935,15 +845,18 @@ mod tests {
         assert!(stats.invalidated > 0, "whole-program artifacts go dirty");
         assert!(stats.retained > 0, "unrelated per-function results survive");
 
-        // The whole-program points-to result was dropped; the unedited
-        // functions' CFGs were carried over.
+        // The whole-program points-to and call-graph results were dropped;
+        // the unedited functions' CFGs were carried over.
         assert!(new_db.peek::<Pointsto>(&Sensitivity::Steensgaard).is_none());
+        assert!(new_db
+            .peek::<Callgraph>(&Sensitivity::Steensgaard)
+            .is_none());
         assert!(new_db.peek::<CfgOf>(&"a".to_string()).is_some());
         assert!(new_db.peek::<CfgOf>(&"lone".to_string()).is_some());
 
         // Recomputation in the new db is correct.
-        let s = new_db.summaries(Sensitivity::Steensgaard);
-        assert!(s.cone_hash("c").is_some());
+        let cg = new_db.callgraph(Sensitivity::Steensgaard);
+        assert!(cg.callees("c").contains("c"));
         assert_ne!(new_db.fn_content("c"), db.fn_content("c"));
         assert_eq!(new_db.fn_content("lone"), db.fn_content("lone"));
     }
@@ -951,7 +864,7 @@ mod tests {
     #[test]
     fn apply_edit_detects_signature_and_function_set_changes() {
         let db = small_db();
-        db.summaries(Sensitivity::Steensgaard);
+        db.callgraph(Sensitivity::Steensgaard);
 
         // Adding a function changes the env (its signature joins the
         // environment) and reports the new function as changed.
@@ -959,11 +872,10 @@ mod tests {
         let (new_db, stats) = edit(&db, &grown);
         assert_eq!(stats.changed_functions, vec!["d".to_string()]);
         assert!(stats.env_changed);
-        assert!(new_db.peek::<Pointsto>(&Sensitivity::Steensgaard).is_none());
-        assert_eq!(
-            new_db.summaries(Sensitivity::Steensgaard).cone_hashes.len(),
-            3
-        );
+        assert!(new_db
+            .peek::<Callgraph>(&Sensitivity::Steensgaard)
+            .is_none());
+        assert_eq!(new_db.callgraph(Sensitivity::Steensgaard).edges.len(), 3);
     }
 
     #[test]
@@ -1006,7 +918,7 @@ mod tests {
     #[test]
     fn apply_edit_rekeys_entries_adopted_from_the_persist_layer() {
         /// A whole-program durable query with the default content key —
-        /// the shape of [`Summaries`].
+        /// the shape of BlockStop's report.
         struct WholeProgram;
         impl Query for WholeProgram {
             type Key = ();

@@ -20,8 +20,8 @@ fn main() {
 
     let report = engine.analyze(&build.program);
     println!(
-        "analyzed {} functions ({} SCCs, {} bottom-up levels)",
-        report.stats.functions, report.stats.sccs, report.stats.levels
+        "analyzed {} functions with {} checkers",
+        report.stats.functions, report.stats.checkers
     );
     for (severity, count) in report.severity_counts() {
         println!("  {:>8}: {count}", severity.name());

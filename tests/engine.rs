@@ -1,5 +1,5 @@
 //! Integration tests for the analysis engine over the generated kernel:
-//! report determinism, incremental caching, dirty-cone invalidation,
+//! report determinism, incremental caching, per-function invalidation,
 //! fleet (corpus) mode, and the program identity edits are diffed by.
 
 use ivy::blockstop::BlockStopChecker;
@@ -8,8 +8,9 @@ use ivy::cmir::ast::{Expr, Program};
 use ivy::cmir::parser::{parse_program, ReparsePath};
 use ivy::cmir::pretty::{pretty_function, pretty_program};
 use ivy::cmir::visit::{map_block_exprs, walk_block_exprs};
+use ivy::deputy::plugin::InstrumentedQuery;
 use ivy::deputy::DeputyChecker;
-use ivy::engine::{AnalysisCtx, Engine, PersistLayer, Severity};
+use ivy::engine::{AnalysisCtx, DurableQuery, Engine, PersistLayer, Query, Severity};
 use ivy::kernelgen::{KernelBuild, KernelConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -70,11 +71,10 @@ fn small_edit_recomputes_only_the_dirty_cone() {
     let engine = kernel_engine();
     engine.analyze(&build.program);
 
-    // Edit one leaf-ish function body; everything outside its caller cone
-    // keeps its cache entries. Deputy and CCount are per-function, so for
-    // them only the dirty cone misses; BlockStop re-derives its
-    // whole-program context but still reuses entries whose findings are
-    // unchanged.
+    // Edit one leaf-ish function body; every other function keeps its
+    // cache entries. Deputy and CCount are per-function, so for them only
+    // the edited function misses; BlockStop re-derives its whole-program
+    // context but still reuses entries whose findings are unchanged.
     let mut edited = build.program.clone();
     let func = edited
         .function_mut("watchdog_tick")
@@ -184,8 +184,8 @@ fn warm_start_from_persist_layer_reproduces_the_report_from_disk() {
         warm.stats.persist_hits,
         warm.stats.cache_misses
     );
-    // The warm process never had to solve points-to: the summaries, the
-    // BlockStop report, and the CCount alias sites all reloaded from disk.
+    // The warm process never had to solve points-to: the BlockStop report
+    // and the CCount alias sites reloaded from disk.
     assert_eq!(
         warm.stats.pointsto_constraints, 0,
         "a fully warm process must not solve points-to"
@@ -234,75 +234,6 @@ fn corrupt_or_version_mismatched_cache_files_are_ignored_not_fatal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A summaries entry that parses but that the scheduler could not walk —
-/// a level naming a missing SCC, a member that is not a string, a member
-/// without a cone hash — is recomputed: the warm report equals the cold
-/// one instead of panicking or dropping functions from the schedule.
-#[test]
-fn tampered_summaries_entries_are_recomputed_not_fatal() {
-    use ivy::engine::json::{self, Map, Value};
-    let build = KernelBuild::generate(&KernelConfig::small());
-    let dir = persist_dir("tampered-summaries");
-    let cold = kernel_engine()
-        .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
-        .analyze(&build.program);
-    let ns = dir.join("engine-summaries");
-    let shard = std::fs::read_dir(&ns).unwrap().next().unwrap().unwrap();
-    let shard_name = shard.file_name();
-    let original = json::from_str(&std::fs::read_to_string(shard.path()).unwrap()).unwrap();
-
-    let level_out_of_range = |s: &mut Map| {
-        let sccs = s["sccs"].as_array().unwrap().len();
-        let level = Value::Array(vec![0u64.into(), sccs.into()]);
-        s.insert("levels".into(), Value::Array(vec![level]));
-    };
-    let member_not_a_string = |s: &mut Map| {
-        let scc = Value::Array(vec![7u64.into()]);
-        s.insert("sccs".into(), Value::Array(vec![scc]));
-        let level = Value::Array(vec![0u64.into()]);
-        s.insert("levels".into(), Value::Array(vec![level]));
-    };
-    let member_without_cone_hash = |s: &mut Map| {
-        let scc = Value::Array(vec!["no_such_function".into()]);
-        s.insert("sccs".into(), Value::Array(vec![scc]));
-        let level = Value::Array(vec![0u64.into()]);
-        s.insert("levels".into(), Value::Array(vec![level]));
-    };
-    let tamperings: [&dyn Fn(&mut Map); 3] = [
-        &level_out_of_range,
-        &member_not_a_string,
-        &member_without_cone_hash,
-    ];
-    for tamper in tamperings {
-        // Leave only the summaries shard, with every entry tampered.
-        let mut planted = original.clone();
-        let Value::Object(root) = &mut planted else {
-            panic!("a shard is an object")
-        };
-        let Some(Value::Object(entries)) = root.get_mut("entries") else {
-            panic!("a shard has entries")
-        };
-        assert!(!entries.is_empty(), "cold run persisted its summaries");
-        for entry in entries.values_mut() {
-            let Value::Object(summaries) = entry else {
-                panic!("summaries encode as an object")
-            };
-            tamper(summaries);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&ns).unwrap();
-        std::fs::write(ns.join(&shard_name), json::to_string(&planted).unwrap()).unwrap();
-
-        let layer = Arc::new(PersistLayer::open(&dir).unwrap());
-        let warm = kernel_engine()
-            .with_persist(Arc::clone(&layer))
-            .analyze(&build.program);
-        assert!(layer.hits() > 0, "the planted entry was read");
-        assert_eq!(warm.diagnostics_json(), cold.diagnostics_json());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn persisted_deputy_reports_make_redeputization_incremental() {
     let build = KernelBuild::generate(&KernelConfig::small());
@@ -310,8 +241,8 @@ fn persisted_deputy_reports_make_redeputization_incremental() {
     let layer = Arc::new(PersistLayer::open(&dir).unwrap());
     let engine = kernel_engine().with_persist(Arc::clone(&layer));
     engine.analyze(&build.program);
-    let instrumented_ns = "deputy/instrumented";
-    let version = 2;
+    let instrumented_ns = InstrumentedQuery::NAME;
+    let version = InstrumentedQuery::FORMAT_VERSION;
     let before = layer.entry_count(instrumented_ns, version);
     assert!(before > 0, "cold run persisted per-function reports");
 
@@ -695,6 +626,85 @@ fn an_edit_to_the_first_of_two_same_named_functions_matches_batch() {
         "batch reports the allocation under the lock: {batch}"
     );
     assert_eq!(incremental, batch);
+}
+
+/// A fresh analysis checks a name defined twice once: BlockStop reports
+/// the allocation under the lock in the first `f` a single time.
+#[test]
+fn a_name_defined_twice_is_checked_once() {
+    let source = DUPLICATE_F.replacen("kmalloc(len, 0)", "kmalloc(len, 0x10)", 1);
+    let program = parse_program(&source).expect("source parses");
+    let report = ivy::core::experiments::default_engine(0).analyze(&program);
+    let atomic_calls = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == "blockstop/atomic-call" && d.function == "f")
+        .count();
+    assert_eq!(atomic_calls, 1, "{}", report.diagnostics_json());
+}
+
+/// Two functions named `f`: the first declares a local whose bound names
+/// its parameter, the second does not, and `g` calls `f`.
+const DUPLICATE_DEPUTY_F: &str = r#"
+fn f(n: u32) -> u32 {
+    let p: u8 * count(n) = null;
+    return 0;
+}
+
+fn f(n: u32) -> u32 {
+    return 1;
+}
+
+fn g() -> u32 {
+    return f(2);
+}
+"#;
+
+/// Deputy's result for a name is keyed by every definition of it, so an
+/// edit to the first of two definitions (a bound naming an undeclared
+/// variable) reaches the daemon's answer as it reaches a batch run's.
+#[test]
+fn an_edit_to_the_first_definition_reaches_deputy_like_batch() {
+    let engine = ivy::core::experiments::default_engine(0);
+    let base = parse_program(DUPLICATE_DEPUTY_F).expect("base parses");
+    let (ctx, _) = engine.context_for_source(base, Arc::from(DUPLICATE_DEPUTY_F));
+    engine.analyze_with_ctx(&ctx, false);
+
+    let edited = DUPLICATE_DEPUTY_F.replacen("count(n)", "count(m)", 1);
+    let edit = engine
+        .apply_source_edit(&ctx, Arc::from(edited.as_str()))
+        .expect("edit parses");
+    assert_eq!(edit.stats.changed_functions, vec!["f".to_string()]);
+    let incremental = engine.analyze_with_ctx(&edit.ctx, false).diagnostics_json();
+
+    let fresh = parse_program(&edited).expect("edited source parses");
+    let batch = ivy::core::experiments::default_engine(0)
+        .analyze(&fresh)
+        .diagnostics_json();
+    assert!(
+        batch.contains("deputy/"),
+        "batch reports the undeclared bound: {batch}"
+    );
+    assert_eq!(incremental, batch);
+}
+
+/// Deputy's per-function reports read the type environment, so an edit
+/// that changes it carries none of them (nor any other durable entry)
+/// into the edited context.
+#[test]
+fn an_env_changing_edit_carries_no_durable_entry() {
+    let program = KernelBuild::generate(&KernelConfig::small()).program;
+    let engine = kernel_engine();
+    engine.analyze(&program);
+    let (ctx, _) = engine.context_for(&program);
+
+    let mut edited = program.clone();
+    let probe = parse_program("fn env_probe() { }").expect("probe parses");
+    edited.functions.push(probe.functions[0].clone());
+    let (_, stats) = engine.apply_edit(&ctx, &edited);
+    assert!(stats.env_changed, "a new signature changes the environment");
+    assert!(stats.invalidated > 0, "the analyzed context held results");
+    assert_eq!(stats.revalidated, 0, "{stats:?}");
 }
 
 /// A function-level edit shares every untouched function and the whole
