@@ -147,8 +147,8 @@ fn bench_engine_scaling(c: &mut Criterion) {
     // Warm-*process* rows: a fresh engine with empty in-memory caches,
     // pointed at a persist directory a previous "process" populated. This
     // is the cross-process warm start (CI runs, fleet workers): the warm
-    // engine reloads checker reports and per-function diagnostics from
-    // disk and never solves points-to.
+    // engine reloads every durable checker report from disk and never
+    // solves points-to.
     println!("\n---- warm process (persistent cross-process cache) ----");
     println!(
         "{:<8} {:>12} {:>14} {:>9} {:>13}",

@@ -8,10 +8,9 @@
 //! attributes findings to their caller function at the flagged call-site
 //! span. The report is a [`DurableQuery`]: with a persist layer attached,
 //! a warm process reloads it from `target/ivy-cache/` instead of solving
-//! points-to again. The cache fingerprint folds in everything a finding
-//! depends on beyond the function's own definitions: the function's
-//! atomic/may-block membership (derived from callers and callees) and its
-//! own finding set.
+//! points-to again. Each analyze turns the memoized report's findings for
+//! a function into diagnostics, so a finding's span is the report's call
+//! site span, as current as the report itself.
 
 use crate::analysis::{AtomicReason, BlockStop, BlockStopConfig, BlockStopReport, Finding};
 use ivy_analysis::pointsto::Sensitivity;
@@ -143,10 +142,6 @@ impl BlockStopChecker {
         BlockStopChecker { config }
     }
 
-    fn config_hash(&self) -> u64 {
-        self.config.stable_hash()
-    }
-
     /// The whole-program report for a shared context, demanded through the
     /// durable query layer. Exposed so the pipeline can reuse the exact
     /// report the plugin produced.
@@ -208,21 +203,6 @@ impl Checker for BlockStopChecker {
 
     fn sensitivity(&self) -> Sensitivity {
         self.config.sensitivity
-    }
-
-    fn context_fingerprint(&self, ctx: &AnalysisCtx, func: &Function) -> u64 {
-        // Atomic context and may-block facts depend on callers and callees,
-        // which the engine's key cannot see; hash the function's slice of
-        // the memoized report so cached diagnostics are replayed only when
-        // they would be recomputed identically.
-        let report = self.report(ctx);
-        let mut h = self.config_hash();
-        h = mix(h, u64::from(report.may_block.contains(&func.name)));
-        h = mix(h, u64::from(report.atomic_functions.contains(&func.name)));
-        for finding in report.findings.iter().filter(|f| f.caller == func.name) {
-            h = mix(h, fnv1a(format!("{finding:?}").as_bytes()));
-        }
-        h
     }
 
     fn check_function(&self, ctx: &AnalysisCtx, func: &Function) -> Vec<Diagnostic> {

@@ -2,16 +2,17 @@
 //!
 //! CCount's static side is function-local — which pointer writes get the
 //! refcount rewrite, which free/memcpy/memset sites need type information —
-//! so the adapter simply drives [`analyze_function`] per scheduled function
-//! and reports the instrumentation facts as diagnostics. Free sites whose
-//! argument carries no static type are surfaced as warnings: those are the
-//! places the paper's porting effort went (explicit run-time type
-//! information), and the fix hint says so.
+//! so the adapter demands one [`FnReportQuery`] (a memoized
+//! [`analyze_function`]) per scheduled function and reports the
+//! instrumentation facts as diagnostics, built on every analyze from the
+//! current function. Free sites whose argument carries no static type are
+//! surfaced as warnings: those are the places the paper's porting effort
+//! went (explicit run-time type information), and the fix hint says so.
 
 use crate::analyze::{analyze, analyze_function, InstrumentationReport};
 use ivy_analysis::pointsto::{Loc, Sensitivity};
 use ivy_cmir::ast::Function;
-use ivy_engine::hash::{fnv1a, mix};
+use ivy_engine::hash::mix;
 use ivy_engine::json::Value;
 use ivy_engine::persist::{string_set_from_value, strings_to_value};
 use ivy_engine::{
@@ -34,10 +35,9 @@ impl Query for ProgramReportQuery {
     }
 }
 
-/// The per-function instrumentation report, keyed by function name — the
-/// cache fingerprint and the per-function check both need it, and
-/// fingerprints run on every engine pass, so one AST traversal per
-/// function per db must suffice.
+/// The per-function instrumentation report, keyed by function name. The
+/// per-function check runs on every analyze; the content key keeps the
+/// traversal's result across edits to other functions.
 pub struct FnReportQuery;
 
 impl Query for FnReportQuery {
@@ -64,9 +64,9 @@ impl Query for FnReportQuery {
 /// allocation sites of every pointer the function frees as a raw `void *`.
 /// These are exactly the objects whose layout would have to be registered
 /// with CCount, so the untyped-free warning can name them. Durable, with
-/// the default (whole-program) content key: the fingerprint reads it on
-/// every pass for a function that frees untyped pointers, and a warm
-/// process must serve it without solving points-to.
+/// the default (whole-program) content key: the check reads it for every
+/// function that frees untyped pointers, and a warm process must serve it
+/// without solving points-to.
 pub struct UntypedFreeSitesQuery;
 
 impl Query for UntypedFreeSitesQuery {
@@ -148,27 +148,6 @@ impl Checker for CCountChecker {
         // The alloc-site hints only distinguish allocation sites, which
         // every precision level models identically; the cheapest suffices.
         Sensitivity::Steensgaard
-    }
-
-    fn context_fingerprint(&self, ctx: &AnalysisCtx, func: &Function) -> u64 {
-        // Pointer-ness of writes is resolved against composites/typedefs
-        // and global/param types; the env hash covers those. The untyped-
-        // free hints additionally read points-to sets, which can change
-        // with *any* body edit — fold the queried sites in so cached
-        // diagnostics are replayed only when the hints would reproduce. A
-        // function with no untyped free roots has no sites to fold in.
-        let mut h = mix(0xcc0417, ctx.env_hash());
-        if self
-            .function_report(ctx, func)
-            .untyped_free_roots
-            .is_empty()
-        {
-            return h;
-        }
-        for site in self.alloc_sites_of_untyped_frees(ctx, func).iter() {
-            h = mix(h, fnv1a(site.as_bytes()));
-        }
-        h
     }
 
     fn check_function(&self, ctx: &AnalysisCtx, func: &Function) -> Vec<Diagnostic> {

@@ -2,9 +2,9 @@
 //!
 //! Every consumer of the batch [`Engine`](ivy_engine::Engine) pays process
 //! startup, cache reload, and a cold points-to solve per invocation. This
-//! crate keeps one engine *resident*: a server owns the diagnostic cache,
-//! context store, points-to constraint cache, and persist shards, and
-//! serves many clients over a Unix-domain socket speaking a
+//! crate keeps one engine *resident*: a server owns the context store
+//! (each context's query memo), points-to constraint cache, and persist
+//! shards, and serves many clients over a Unix-domain socket speaking a
 //! length-prefixed JSON protocol ([`protocol`]). Three properties make it
 //! more than a cache in a process:
 //!
@@ -14,14 +14,14 @@
 //!   `Report::diagnostics_json()` of `Engine::analyze` over the same
 //!   program — resident state may make answers *fast*, never *different*
 //!   (the differential-testing discipline, applied to the serving layer).
-//!   One caveat, shared with the cross-process persist layer since it
-//!   exists: every cache key is *span-insensitive* by design (a
-//!   span-sensitive key would dirty the whole file on any line-shifting
-//!   edit), so after an edit that moves later functions to new lines, a
-//!   retained diagnostic keeps the span of the program state it was
-//!   computed against — content, messages, and severities stay exact;
-//!   only the line numbers of *unchanged* functions may lag until their
-//!   results recompute. Span re-anchoring is a ROADMAP item.
+//!   Every diagnostic is built on each analyze from the current program,
+//!   so line-shifting edits move its span too, with one caveat: Deputy's
+//!   per-function reports are content-keyed, and so *span-insensitive* by
+//!   design (a span-sensitive key would dirty the whole file on any
+//!   line-shifting edit). The diagnostics a carried report holds keep
+//!   the statement spans of the program state it was computed against —
+//!   content, messages, and severities stay exact; only their line
+//!   numbers may lag. Span re-anchoring is a ROADMAP item.
 //! * **Content-keyed invalidation.** `notify_edit` ships an edit as a
 //!   splice against the previous edit's text, re-parses only the edited
 //!   function when the edit stays inside one, and carries every memoized
@@ -36,7 +36,7 @@
 //!   clobbering each other's flushes.
 //! * **Content-addressed answers.** [`Client::analyze`] names the program
 //!   by a digest of its source and ships the source only when the daemon
-//!   asks. A repeated request for an entirely cache-served answer is
+//!   asks. A repeated request for an answer whose run computed nothing is
 //!   answered from memoized response bytes, and the diagnostics travel
 //!   as a raw frame instead of an escaped JSON string.
 //!

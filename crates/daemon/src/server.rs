@@ -2,10 +2,10 @@
 //!
 //! A [`Daemon`] binds a Unix-domain socket and serves the framed-JSON
 //! protocol from one shared [`Engine`] + persist layer: every connection
-//! gets its own thread, but all of them hit the same diagnostic cache,
-//! context store, points-to constraint cache, and persist shards — so the
-//! first client pays the cold solve and everyone after (and every repeat
-//! request) is served from resident state. `notify_edit` keeps that state
+//! gets its own thread, but all of them hit the same context store (each
+//! context's query memo), points-to constraint cache, and persist shards —
+//! so the first client pays the cold solve and everyone after (and every
+//! repeat request) is served from resident state. `notify_edit` keeps that state
 //! alive *across* program states: every memoized artifact whose content
 //! key is unchanged by the edit carries over, and only the rest recompute
 //! (see [`Engine::apply_edit`]). An edit needs no lock against in-flight
@@ -336,9 +336,6 @@ const SERIES: &[Series] = {
         Series { label: Some(("path", "full")), ..counter("engine.edits.reparse_full", "ivy_daemon_edit_reparse_total",
             Of(|s| s.reparse_full.load(Relaxed))) },
         counter("verbs", "ivy_daemon_verb_requests_total", PerVerb),
-        counter("engine.cache_hits", "ivy_daemon_cache_hits_total", Of(|s| s.engine.cache().hits())),
-        counter("engine.cache_misses", "ivy_daemon_cache_misses_total", Of(|s| s.engine.cache().misses())),
-        gauge("engine.cached_results", "ivy_daemon_cached_results", Of(|s| s.engine.cache().len() as u64)),
         counter("engine.ctx_hits", "ivy_daemon_ctx_hits_total", Of(|s| s.engine.ctx_store().hits())),
         counter("engine.ctx_misses", "ivy_daemon_ctx_misses_total", Of(|s| s.engine.ctx_store().misses())),
         counter("engine.evictions", "ivy_daemon_ctx_evictions_total", Of(|s| s.engine.ctx_store().evictions())),

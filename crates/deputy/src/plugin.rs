@@ -11,22 +11,23 @@
 //! context holds its program once and no Deputy body besides. The
 //! instrumented program itself is [`Deputy::convert`]'s job.
 //!
-//! The instrumented query is a [`DurableQuery`] keyed by the function's
-//! span-insensitive content hash and the whole-program type environment
-//! hash: with a persist layer attached, re-checking after a one-function
-//! edit re-instruments exactly the edited function — in this process or a
-//! later one. The cache fingerprint for per-function diagnostics is the
-//! env hash for the same reason: a body edit leaves every other function's
-//! Deputy result cached.
+//! The instrumented query is a [`DurableQuery`] keyed by function name,
+//! whose content key mixes the function's span-insensitive content hash
+//! and the whole-program type environment hash, both as the db stores
+//! them: re-checking after a one-function edit re-instruments exactly the
+//! edited function — in this process, or, with a persist layer attached, a
+//! later one. The report's diagnostics carry the statement spans of the
+//! program state they were computed against, so after a line-shifting edit
+//! an unchanged function's report keeps its old line numbers; every other
+//! Deputy diagnostic is built from the current function on each analyze.
 
 use crate::instrument::{convert_function, Deputy};
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity as DeputySeverity};
 use ivy_analysis::callgraph::for_each_callee;
 use ivy_analysis::pointsto::Sensitivity;
 use ivy_cmir::ast::{Expr, Function, Program};
-use ivy_cmir::content::function_content_hash;
 use ivy_cmir::pretty::{expr_str, type_str};
-use ivy_engine::hash::{fnv1a, mix};
+use ivy_engine::hash::mix;
 use ivy_engine::json::{Map, Value};
 use ivy_engine::persist::{span_from_value, span_to_value};
 use ivy_engine::{
@@ -76,66 +77,40 @@ impl Query for PreparedQuery {
     }
 }
 
-/// Key of [`InstrumentedQuery`]: content-addressed, so a durable entry is
-/// valid exactly as long as the function's own definition and the
-/// whole-program type environment (the two inputs instrumentation reads)
-/// are unchanged — a one-function edit invalidates one entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InstrumentedKey {
-    /// Function name.
-    pub function: String,
-    /// Span-insensitive structural hash of the function definition.
-    pub content_hash: u64,
-    /// Whole-program type environment hash (callee signatures, composites).
-    pub env_hash: u64,
-}
-
-impl QueryKey for InstrumentedKey {
-    fn stable_hash(&self) -> u64 {
-        let h = mix(fnv1a(self.function.as_bytes()), self.content_hash);
-        mix(h, self.env_hash)
-    }
-}
-
 /// The conversion report of one function instrumented against the
 /// prepared environment (see [`convert_function`]): its check counts,
 /// static discharges and diagnostics. The instrumented body is not kept.
 pub struct InstrumentedQuery;
 
 impl Query for InstrumentedQuery {
-    type Key = InstrumentedKey;
+    type Key = String;
     type Value = ConversionReport;
     const NAME: &'static str = "deputy/instrumented";
 
-    fn compute(db: &QueryDb, key: &InstrumentedKey) -> ConversionReport {
+    fn compute(db: &QueryDb, key: &String) -> ConversionReport {
         let prepared = db.get::<PreparedQuery>(&());
         let subject = db
             .program
-            .function(&key.function)
+            .function(key)
             .expect("instrumented query demanded for a known function");
         convert_function(&prepared.env, subject).1
     }
 
-    /// The key's stable hash mixed with the function's content and the
-    /// env hash in `db`. An entry for the current content and environment
-    /// keeps its key across body edits to other functions; an entry whose
-    /// function or environment has since changed gets a different one
-    /// under the edited program and is dropped instead of being carried
-    /// into every later context.
-    fn content_key(db: &QueryDb, key: &InstrumentedKey) -> u64 {
-        mix(
-            mix(key.stable_hash(), db.fn_content(&key.function)),
-            db.env_hash(),
-        )
+    /// The function's name, its stored content hash and the stored env
+    /// hash: an edit to another function's body keeps the entry, and an
+    /// edit to this function or to the environment drops it.
+    fn content_key(db: &QueryDb, key: &String) -> u64 {
+        mix(mix(key.stable_hash(), db.fn_content(key)), db.env_hash())
     }
 }
 
 impl DurableQuery for InstrumentedQuery {
-    /// Version 3: the report alone, stored under a content key that also
-    /// mixes in the db's env hash. Version 2 used the same payload under a
-    /// key without it; version 1 also carried the instrumented body as
-    /// pretty-printed KC source.
-    const FORMAT_VERSION: u32 = 3;
+    /// Version 4: keyed by function name, with the content key mixing the
+    /// name, the stored content hash and the stored env hash. Version 3
+    /// stored the same payload under a key that hashed a caller-computed
+    /// content hash in as well; version 2 left the env hash out; version 1
+    /// also carried the instrumented body as pretty-printed KC source.
+    const FORMAT_VERSION: u32 = 4;
 
     fn encode(value: &ConversionReport) -> Value {
         report_to_value(value)
@@ -146,22 +121,33 @@ impl DurableQuery for InstrumentedQuery {
     }
 }
 
-/// Resolved indirect-call target groups per function (see
-/// [`DeputyChecker::indirect_signature_groups`]); keyed by function name.
-/// Not durable: it reads points-to target sets, and is only demanded when
-/// the (off-by-default) drift check is enabled.
+/// One function's indirect calls: callee text → parameter signature →
+/// the resolved targets with that signature.
+pub type SignatureGroups = BTreeMap<String, BTreeMap<String, BTreeSet<String>>>;
+
+/// Resolved indirect-call target groups of every defined function, by
+/// function name; a function without resolved indirect calls has no
+/// entry. One whole-program entry: it reads points-to target sets, which
+/// any edit may change. Not durable: it is only demanded when the
+/// (off-by-default) drift check is enabled.
 pub struct IndirectGroupsQuery;
 
 impl Query for IndirectGroupsQuery {
-    type Key = String;
-    type Value = BTreeMap<String, BTreeMap<String, BTreeSet<String>>>;
+    type Key = ();
+    type Value = BTreeMap<String, SignatureGroups>;
     const NAME: &'static str = "deputy/indirect-groups";
 
-    fn compute(db: &QueryDb, key: &String) -> Self::Value {
-        let Some(func) = db.program.function(key) else {
-            return BTreeMap::new();
-        };
-        DeputyChecker::new().compute_indirect_signature_groups(db, func)
+    fn compute(db: &QueryDb, _: &()) -> Self::Value {
+        let checker = DeputyChecker::new();
+        db.definitions()
+            .into_iter()
+            .filter(|(func, _)| func.body.is_some())
+            .map(|(func, _)| {
+                let groups = checker.compute_indirect_signature_groups(db, func);
+                (func.name.clone(), groups)
+            })
+            .filter(|(_, groups)| !groups.is_empty())
+            .collect()
     }
 }
 
@@ -278,36 +264,17 @@ impl DeputyChecker {
     /// the per-function checking pass and warm-started processes share the
     /// work.
     pub fn instrumented(&self, ctx: &AnalysisCtx, func: &Function) -> Arc<ConversionReport> {
-        let key = InstrumentedKey {
-            function: func.name.clone(),
-            content_hash: function_content_hash(func),
-            env_hash: ctx.env_hash(),
-        };
-        ctx.get_durable::<InstrumentedQuery>(&key)
+        ctx.get_durable::<InstrumentedQuery>(&func.name)
     }
 
-    /// Query path into the shared points-to substrate: for every indirect
-    /// call in `func`, the resolved targets grouped by their parameter
+    /// For every indirect call in `func`, the resolved targets (a query
+    /// into the shared points-to substrate) grouped by their parameter
     /// signature (types *and* Deputy annotations). More than one group
     /// means the function-pointer interface is inconsistent — some target
     /// will be entered with obligations its annotations do not state.
-    /// Demanded as a query: the cache fingerprint and the per-function
-    /// check both read it, and fingerprints run on every engine pass.
-    fn indirect_signature_groups(
-        &self,
-        ctx: &AnalysisCtx,
-        func: &Function,
-    ) -> Arc<BTreeMap<String, BTreeMap<String, BTreeSet<String>>>> {
-        ctx.get::<IndirectGroupsQuery>(&func.name)
-    }
-
-    fn compute_indirect_signature_groups(
-        &self,
-        db: &QueryDb,
-        func: &Function,
-    ) -> BTreeMap<String, BTreeMap<String, BTreeSet<String>>> {
+    fn compute_indirect_signature_groups(&self, db: &QueryDb, func: &Function) -> SignatureGroups {
         let pts = db.pointsto(self.sensitivity());
-        let mut out: BTreeMap<String, BTreeMap<String, BTreeSet<String>>> = BTreeMap::new();
+        let mut out = SignatureGroups::new();
         for_each_callee(func, &mut |callee_expr| {
             if matches!(callee_expr, Expr::Var(name) if db.program.function(name).is_some()) {
                 return; // direct call
@@ -377,29 +344,6 @@ impl Checker for DeputyChecker {
         Sensitivity::Steensgaard
     }
 
-    fn context_fingerprint(&self, ctx: &AnalysisCtx, func: &Function) -> u64 {
-        // Per-function instrumentation reads callee *signatures* (and
-        // composite layouts) from the prepared program; the env hash covers
-        // exactly that. The function's own body is in the engine's key. The
-        // indirect-annotation check additionally reads points-to target
-        // sets, which any body edit can change — fold the resolved groups
-        // in.
-        let check_indirect = u64::from(self.config.check_indirect_annotations);
-        let mut h = mix(check_indirect, ctx.env_hash());
-        if self.config.check_indirect_annotations && func.body.is_some() {
-            for (text, groups) in self.indirect_signature_groups(ctx, func).iter() {
-                h = mix(h, fnv1a(text.as_bytes()));
-                for (sig, targets) in groups {
-                    h = mix(h, fnv1a(sig.as_bytes()));
-                    for t in targets {
-                        h = mix(h, fnv1a(t.as_bytes()));
-                    }
-                }
-            }
-        }
-        h
-    }
-
     fn check_program(&self, ctx: &AnalysisCtx) -> Vec<Diagnostic> {
         // Validation diagnostics attributed to non-function subjects
         // (composite fields read `Type::field`, globals read `global g`)
@@ -426,7 +370,8 @@ impl Checker for DeputyChecker {
             .collect();
 
         if func.body.is_some() && self.config.check_indirect_annotations {
-            for (text, groups) in self.indirect_signature_groups(ctx, func).iter() {
+            let all = ctx.get::<IndirectGroupsQuery>(&());
+            for (text, groups) in all.get(&func.name).into_iter().flatten() {
                 if groups.len() < 2 {
                     continue;
                 }
@@ -483,8 +428,8 @@ impl Checker for DeputyChecker {
         }
 
         if func.body.is_some() {
-            // Demanded through the durable query so warm processes reuse
-            // the work.
+            // Demanded through the durable query so later runs, edits
+            // and warm processes reuse the work.
             let report = self.instrumented(ctx, func);
             out.extend(report.diagnostics.iter().map(Self::to_diagnostic));
             if report.total_runtime_checks() > 0 || report.static_discharged > 0 {
@@ -588,12 +533,6 @@ mod tests {
             .collect();
         assert_eq!(drift.len(), 1, "diags: {diags:?}");
         assert!(drift[0].message.contains("strict") && drift[0].message.contains("loose"));
-        // Fingerprints differ between the two configurations (the check
-        // folds the resolved target groups in).
-        assert_ne!(
-            checker.context_fingerprint(&ctx, fire),
-            default_checker.context_fingerprint(&ctx, fire)
-        );
     }
 
     #[test]

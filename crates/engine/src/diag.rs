@@ -204,16 +204,18 @@ pub struct EngineStats {
     pub functions: usize,
     /// Registered checkers.
     pub checkers: usize,
-    /// Per-function results served from the in-memory incremental cache in
-    /// this run.
+    /// Query reads served from the context's memo table in this run. The
+    /// counts are the context's query traffic between the start and the
+    /// end of the run, so runs of one context that overlap (concurrent
+    /// daemon requests) may add to each other's counts.
     pub cache_hits: u64,
-    /// Per-function results computed fresh in this run (served by neither
-    /// the in-memory cache nor the persist layer).
+    /// Queries computed in this run (served by neither the memo table nor
+    /// the persist layer).
     pub cache_misses: u64,
-    /// Per-function results served from the cross-process persist layer in
+    /// Durable query reads served from the cross-process persist layer in
     /// this run.
     pub persist_hits: u64,
-    /// Per-function results that consulted the persist layer and missed
+    /// Durable query reads that consulted the persist layer and missed
     /// (0 when no persist layer is attached).
     pub persist_misses: u64,
     /// Persist-layer entries dropped by compaction over the layer's
@@ -317,8 +319,8 @@ impl EngineStats {
         })
     }
 
-    /// Fraction of per-function checker results served from the in-memory
-    /// cache (persist-served results count toward the denominator only).
+    /// Fraction of this run's query reads served from the memo table
+    /// (persist-served reads count toward the denominator only).
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses + self.persist_hits;
         if total == 0 {
@@ -328,10 +330,10 @@ impl EngineStats {
         }
     }
 
-    /// Fraction of per-function checker results served from the
-    /// cross-process persist layer.
+    /// Fraction of this run's persist-layer reads that were served from
+    /// disk.
     pub fn persist_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses + self.persist_hits;
+        let total = self.persist_hits + self.persist_misses;
         if total == 0 {
             0.0
         } else {

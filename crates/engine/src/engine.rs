@@ -1,52 +1,29 @@
-//! The engine: checker plugins run per function with incremental caching.
+//! The engine: checker plugins run per function over one shared query db.
 //!
 //! [`Engine::analyze`] visits each function name once, in program order,
-//! on the calling thread, and runs every registered checker over it.
-//! Per-function results are served from the shared [`DiagnosticCache`]
-//! when the name's definitions and the checker's context fingerprint are
-//! unchanged. No checker reads a callee's body, so functions need no
-//! call-graph order. Analysis contexts themselves are reused across runs of
-//! structurally equal programs, so the pipeline's analyze→fix→re-analyze
-//! loop stops paying for points-to and call-graph construction twice.
+//! on the calling thread, and runs every registered checker over it. Each
+//! checker reads its per-function facts through queries, so the db's
+//! content keys alone decide what a run recomputes. No checker reads a
+//! callee's body, so functions need no call-graph order. Analysis contexts
+//! themselves are reused across runs of structurally equal programs, so
+//! the pipeline's analyze→fix→re-analyze loop stops paying for points-to
+//! and call-graph construction twice.
 
-use crate::cache::DiagnosticCache;
 use crate::checker::{sensitivity_rank, Checker};
 use crate::diag::{Diagnostic, EngineStats, Report};
 use crate::persist::PersistLayer;
 use crate::query::{InvalidationStats, Pointsto};
 use crate::AnalysisCtx;
 use ivy_analysis::pointsto::{ConstraintCache, Sensitivity};
-use ivy_analysis::summary::{fnv1a, mix};
 use ivy_cmir::ast::Program;
 use ivy_cmir::content::ProgramHashes;
 use ivy_cmir::parser::{parse_program, reparse, ReparsePath, Reparsed};
 use ivy_cmir::CmirError;
-use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default maximum number of analysis contexts kept resident for reuse.
 const CTX_CACHE_CAP: usize = 16;
-
-/// Payload version of persisted per-function diagnostic entries; bump when
-/// the diagnostic encoding or key changes. Version 2 added structured
-/// evidence (format-1 entries would silently lack citations); version 3
-/// keys an entry by the function's own definitions instead of a hash of
-/// its transitive callees.
-const DIAG_FORMAT: u32 = 3;
-
-/// Persist namespace for one checker's per-function diagnostics.
-fn diag_namespace(checker: &str) -> String {
-    format!("diag/{checker}")
-}
-
-/// Content-addressed persist key for one per-function checker result:
-/// `definitions` hashes every definition of the function's name
-/// ([`AnalysisCtx::definitions`]), the fingerprint covers everything else
-/// the checker declared.
-fn diag_key(definitions: u64, fingerprint: u64) -> u64 {
-    mix(mix(fnv1a(b"diag"), definitions), fingerprint)
-}
 
 /// A shareable LRU store of analysis contexts, keyed by program hash.
 /// Several engines (e.g. the stages of a pipeline, or every daemon
@@ -237,11 +214,10 @@ pub struct SourceEdit {
     pub reparse: Option<ReparsePath>,
 }
 
-/// The analysis engine. Cheap to clone the configuration of (checkers are
-/// shared `Arc`s, the cache is shared by design).
+/// The analysis engine. Cheap to clone the configuration of (checkers,
+/// the context store and the constraint cache are shared `Arc`s).
 pub struct Engine {
     checkers: Vec<Arc<dyn Checker>>,
-    cache: Arc<DiagnosticCache>,
     ctx_store: Arc<CtxStore>,
     pts_cache: Arc<ConstraintCache>,
     persist: Option<Arc<PersistLayer>>,
@@ -254,11 +230,10 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with no checkers and a fresh cache.
+    /// An engine with no checkers and fresh shared state.
     pub fn new() -> Engine {
         Engine {
             checkers: Vec::new(),
-            cache: Arc::new(DiagnosticCache::new()),
             ctx_store: Arc::new(CtxStore::new()),
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
@@ -286,10 +261,10 @@ impl Engine {
         self
     }
 
-    /// Shares an existing diagnostic cache (e.g. across the engines of a
-    /// pipeline, or across corpus analyses).
-    pub fn with_cache(mut self, cache: Arc<DiagnosticCache>) -> Engine {
-        self.cache = cache;
+    /// Kept only because `perfbench` still calls it: does nothing. An
+    /// engine has no diagnostic cache; the query db decides reuse.
+    #[doc(hidden)]
+    pub fn with_cache<T>(self, _: T) -> Engine {
         self
     }
 
@@ -307,10 +282,9 @@ impl Engine {
         self
     }
 
-    /// Attaches a cross-process persist layer: per-function diagnostics
-    /// and every durable query result spill to it, and later runs — in
-    /// this process or another — are served from it. Engine runs flush the
-    /// layer when they finish.
+    /// Attaches a cross-process persist layer: every durable query result
+    /// spills to it, and later runs — in this process or another — are
+    /// served from it. Engine runs flush the layer when they finish.
     pub fn with_persist(mut self, persist: Arc<PersistLayer>) -> Engine {
         self.persist = Some(persist);
         self
@@ -326,10 +300,9 @@ impl Engine {
         Arc::clone(&self.pts_cache)
     }
 
-    /// The engine's diagnostic cache.
-    pub fn cache(&self) -> Arc<DiagnosticCache> {
-        Arc::clone(&self.cache)
-    }
+    /// Kept only because `perfbench` still calls it: does nothing.
+    #[doc(hidden)]
+    pub fn cache(&self) {}
 
     /// The engine's context store.
     pub fn ctx_store(&self) -> Arc<CtxStore> {
@@ -481,15 +454,16 @@ impl Engine {
         (ctx, stats)
     }
 
-    /// Analyzes an already-constructed context. `ctx_reused` is only
-    /// recorded in the stats.
+    /// Analyzes an already-constructed context: every checker's
+    /// `check_program`, then its `check_function` for each function name.
+    /// The run's stats count the query traffic the checkers caused on
+    /// `ctx`. `ctx_reused` is only recorded in the stats.
     pub fn analyze_with_ctx(&self, ctx: &Arc<AnalysisCtx>, ctx_reused: bool) -> Report {
         let _analyze_span = ivy_telemetry::span(
             "engine/analyze",
             format!("analyze:{:016x}", ctx.program_hash),
         );
-        let (mut hits, mut misses) = (0u64, 0u64);
-        let (mut persist_hits, mut persist_misses) = (0u64, 0u64);
+        let before = ctx.query_stats();
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
         // Program-level diagnostics (composite/global annotation errors and
@@ -500,33 +474,18 @@ impl Engine {
 
         let definitions = ctx.definitions();
         let wave_span = ivy_telemetry::span("engine/wave", format!("{} fns", definitions.len()));
-        for (func, defs) in definitions {
+        for (func, _) in definitions {
             for checker in &self.checkers {
-                let fingerprint = checker.context_fingerprint(ctx, func);
-                let key = (checker.name(), defs, fingerprint);
-                if let Some(cached) = self.cache.get(&key) {
-                    hits += 1;
-                    diagnostics.extend(cached.iter().cloned());
-                    continue;
-                }
-                // In-memory miss: the persist layer may have the result
-                // from an earlier process.
-                if let Some(reloaded) = self.persisted_diags(checker.name(), defs, fingerprint) {
-                    persist_hits += 1;
-                    self.cache.put(key, reloaded.clone());
-                    diagnostics.extend(reloaded);
-                    continue;
-                }
-                if self.persist.is_some() {
-                    persist_misses += 1;
-                }
-                misses += 1;
-                let check_span = ivy_telemetry::span(
-                    "engine/checker",
-                    format!("{}:{}", checker.name(), func.name),
-                );
-                let check_start = check_span.is_recording().then(std::time::Instant::now);
-                let fresh = checker.check_function(ctx, func);
+                // Built only when spans record: this runs for every
+                // (function, checker) on every analyze.
+                let check_span = ivy_telemetry::spans_enabled().then(|| {
+                    ivy_telemetry::span(
+                        "engine/checker",
+                        format!("{}:{}", checker.name(), func.name),
+                    )
+                });
+                let check_start = check_span.is_some().then(std::time::Instant::now);
+                diagnostics.extend(checker.check_function(ctx, func));
                 drop(check_span);
                 if let Some(start) = check_start {
                     ivy_telemetry::counter_labeled(
@@ -536,33 +495,24 @@ impl Engine {
                         start.elapsed().as_micros() as u64,
                     );
                 }
-                if let Some(layer) = &self.persist {
-                    layer.put(
-                        &diag_namespace(checker.name()),
-                        DIAG_FORMAT,
-                        diag_key(defs, fingerprint),
-                        Value::Array(fresh.iter().map(Diagnostic::to_value).collect()),
-                    );
-                }
-                self.cache.put(key, fresh.clone());
-                diagnostics.extend(fresh);
             }
         }
         drop(wave_span);
+        let traffic = ctx.query_stats();
 
         // Points-to substrate statistics, peeked rather than demanded: a
-        // checker may have demanded the result above, but a run served
-        // entirely from the persist layer never solves points-to — forcing a solve just for the stats would throw the
-        // warm start away. For a reused context the numbers describe the
-        // run that first built the result.
+        // run served entirely from the persist layer never solves
+        // points-to, and forcing a solve just for the stats would throw
+        // the warm start away. For a reused context the numbers describe
+        // the run that first built the result.
         let pts = ctx.peek::<Pointsto>(&self.required_sensitivity());
         let mut stats = EngineStats {
             functions: ctx.program.functions.len(),
             checkers: self.checkers.len(),
-            cache_hits: hits,
-            cache_misses: misses,
-            persist_hits,
-            persist_misses,
+            cache_hits: traffic.memo_hits - before.memo_hits,
+            cache_misses: traffic.computed - before.computed,
+            persist_hits: traffic.persist_hits - before.persist_hits,
+            persist_misses: traffic.persist_misses - before.persist_misses,
             ctx_reused,
             ..EngineStats::default()
         };
@@ -573,11 +523,6 @@ impl Engine {
             stats.pointsto_batches_generated = pts.batches_generated;
             stats.pointsto_solve_mode = pts.mode.name().to_string();
         }
-        // Checker results reloaded from (or missed in) the persist layer.
-        // The layer's own counters see every entry lookup, every query
-        // kind, so this diagnostic-level count exists only here.
-        ivy_telemetry::counter("ivy_engine_persist_hits_total", stats.persist_hits);
-        ivy_telemetry::counter("ivy_engine_persist_misses_total", stats.persist_misses);
         // Make this run's results durable before handing the report back.
         if let Some(layer) = &self.persist {
             if let Err(err) = layer.flush() {
@@ -595,31 +540,12 @@ impl Engine {
         }
         Report::new(diagnostics, stats)
     }
-
-    /// Reloads one per-function checker result from the persist layer, if
-    /// it is attached and has a decodable entry.
-    fn persisted_diags(
-        &self,
-        checker: &str,
-        definitions: u64,
-        fingerprint: u64,
-    ) -> Option<Vec<Diagnostic>> {
-        let layer = self.persist.as_ref()?;
-        let raw = layer.get(
-            &diag_namespace(checker),
-            DIAG_FORMAT,
-            diag_key(definitions, fingerprint),
-        )?;
-        raw.as_array()?
-            .iter()
-            .map(Diagnostic::from_value)
-            .collect::<Option<Vec<_>>>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::{DurableQuery, Query};
     use ivy_cmir::ast::Function;
     use ivy_cmir::parser::parse_program;
 
@@ -680,15 +606,38 @@ mod tests {
         assert_eq!(store.misses(), 2);
     }
 
-    /// A checker that finds nothing; its results persist under
-    /// `diag/probe`.
+    /// A durable query whose results persist under `probe/durable`.
+    struct ProbeQuery;
+
+    impl Query for ProbeQuery {
+        type Key = String;
+        type Value = u64;
+        const NAME: &'static str = "probe/durable";
+        fn compute(_db: &AnalysisCtx, key: &String) -> u64 {
+            key.len() as u64
+        }
+    }
+
+    impl DurableQuery for ProbeQuery {
+        const FORMAT_VERSION: u32 = 1;
+        fn encode(value: &u64) -> serde_json::Value {
+            serde_json::Value::from(*value)
+        }
+        fn decode(raw: &serde_json::Value) -> Option<u64> {
+            raw.as_u64()
+        }
+    }
+
+    /// A checker that finds nothing, reading one durable fact per
+    /// function.
     struct Probe;
 
     impl Checker for Probe {
         fn name(&self) -> &'static str {
             "probe"
         }
-        fn check_function(&self, _ctx: &AnalysisCtx, _func: &Function) -> Vec<Diagnostic> {
+        fn check_function(&self, ctx: &AnalysisCtx, func: &Function) -> Vec<Diagnostic> {
+            ctx.get_durable::<ProbeQuery>(&func.name);
             Vec::new()
         }
     }
@@ -698,12 +647,12 @@ mod tests {
         let root = std::env::temp_dir().join(format!("ivy-flush-err-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(&root).unwrap();
-        // Make the checker's diagnostics namespace unwritable: occupy its
-        // shard *directory* path with a plain file so the flush's
+        // Make the probe query's namespace unwritable: occupy its shard
+        // *directory* path with a plain file so the flush's
         // `create_dir_all` fails even when the test runs as root (a
         // read-only mode bit alone would not stop uid 0), and drop the
         // root's write bit for unprivileged runs.
-        std::fs::write(root.join("diag-probe"), "not a directory").unwrap();
+        std::fs::write(root.join("probe-durable"), "not a directory").unwrap();
         #[cfg(unix)]
         {
             use std::os::unix::fs::PermissionsExt;

@@ -33,15 +33,16 @@
 //!    body, so no order between functions is needed. Concurrency comes
 //!    from callers: a daemon serves each connection on its own thread over
 //!    one shared engine.
-//! 4. **Incremental + persistent caches** — per-function results are keyed
-//!    by a hash of the function's own definitions plus a checker context
-//!    fingerprint ([`DiagnosticCache`]); after an edit only the edited
-//!    functions and those whose fingerprint changed recompute, and
-//!    re-analyzing an unchanged kernel is served entirely from cache. With a [`PersistLayer`] attached
-//!    ([`Engine::with_persist`]), per-function diagnostics and every
-//!    [`query::DurableQuery`] result additionally spill to versioned JSON
-//!    under `target/ivy-cache/`, so a *separate process* (a CI run, a
-//!    fleet worker) starts warm and can reproduce a report without solving
+//! 4. **Incremental + persistent reuse** — one memo: every checker reads
+//!    its per-function facts through queries, and each analyze calls
+//!    `check_function` for every (function, checker), so the query db's
+//!    content keys alone decide what is recomputed. After an edit only the
+//!    queries whose content key changed recompute, and re-analyzing an
+//!    unchanged kernel computes no query at all. With a [`PersistLayer`]
+//!    attached ([`Engine::with_persist`]), every [`query::DurableQuery`]
+//!    result additionally spills to versioned JSON under
+//!    `target/ivy-cache/`, so a *separate process* (a CI run, a fleet
+//!    worker) starts warm and can reproduce a report without solving
 //!    points-to at all.
 //! 5. **Reports** — the unified [`Diagnostic`]/[`Report`] model with
 //!    stable-ordered JSON and SARIF serialization; fresh engines produce
@@ -84,22 +85,22 @@
 //! let engine = Engine::new().with_checker(Arc::new(ParamCount));
 //! let report = engine.analyze(&program);
 //! assert_eq!(report.diagnostics.len(), 1);
-//! // A second run over the unchanged program is served from cache.
+//! // A second run over the unchanged program reuses its context, and
+//! // this checker demands no query, so neither run computed anything.
 //! let again = engine.analyze(&program);
-//! assert_eq!(again.stats.cache_hits, 1);
+//! assert!(again.stats.ctx_reused);
+//! assert_eq!(again.stats.cache_misses, 0);
 //! assert_eq!(again.diagnostics, report.diagnostics);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod checker;
 pub mod diag;
 mod engine;
 pub mod persist;
 pub mod query;
 
-pub use cache::{CacheKey, DiagnosticCache};
 pub use checker::Checker;
 pub use diag::{Diagnostic, EngineStats, Evidence, Report, Severity};
 pub use engine::{CtxStore, Engine, SourceEdit};

@@ -2,10 +2,10 @@
 //!
 //! A [`PersistLayer`] is a directory (by convention `target/ivy-cache/`) of
 //! versioned JSON namespaces. Each [`DurableQuery`](crate::query::DurableQuery)
-//! (and the engine's per-function diagnostic results) owns one namespace;
-//! entries inside a namespace are keyed by 16-hex-digit content hashes, so
-//! a key is valid exactly as long as the program content it was derived
-//! from — there is no invalidation protocol, only content addressing.
+//! owns one namespace, named after the query; entries inside a namespace
+//! are keyed by the query's 16-hex-digit content keys, so a key is valid
+//! exactly as long as the program content it was derived from — there is
+//! no invalidation protocol, only content addressing.
 //!
 //! **Sharding.** A namespace is a *directory* of per-writer shard files:
 //! every layer writes only its own `<namespace>/<writer>.json` shard and
@@ -37,10 +37,10 @@
 //!
 //! ```text
 //! target/ivy-cache/
-//!   diag-deputy/                 one directory per namespace...
+//!   deputy-instrumented/         one directory per namespace...
 //!     w41123.json                ...one shard per writer:
-//!     w41300.json                {"format":1,"namespace":"diag/deputy",
-//!   deputy-instrumented/          "version":<query FORMAT_VERSION>,
+//!     w41300.json                {"format":1,"namespace":"deputy/instrumented",
+//!   blockstop-report/             "version":<query FORMAT_VERSION>,
 //!     w41123.json                 "entries":{"<16-hex key>": <value>}}
 //!   ...
 //! ```
@@ -97,8 +97,8 @@ pub struct PersistLayer {
     flush_seq: AtomicU64,
 }
 
-/// Turns a namespace name into a safe file stem (`diag/deputy` →
-/// `diag-deputy`).
+/// Turns a namespace name into a safe file stem (`deputy/instrumented` →
+/// `deputy-instrumented`).
 fn file_stem(namespace: &str) -> String {
     namespace
         .chars()
@@ -488,12 +488,12 @@ mod tests {
     fn namespaces_map_to_distinct_sanitized_shard_dirs() {
         let root = temp_root("files");
         let layer = PersistLayer::open(&root).unwrap();
-        layer.put("diag/deputy", 1, 1, Value::from(1u64));
-        layer.put("diag/ccount", 1, 1, Value::from(2u64));
+        layer.put("deputy/instrumented", 1, 1, Value::from(1u64));
+        layer.put("blockstop/report", 1, 1, Value::from(2u64));
         assert_eq!(layer.flush().unwrap(), 2);
         let shard = format!("w{}.json", std::process::id());
-        assert!(root.join("diag-deputy").join(&shard).exists());
-        assert!(root.join("diag-ccount").join(&shard).exists());
+        assert!(root.join("deputy-instrumented").join(&shard).exists());
+        assert!(root.join("blockstop-report").join(&shard).exists());
         // Clean flushes write nothing.
         assert_eq!(layer.flush().unwrap(), 0);
         let _ = fs::remove_dir_all(&root);

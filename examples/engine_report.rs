@@ -1,6 +1,6 @@
 //! Run the full checker fleet over a generated kernel through `ivy-engine`
 //! and print the unified report: severity counts, the BlockStop findings,
-//! cache behaviour on a re-run, and a SARIF snippet.
+//! query reuse on a re-run, and a SARIF snippet.
 //!
 //! Run with: `cargo run --release --example engine_report`
 
@@ -39,7 +39,7 @@ fn main() {
 
     let warm = engine.analyze(&build.program);
     println!(
-        "\nre-analyzing the unchanged kernel: {} hits / {} misses ({:.0}% cached)",
+        "\nre-analyzing the unchanged kernel: {} query memo hits, {} computed ({:.0}% memo-served)",
         warm.stats.cache_hits,
         warm.stats.cache_misses,
         warm.stats.hit_rate() * 100.0

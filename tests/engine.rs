@@ -1,6 +1,7 @@
 //! Integration tests for the analysis engine over the generated kernel:
-//! report determinism, incremental caching, per-function invalidation,
-//! fleet (corpus) mode, and the program identity edits are diffed by.
+//! report determinism, incremental reuse through the query db,
+//! per-function invalidation, fleet (corpus) mode, and the program
+//! identity edits are diffed by.
 
 use ivy::blockstop::BlockStopChecker;
 use ivy::ccount::CCountChecker;
@@ -47,8 +48,7 @@ fn unchanged_kernel_is_served_from_cache() {
     let build = KernelBuild::generate(&KernelConfig::small());
     let engine = kernel_engine();
     let cold = engine.analyze(&build.program);
-    assert_eq!(cold.stats.cache_hits, 0, "first run must be cold");
-    assert!(cold.stats.cache_misses > 0);
+    assert!(cold.stats.cache_misses > 0, "first run must compute");
 
     let warm = engine.analyze(&build.program);
     assert_eq!(warm.diagnostics, cold.diagnostics);
@@ -56,13 +56,12 @@ fn unchanged_kernel_is_served_from_cache() {
         warm.stats.ctx_reused,
         "identical program must reuse the analysis context"
     );
-    assert!(
-        warm.stats.hit_rate() >= 0.9,
-        "second analyze over an unchanged kernel must be >=90% cache-served, got {:.3} ({} hits, {} misses)",
-        warm.stats.hit_rate(),
-        warm.stats.cache_hits,
-        warm.stats.cache_misses
+    assert_eq!(
+        warm.stats.cache_misses, 0,
+        "second analyze over an unchanged kernel computes no query ({} memo hits)",
+        warm.stats.cache_hits
     );
+    assert!(warm.stats.cache_hits > 0);
 }
 
 #[test]
@@ -72,9 +71,9 @@ fn small_edit_recomputes_only_the_dirty_cone() {
     engine.analyze(&build.program);
 
     // Edit one leaf-ish function body; every other function keeps its
-    // cache entries. Deputy and CCount are per-function, so for them only
-    // the edited function misses; BlockStop re-derives its whole-program
-    // context but still reuses entries whose findings are unchanged.
+    // per-function query results. Deputy and CCount are per-function, so
+    // for them only the edited function recomputes; BlockStop re-derives
+    // its whole-program report.
     let mut edited = build.program.clone();
     let func = edited
         .function_mut("watchdog_tick")
@@ -87,13 +86,13 @@ fn small_edit_recomputes_only_the_dirty_cone() {
     let total = incremental.stats.cache_hits + incremental.stats.cache_misses;
     assert!(
         incremental.stats.cache_hits * 2 > total,
-        "a one-function edit should keep most entries cached: {} hits / {} lookups",
+        "a one-function edit should serve most query reads from the memo: {} hits / {} reads",
         incremental.stats.cache_hits,
         total
     );
     assert!(
         incremental.stats.cache_misses > 0,
-        "the dirty function itself must recompute"
+        "the dirty function's queries must recompute"
     );
     // The points-to substrate is incremental across contexts too: the
     // edited program's solve regenerates exactly one constraint batch.
@@ -132,19 +131,23 @@ fn corpus_mode_shares_the_cache_across_variants() {
             KernelBuild::generate(&config).program
         })
         .collect();
-    // One engine analyzes the variants in turn over its shared cache.
+    // One engine analyzes the variants in turn over its shared points-to
+    // constraint cache: the one artifact shared between contexts no edit
+    // links.
     let engine = kernel_engine();
     let reports: Vec<_> = programs.iter().map(|p| engine.analyze(p)).collect();
     for r in &reports {
         assert!(!r.diagnostics.is_empty());
     }
-    let hits: u64 = reports.iter().map(|r| r.stats.cache_hits).sum();
-    let misses: u64 = reports.iter().map(|r| r.stats.cache_misses).sum();
-    let rate = hits as f64 / (hits + misses) as f64;
-    assert!(
-        rate > 0.5,
-        "cross-variant sharing too low: {rate:.3} ({hits} hits, {misses} misses)"
-    );
+    assert_eq!(reports[0].stats.pointsto_batches_reused, 0);
+    for (i, r) in reports.iter().enumerate().skip(1) {
+        let reused = r.stats.pointsto_batches_reused;
+        let generated = r.stats.pointsto_batches_generated;
+        assert!(
+            reused > 4 * generated,
+            "variant {i} shares too few constraint batches: {reused} reused, {generated} generated"
+        );
+    }
 
     // Corpus reports equal the individually-computed ones.
     let solo = kernel_engine().analyze(&programs[1]);
@@ -169,20 +172,15 @@ fn warm_start_from_persist_layer_reproduces_the_report_from_disk() {
         .with_persist(Arc::new(PersistLayer::open(&dir).unwrap()))
         .analyze(&build.program);
 
-    // Byte-identical report, served overwhelmingly from disk.
+    // Byte-identical report, every durable read served from disk.
     assert_eq!(warm.diagnostics, cold.diagnostics);
     assert_eq!(warm.diagnostics_json(), cold.diagnostics_json());
     assert_eq!(warm.to_sarif(), cold.to_sarif());
+    assert!(warm.stats.persist_hits > 0);
     assert_eq!(
-        warm.stats.cache_hits, 0,
-        "process B's memory caches are empty"
-    );
-    assert!(
-        warm.stats.persist_hit_rate() >= 0.9,
-        "a warm process must serve >=90% of per-function results from disk, got {:.3} ({} persist hits, {} misses)",
-        warm.stats.persist_hit_rate(),
-        warm.stats.persist_hits,
-        warm.stats.cache_misses
+        warm.stats.persist_misses, 0,
+        "a warm process must read every durable result from disk: {:?}",
+        warm.stats
     );
     // The warm process never had to solve points-to: the BlockStop report
     // and the CCount alias sites reloaded from disk.
@@ -319,7 +317,7 @@ fn edit_sequences_keep_retention_high_and_answers_fresh() {
         let total = served + incremental.stats.cache_misses;
         assert!(
             served as f64 / total as f64 >= 0.9,
-            "step {step}: only {:.3} re-served after the edit",
+            "step {step}: only {:.3} of query reads re-served after the edit",
             served as f64 / total as f64
         );
 
@@ -759,4 +757,70 @@ fn analyze_holds_the_callers_functions_without_copying_them() {
         .iter()
         .zip(ctx.program.functions.arcs())
         .all(|(a, b)| Arc::ptr_eq(a, b)));
+}
+
+/// A kernel fragment whose functions each draw a diagnostic from a
+/// different checker: `raw_free` frees an untyped pointer (CCount), `g`
+/// allocates under a spinlock (BlockStop), and `walks` indexes a pointer
+/// (Deputy).
+const LINE_SHIFT: &str = r#"
+#[allocator] #[blocking_if(flags)]
+extern fn kmalloc(size: u32, flags: u32) -> void *;
+extern fn kfree(p: void *);
+extern fn spin_lock_irqsave(l: u32 *);
+
+global lk: u32 = 0;
+
+fn e(len: u32) -> u32 {
+    return len;
+}
+
+fn raw_free(p: void *) {
+    kfree(p);
+}
+
+fn g() {
+    spin_lock_irqsave(&lk);
+    let buf: void * = kmalloc(8, 0x10);
+    return;
+}
+
+fn walks(p: u32 *, n: u32) -> u32 {
+    return p[n];
+}
+"#;
+
+/// An edit that moves every later function down three lines leaves their
+/// content unchanged, yet the daemon's incremental answer must carry the
+/// new lines, exactly as a fresh batch run of the edited source does.
+#[test]
+fn a_line_shifting_edit_matches_batch() {
+    let engine = ivy::core::experiments::default_engine(0);
+    let base = parse_program(LINE_SHIFT).expect("base parses");
+    let (ctx, _) = engine.context_for_source(base, Arc::from(LINE_SHIFT));
+    engine.analyze_with_ctx(&ctx, false);
+
+    let edited = LINE_SHIFT.replacen(
+        "    return len;",
+        "    let x: u32 = 1;\n\n\n    return len;",
+        1,
+    );
+    let edit = engine
+        .apply_source_edit(&ctx, Arc::from(edited.as_str()))
+        .expect("edit parses");
+    assert_eq!(edit.stats.changed_functions, vec!["e".to_string()]);
+    let incremental = engine.analyze_with_ctx(&edit.ctx, false).diagnostics_json();
+
+    let fresh = parse_program(&edited).expect("edited source parses");
+    let batch = ivy::core::experiments::default_engine(0)
+        .analyze(&fresh)
+        .diagnostics_json();
+    for code in [
+        "ccount/untyped-free",
+        "blockstop/atomic-call",
+        "deputy/instrumentation",
+    ] {
+        assert!(batch.contains(code), "batch reports {code}: {batch}");
+    }
+    assert_eq!(incremental, batch);
 }
