@@ -22,8 +22,6 @@ pub struct CallGraph {
     /// Functions whose outgoing edges are incomplete because they contain
     /// inline assembly (the paper's explicit soundness caveat).
     pub opaque_functions: BTreeSet<String>,
-    /// Indirect call sites that could not be resolved to any target.
-    pub unresolved_sites: usize,
 }
 
 impl CallGraph {
@@ -41,10 +39,10 @@ impl CallGraph {
                     callees.insert(name.clone());
                 }
                 other => {
-                    let targets = pointsto.indirect_targets_for(&func.name, &expr_str(other));
-                    match targets.filter(|t| !t.is_empty()) {
-                        Some(targets) => callees.extend(targets.iter().cloned()),
-                        None => cg.unresolved_sites += 1,
+                    if let Some(targets) =
+                        pointsto.indirect_targets_for(&func.name, &expr_str(other))
+                    {
+                        callees.extend(targets.iter().cloned());
                     }
                 }
             });
@@ -65,11 +63,6 @@ impl CallGraph {
             .filter(|(_, callees)| callees.contains(func))
             .map(|(caller, _)| caller.clone())
             .collect()
-    }
-
-    /// Total number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.values().map(|s| s.len()).sum()
     }
 
     /// Propagates a property backwards through the call graph: starting from

@@ -3,8 +3,6 @@
 //! The paper's three analyses (Deputy, CCount, BlockStop) and the proposed
 //! extensions (§3.1) all sit on the same substrate:
 //!
-//! * [`lattice`] / [`dataflow`] — a generic worklist dataflow solver over the
-//!   CFGs built by `ivy-cmir`.
 //! * [`pointsto`] — whole-program points-to analysis in three precision
 //!   levels (Steensgaard, Andersen, Andersen + field-based field
 //!   sensitivity), used to resolve function-pointer calls. Solved by an
@@ -14,7 +12,8 @@
 //!   naive reference solver is retained for differential testing.
 //! * [`callgraph`] — call-graph construction (direct + indirect edges),
 //!   backwards property propagation, reachability, and weighted depth
-//!   queries for the stack-bound extension.
+//!   queries for the stack-bound extension (BlockStop reads its call
+//!   edges off its own call sites instead).
 //! * [`summary`] — the `fnv1a`/`mix` content-hashing primitives every
 //!   cache and persist key is built from.
 //!
@@ -45,14 +44,10 @@
 #![warn(missing_docs)]
 
 pub mod callgraph;
-pub mod dataflow;
-pub mod lattice;
 pub mod pointsto;
 pub mod summary;
 
 pub use callgraph::CallGraph;
-pub use dataflow::{solve, Direction, Solution, Transfer};
-pub use lattice::{BoolLattice, Lattice, MapLattice, SetLattice};
 pub use pointsto::{
     analyze, analyze_incremental, analyze_naive, ConstraintCache, Loc, PointsToResult, Sensitivity,
 };

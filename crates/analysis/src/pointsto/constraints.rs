@@ -148,19 +148,10 @@ pub(crate) fn gen_program(
 enum Binding<'p> {
     /// A local or global variable of the declared type.
     Var(&'p Type),
-    /// A function no variable of the same name shadows.
+    /// A function no variable of the same name shadows. A variable of
+    /// function type shadows it too, as the VM resolves names: `f()`
+    /// through a function-typed parameter `f` calls through the parameter.
     Func,
-}
-
-impl Binding<'_> {
-    /// Whether the name's type is a function type — the cases in which a
-    /// function of the same name is not shadowed.
-    fn is_func(self) -> bool {
-        match self {
-            Binding::Var(t) => matches!(t, Type::Func(_)),
-            Binding::Func => true,
-        }
-    }
 }
 
 /// What a variable name denotes where an expression reads it.
@@ -324,12 +315,6 @@ impl<'g, 'p> ConstraintGen<'g, 'p> {
         self.index.function(name).map(|_| Binding::Func)
     }
 
-    /// Whether `name`, bound as `binding`, denotes a function constant: a
-    /// function no non-function-typed local or global shadows.
-    fn is_function_constant(&self, name: &str, binding: Option<Binding<'p>>) -> bool {
-        self.index.function(name).is_some() && binding.is_none_or(Binding::is_func)
-    }
-
     /// The location of variable `name`, bound as `binding`: a global (even
     /// under a local of the same name), a local of the unit, or `None` for
     /// an unbound name or a bare function name (which the caller handles
@@ -339,7 +324,7 @@ impl<'g, 'p> ConstraintGen<'g, 'p> {
         if self.index.globals.contains_key(name) {
             return Some(LocKey::Global(self.sym(name)));
         }
-        if self.index.function(name).is_some() && binding.is_func() {
+        if matches!(binding, Binding::Func) {
             return None;
         }
         Some(LocKey::Local {
@@ -351,7 +336,7 @@ impl<'g, 'p> ConstraintGen<'g, 'p> {
     /// What variable `name` denotes where it is read, with one lookup.
     fn name_use(&mut self, name: &str) -> NameUse {
         let binding = self.lookup(name);
-        if self.is_function_constant(name, binding) {
+        if matches!(binding, Some(Binding::Func)) {
             return NameUse::Function(self.sym(name));
         }
         match self.var_loc(name, binding) {
@@ -546,7 +531,7 @@ impl<'g, 'p> ConstraintGen<'g, 'p> {
                 let arg_locs: Vec<LocKey> = args.iter().map(|a| self.gen_value(a)).collect();
                 let result = self.fresh();
                 match &**callee {
-                    Expr::Var(name) if self.is_function_constant(name, self.lookup(name)) => {
+                    Expr::Var(name) if matches!(self.lookup(name), Some(Binding::Func)) => {
                         let f = self.index.function(name).expect("checked above");
                         let callee = self.sym(name);
                         if f.attrs.allocator {

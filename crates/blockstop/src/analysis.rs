@@ -7,9 +7,10 @@
 //! 1. seed the `blocking` set from annotations (`#[blocking]`,
 //!    `#[blocking_if(flags)]` for allocators) and the known sleeping
 //!    primitives;
-//! 2. build the call graph, resolving function-pointer calls with the
-//!    points-to analysis from `ivy-analysis`;
-//! 3. propagate "may block" backwards through the call graph;
+//! 2. collect every call site, resolving function-pointer calls with the
+//!    points-to analysis from `ivy-analysis`; the sites' targets are the
+//!    call graph;
+//! 3. propagate "may block" backwards through the call sites;
 //! 4. determine which call sites execute in atomic context (interrupt
 //!    handlers, IRQ-disabled regions, spinlock-held regions), including
 //!    functions reached transitively from such sites;
@@ -22,7 +23,6 @@
 //! guarded (it no longer propagates "may block" to its callers and findings
 //! against it are suppressed).
 
-use ivy_analysis::callgraph::CallGraph;
 use ivy_analysis::pointsto::{self, Sensitivity};
 use ivy_cmir::ast::{Block, Check, Expr, Function, Program, Stmt};
 use ivy_cmir::pretty::expr_str;
@@ -159,11 +159,6 @@ pub struct BlockStopReport {
     pub atomic_functions: BTreeSet<String>,
     /// Flagged call sites.
     pub findings: Vec<Finding>,
-    /// Number of call-graph edges considered.
-    pub callgraph_edges: usize,
-    /// Indirect call sites that resolved to no target (soundness gap, also
-    /// includes calls from inline-assembly functions being invisible).
-    pub unresolved_indirect_sites: usize,
     /// Findings suppressed because the callee is guarded by a run-time
     /// assertion.
     pub suppressed_by_assert: u64,
@@ -204,6 +199,10 @@ struct Site {
     caller: String,
     callee_text: String,
     targets: BTreeSet<String>,
+    /// True when the targets are call-graph edges: always for a call
+    /// through a pointer, and for a direct call when the program defines
+    /// or declares the name (not for a builtin or undeclared external).
+    in_call_graph: bool,
     /// True if this site itself is a direct call to a conditional allocator
     /// with flags that may sleep.
     waits_for_memory: bool,
@@ -225,29 +224,23 @@ impl BlockStop {
         BlockStop { config }
     }
 
-    /// Runs the whole-program analysis, computing its own points-to results
-    /// and call graph. When several tools run together, prefer
+    /// Runs the whole-program analysis, computing its own points-to
+    /// results. When several tools run together, prefer
     /// [`BlockStop::analyze_with`] over a shared `ivy_engine::AnalysisCtx`
-    /// so those artifacts are computed once.
+    /// so points-to is solved once.
     pub fn analyze(&self, program: &Program) -> BlockStopReport {
         let pts = pointsto::analyze(program, self.config.sensitivity);
-        let callgraph = CallGraph::build(program, &pts);
-        self.analyze_with(program, &pts, &callgraph)
+        self.analyze_with(program, &pts)
     }
 
     /// Runs the whole-program analysis over precomputed points-to results
-    /// and call graph (which must match [`BlockStopConfig::sensitivity`]).
+    /// (which must match [`BlockStopConfig::sensitivity`]).
     pub fn analyze_with(
         &self,
         program: &Program,
         pts: &ivy_analysis::PointsToResult,
-        callgraph: &CallGraph,
     ) -> BlockStopReport {
-        let mut report = BlockStopReport {
-            callgraph_edges: callgraph.edge_count(),
-            unresolved_indirect_sites: callgraph.unresolved_sites,
-            ..BlockStopReport::default()
-        };
+        let mut report = BlockStopReport::default();
 
         // 1. Seeds.
         let mut seeds: BTreeSet<String> = BUILTIN_BLOCKING.iter().map(|s| s.to_string()).collect();
@@ -259,7 +252,15 @@ impl BlockStop {
         report.seeds = seeds.clone();
 
         // 2. Enumerate call sites with their atomic-region and GFP context.
+        //    Their targets are the call graph: every target of a call
+        //    through a pointer, and the name of a direct call when the
+        //    program defines or declares it.
         let sites = self.collect_sites(program, pts);
+        let mut callees: Callees = BTreeMap::new();
+        for site in sites.iter().filter(|site| site.in_call_graph) {
+            let edges = callees.entry(site.caller.as_str()).or_default();
+            edges.extend(site.targets.iter().map(String::as_str));
+        }
 
         // 3. may_block: backwards propagation. Asserted functions do not
         //    propagate blocking to their callers (their entry is guarded).
@@ -317,7 +318,7 @@ impl BlockStop {
             }
         }
         while let Some(f) = queue.pop_front() {
-            for callee in callgraph.callees(&f) {
+            for &callee in callees.get(f.as_str()).into_iter().flatten() {
                 if program
                     .function(callee)
                     .map(|g| g.body.is_some())
@@ -325,8 +326,8 @@ impl BlockStop {
                     && !atomic.contains_key(callee)
                     && !self.config.asserted_functions.contains(callee)
                 {
-                    atomic.insert(callee.clone(), AtomicReason::CalledFromAtomic);
-                    queue.push_back(callee.clone());
+                    atomic.insert(callee.to_string(), AtomicReason::CalledFromAtomic);
+                    queue.push_back(callee.to_string());
                 }
             }
         }
@@ -371,7 +372,7 @@ impl BlockStop {
             };
             let example_chain = blocking_chain(
                 blocking_targets.iter().next().expect("non-empty"),
-                callgraph,
+                &callees,
                 &seeds,
             );
             report.findings.push(Finding {
@@ -499,29 +500,31 @@ impl Caller<'_> {
         let Expr::Call(callee, args) = call else {
             return;
         };
-        let (targets, callee_text, waits) = match &**callee {
+        let (targets, callee_text, in_call_graph, waits) = match &**callee {
             // A bare name that is not one of the caller's variables is a
             // direct call, whether to a defined function, a builtin, or an
             // undeclared external.
             Expr::Var(name)
                 if !self.vars.contains(&name.as_str()) && !self.globals.contains(name.as_str()) =>
             {
-                let waits = waits_for_memory(self.program, name, args);
+                let declared = self.program.function(name);
+                let waits = waits_for_memory(declared, name, args);
                 let targets = BTreeSet::from([name.clone()]);
-                (targets, name.clone(), waits)
+                (targets, name.clone(), declared.is_some(), waits)
             }
             // A function pointer, named by a variable or reached through
             // an expression: its targets come from points-to.
             other => {
                 let text = expr_str(other);
                 let targets = self.pts.indirect_call_targets(&self.func.name, &text);
-                (targets, text, false)
+                (targets, text, true, false)
             }
         };
         out.push(Site {
             caller: self.func.name.clone(),
             callee_text,
             targets,
+            in_call_graph,
             waits_for_memory: waits,
             in_atomic_region: depth > 0,
             span,
@@ -529,14 +532,15 @@ impl Caller<'_> {
     }
 }
 
-/// True if this call is to a conditional allocator with flags that allow
+/// True if this call to `name` (`declared`, when the program defines or
+/// declares it) is to a conditional allocator with flags that allow
 /// sleeping (either a non-constant flags argument, or a constant containing
 /// `GFP_WAIT`).
-fn waits_for_memory(program: &Program, name: &str, args: &[Expr]) -> bool {
+fn waits_for_memory(declared: Option<&Function>, name: &str, args: &[Expr]) -> bool {
     let flag_param_idx = if BUILTIN_BLOCKING_IF_FLAGS.contains(&name) {
         Some(1)
     } else {
-        program.function(name).and_then(|f| {
+        declared.and_then(|f| {
             f.attrs
                 .blocking_if_flag
                 .as_ref()
@@ -553,27 +557,34 @@ fn waits_for_memory(program: &Program, name: &str, args: &[Expr]) -> bool {
     }
 }
 
+/// Caller name → the names its call sites may reach.
+type Callees<'a> = BTreeMap<&'a str, BTreeSet<&'a str>>;
+
 /// A call chain from `from` down to a blocking seed, for diagnostics.
-fn blocking_chain(from: &str, cg: &CallGraph, seeds: &BTreeSet<String>) -> Vec<String> {
+fn blocking_chain<'a>(
+    from: &'a str,
+    callees: &Callees<'a>,
+    seeds: &BTreeSet<String>,
+) -> Vec<String> {
     // BFS towards a seed.
-    let mut prev: BTreeMap<String, String> = BTreeMap::new();
-    let mut queue = VecDeque::from([from.to_string()]);
-    let mut seen = BTreeSet::from([from.to_string()]);
+    let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut queue = VecDeque::from([from]);
+    let mut seen = BTreeSet::from([from]);
     while let Some(f) = queue.pop_front() {
-        if seeds.contains(&f) {
-            let mut chain = vec![f.clone()];
+        if seeds.contains(f) {
+            let mut chain = vec![f.to_string()];
             let mut cur = f;
-            while let Some(p) = prev.get(&cur) {
-                chain.push(p.clone());
-                cur = p.clone();
+            while let Some(&p) = prev.get(cur) {
+                chain.push(p.to_string());
+                cur = p;
             }
             chain.reverse();
             return chain;
         }
-        for callee in cg.callees(&f) {
-            if seen.insert(callee.clone()) {
-                prev.insert(callee.clone(), f.clone());
-                queue.push_back(callee.clone());
+        for &callee in callees.get(f).into_iter().flatten() {
+            if seen.insert(callee) {
+                prev.insert(callee, f);
+                queue.push_back(callee);
             }
         }
     }

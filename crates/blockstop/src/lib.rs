@@ -1,8 +1,9 @@
 //! `ivy-blockstop` — BlockStop, the call-graph analysis that the kernel never
 //! calls blocking functions while interrupts are disabled (§2.3 of the paper).
 //!
-//! The analysis builds a whole-program call graph (resolving function-pointer
-//! calls with `ivy-analysis`'s points-to analysis), propagates a seed set of
+//! The analysis collects every call site of the program (resolving
+//! function-pointer calls with `ivy-analysis`'s points-to analysis), whose
+//! targets form its call graph, propagates a seed set of
 //! blocking functions backwards, tracks which call sites run in atomic
 //! context (interrupt handlers, IRQ-disabled and spinlocked regions, and
 //! everything reachable from them), and reports every atomic call site whose

@@ -4,9 +4,9 @@
 //! call graph from interrupt handlers, may-block facts flow *up* from
 //! sleeping primitives — so the adapter demands one [`BlockStopReport`]
 //! through the typed query layer ([`ReportQuery`], keyed by the analysis
-//! configuration, reusing the db's points-to results and call graph) and
-//! attributes findings to their caller function at the flagged call-site
-//! span. The report is a [`DurableQuery`]: with a persist layer attached,
+//! configuration, reusing the db's points-to results; its one walk over
+//! the program's call sites is also its call graph) and attributes
+//! findings to their caller function at the flagged call-site span. The report is a [`DurableQuery`]: with a persist layer attached,
 //! a warm process reloads it from `target/ivy-cache/` instead of solving
 //! points-to again. Each analyze turns the memoized report's findings for
 //! a function into diagnostics, so a finding's span is the report's call
@@ -45,15 +45,15 @@ impl Query for ReportQuery {
     const NAME: &'static str = "blockstop/report";
 
     fn compute(db: &QueryDb, key: &BlockStopConfig) -> BlockStopReport {
-        let sens = key.sensitivity;
-        let pts = db.pointsto(sens);
-        let cg = db.callgraph(sens);
-        BlockStop::with_config(key.clone()).analyze_with(&db.program, &pts, &cg)
+        let pts = db.pointsto(key.sensitivity);
+        BlockStop::with_config(key.clone()).analyze_with(&db.program, &pts)
     }
 }
 
 impl DurableQuery for ReportQuery {
-    const FORMAT_VERSION: u32 = 1;
+    /// Version 2: version 1 also carried the call-graph edge count and the
+    /// unresolved indirect-site count.
+    const FORMAT_VERSION: u32 = 2;
 
     fn encode(report: &BlockStopReport) -> Value {
         let findings: Vec<Value> = report
@@ -82,14 +82,6 @@ impl DurableQuery for ReportQuery {
         );
         root.insert("findings".into(), Value::Array(findings));
         root.insert(
-            "callgraph_edges".into(),
-            Value::from(report.callgraph_edges),
-        );
-        root.insert(
-            "unresolved_indirect_sites".into(),
-            Value::from(report.unresolved_indirect_sites),
-        );
-        root.insert(
             "suppressed_by_assert".into(),
             Value::from(report.suppressed_by_assert),
         );
@@ -117,8 +109,6 @@ impl DurableQuery for ReportQuery {
             seeds: string_set_from_value(raw.get("seeds")?)?,
             atomic_functions: string_set_from_value(raw.get("atomic_functions")?)?,
             findings,
-            callgraph_edges: raw.get("callgraph_edges")?.as_u64()? as usize,
-            unresolved_indirect_sites: raw.get("unresolved_indirect_sites")?.as_u64()? as usize,
             suppressed_by_assert: raw.get("suppressed_by_assert")?.as_u64()?,
         })
     }

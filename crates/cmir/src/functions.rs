@@ -53,6 +53,15 @@ impl Functions {
         Iter(self.items.iter())
     }
 
+    /// Each name's first definition (the one a lookup by name finds), in
+    /// program order.
+    pub fn first_definitions(&self) -> impl Iterator<Item = &Function> {
+        self.iter()
+            .enumerate()
+            .filter(|(i, f)| self.position(&f.name) == Some(*i))
+            .map(|(_, f)| f)
+    }
+
     /// The shared handles, in program order.
     pub fn arcs(&self) -> &[Arc<Function>] {
         &self.items

@@ -10,10 +10,8 @@
 //! * [`lexer`] / [`parser`] — a deterministic textual surface syntax, so the
 //!   synthetic kernel corpus is inspectable and round-trippable.
 //! * [`pretty`] — pretty printer producing that same syntax.
-//! * [`builder`] — fluent builders used by `ivy-kernelgen`.
 //! * [`typecheck`] — ordinary C-level validation and expression typing
 //!   (Deputy's memory-safety checking lives in `ivy-deputy`).
-//! * [`cfg`] — basic-block control-flow graphs for the dataflow analyses.
 //! * [`layout`] — i386 data layout (sizes, alignment, field offsets).
 //! * [`visit`] — traversal/rewriting helpers and the erasure transformation.
 //!
@@ -41,8 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod builder;
-pub mod cfg;
 pub mod content;
 pub mod error;
 pub mod functions;

@@ -7,8 +7,9 @@
 //! positives, and hand back a program that can be executed fully
 //! instrumented on the VM.
 //!
-//! Since the engine rework, all three tools run as [`Checker`] plugins over
-//! shared, memoized [`AnalysisCtx`]s: points-to results and call graphs are
+//! Since the engine rework, all three tools run as
+//! [`Checker`](ivy_engine::Checker) plugins over shared, memoized
+//! [`AnalysisCtx`](ivy_engine::AnalysisCtx)s: points-to results are
 //! computed once per program state instead of once per tool, checker facts
 //! are memoized per function, and the pipeline's three program states
 //! (fixed → asserted → deputized) share one context store and one
@@ -28,8 +29,6 @@ use ivy_deputy::plugin::DeputyChecker;
 use ivy_deputy::{ConversionReport, Deputy};
 use ivy_engine::{CtxStore, Diagnostic, Engine, PersistLayer, Report};
 use ivy_kernelgen::KernelBuild;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Configuration of the combined pipeline.
@@ -37,7 +36,6 @@ pub struct Pipeline {
     ctx_store: Arc<CtxStore>,
     pts_cache: Arc<ConstraintCache>,
     persist: Option<Arc<PersistLayer>>,
-    daemon: Option<PathBuf>,
 }
 
 impl Default for Pipeline {
@@ -46,7 +44,6 @@ impl Default for Pipeline {
             ctx_store: Arc::new(CtxStore::new()),
             pts_cache: Arc::new(ConstraintCache::new()),
             persist: None,
-            daemon: None,
         }
     }
 }
@@ -60,7 +57,6 @@ impl Clone for Pipeline {
             ctx_store: Arc::clone(&self.ctx_store),
             pts_cache: Arc::clone(&self.pts_cache),
             persist: self.persist.clone(),
-            daemon: self.daemon.clone(),
         }
     }
 }
@@ -109,53 +105,6 @@ impl Pipeline {
     pub fn with_persist(mut self, persist: Arc<PersistLayer>) -> Self {
         self.persist = Some(persist);
         self
-    }
-
-    /// Daemon-backed mode (builder style): point the pipeline at a
-    /// resident [`ivy_daemon`] socket. [`Pipeline::recheck`] then routes
-    /// re-analysis round-trips through the daemon — which keeps points-to
-    /// and query state alive across processes — and falls back
-    /// to the in-process engine when the socket is dead. The daemon serves
-    /// the default checker fleet, so answers are byte-identical either
-    /// way.
-    pub fn with_daemon(mut self, socket: impl Into<PathBuf>) -> Self {
-        self.daemon = Some(socket.into());
-        self
-    }
-
-    /// One analyze round-trip against a resident daemon, decoded back into
-    /// an engine [`Report`]. The daemon's `diagnostics_json` is the stable
-    /// serialization, so the decoded report reproduces it byte-identically.
-    pub fn daemon_analyze(socket: &Path, program: &Program) -> io::Result<Report> {
-        let mut client = ivy_daemon::Client::connect(socket)?;
-        let outcome = client.analyze(&ivy_cmir::pretty::pretty_program(program))?;
-        let parsed = ivy_engine::json::from_str(&outcome.diagnostics_json)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-        let diagnostics: Vec<Diagnostic> = parsed
-            .as_array()
-            .and_then(|items| items.iter().map(Diagnostic::from_value).collect())
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "undecodable daemon diagnostics")
-            })?;
-        Ok(Report::new(diagnostics, outcome.stats))
-    }
-
-    /// Re-checks one program state — the analyze half of the
-    /// analyze→fix→re-analyze loop. With a daemon configured (see
-    /// [`Pipeline::with_daemon`]) and reachable, the round-trip is served
-    /// by the resident engine; otherwise an in-process engine pass runs.
-    /// Both paths produce byte-identical stable serializations.
-    pub fn recheck(&self, program: &Program) -> Report {
-        if let Some(socket) = &self.daemon {
-            if let Ok(report) = Self::daemon_analyze(socket, program) {
-                return report;
-            }
-        }
-        let mut engine = self.engine();
-        for checker in ivy_daemon::fleet_checkers(ivy_deputy::DeputyConfig::default()) {
-            engine = engine.with_checker(checker);
-        }
-        engine.analyze(program)
     }
 
     fn engine(&self) -> Engine {
@@ -358,34 +307,6 @@ mod tests {
             second.report.stats
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn daemon_backed_recheck_matches_the_in_process_engine() {
-        let build = KernelBuild::generate(&KernelConfig::small());
-        // Canonical program text: the daemon parses source, so compare
-        // both paths over the same parsed form.
-        let source = ivy_cmir::pretty::pretty_program(&build.program);
-        let program = ivy_cmir::parser::parse_program(&source).unwrap();
-
-        let socket =
-            std::env::temp_dir().join(format!("ivy-pipeline-daemon-{}.sock", std::process::id()));
-        let handle = ivy_daemon::Daemon::spawn(ivy_daemon::DaemonConfig::new(&socket)).unwrap();
-
-        let local = Pipeline::new().recheck(&program);
-        let via_daemon = Pipeline::new().with_daemon(&socket).recheck(&program);
-        assert!(!via_daemon.diagnostics.is_empty());
-        assert_eq!(local.diagnostics, via_daemon.diagnostics);
-        assert_eq!(local.diagnostics_json(), via_daemon.diagnostics_json());
-
-        // A dead socket falls back to the in-process engine, not an error.
-        ivy_daemon::Client::connect(&socket)
-            .unwrap()
-            .shutdown()
-            .unwrap();
-        handle.join();
-        let fallback = Pipeline::new().with_daemon(&socket).recheck(&program);
-        assert_eq!(local.diagnostics_json(), fallback.diagnostics_json());
     }
 
     #[test]

@@ -78,9 +78,9 @@ impl DaemonConfig {
 
 /// The checker fleet — Deputy (at the given configuration), CCount, and
 /// BlockStop. The *single* definition every serving path builds from:
-/// the daemon ([`fleet_engine`]), batch mode
-/// (`ivy_core::experiments::default_engine`), and the pipeline's
-/// `recheck` fallback all call this, so their answers cannot drift.
+/// the daemon ([`fleet_engine`]) and batch mode
+/// (`ivy_core::experiments::default_engine`) both call this, so their
+/// answers cannot drift.
 pub fn fleet_checkers(deputy: ivy_deputy::DeputyConfig) -> Vec<Arc<dyn ivy_engine::Checker>> {
     vec![
         Arc::new(DeputyChecker::with_config(deputy)),

@@ -16,10 +16,10 @@
 //! and the whole-program type environment hash, both as the db stores
 //! them: re-checking after a one-function edit re-instruments exactly the
 //! edited function — in this process, or, with a persist layer attached, a
-//! later one. The report's diagnostics carry the statement spans of the
-//! program state they were computed against, so after a line-shifting edit
-//! an unchanged function's report keeps its old line numbers; every other
-//! Deputy diagnostic is built from the current function on each analyze.
+//! later one. The report stores its diagnostics' lines relative to the
+//! function's start line, and each analyze re-bases them on the current
+//! function, so an edit that only moves a function keeps its entry and
+//! still reports the lines a fresh run of the edited source reports.
 
 use crate::instrument::{convert_function, Deputy};
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity as DeputySeverity};
@@ -27,6 +27,7 @@ use ivy_analysis::callgraph::for_each_callee;
 use ivy_analysis::pointsto::Sensitivity;
 use ivy_cmir::ast::{Expr, Function, Program};
 use ivy_cmir::pretty::{expr_str, type_str};
+use ivy_cmir::Span;
 use ivy_engine::hash::mix;
 use ivy_engine::json::{Map, Value};
 use ivy_engine::persist::{span_from_value, span_to_value};
@@ -79,7 +80,8 @@ impl Query for PreparedQuery {
 
 /// The conversion report of one function instrumented against the
 /// prepared environment (see [`convert_function`]): its check counts,
-/// static discharges and diagnostics. The instrumented body is not kept.
+/// static discharges and diagnostics, whose span lines are relative to the
+/// function's start line. The instrumented body is not kept.
 pub struct InstrumentedQuery;
 
 impl Query for InstrumentedQuery {
@@ -93,7 +95,12 @@ impl Query for InstrumentedQuery {
             .program
             .function(key)
             .expect("instrumented query demanded for a known function");
-        convert_function(&prepared.env, subject).1
+        let mut report = convert_function(&prepared.env, subject).1;
+        let start = subject.span.start.line;
+        for d in &mut report.diagnostics {
+            d.span = d.span.map(|span| shift_lines(span, start.wrapping_neg()));
+        }
+        report
     }
 
     /// The function's name, its stored content hash and the stored env
@@ -105,12 +112,13 @@ impl Query for InstrumentedQuery {
 }
 
 impl DurableQuery for InstrumentedQuery {
-    /// Version 4: keyed by function name, with the content key mixing the
-    /// name, the stored content hash and the stored env hash. Version 3
+    /// Version 5: diagnostic span lines relative to the function's start
+    /// line. Version 4 stored them absolute, under the same content key
+    /// (the name, the stored content hash and the stored env hash). Version 3
     /// stored the same payload under a key that hashed a caller-computed
     /// content hash in as well; version 2 left the env hash out; version 1
     /// also carried the instrumented body as pretty-printed KC source.
-    const FORMAT_VERSION: u32 = 4;
+    const FORMAT_VERSION: u32 = 5;
 
     fn encode(value: &ConversionReport) -> Value {
         report_to_value(value)
@@ -119,6 +127,14 @@ impl DurableQuery for InstrumentedQuery {
     fn decode(raw: &Value) -> Option<ConversionReport> {
         report_from_value(raw)
     }
+}
+
+/// `span` moved down by `lines`, wrapping: a shift by `n` and then by
+/// `n.wrapping_neg()` restores every span, synthetic ones included.
+fn shift_lines(mut span: Span, lines: u32) -> Span {
+    span.start.line = span.start.line.wrapping_add(lines);
+    span.end.line = span.end.line.wrapping_add(lines);
+    span
 }
 
 /// One function's indirect calls: callee text → parameter signature →
@@ -139,10 +155,11 @@ impl Query for IndirectGroupsQuery {
 
     fn compute(db: &QueryDb, _: &()) -> Self::Value {
         let checker = DeputyChecker::new();
-        db.definitions()
-            .into_iter()
-            .filter(|(func, _)| func.body.is_some())
-            .map(|(func, _)| {
+        db.program
+            .functions
+            .first_definitions()
+            .filter(|func| func.body.is_some())
+            .map(|func| {
                 let groups = checker.compute_indirect_signature_groups(db, func);
                 (func.name.clone(), groups)
             })
@@ -262,7 +279,8 @@ impl DeputyChecker {
     /// The conversion report of one function (instrumented against the
     /// prepared environment), demanded through the durable query layer so
     /// the per-function checking pass and warm-started processes share the
-    /// work.
+    /// work. Its diagnostics' span lines are relative to the start line of
+    /// `func`.
     pub fn instrumented(&self, ctx: &AnalysisCtx, func: &Function) -> Arc<ConversionReport> {
         ctx.get_durable::<InstrumentedQuery>(&func.name)
     }
@@ -431,7 +449,11 @@ impl Checker for DeputyChecker {
             // Demanded through the durable query so later runs, edits
             // and warm processes reuse the work.
             let report = self.instrumented(ctx, func);
-            out.extend(report.diagnostics.iter().map(Self::to_diagnostic));
+            let start = func.span.start.line;
+            out.extend(report.diagnostics.iter().map(|d| Diagnostic {
+                span: d.span.map(|span| shift_lines(span, start)),
+                ..Self::to_diagnostic(d)
+            }));
             if report.total_runtime_checks() > 0 || report.static_discharged > 0 {
                 let kinds: Vec<String> = report
                     .runtime_checks

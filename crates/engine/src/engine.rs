@@ -472,9 +472,9 @@ impl Engine {
             diagnostics.extend(checker.check_program(ctx));
         }
 
-        let definitions = ctx.definitions();
-        let wave_span = ivy_telemetry::span("engine/wave", format!("{} fns", definitions.len()));
-        for (func, _) in definitions {
+        let functions = &ctx.program.functions;
+        let wave_span = ivy_telemetry::span("engine/wave", format!("{} fns", functions.len()));
+        for func in functions.first_definitions() {
             for checker in &self.checkers {
                 // Built only when spans record: this runs for every
                 // (function, checker) on every analyze.

@@ -5,8 +5,8 @@
 //! turned into an execution engine. It has five layers:
 //!
 //! 1. **Queries** — the typed, demand-driven [`query`] subsystem: every
-//!    artifact (points-to, call graphs, CFGs, checker-owned
-//!    precomputations) is a [`query::Query`] with a typed key and value,
+//!    artifact (points-to results, checker-owned precomputations) is a
+//!    [`query::Query`] with a typed key and value,
 //!    memoized per `(query, key)` in a [`query::QueryDb`] under a
 //!    *content key*: a hash of what the result was computed from (the
 //!    whole program by default; a function's content, or that and the
@@ -108,10 +108,10 @@ pub use persist::PersistLayer;
 pub use query::{DurableQuery, InvalidationStats, Query, QueryDb, QueryKey};
 
 /// The shared analysis context every checker receives: one [`QueryDb`]
-/// per program state, built once and handed to every checker. Whole-program
-/// artifacts (points-to per sensitivity, call graphs, per-function CFGs)
-/// are built-in queries computed on first demand;
-/// checker-owned precomputations are [`Query`] impls in the checker crates.
+/// per program state, built once and handed to every checker. Points-to
+/// results (one per sensitivity) are the built-in query, computed on first
+/// demand; checker-owned precomputations are [`Query`] impls in the
+/// checker crates.
 pub type AnalysisCtx = QueryDb;
 
 /// Re-export of the JSON value model used by report serialization (the

@@ -1,7 +1,7 @@
 //! The typed, demand-driven query subsystem.
 //!
-//! Everything an analysis can ask for — points-to results, call graphs,
-//! CFGs, checker-owned precomputations — is a [`Query`]: a unit
+//! Everything an analysis can ask for — points-to results and
+//! checker-owned precomputations — is a [`Query`]: a unit
 //! type naming the artifact, a typed [`Query::Key`], a typed
 //! [`Query::Value`], and a `compute` function that derives the value from
 //! the [`QueryDb`] on first demand. The db memoizes per `(query type,
@@ -24,26 +24,23 @@
 //!
 //! ```compile_fail
 //! use ivy_engine::query::{Query, QueryDb};
-//! use ivy_engine::query::Callgraph;
+//! use ivy_engine::query::Pointsto;
 //! use ivy_analysis::pointsto::Sensitivity;
 //! # use ivy_cmir::parser::parse_program;
 //! let db = QueryDb::new(&parse_program("fn f() { }").unwrap());
-//! // The old `ctx.memo::<String>("callgraph/steensgaard", ...)` would have
+//! // The old `ctx.memo::<String>("pointsto/steensgaard", ...)` would have
 //! // compiled and panicked at run time on the type confusion. The typed
 //! // query API rejects the wrong value type at compile time:
-//! let s: std::sync::Arc<String> = db.get::<Callgraph>(&Sensitivity::Steensgaard);
+//! let s: std::sync::Arc<String> = db.get::<Pointsto>(&Sensitivity::Steensgaard);
 //! ```
 
 use crate::persist::PersistLayer;
 use ivy_analysis::pointsto::{self, ConstraintCache, PointsToResult, Sensitivity, SolveOptions};
 use ivy_analysis::summary::{fnv1a, mix};
-use ivy_analysis::CallGraph;
-use ivy_cmir::ast::{Function, Program};
-use ivy_cmir::cfg::Cfg;
+use ivy_cmir::ast::Program;
 use ivy_cmir::content::ProgramHashes;
 use serde_json::Value;
 use std::any::{Any, TypeId};
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -454,7 +451,7 @@ impl QueryDb {
     /// reads only stored hashes, and the entry is carried exactly when the
     /// key matches the one it was stored under. Whole-program results
     /// (default key) are therefore dropped by any edit, while an unedited
-    /// function's CFG or Deputy report survives. An entry loaded from the
+    /// function's Deputy report survives. An entry loaded from the
     /// persist layer is judged by the same key as one computed here, and
     /// an entry a concurrent compute publishes on this db carries the key
     /// of the program it was computed from, so edits need not wait for
@@ -523,21 +520,9 @@ impl QueryDb {
         self.get::<Pointsto>(&sensitivity)
     }
 
-    /// The call graph at a precision level.
-    pub fn callgraph(&self, sensitivity: Sensitivity) -> Arc<CallGraph> {
-        self.get::<Callgraph>(&sensitivity)
-    }
-
     /// Kept only because `perfbench` still calls it: does nothing.
     #[doc(hidden)]
     pub fn summaries(&self, _sensitivity: Sensitivity) {}
-
-    /// The CFG of one defined function.
-    pub fn cfg(&self, function: &str) -> Option<Arc<Cfg>> {
-        let func = self.program.function(function)?;
-        func.body.as_ref()?;
-        Some(self.get::<CfgOf>(&function.to_string()))
-    }
 
     /// Hash of the whole-program type environment (signatures, composites,
     /// typedefs, globals — bodies excluded), as stored when the db was
@@ -555,46 +540,28 @@ impl QueryDb {
             .position(function)
             .map_or(0, |i| self.hashes.functions[i])
     }
+}
 
-    /// Each function name once, in program order, as its first definition
-    /// (the one [`Program::function`] returns) with a hash of every
-    /// definition of the name, from the stored hashes: the content hash
-    /// itself for a name defined once, the definitions' hashes mixed in
-    /// program order otherwise. An edit to any definition of a name
-    /// changes its hash.
-    pub fn definitions(&self) -> Vec<(&Function, u64)> {
-        let functions = &self.program.functions;
-        let mut first: HashMap<&str, usize> = HashMap::with_capacity(functions.len());
-        let mut defs: Vec<(&Function, u64)> = Vec::with_capacity(functions.len());
-        for (func, &hash) in functions.iter().zip(&self.hashes.functions) {
-            match first.entry(func.name.as_str()) {
-                MapEntry::Vacant(slot) => {
-                    slot.insert(defs.len());
-                    defs.push((func, hash));
-                }
-                MapEntry::Occupied(slot) => {
-                    let combined = &mut defs[*slot.get()].1;
-                    *combined = mix(*combined, hash);
-                }
-            }
-        }
-        defs
+/// Each function name of a db with a hash of every definition of the
+/// name, from the stored hashes: the content hash itself for a name
+/// defined once, the definitions' hashes mixed in program order otherwise.
+/// An edit to any definition of a name changes its hash.
+fn definitions(db: &QueryDb) -> HashMap<&str, u64> {
+    let mut defs: HashMap<&str, u64> = HashMap::with_capacity(db.program.functions.len());
+    for (func, &hash) in db.program.functions.iter().zip(&db.hashes.functions) {
+        defs.entry(func.name.as_str())
+            .and_modify(|combined| *combined = mix(*combined, hash))
+            .or_insert(hash);
     }
+    defs
 }
 
 /// The names whose definitions differ between two dbs, sorted: a name
-/// defined in one only, or whose [`QueryDb::definitions`] hash differs.
-/// Every definition counts, not only the first one
-/// [`QueryDb::fn_content`] reads, so an edit to a later duplicate reports
-/// its name.
+/// defined in one only, or whose [`definitions`] hash differs. Every
+/// definition counts, not only the first one [`QueryDb::fn_content`]
+/// reads, so an edit to a later duplicate reports its name.
 fn changed_names(old: &QueryDb, new: &QueryDb) -> Vec<String> {
-    fn by_name(db: &QueryDb) -> HashMap<&str, u64> {
-        db.definitions()
-            .into_iter()
-            .map(|(func, hash)| (func.name.as_str(), hash))
-            .collect()
-    }
-    let (old, new) = (by_name(old), by_name(new));
+    let (old, new) = (definitions(old), definitions(new));
     let mut changed: Vec<String> = old
         .iter()
         .filter(|(name, hash)| new.get(*name) != Some(hash))
@@ -626,41 +593,6 @@ impl Query for Pointsto {
     }
 }
 
-/// Call graph built over [`Pointsto`] results.
-pub struct Callgraph;
-
-impl Query for Callgraph {
-    type Key = Sensitivity;
-    type Value = CallGraph;
-    const NAME: &'static str = "engine/callgraph";
-
-    fn compute(db: &QueryDb, key: &Sensitivity) -> CallGraph {
-        CallGraph::build(&db.program, &db.get::<Pointsto>(key))
-    }
-}
-
-/// CFG of one defined function (key: function name).
-pub struct CfgOf;
-
-impl Query for CfgOf {
-    type Key = String;
-    type Value = Cfg;
-    const NAME: &'static str = "engine/cfg";
-
-    fn compute(db: &QueryDb, key: &String) -> Cfg {
-        Cfg::build(
-            db.program
-                .function(key)
-                .expect("cfg queried for a defined function"),
-        )
-    }
-
-    /// The CFG reads only its function's body: an edit elsewhere keeps it.
-    fn content_key(db: &QueryDb, key: &String) -> u64 {
-        mix(key.stable_hash(), db.fn_content(key))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -674,6 +606,21 @@ mod tests {
 
     fn edit(db: &QueryDb, edited: &Program) -> (QueryDb, InvalidationStats) {
         db.apply_edit(edited.clone(), ProgramHashes::of(edited))
+    }
+
+    /// Keyed by its function's content.
+    struct BodyLen;
+    impl Query for BodyLen {
+        type Key = String;
+        type Value = usize;
+        const NAME: &'static str = "test/body-len";
+        fn compute(db: &QueryDb, key: &String) -> usize {
+            let func = db.program.function(key).expect("defined");
+            func.body.as_ref().map_or(0, |b| b.stmts.len())
+        }
+        fn content_key(db: &QueryDb, key: &String) -> u64 {
+            mix(key.stable_hash(), db.fn_content(key))
+        }
     }
 
     static CALLS_A: AtomicUsize = AtomicUsize::new(0);
@@ -753,11 +700,6 @@ mod tests {
         let p1 = db.pointsto(Sensitivity::Steensgaard);
         let p2 = db.pointsto(Sensitivity::Steensgaard);
         assert!(Arc::ptr_eq(&p1, &p2));
-        let cg = db.callgraph(Sensitivity::Steensgaard);
-        assert!(Arc::ptr_eq(&cg, &db.callgraph(Sensitivity::Steensgaard)));
-        assert!(cg.callees("a").contains("b"));
-        assert!(db.cfg("a").is_some());
-        assert!(db.cfg("missing").is_none());
     }
 
     #[test]
@@ -776,20 +718,6 @@ mod tests {
             const NAME: &'static str = "test/anchored";
             fn compute(db: &QueryDb, _key: &String) -> usize {
                 db.program.functions.len()
-            }
-        }
-        /// Keyed by its function's content.
-        struct BodyLen;
-        impl Query for BodyLen {
-            type Key = String;
-            type Value = usize;
-            const NAME: &'static str = "test/body-len";
-            fn compute(db: &QueryDb, key: &String) -> usize {
-                let func = db.program.function(key).expect("defined");
-                func.body.as_ref().map_or(0, |b| b.stmts.len())
-            }
-            fn content_key(db: &QueryDb, key: &String) -> u64 {
-                mix(key.stable_hash(), db.fn_content(key))
             }
         }
 
@@ -831,9 +759,10 @@ mod tests {
         let db = QueryDb::new(
             &parse_program("fn a() { b(); } fn b() { c(); } fn c() { } fn lone() { }").unwrap(),
         );
-        db.callgraph(Sensitivity::Steensgaard);
-        db.cfg("a");
-        db.cfg("lone");
+        let (a, c, lone) = ("a".to_string(), "c".to_string(), "lone".to_string());
+        db.pointsto(Sensitivity::Steensgaard);
+        db.get::<BodyLen>(&a);
+        db.get::<BodyLen>(&lone);
 
         // Edit `c`'s body only.
         let edited =
@@ -845,18 +774,14 @@ mod tests {
         assert!(stats.invalidated > 0, "whole-program artifacts go dirty");
         assert!(stats.retained > 0, "unrelated per-function results survive");
 
-        // The whole-program points-to and call-graph results were dropped;
-        // the unedited functions' CFGs were carried over.
+        // The whole-program points-to result was dropped; the unedited
+        // functions' per-function results were carried over.
         assert!(new_db.peek::<Pointsto>(&Sensitivity::Steensgaard).is_none());
-        assert!(new_db
-            .peek::<Callgraph>(&Sensitivity::Steensgaard)
-            .is_none());
-        assert!(new_db.peek::<CfgOf>(&"a".to_string()).is_some());
-        assert!(new_db.peek::<CfgOf>(&"lone".to_string()).is_some());
+        assert!(new_db.peek::<BodyLen>(&a).is_some());
+        assert!(new_db.peek::<BodyLen>(&lone).is_some());
 
         // Recomputation in the new db is correct.
-        let cg = new_db.callgraph(Sensitivity::Steensgaard);
-        assert!(cg.callees("c").contains("c"));
+        assert_eq!(*new_db.get::<BodyLen>(&c), 1);
         assert_ne!(new_db.fn_content("c"), db.fn_content("c"));
         assert_eq!(new_db.fn_content("lone"), db.fn_content("lone"));
     }
@@ -864,7 +789,7 @@ mod tests {
     #[test]
     fn apply_edit_detects_signature_and_function_set_changes() {
         let db = small_db();
-        db.callgraph(Sensitivity::Steensgaard);
+        db.pointsto(Sensitivity::Steensgaard);
 
         // Adding a function changes the env (its signature joins the
         // environment) and reports the new function as changed.
@@ -872,10 +797,8 @@ mod tests {
         let (new_db, stats) = edit(&db, &grown);
         assert_eq!(stats.changed_functions, vec!["d".to_string()]);
         assert!(stats.env_changed);
-        assert!(new_db
-            .peek::<Callgraph>(&Sensitivity::Steensgaard)
-            .is_none());
-        assert_eq!(new_db.callgraph(Sensitivity::Steensgaard).edges.len(), 3);
+        assert!(new_db.peek::<Pointsto>(&Sensitivity::Steensgaard).is_none());
+        assert_eq!(*new_db.get::<BodyLen>(&"d".to_string()), 0);
     }
 
     #[test]

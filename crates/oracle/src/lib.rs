@@ -54,7 +54,6 @@ pub use check::{Precision, PrecisionRow, StaticModel, Violation, ViolationKind};
 pub use dynfacts::{DynFacts, OracleTracer, SlotId};
 pub use report::{FactCounts, OracleReport, Reproducer};
 
-use ivy_analysis::callgraph::CallGraph;
 use ivy_analysis::pointsto::{self, Sensitivity};
 use ivy_blockstop::BlockStop;
 use ivy_cmir::ast::Program;
@@ -360,12 +359,11 @@ fn build_static_model(
         sensitivity,
         pointsto::SolveOptions::default().with_provenance(true),
     );
-    let callgraph = CallGraph::build(program, &pts);
     let blockstop = BlockStop::with_config(ivy_blockstop::BlockStopConfig {
         sensitivity,
         ..Default::default()
     })
-    .analyze_with(program, &pts, &callgraph);
+    .analyze_with(program, &pts);
     StaticModel {
         sensitivity,
         pts,

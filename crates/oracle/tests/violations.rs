@@ -81,3 +81,26 @@ fn violations_appear_at_every_configured_sensitivity() {
         );
     }
 }
+
+/// A parameter of function type shadows a function of the same name: the
+/// VM calls `f()` through the parameter, so points-to and BlockStop must
+/// too. Treating `f()` as a direct call to the function `f` missed the
+/// handler's call into `sleeper` and the sleep under it.
+#[test]
+fn a_function_typed_parameter_shadows_a_same_named_function() {
+    let program = parse_program(
+        r#"
+        #[blocking]
+        extern fn msleep(ms: u32);
+        fn f() { }
+        fn g() { msleep(1); }
+        fn sleeper() { g(); }
+        #[irq_handler]
+        fn irq(f: fnptr() -> void) { f(); }
+        fn main() { irq(sleeper); }
+        "#,
+    )
+    .unwrap();
+    let report = Oracle::default().run(&program, &[EntrySpec::new("main", &[])]);
+    assert!(report.violations.is_empty(), "{}", report.render());
+}

@@ -6,7 +6,7 @@
 //! single package:
 //!
 //! * [`cmir`] — the KC (kernel C subset) language front end.
-//! * [`analysis`] — dataflow, points-to, call-graph, and summary
+//! * [`analysis`] — points-to, call-graph, and content-hashing
 //!   infrastructure.
 //! * [`engine`] — the incremental, plugin-based analysis engine
 //!   all checkers run on.

@@ -775,6 +775,10 @@ fn e(len: u32) -> u32 {
     return len;
 }
 
+fn cast(x: u32) -> u32 * {
+    return x as u32 *;
+}
+
 fn raw_free(p: void *) {
     kfree(p);
 }
@@ -819,6 +823,7 @@ fn a_line_shifting_edit_matches_batch() {
         "ccount/untyped-free",
         "blockstop/atomic-call",
         "deputy/instrumentation",
+        "deputy/type-error",
     ] {
         assert!(batch.contains(code), "batch reports {code}: {batch}");
     }
