@@ -6,11 +6,14 @@
 //! pointers." (§2.3). Indirect calls are resolved with the points-to results
 //! from [`crate::pointsto`]; calls inside functions marked `inline_asm` are
 //! invisible, which is recorded as a soundness caveat in the graph.
+//!
+//! A bare callee name is classified as every analysis classifies it (see
+//! [`ivy_cmir::facts::Callee`]): a parameter, local or global of that name
+//! shadows a function, and the call goes through it.
 
 use crate::pointsto::PointsToResult;
-use ivy_cmir::ast::{Expr, Function, Program};
-use ivy_cmir::pretty::expr_str;
-use ivy_cmir::visit;
+use ivy_cmir::ast::Program;
+use ivy_cmir::facts::{Callee, FnFacts};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -34,18 +37,22 @@ impl CallGraph {
                 cg.opaque_functions.insert(func.name.clone());
             }
             let callees = cg.edges.entry(func.name.clone()).or_default();
-            for_each_callee(func, &mut |callee| match callee {
-                Expr::Var(name) if program.function(name).is_some() => {
-                    callees.insert(name.clone());
-                }
-                other => {
-                    if let Some(targets) =
-                        pointsto.indirect_targets_for(&func.name, &expr_str(other))
-                    {
-                        callees.extend(targets.iter().cloned());
+            for call in FnFacts::of(func).calls {
+                match call.callee {
+                    Callee::Name { name, .. } if program.global(&name).is_none() => {
+                        if program.function(&name).is_some() {
+                            callees.insert(name);
+                        }
+                    }
+                    other => {
+                        if let Some(targets) =
+                            pointsto.indirect_targets_for(&func.name, other.text())
+                        {
+                            callees.extend(targets.iter().cloned());
+                        }
                     }
                 }
-            });
+            }
         }
         cg
     }
@@ -149,18 +156,6 @@ impl CallGraph {
     }
 }
 
-/// Calls `f` on the callee expression of every call in a function body,
-/// in deterministic traversal order.
-pub fn for_each_callee<'a>(func: &'a Function, f: &mut dyn FnMut(&'a Expr)) {
-    visit::walk_fn_stmts(func, &mut |stmt| {
-        visit::walk_stmt_exprs(stmt, &mut |e| {
-            if let Expr::Call(callee, _) = e {
-                f(callee);
-            }
-        });
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,6 +240,27 @@ mod tests {
         // Depth computation terminates despite the cycle.
         let d = cg.max_weighted_depth("recurse", &|_| 100);
         assert!(d >= 100);
+    }
+
+    /// A parameter named like a function shadows it: the call goes
+    /// through the parameter, as points-to and BlockStop read it.
+    #[test]
+    fn a_function_typed_parameter_shadows_a_same_named_function() {
+        let p = parse_program(
+            r#"
+            #[blocking]
+            extern fn msleep(ms: u32);
+            fn f() { }
+            fn g() { msleep(1); }
+            fn sleeper() { g(); }
+            #[irq_handler]
+            fn irq(f: fnptr() -> void) { f(); }
+            fn main() { irq(sleeper); }
+            "#,
+        )
+        .unwrap();
+        let cg = CallGraph::build(&p, &analyze(&p, Sensitivity::AndersenField));
+        assert_eq!(cg.callees("irq"), &BTreeSet::from(["sleeper".to_string()]));
     }
 
     #[test]

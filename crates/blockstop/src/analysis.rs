@@ -10,7 +10,8 @@
 //! 2. collect every call site, resolving function-pointer calls with the
 //!    points-to analysis from `ivy-analysis`; the sites' targets are the
 //!    call graph;
-//! 3. propagate "may block" backwards through the call sites;
+//! 3. propagate "may block" backwards through the call sites (a worklist
+//!    over the reverse edges);
 //! 4. determine which call sites execute in atomic context (interrupt
 //!    handlers, IRQ-disabled regions, spinlock-held regions), including
 //!    functions reached transitively from such sites;
@@ -22,14 +23,21 @@
 //! check at entry, and the static analysis then treats entry into it as
 //! guarded (it no longer propagates "may block" to its callers and findings
 //! against it are suppressed).
+//!
+//! The analysis reads no function body itself: step 2 folds over each
+//! function's [`FnFacts`] (its call sites with their lock depth, collected
+//! in one walk), which the engine memoizes per function, so re-analyzing
+//! an edited program walks only the edited bodies.
 
 use ivy_analysis::pointsto::{self, Sensitivity};
-use ivy_cmir::ast::{Block, Check, Expr, Function, Program, Stmt};
-use ivy_cmir::pretty::expr_str;
-use ivy_cmir::visit;
+use ivy_cmir::ast::{Check, Function, Program, Stmt};
+use ivy_cmir::facts::{Callee, FnFacts};
 use ivy_cmir::Span;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
+
+pub use ivy_cmir::facts::{ATOMIC_ENTER, ATOMIC_EXIT};
 
 /// The GFP flag bit that allows an allocation to sleep. Must match
 /// `ivy_vm::GFP_WAIT` (the VM's kernel ABI).
@@ -57,26 +65,6 @@ pub const BUILTIN_BLOCKING_IF_FLAGS: &[&str] = &[
     "kmem_cache_alloc",
     "__get_free_page",
     "alloc_page",
-];
-
-/// Builtins that begin an IRQ-disabled or spinlocked region.
-pub const ATOMIC_ENTER: &[&str] = &[
-    "local_irq_disable",
-    "local_irq_save",
-    "spin_lock_irqsave",
-    "spin_lock_irq",
-    "spin_lock",
-    "spin_lock_bh",
-];
-
-/// Builtins that end an IRQ-disabled or spinlocked region.
-pub const ATOMIC_EXIT: &[&str] = &[
-    "local_irq_enable",
-    "local_irq_restore",
-    "spin_unlock_irqrestore",
-    "spin_unlock_irq",
-    "spin_unlock",
-    "spin_unlock_bh",
 ];
 
 /// Configuration for a BlockStop run.
@@ -193,12 +181,69 @@ pub struct BlockStop {
     pub config: BlockStopConfig,
 }
 
-/// One call site with evaluated information about its arguments.
-#[derive(Debug, Clone)]
-struct Site {
-    caller: String,
-    callee_text: String,
-    targets: BTreeSet<String>,
+/// Dense numbers for every name the analysis meets: a program function's
+/// name is its first definition's position, any other name (a builtin, an
+/// undeclared external, a blocking seed) gets the next free number.
+struct Names<'a> {
+    program: &'a Program,
+    others: HashMap<&'a str, u32>,
+    other_names: Vec<&'a str>,
+}
+
+impl<'a> Names<'a> {
+    fn new(program: &'a Program) -> Names<'a> {
+        Names {
+            program,
+            others: HashMap::new(),
+            other_names: Vec::new(),
+        }
+    }
+
+    /// The number of `name`, numbering it if it has none yet.
+    fn id(&mut self, name: &'a str) -> u32 {
+        if let Some(i) = self.program.functions.position(name) {
+            return i as u32;
+        }
+        let next = (self.program.functions.len() + self.other_names.len()) as u32;
+        *self.others.entry(name).or_insert_with(|| {
+            self.other_names.push(name);
+            next
+        })
+    }
+
+    /// The number of `name`, if it has one.
+    fn get(&self, name: &str) -> Option<u32> {
+        match self.program.functions.position(name) {
+            Some(i) => Some(i as u32),
+            None => self.others.get(name).copied(),
+        }
+    }
+
+    fn name(&self, id: u32) -> &'a str {
+        let functions = &self.program.functions;
+        match (id as usize).checked_sub(functions.len()) {
+            None => &functions[id as usize].name,
+            Some(other) => self.other_names[other],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.program.functions.len() + self.other_names.len()
+    }
+
+    /// The program defines (not only declares) the function `id` names.
+    fn defined(&self, id: u32) -> bool {
+        let functions = &self.program.functions;
+        (id as usize) < functions.len() && functions[id as usize].body.is_some()
+    }
+}
+
+/// One call site with its callee resolved, borrowing the facts it was
+/// read from; its targets are `targets[site.targets]` of [`sites`].
+struct Site<'a> {
+    caller: u32,
+    callee_text: &'a str,
+    targets: std::ops::Range<usize>,
     /// True when the targets are call-graph edges: always for a call
     /// through a pointer, and for a direct call when the program defines
     /// or declares the name (not for a builtin or undeclared external).
@@ -240,6 +285,19 @@ impl BlockStop {
         program: &Program,
         pts: &ivy_analysis::PointsToResult,
     ) -> BlockStopReport {
+        self.analyze_facts(program, &FnFacts::all(program), pts)
+    }
+
+    /// Runs the whole-program analysis as a fold over every function's
+    /// facts (`facts[i]` are [`FnFacts::of`] `program.functions[i]`, or of
+    /// a function with the same content and layout) and precomputed
+    /// points-to results. Reads no function body.
+    pub fn analyze_facts(
+        &self,
+        program: &Program,
+        facts: &[Arc<FnFacts>],
+        pts: &ivy_analysis::PointsToResult,
+    ) -> BlockStopReport {
         let mut report = BlockStopReport::default();
 
         // 1. Seeds.
@@ -249,294 +307,212 @@ impl BlockStop {
                 seeds.insert(f.name.clone());
             }
         }
-        report.seeds = seeds.clone();
 
-        // 2. Enumerate call sites with their atomic-region and GFP context.
-        //    Their targets are the call graph: every target of a call
+        // 2. Every call site with its atomic-region and GFP context. The
+        //    sites' targets are the call graph: every target of a call
         //    through a pointer, and the name of a direct call when the
         //    program defines or declares it.
-        let sites = self.collect_sites(program, pts);
-        let mut callees: Callees = BTreeMap::new();
-        for site in sites.iter().filter(|site| site.in_call_graph) {
-            let edges = callees.entry(site.caller.as_str()).or_default();
-            edges.extend(site.targets.iter().map(String::as_str));
+        let mut names = Names::new(program);
+        let (sites, targets) = sites(&mut names, facts, pts);
+        let seed_ids: Vec<u32> = seeds.iter().map(|s| names.id(s)).collect();
+        let ids = names.len();
+        let mut asserted = vec![false; ids];
+        for name in &self.config.asserted_functions {
+            if let Some(id) = names.get(name) {
+                asserted[id as usize] = true;
+            }
+        }
+        let mut callees: Vec<Vec<u32>> = vec![Vec::new(); ids];
+        let mut callers: Vec<Vec<u32>> = vec![Vec::new(); ids];
+        for site in &sites {
+            let site_targets = &targets[site.targets.clone()];
+            if site.in_call_graph {
+                callees[site.caller as usize].extend(site_targets);
+            }
+            for &target in site_targets {
+                callers[target as usize].push(site.caller);
+            }
+        }
+        // Callees in name order: the order `blocking_chain` searches in.
+        for list in &mut callees {
+            list.sort_unstable_by_key(|&id| names.name(id));
+            list.dedup();
         }
 
-        // 3. may_block: backwards propagation. Asserted functions do not
-        //    propagate blocking to their callers (their entry is guarded).
-        let mut may_block = seeds.clone();
-        loop {
-            let mut changed = false;
-            for site in &sites {
-                if may_block.contains(&site.caller) {
-                    continue;
-                }
-                let transitively = site
-                    .targets
-                    .iter()
-                    .any(|t| may_block.contains(t) && !self.config.asserted_functions.contains(t));
-                if transitively || site.waits_for_memory {
-                    may_block.insert(site.caller.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
+        // 3. may_block: backwards propagation over the reverse edges.
+        //    Asserted functions do not propagate blocking to their callers
+        //    (their entry is guarded).
+        let mut may_block = vec![false; ids];
+        let mut is_seed = vec![false; ids];
+        let mut work = seed_ids.clone();
+        for &seed in &seed_ids {
+            may_block[seed as usize] = true;
+            is_seed[seed as usize] = true;
+        }
+        for site in sites.iter().filter(|site| site.waits_for_memory) {
+            if !std::mem::replace(&mut may_block[site.caller as usize], true) {
+                work.push(site.caller);
             }
         }
-        report.may_block = may_block.clone();
+        while let Some(blocking) = work.pop() {
+            if asserted[blocking as usize] {
+                continue;
+            }
+            for &caller in &callers[blocking as usize] {
+                if !std::mem::replace(&mut may_block[caller as usize], true) {
+                    work.push(caller);
+                }
+            }
+        }
 
         // 4. Atomic context: directly-atomic functions, then forward
         //    propagation to everything reachable from an atomic call site.
-        let mut atomic: BTreeMap<String, AtomicReason> = BTreeMap::new();
+        let mut atomic: Vec<Option<AtomicReason>> = vec![None; ids];
         for f in program.functions.iter().filter(|f| f.body.is_some()) {
+            let id = names.id(&f.name) as usize;
             if f.attrs.interrupt_handler {
-                atomic.insert(f.name.clone(), AtomicReason::InterruptHandler);
+                atomic[id] = Some(AtomicReason::InterruptHandler);
             } else if f.attrs.disables_irq {
-                atomic.insert(f.name.clone(), AtomicReason::DisablesIrq);
+                atomic[id] = Some(AtomicReason::DisablesIrq);
             }
         }
-        let mut queue: VecDeque<String> = atomic.keys().cloned().collect();
-        // Also: targets of calls made inside atomic regions become atomic —
+        let mut queue: VecDeque<u32> = (0..ids as u32)
+            .filter(|&id| atomic[id as usize].is_some())
+            .collect();
+        // A function reached from an atomic call site becomes atomic —
         // except functions whose entry is guarded by a run-time assertion
         // (the assertion guarantees they are never actually entered in atomic
         // context, which is how it silences the false positive).
-        for site in &sites {
-            if site.in_atomic_region {
-                for t in &site.targets {
-                    if program
-                        .function(t)
-                        .map(|f| f.body.is_some())
-                        .unwrap_or(false)
-                        && !atomic.contains_key(t)
-                        && !self.config.asserted_functions.contains(t)
-                    {
-                        atomic.insert(t.clone(), AtomicReason::CalledFromAtomic);
-                        queue.push_back(t.clone());
-                    }
-                }
+        let reach = |id: u32, atomic: &mut Vec<Option<AtomicReason>>, queue: &mut VecDeque<u32>| {
+            let slot = &mut atomic[id as usize];
+            if names.defined(id) && slot.is_none() && !asserted[id as usize] {
+                *slot = Some(AtomicReason::CalledFromAtomic);
+                queue.push_back(id);
+            }
+        };
+        for site in sites.iter().filter(|site| site.in_atomic_region) {
+            for &t in &targets[site.targets.clone()] {
+                reach(t, &mut atomic, &mut queue);
             }
         }
         while let Some(f) = queue.pop_front() {
-            for &callee in callees.get(f.as_str()).into_iter().flatten() {
-                if program
-                    .function(callee)
-                    .map(|g| g.body.is_some())
-                    .unwrap_or(false)
-                    && !atomic.contains_key(callee)
-                    && !self.config.asserted_functions.contains(callee)
-                {
-                    atomic.insert(callee.to_string(), AtomicReason::CalledFromAtomic);
-                    queue.push_back(callee.to_string());
-                }
+            for &callee in &callees[f as usize] {
+                reach(callee, &mut atomic, &mut queue);
             }
         }
-        report.atomic_functions = atomic.keys().cloned().collect();
 
         // 5. Findings: atomic call sites whose targets may block.
         for site in &sites {
-            let caller_atomic = atomic.get(&site.caller).copied();
-            let site_atomic = site.in_atomic_region || caller_atomic.is_some();
-            if !site_atomic {
+            let caller_atomic = atomic[site.caller as usize];
+            if !site.in_atomic_region && caller_atomic.is_none() {
                 continue;
             }
-            let mut blocking_targets: BTreeSet<String> = site
-                .targets
+            let mut blocking_targets: BTreeSet<String> = targets[site.targets.clone()]
                 .iter()
-                .filter(|t| may_block.contains(*t) || seeds.contains(*t))
-                .cloned()
+                .filter(|&&t| may_block[t as usize])
+                .map(|&t| names.name(t).to_string())
                 .collect();
             if site.waits_for_memory {
-                blocking_targets.insert(site.callee_text.clone());
+                blocking_targets.insert(site.callee_text.to_string());
             }
             if blocking_targets.is_empty() {
                 continue;
             }
-            let suppressed: BTreeSet<String> = blocking_targets
+            let suppressed = blocking_targets
                 .iter()
                 .filter(|t| self.config.asserted_functions.contains(*t))
-                .cloned()
-                .collect();
-            if suppressed.len() == blocking_targets.len() {
+                .count();
+            if suppressed == blocking_targets.len() {
                 report.suppressed_by_assert += 1;
                 continue;
             }
-            for s in suppressed {
-                blocking_targets.remove(&s);
-                report.suppressed_by_assert += 1;
-            }
+            blocking_targets.retain(|t| !self.config.asserted_functions.contains(t));
+            report.suppressed_by_assert += suppressed as u64;
             let reason = if site.in_atomic_region {
                 AtomicReason::InsideAtomicRegion
             } else {
                 caller_atomic.unwrap_or(AtomicReason::InsideAtomicRegion)
             };
-            let example_chain = blocking_chain(
-                blocking_targets.iter().next().expect("non-empty"),
-                &callees,
-                &seeds,
-            );
+            let first = blocking_targets.iter().next().expect("non-empty");
+            let first = names.get(first).expect("a site's targets are numbered");
+            let example_chain = blocking_chain(first, &names, &callees, &is_seed);
             report.findings.push(Finding {
-                caller: site.caller.clone(),
-                callee_text: site.callee_text.clone(),
+                caller: names.name(site.caller).to_string(),
+                callee_text: site.callee_text.to_string(),
                 blocking_targets,
                 reason,
                 example_chain,
                 span: site.span,
             });
         }
+        let named = |set: &[bool]| -> BTreeSet<String> {
+            (0..ids as u32)
+                .filter(|&id| set[id as usize])
+                .map(|id| names.name(id).to_string())
+                .collect()
+        };
+        report.may_block = named(&may_block);
+        let atomic: Vec<bool> = atomic.iter().map(Option::is_some).collect();
+        report.atomic_functions = named(&atomic);
+        report.seeds = seeds;
         report
     }
-
-    /// Collects every call site with context: resolved targets, whether the
-    /// site sits in an IRQ-disabled/spinlocked region, and whether it is a
-    /// conditional allocator called with flags that may sleep.
-    fn collect_sites(&self, program: &Program, pts: &ivy_analysis::PointsToResult) -> Vec<Site> {
-        let mut out = Vec::new();
-        let globals: HashSet<&str> = program
-            .globals
-            .iter()
-            .map(|g| g.decl.name.as_str())
-            .collect();
-        for func in program.functions.iter().filter(|f| f.body.is_some()) {
-            let body = func.body.as_ref().expect("filtered");
-            let mut vars: Vec<&str> = func.params.iter().map(|p| p.name.as_str()).collect();
-            visit::walk_fn_stmts(func, &mut |stmt| {
-                if let Stmt::Local(decl, _) = stmt {
-                    vars.push(&decl.name);
-                }
-            });
-            let caller = Caller {
-                program,
-                pts,
-                func,
-                vars,
-                globals: &globals,
-            };
-            let mut depth: u32 = if func.attrs.disables_irq { 1 } else { 0 };
-            caller.collect_sites_in_block(body, &mut depth, &mut out);
-        }
-        out
-    }
 }
 
-/// One function whose call sites are being collected.
-struct Caller<'a> {
-    program: &'a Program,
+/// Every call site of every defined function, read off the facts, and
+/// the numbers of their targets (each site's are a range of the second
+/// vector): a bare name that no parameter, local or global shadows is a
+/// direct call, and every other callee resolves through points-to.
+fn sites<'a>(
+    names: &mut Names<'a>,
+    facts: &'a [Arc<FnFacts>],
     pts: &'a ivy_analysis::PointsToResult,
-    func: &'a Function,
-    /// The function's parameter and local names.
-    vars: Vec<&'a str>,
-    /// The program's global names.
-    globals: &'a HashSet<&'a str>,
-}
-
-impl Caller<'_> {
-    fn collect_sites_in_block(&self, block: &Block, depth: &mut u32, out: &mut Vec<Site>) {
-        for stmt in &block.stmts {
-            // The statement's span localizes every call inside it — KC
-            // expressions carry no spans of their own, so the enclosing
-            // statement is the finest line-accurate anchor available.
-            let span = stmt.span();
-            match stmt {
-                Stmt::If(c, t, e, _) => {
-                    self.collect_sites_in_expr(c, *depth, span, out);
-                    let mut d_then = *depth;
-                    self.collect_sites_in_block(t, &mut d_then, out);
-                    let mut d_else = *depth;
-                    if let Some(e) = e {
-                        self.collect_sites_in_block(e, &mut d_else, out);
-                    }
-                    // Sound join: after the branch, the code may run holding
-                    // whatever either path acquired.
-                    *depth = d_then.max(d_else);
+) -> (Vec<Site<'a>>, Vec<u32>) {
+    let program = names.program;
+    let (mut sites, mut targets) = (Vec::new(), Vec::new());
+    for (func, facts) in program.functions.iter().zip(facts) {
+        if func.body.is_none() {
+            continue;
+        }
+        let caller = names.id(&func.name);
+        let start = func.span.start.line;
+        for call in &facts.calls {
+            let first = targets.len();
+            let mut site = Site {
+                caller,
+                callee_text: call.callee.text(),
+                targets: first..first,
+                in_call_graph: true,
+                waits_for_memory: false,
+                in_atomic_region: call.lock_depth > 0,
+                span: call.span.shift_lines(start),
+            };
+            match &call.callee {
+                Callee::Name { name, args } if program.global(name).is_none() => {
+                    let declared = program.function(name);
+                    site.in_call_graph = declared.is_some();
+                    site.waits_for_memory = waits_for_memory(declared, name, args);
+                    targets.push(names.id(name));
                 }
-                Stmt::While(c, b, _) => {
-                    self.collect_sites_in_expr(c, *depth, span, out);
-                    let mut d_body = *depth;
-                    self.collect_sites_in_block(b, &mut d_body, out);
-                    // The loop may run zero times or leave a lock held.
-                    *depth = (*depth).max(d_body);
-                }
-                Stmt::Block(b) | Stmt::DelayedFreeScope(b, _) => {
-                    self.collect_sites_in_block(b, depth, out)
-                }
-                Stmt::Check(Check::AssertMayBlock { .. }, _) => {}
-                other => {
-                    // Track atomic region transitions from the calls in this
-                    // statement, in order.
-                    let mut exprs: Vec<&Expr> = Vec::new();
-                    visit::walk_stmt_exprs(other, &mut |e| exprs.push(e));
-                    for e in exprs {
-                        if let Expr::Call(callee, _) = e {
-                            if let Expr::Var(name) = &**callee {
-                                if ATOMIC_ENTER.contains(&name.as_str()) {
-                                    self.collect_sites_in_expr(e, *depth, span, out);
-                                    *depth += 1;
-                                    continue;
-                                }
-                                if ATOMIC_EXIT.contains(&name.as_str()) {
-                                    *depth = depth.saturating_sub(1);
-                                    self.collect_sites_in_expr(e, *depth, span, out);
-                                    continue;
-                                }
-                            }
-                            self.collect_one_site(e, *depth, span, out);
-                        }
+                callee => {
+                    let resolved = pts.indirect_targets_for(&func.name, callee.text());
+                    for target in resolved.into_iter().flatten() {
+                        targets.push(names.id(target));
                     }
                 }
             }
+            site.targets.end = targets.len();
+            sites.push(site);
         }
     }
-
-    fn collect_sites_in_expr(&self, e: &Expr, depth: u32, span: Span, out: &mut Vec<Site>) {
-        visit::walk_expr(e, &mut |sub| {
-            if matches!(sub, Expr::Call(..)) {
-                self.collect_one_site(sub, depth, span, out);
-            }
-        });
-    }
-
-    fn collect_one_site(&self, call: &Expr, depth: u32, span: Span, out: &mut Vec<Site>) {
-        let Expr::Call(callee, args) = call else {
-            return;
-        };
-        let (targets, callee_text, in_call_graph, waits) = match &**callee {
-            // A bare name that is not one of the caller's variables is a
-            // direct call, whether to a defined function, a builtin, or an
-            // undeclared external.
-            Expr::Var(name)
-                if !self.vars.contains(&name.as_str()) && !self.globals.contains(name.as_str()) =>
-            {
-                let declared = self.program.function(name);
-                let waits = waits_for_memory(declared, name, args);
-                let targets = BTreeSet::from([name.clone()]);
-                (targets, name.clone(), declared.is_some(), waits)
-            }
-            // A function pointer, named by a variable or reached through
-            // an expression: its targets come from points-to.
-            other => {
-                let text = expr_str(other);
-                let targets = self.pts.indirect_call_targets(&self.func.name, &text);
-                (targets, text, true, false)
-            }
-        };
-        out.push(Site {
-            caller: self.func.name.clone(),
-            callee_text,
-            targets,
-            in_call_graph,
-            waits_for_memory: waits,
-            in_atomic_region: depth > 0,
-            span,
-        });
-    }
+    (sites, targets)
 }
 
 /// True if this call to `name` (`declared`, when the program defines or
 /// declares it) is to a conditional allocator with flags that allow
 /// sleeping (either a non-constant flags argument, or a constant containing
 /// `GFP_WAIT`).
-fn waits_for_memory(declared: Option<&Function>, name: &str, args: &[Expr]) -> bool {
+fn waits_for_memory(declared: Option<&Function>, name: &str, args: &[Option<i64>]) -> bool {
     let flag_param_idx = if BUILTIN_BLOCKING_IF_FLAGS.contains(&name) {
         Some(1)
     } else {
@@ -551,44 +527,38 @@ fn waits_for_memory(declared: Option<&Function>, name: &str, args: &[Expr]) -> b
         return false;
     };
     match args.get(idx) {
-        Some(Expr::Int(v)) => v & GFP_WAIT != 0,
-        Some(_) => true, // unknown flags: conservatively may sleep
+        Some(Some(v)) => v & GFP_WAIT != 0,
+        Some(None) => true, // unknown flags: conservatively may sleep
         None => false,
     }
 }
 
-/// Caller name → the names its call sites may reach.
-type Callees<'a> = BTreeMap<&'a str, BTreeSet<&'a str>>;
-
-/// A call chain from `from` down to a blocking seed, for diagnostics.
-fn blocking_chain<'a>(
-    from: &'a str,
-    callees: &Callees<'a>,
-    seeds: &BTreeSet<String>,
-) -> Vec<String> {
-    // BFS towards a seed.
-    let mut prev: BTreeMap<&str, &str> = BTreeMap::new();
+/// A call chain from `from` down to a blocking seed, for diagnostics:
+/// breadth first, each function's callees in name order.
+fn blocking_chain(from: u32, names: &Names, callees: &[Vec<u32>], is_seed: &[bool]) -> Vec<String> {
+    let mut prev: Vec<Option<u32>> = vec![None; callees.len()];
+    let mut seen = vec![false; callees.len()];
+    seen[from as usize] = true;
     let mut queue = VecDeque::from([from]);
-    let mut seen = BTreeSet::from([from]);
     while let Some(f) = queue.pop_front() {
-        if seeds.contains(f) {
-            let mut chain = vec![f.to_string()];
+        if is_seed[f as usize] {
+            let mut chain = vec![names.name(f).to_string()];
             let mut cur = f;
-            while let Some(&p) = prev.get(cur) {
-                chain.push(p.to_string());
+            while let Some(p) = prev[cur as usize] {
+                chain.push(names.name(p).to_string());
                 cur = p;
             }
             chain.reverse();
             return chain;
         }
-        for &callee in callees.get(f).into_iter().flatten() {
-            if seen.insert(callee) {
-                prev.insert(callee, f);
+        for &callee in &callees[f as usize] {
+            if !std::mem::replace(&mut seen[callee as usize], true) {
+                prev[callee as usize] = Some(f);
                 queue.push_back(callee);
             }
         }
     }
-    vec![from.to_string()]
+    vec![names.name(from).to_string()]
 }
 
 /// Inserts an `__assert_may_block` run-time check at the entry of each named

@@ -4,9 +4,12 @@
 //! call graph from interrupt handlers, may-block facts flow *up* from
 //! sleeping primitives — so the adapter demands one [`BlockStopReport`]
 //! through the typed query layer ([`ReportQuery`], keyed by the analysis
-//! configuration, reusing the db's points-to results; its one walk over
-//! the program's call sites is also its call graph) and attributes
-//! findings to their caller function at the flagged call-site span. The report is a [`DurableQuery`]: with a persist layer attached,
+//! configuration, reusing the db's points-to results) and attributes
+//! findings to their caller function at the flagged call-site span. The
+//! report is a fold over the db's per-function facts (`engine/fn-facts`):
+//! their call sites are also its call graph, and it reads no body, so an
+//! edit re-walks only the edited function. The report is a
+//! [`DurableQuery`]: with a persist layer attached,
 //! a warm process reloads it from `target/ivy-cache/` instead of solving
 //! points-to again. Each analyze turns the memoized report's findings for
 //! a function into diagnostics, so a finding's span is the report's call
@@ -46,7 +49,7 @@ impl Query for ReportQuery {
 
     fn compute(db: &QueryDb, key: &BlockStopConfig) -> BlockStopReport {
         let pts = db.pointsto(key.sensitivity);
-        BlockStop::with_config(key.clone()).analyze_with(&db.program, &pts)
+        BlockStop::with_config(key.clone()).analyze_facts(&db.program, &db.fn_facts(), &pts)
     }
 }
 

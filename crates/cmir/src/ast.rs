@@ -9,6 +9,7 @@
 //! [`Stmt::DelayedFreeScope`] marks a CCount delayed-free region.
 
 pub use crate::functions::Functions;
+pub use crate::globals::Globals;
 use crate::span::Span;
 use crate::types::{BoundExpr, CompositeDef, Type};
 use serde::{Deserialize, Serialize};
@@ -629,7 +630,8 @@ impl GlobalDef {
 /// whole stripped-down kernel).
 ///
 /// Every item is shared: the functions one by one (see [`Functions`]) and
-/// the composites, typedefs and globals as one `Arc`'d list each. Cloning
+/// the composites, typedefs and globals as one `Arc`'d list each (see
+/// [`Globals`] for the globals' name index). Cloning
 /// a program copies pointers, and a write clones only what it touches
 /// (through [`Arc::make_mut`] for the lists), so program states that
 /// differ in one function share everything else.
@@ -639,8 +641,8 @@ pub struct Program {
     pub composites: Arc<Vec<CompositeDef>>,
     /// Typedefs: name → underlying type.
     pub typedefs: Arc<Vec<(String, Type)>>,
-    /// Global variables.
-    pub globals: Arc<Vec<GlobalDef>>,
+    /// Global variables, with a name index.
+    pub globals: Globals,
     /// Functions (definitions and extern declarations).
     pub functions: Functions,
 }
@@ -668,9 +670,10 @@ impl Program {
         self.composites.iter().find(|c| c.name == name)
     }
 
-    /// Looks up a global by name.
+    /// Looks up a global by name (the first definition of the name),
+    /// through the globals' name index.
     pub fn global(&self, name: &str) -> Option<&GlobalDef> {
-        self.globals.iter().find(|g| g.decl.name == name)
+        self.globals.get(name)
     }
 
     /// Resolves typedefs until a non-`Named` type is reached.
@@ -732,7 +735,7 @@ impl Program {
                 typedefs.push((name, ty));
             }
         }
-        for g in Arc::unwrap_or_clone(other.globals) {
+        for g in other.globals.iter().cloned() {
             let globals = Arc::make_mut(&mut self.globals);
             if let Some(existing) = globals.iter_mut().find(|e| e.decl.name == g.decl.name) {
                 *existing = g;

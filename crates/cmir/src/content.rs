@@ -1,11 +1,16 @@
-//! Span-insensitive structural content hashing of AST nodes.
+//! Structural content hashing of AST nodes, and the layout hash of the
+//! spans they carry.
 //!
 //! `pretty_function` + FNV gives a correct content identity, but it
 //! allocates the full source text of every function just to hash it — on
 //! the incremental points-to path that string building dominates the whole
-//! re-solve. This module hashes the AST directly, skipping source spans
-//! (they shift for *every* function downstream of an edit, so a
-//! span-sensitive hash would dirty the whole program).
+//! re-solve. This module hashes the AST directly. The content hash skips
+//! source spans (they shift for *every* function downstream of an edit, so
+//! a span-sensitive content hash would dirty the whole program); the same
+//! walk hashes the spans separately into a *layout* hash, with lines
+//! relative to the function's start line, so a function moved as a whole
+//! keeps both hashes and one with blank lines added inside changes only
+//! its layout.
 //!
 //! Two nodes hash equal only if they are structurally equal up to spans,
 //! which implies they pretty-print identically — so a content hash from
@@ -14,13 +19,14 @@
 //!
 //! [`ProgramHashes`] bundles these into the identity of a program state:
 //! the analysis engine computes it once per state and keys its context
-//! store, its edit diff and its per-function diagnostic keys on it.
+//! store, its edit diff and its per-function query keys on it.
 //!
 //! Every match below destructures all fields explicitly: adding a field or
 //! variant to the AST breaks compilation here rather than silently
 //! weakening cache keys.
 
 use crate::ast::{Block, Check, Expr, Function, Program, Stmt, VarDecl};
+use crate::span::Span;
 use std::hash::{Hash, Hasher};
 
 /// 64-bit FNV-1a [`Hasher`], deterministic across processes.
@@ -48,55 +54,77 @@ impl Hasher for FnvHasher {
 
 /// The identity of one program state, computed in one pass over the AST.
 ///
-/// Two programs get equal hashes exactly when they are structurally equal
-/// up to spans, i.e. when they pretty-print to the same text (barring
-/// 64-bit collisions).
+/// Two programs get equal `program` hashes exactly when they are
+/// structurally equal and every span is equal too (barring 64-bit
+/// collisions): a program state's diagnostics carry its spans, so a state
+/// that moved a line is a different state. The content parts (`env`,
+/// `functions`) are span-insensitive and match pretty-printed equality.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProgramHashes {
     /// The type environment: [`program_env_hash`].
     pub env: u64,
     /// [`function_content_hash`] of every function, in program order.
     pub functions: Vec<u64>,
-    /// `env` mixed with the ordered function hashes: the program's
-    /// identity.
+    /// [`function_layout_hash`] of every function, in program order.
+    pub layouts: Vec<u64>,
+    /// Hash of the spans outside functions: every composite's, field's
+    /// and global's.
+    pub env_layout: u64,
+    /// `env`, the environment's spans, and every function's content hash,
+    /// layout hash and start line, in order: the program's identity.
     pub program: u64,
 }
 
 impl ProgramHashes {
     /// Hashes every part of a program once.
     pub fn of(p: &Program) -> ProgramHashes {
+        let (functions, layouts) = p.functions.iter().map(function_hashes).unzip();
         ProgramHashes::assemble(
             program_env_hash(p),
-            p.functions.iter().map(function_content_hash).collect(),
+            env_layout_hash(p),
+            functions,
+            layouts,
+            p,
         )
     }
 
     /// The hashes of `edited`, a program equal to `base` (the program
-    /// `self` hashes) except for the function at `index` — the shape a
-    /// function-level re-parse produces. Only that function's content
-    /// hash is computed; the environment is re-hashed only when the
-    /// function's signature changed.
+    /// `self` hashes) except for the function at `index`, spans included
+    /// — the shape a function-level re-parse produces. Only that
+    /// function's hashes are computed; the environment is re-hashed only
+    /// when the function's signature changed.
     pub fn with_function(&self, base: &Program, edited: &Program, index: usize) -> ProgramHashes {
         let (old, new) = (&base.functions[index], &edited.functions[index]);
-        let mut functions = self.functions.clone();
-        functions[index] = function_content_hash(new);
+        let (mut functions, mut layouts) = (self.functions.clone(), self.layouts.clone());
+        (functions[index], layouts[index]) = function_hashes(new);
         let env = if signature_hash(old) == signature_hash(new) {
             self.env
         } else {
             program_env_hash(edited)
         };
-        ProgramHashes::assemble(env, functions)
+        ProgramHashes::assemble(env, self.env_layout, functions, layouts, edited)
     }
 
-    fn assemble(env: u64, functions: Vec<u64>) -> ProgramHashes {
+    fn assemble(
+        env: u64,
+        env_layout: u64,
+        functions: Vec<u64>,
+        layouts: Vec<u64>,
+        p: &Program,
+    ) -> ProgramHashes {
         let mut h = FnvHasher::default();
         h.write_u64(env);
-        for f in &functions {
-            h.write_u64(*f);
+        h.write_u64(env_layout);
+        for ((content, layout), f) in functions.iter().zip(&layouts).zip(&p.functions) {
+            h.write_u64(*content);
+            h.write_u64(*layout);
+            h.write_u32(f.span.start.line);
         }
         ProgramHashes {
             env,
             functions,
+            layouts,
+            env_layout,
             program: h.finish(),
         }
     }
@@ -105,8 +133,86 @@ impl ProgramHashes {
 /// Content hash of a function definition: name, signature, attributes,
 /// subsystem, and body — everything except source spans.
 pub fn function_content_hash(f: &Function) -> u64 {
+    function_hashes(f).0
+}
+
+/// Layout hash of a function definition: every span in it, the
+/// function's own included, with lines relative to the function's start
+/// line (columns as they are).
+pub fn function_layout_hash(f: &Function) -> u64 {
+    function_hashes(f).1
+}
+
+/// [`function_content_hash`] and [`function_layout_hash`], in one walk.
+pub fn function_hashes(f: &Function) -> (u64, u64) {
+    let Function {
+        name,
+        params,
+        ret,
+        body,
+        attrs,
+        subsystem,
+        span,
+    } = f;
+    let mut w = FnHashes {
+        content: FnvHasher::default(),
+        layout: FnvHasher::default(),
+        base: span.start.line,
+    };
+    w.span(*span);
+    name.hash(&mut w.content);
+    params.len().hash(&mut w.content);
+    for p in params {
+        w.decl(p);
+    }
+    ret.hash(&mut w.content);
+    attrs.hash(&mut w.content);
+    subsystem.hash(&mut w.content);
+    match body {
+        None => w.content.write_u8(0),
+        Some(b) => {
+            w.content.write_u8(1);
+            hash_block(b, &mut w);
+        }
+    }
+    (w.content.finish(), w.layout.finish())
+}
+
+/// The two hashers of one walk over a function.
+struct FnHashes {
+    content: FnvHasher,
+    layout: FnvHasher,
+    /// The function's start line; layout lines are relative to it.
+    base: u32,
+}
+
+impl FnHashes {
+    fn span(&mut self, span: Span) {
+        for pos in [span.start, span.end] {
+            self.layout.write_u32(pos.line.wrapping_sub(self.base));
+            self.layout.write_u32(pos.col);
+        }
+    }
+
+    fn decl(&mut self, d: &VarDecl) {
+        hash_decl(d, &mut self.content);
+        self.span(d.span);
+    }
+}
+
+/// Hash of the spans outside functions: every composite's and field's,
+/// and every global's.
+fn env_layout_hash(p: &Program) -> u64 {
     let mut h = FnvHasher::default();
-    hash_function(f, &mut h);
+    for c in p.composites.iter() {
+        c.span.hash(&mut h);
+        for f in &c.fields {
+            f.span.hash(&mut h);
+        }
+    }
+    for g in p.globals.iter() {
+        g.decl.span.hash(&mut h);
+    }
     h.finish()
 }
 
@@ -197,62 +303,38 @@ fn signature_hash(f: &Function) -> u64 {
     h.finish()
 }
 
-/// Hashes a function into an existing hasher (span-insensitive).
-pub fn hash_function(f: &Function, h: &mut impl Hasher) {
-    let Function {
-        name,
-        params,
-        ret,
-        body,
-        attrs,
-        subsystem,
-        span: _,
-    } = f;
-    name.hash(h);
-    params.len().hash(h);
-    for p in params {
-        hash_decl(p, h);
-    }
-    ret.hash(h);
-    attrs.hash(h);
-    subsystem.hash(h);
-    match body {
-        None => h.write_u8(0),
-        Some(b) => {
-            h.write_u8(1);
-            hash_block(b, h);
-        }
-    }
-}
-
 fn hash_decl(d: &VarDecl, h: &mut impl Hasher) {
     let VarDecl { name, ty, span: _ } = d;
     name.hash(h);
     ty.hash(h);
 }
 
-fn hash_block(b: &Block, h: &mut impl Hasher) {
+fn hash_block(b: &Block, w: &mut FnHashes) {
     let Block { stmts } = b;
-    stmts.len().hash(h);
+    stmts.len().hash(&mut w.content);
     for s in stmts {
-        hash_stmt(s, h);
+        hash_stmt(s, w);
     }
 }
 
-fn hash_stmt(s: &Stmt, h: &mut impl Hasher) {
+fn hash_stmt(s: &Stmt, w: &mut FnHashes) {
+    let h = &mut w.content;
     match s {
-        Stmt::Expr(e, _span) => {
+        Stmt::Expr(e, span) => {
             h.write_u8(0);
             hash_expr(e, h);
+            w.span(*span);
         }
-        Stmt::Assign(lhs, rhs, _span) => {
+        Stmt::Assign(lhs, rhs, span) => {
             h.write_u8(1);
             hash_expr(lhs, h);
             hash_expr(rhs, h);
+            w.span(*span);
         }
         Stmt::Local(d, init) => {
             h.write_u8(2);
-            hash_decl(d, h);
+            w.decl(d);
+            let h = &mut w.content;
             match init {
                 None => h.write_u8(0),
                 Some(e) => {
@@ -261,24 +343,26 @@ fn hash_stmt(s: &Stmt, h: &mut impl Hasher) {
                 }
             }
         }
-        Stmt::If(cond, then_b, else_b, _span) => {
+        Stmt::If(cond, then_b, else_b, span) => {
             h.write_u8(3);
             hash_expr(cond, h);
-            hash_block(then_b, h);
+            w.span(*span);
+            hash_block(then_b, w);
             match else_b {
-                None => h.write_u8(0),
+                None => w.content.write_u8(0),
                 Some(b) => {
-                    h.write_u8(1);
-                    hash_block(b, h);
+                    w.content.write_u8(1);
+                    hash_block(b, w);
                 }
             }
         }
-        Stmt::While(cond, body, _span) => {
+        Stmt::While(cond, body, span) => {
             h.write_u8(4);
             hash_expr(cond, h);
-            hash_block(body, h);
+            w.span(*span);
+            hash_block(body, w);
         }
-        Stmt::Return(e, _span) => {
+        Stmt::Return(e, span) => {
             h.write_u8(5);
             match e {
                 None => h.write_u8(0),
@@ -287,20 +371,29 @@ fn hash_stmt(s: &Stmt, h: &mut impl Hasher) {
                     hash_expr(e, h);
                 }
             }
+            w.span(*span);
         }
-        Stmt::Break(_span) => h.write_u8(6),
-        Stmt::Continue(_span) => h.write_u8(7),
+        Stmt::Break(span) => {
+            h.write_u8(6);
+            w.span(*span);
+        }
+        Stmt::Continue(span) => {
+            h.write_u8(7);
+            w.span(*span);
+        }
         Stmt::Block(b) => {
             h.write_u8(8);
-            hash_block(b, h);
+            hash_block(b, w);
         }
-        Stmt::Check(c, _span) => {
+        Stmt::Check(c, span) => {
             h.write_u8(9);
             hash_check(c, h);
+            w.span(*span);
         }
-        Stmt::DelayedFreeScope(b, _span) => {
+        Stmt::DelayedFreeScope(b, span) => {
             h.write_u8(10);
-            hash_block(b, h);
+            w.span(*span);
+            hash_block(b, w);
         }
     }
 }
@@ -458,13 +551,40 @@ mod tests {
             function_content_hash(f),
             function_content_hash(p.function("other").unwrap())
         );
-        // Same pretty text, different spans, same hash.
+        // Same pretty text, different spans: same content hashes.
         let reparsed = parse_program(&crate::pretty::pretty_program(&p)).unwrap();
         assert_eq!(
             function_content_hash(f),
             function_content_hash(reparsed.function("f").unwrap())
         );
-        assert_eq!(ProgramHashes::of(&p), ProgramHashes::of(&reparsed));
+        let (printed, original) = (ProgramHashes::of(&reparsed), ProgramHashes::of(&p));
+        assert_eq!(
+            (printed.env, &printed.functions),
+            (original.env, &original.functions)
+        );
+    }
+
+    #[test]
+    fn layout_hashes_track_spans_relative_to_the_function() {
+        let p = parse_program(SRC).unwrap();
+        let base = ProgramHashes::of(&p);
+        // Blank lines inside `f`: its content stays, its layout does not,
+        // and `other` only moves.
+        let inside = ProgramHashes::of(
+            &parse_program(&SRC.replace("let x: u32 = n + 1;", "let x: u32 = n + 1;\n\n")).unwrap(),
+        );
+        assert_eq!(inside.functions, base.functions);
+        assert_ne!(inside.layouts[0], base.layouts[0]);
+        assert_eq!(inside.layouts[1], base.layouts[1]);
+        assert_ne!(inside.program, base.program);
+        // Blank lines above everything move every item: hashes stay, the
+        // identity does not.
+        let above = ProgramHashes::of(&parse_program(&format!("\n\n{SRC}")).unwrap());
+        assert_eq!(
+            (above.env, &above.functions, &above.layouts),
+            (base.env, &base.functions, &base.layouts)
+        );
+        assert_ne!(above.program, base.program);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   (Deputy's memory-safety checking lives in `ivy-deputy`).
 //! * [`layout`] — i386 data layout (sizes, alignment, field offsets).
 //! * [`visit`] — traversal/rewriting helpers and the erasure transformation.
+//! * [`content`] — content and layout hashes, the identity of a program
+//!   state; [`facts`] — one walk over a function recording what the
+//!   whole-program analyses read from its body.
 //!
 //! # Examples
 //!
@@ -41,7 +44,9 @@
 pub mod ast;
 pub mod content;
 pub mod error;
+pub mod facts;
 pub mod functions;
+pub mod globals;
 pub mod layout;
 pub mod lexer;
 pub mod parser;

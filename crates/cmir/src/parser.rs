@@ -352,7 +352,7 @@ impl Parser {
                     return Ok(Program {
                         composites: Arc::new(composites),
                         typedefs: Arc::new(typedefs),
-                        globals: Arc::new(globals),
+                        globals: globals.into(),
                         functions,
                     })
                 }

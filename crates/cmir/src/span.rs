@@ -84,6 +84,16 @@ impl Span {
         }
     }
 
+    /// This span moved down by `lines`, wrapping: a shift by `n` and then
+    /// by `n.wrapping_neg()` restores every span, synthetic ones included.
+    /// Per-function facts store spans shifted by the negated start line of
+    /// their function, so they survive edits that move the function.
+    pub fn shift_lines(mut self, lines: u32) -> Span {
+        self.start.line = self.start.line.wrapping_add(lines);
+        self.end.line = self.end.line.wrapping_add(lines);
+        self
+    }
+
     /// Number of source lines covered by this span (at least 1 for real spans).
     pub fn line_count(&self) -> u32 {
         if !self.is_real() {

@@ -353,6 +353,64 @@ pub struct FuncType {
 }
 
 impl Type {
+    /// Gives every untrusted pointer in this type that has no bounds
+    /// annotation Deputy's default bounds — `auto` when the pointer is
+    /// indexed or offset (`used_with_arithmetic`), `single` otherwise —
+    /// and returns how many pointers it gave one.
+    pub fn apply_default_bounds(&mut self, used_with_arithmetic: bool) -> u64 {
+        match self {
+            Type::Ptr(inner, ann) => {
+                let mut n = inner.apply_default_bounds(used_with_arithmetic);
+                if !ann.trusted && matches!(ann.bounds, Bounds::Unknown) {
+                    ann.bounds = if used_with_arithmetic {
+                        Bounds::Auto
+                    } else {
+                        Bounds::Single
+                    };
+                    n += 1;
+                }
+                n
+            }
+            Type::Array(inner, _) => inner.apply_default_bounds(used_with_arithmetic),
+            _ => 0,
+        }
+    }
+
+    /// The variables the pointer annotations in this type mention, through
+    /// pointees, array elements and function-pointer signatures.
+    pub fn annotation_vars(&self) -> Vec<String> {
+        match self {
+            Type::Ptr(inner, ann) => {
+                let mut v = ann.free_vars();
+                v.extend(inner.annotation_vars());
+                v
+            }
+            Type::Array(inner, _) => inner.annotation_vars(),
+            Type::Func(ft) => {
+                let mut v = ft.ret.annotation_vars();
+                for p in &ft.params {
+                    v.extend(p.annotation_vars());
+                }
+                v
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// Number of annotated pointers in this type, through pointees, array
+    /// elements and function-pointer signatures.
+    pub fn annotation_count(&self) -> u64 {
+        match self {
+            Type::Ptr(inner, ann) => u64::from(ann.is_annotated()) + inner.annotation_count(),
+            Type::Array(inner, _) => inner.annotation_count(),
+            Type::Func(ft) => {
+                ft.ret.annotation_count()
+                    + ft.params.iter().map(Type::annotation_count).sum::<u64>()
+            }
+            _ => 0,
+        }
+    }
+
     /// `u8`.
     pub fn u8() -> Type {
         Type::Int(IntKind::U8)

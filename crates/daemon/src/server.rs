@@ -16,8 +16,8 @@
 //! memoized as the encoded response bytes (see [`crate::protocol`]).
 
 use crate::protocol::{
-    encode_frame, encode_raw_frame, error_response, invalidation_to_value, read_frame, response_ok,
-    write_frame, SourceDigest, Splice, PROTOCOL_VERSION,
+    encode_frame, error_response, invalidation_to_value, read_frame, response_ok, write_frame,
+    SourceDigest, Splice, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use ivy_analysis::pointsto::{
     self, verify_derivations, ChainLink, Loc, PointsToResult, SolveOptions,
@@ -678,25 +678,43 @@ impl<'a> Claim<'a> {
 
 /// Encodes a digest-addressed answer: the JSON header announcing
 /// `diagnostics_bytes`, then the stable diagnostics serialization as one
-/// raw frame.
+/// raw frame. The diagnostics are written straight into the frame buffer,
+/// behind room for the widest header; the header is then encoded with
+/// their length and placed right in front of them.
 fn answer_frames(ctx: &AnalysisCtx, report: &Report) -> io::Result<Arc<[u8]>> {
-    let diagnostics = report.diagnostics_json();
-    let mut m = Map::new();
-    m.insert("ok".into(), Value::from(true));
-    m.insert(
-        "program_hash".into(),
-        Value::from(format!("{:016x}", ctx.program_hash)),
-    );
-    m.insert(
-        "diagnostic_count".into(),
-        Value::from(report.diagnostics.len()),
-    );
-    m.insert("diagnostics_bytes".into(), Value::from(diagnostics.len()));
-    m.insert("stats".into(), report.stats.to_value());
-    let mut out = Vec::with_capacity(diagnostics.len() + 1024);
-    encode_frame(&Value::Object(m), &mut out)?;
-    encode_raw_frame(diagnostics.as_bytes(), &mut out)?;
-    Ok(out.into())
+    let header = |diagnostics_bytes: usize| {
+        let mut m = Map::new();
+        m.insert("ok".into(), Value::from(true));
+        m.insert(
+            "program_hash".into(),
+            Value::from(format!("{:016x}", ctx.program_hash)),
+        );
+        m.insert(
+            "diagnostic_count".into(),
+            Value::from(report.diagnostics.len()),
+        );
+        m.insert("diagnostics_bytes".into(), Value::from(diagnostics_bytes));
+        m.insert("stats".into(), report.stats.to_value());
+        Value::Object(m)
+    };
+    let mut head = Vec::new();
+    encode_frame(&header(usize::MAX), &mut head)?;
+    let gap = head.len() + 4;
+    let mut out = vec![0; gap];
+    report.write_diagnostics_json(&mut out);
+    let len = out.len() - gap;
+    if len > MAX_FRAME_BYTES as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame exceeds MAX_FRAME_BYTES",
+        ));
+    }
+    head.clear();
+    encode_frame(&header(len), &mut head)?;
+    head.extend_from_slice(&(len as u32).to_le_bytes());
+    let start = gap - head.len();
+    out[start..gap].copy_from_slice(&head);
+    Ok(out[start..].into())
 }
 
 /// Shared server state: the engine, the resident context the last

@@ -14,30 +14,82 @@
 //! annotations so the burden statistics (E2) stay honest.
 
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity};
-use ivy_cmir::ast::{Expr, Function, Program, Stmt};
-use ivy_cmir::types::{Bounds, PtrAnnot, Type};
+use ivy_cmir::ast::{Function, Globals, Program, Stmt};
+use ivy_cmir::facts::{signature, FnFacts};
+use ivy_cmir::functions::Functions;
+use ivy_cmir::types::CompositeDef;
 use ivy_cmir::visit;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+pub use ivy_cmir::facts::pointers_used_with_arithmetic;
+
 /// Validates every annotation in the program, appending diagnostics to the
 /// report. Returns the number of annotations examined.
 pub fn validate_annotations(program: &Program, report: &mut ConversionReport) -> u64 {
+    let items = prepare_items(program);
+    report.diagnostics.extend(items.diagnostics);
+    items.examined + validate_functions(program, &FnFacts::all(program), report)
+}
+
+/// The defaulted environment instrumentation reads: composites, typedefs,
+/// globals, and every function's signature with `body: None`. Unannotated
+/// pointers in globals and fields default to `auto` (without per-site
+/// usage information the conservative choice, always checkable at run
+/// time); a defined function's parameters default as in [`with_defaults`],
+/// and an extern's are left as written. The defaults the bodies' locals
+/// get once [`with_defaults`] applies them are added to
+/// `report.inferred_defaults` too.
+pub fn default_env(program: &Program, report: &mut ConversionReport) -> Program {
+    let items = prepare_items(program);
+    let (functions, inferred) = default_functions(program, &FnFacts::all(program));
+    report.inferred_defaults += items.inferred_defaults + inferred;
+    items.env(program, functions)
+}
+
+/// What Deputy prepares from the items outside functions: the globals and
+/// composites with default bounds, and the validation of their
+/// annotations. It reads no function.
+#[derive(Debug, Clone)]
+pub struct Items {
+    /// The globals, unannotated pointers defaulted to `auto`.
+    pub globals: Globals,
+    /// The composites, unannotated field pointers defaulted to `auto`.
+    pub composites: Arc<Vec<CompositeDef>>,
+    /// Defaults given.
+    pub inferred_defaults: u64,
+    /// Annotations examined.
+    pub examined: u64,
+    /// Validation diagnostics: composite fields' first, then globals'.
+    pub diagnostics: Vec<DeputyDiagnostic>,
+}
+
+impl Items {
+    /// The environment of `program` with these items and `functions`.
+    pub fn env(&self, program: &Program, functions: Functions) -> Program {
+        Program {
+            composites: Arc::clone(&self.composites),
+            typedefs: program.typedefs.clone(),
+            globals: self.globals.clone(),
+            functions,
+        }
+    }
+}
+
+/// [`Items`] of a program.
+pub fn prepare_items(program: &Program) -> Items {
     let mut examined = 0;
-    let globals: BTreeSet<&str> = program
-        .globals
-        .iter()
-        .map(|g| g.decl.name.as_str())
-        .collect();
+    let mut diagnostics = Vec::new();
+    let is_global = |var: &str| program.global(var).is_some();
 
     // Struct/union field annotations may reference sibling fields.
     for comp in program.composites.iter() {
-        let siblings: BTreeSet<String> = comp.fields.iter().map(|f| f.name.clone()).collect();
+        let siblings: BTreeSet<&str> = comp.fields.iter().map(|f| f.name.as_str()).collect();
         for field in &comp.fields {
-            examined += count_annotations(&field.ty);
-            for var in annotation_vars(&field.ty) {
-                if !siblings.contains(&var) && !globals.contains(var.as_str()) {
-                    report.diagnostics.push(DeputyDiagnostic {
+            examined += field.ty.annotation_count();
+            for var in field.ty.annotation_vars() {
+                if !siblings.contains(var.as_str()) && !is_global(&var) {
+                    diagnostics.push(DeputyDiagnostic {
                         function: format!("{}::{}", comp.name, field.name),
                         message: format!(
                             "bounds annotation mentions `{var}`, which is neither a sibling field nor a global"
@@ -48,8 +100,8 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
                 }
             }
             if let Some((tag, _)) = &field.when {
-                if !siblings.contains(tag) {
-                    report.diagnostics.push(DeputyDiagnostic {
+                if !siblings.contains(tag.as_str()) {
+                    diagnostics.push(DeputyDiagnostic {
                         function: format!("{}::{}", comp.name, field.name),
                         message: format!("when() refers to unknown tag field `{tag}`"),
                         severity: Severity::Error,
@@ -62,10 +114,10 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
 
     // Globals may reference other globals.
     for g in program.globals.iter() {
-        examined += count_annotations(&g.decl.ty);
-        for var in annotation_vars(&g.decl.ty) {
-            if !globals.contains(var.as_str()) {
-                report.diagnostics.push(DeputyDiagnostic {
+        examined += g.decl.ty.annotation_count();
+        for var in g.decl.ty.annotation_vars() {
+            if !is_global(&var) {
+                diagnostics.push(DeputyDiagnostic {
                     function: format!("global {}", g.decl.name),
                     message: format!("bounds annotation mentions unknown global `{var}`"),
                     severity: Severity::Error,
@@ -75,101 +127,81 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
         }
     }
 
-    // Function signatures and locals may reference parameters, earlier
-    // locals, and globals.
-    for f in &program.functions {
-        let mut in_scope: BTreeSet<&str> = f.params.iter().map(|p| p.name.as_str()).collect();
-        for p in &f.params {
-            examined += count_annotations(&p.ty);
-            for var in annotation_vars(&p.ty) {
-                if !in_scope.contains(var.as_str()) && !globals.contains(var.as_str()) {
-                    report.diagnostics.push(DeputyDiagnostic {
-                        function: f.name.clone(),
-                        message: format!(
-                            "annotation on parameter `{}` mentions `{var}`, which is not in scope",
-                            p.name
-                        ),
-                        severity: Severity::Error,
-                        span: Some(if p.span.is_real() { p.span } else { f.span }),
-                    });
-                }
-            }
-        }
-        examined += count_annotations(&f.ret);
-        visit::walk_fn_stmts(f, &mut |s| {
-            if let Stmt::Local(decl, _) = s {
-                examined += count_annotations(&decl.ty);
-                for var in annotation_vars(&decl.ty) {
-                    if !in_scope.contains(var.as_str())
-                        && !globals.contains(var.as_str())
-                        && decl.name != var
-                    {
-                        report.diagnostics.push(DeputyDiagnostic {
-                            function: f.name.clone(),
-                            message: format!(
-                                "annotation on local `{}` mentions `{var}`, which is not in scope",
-                                decl.name
-                            ),
-                            severity: Severity::Error,
-                            span: Some(if decl.span.is_real() {
-                                decl.span
-                            } else {
-                                f.span
-                            }),
-                        });
-                    }
-                }
-                in_scope.insert(decl.name.as_str());
-            }
-        });
-    }
-    examined
-}
-
-/// The defaulted environment instrumentation reads: composites, typedefs,
-/// globals, and every function's signature with `body: None`. Unannotated
-/// pointers in globals and fields default to `auto` (without per-site
-/// usage information the conservative choice, always checkable at run
-/// time); a defined function's parameters default as in [`with_defaults`],
-/// and an extern's are left as written. Bodies are only read, to count the
-/// defaults their locals get once [`with_defaults`] applies them; the total
-/// is added to `report.inferred_defaults`.
-pub fn default_env(program: &Program, report: &mut ConversionReport) -> Program {
-    let mut inferred = 0;
-    let functions = program
-        .functions
-        .iter()
-        .map(|f| {
-            let mut sig = signature(f);
-            if f.body.is_some() {
-                let arithmetic_ptrs = pointers_used_with_arithmetic(f);
-                inferred += default_params(&mut sig, &arithmetic_ptrs);
-                visit::walk_fn_stmts(f, &mut |s| {
-                    if let Stmt::Local(decl, _) = s {
-                        inferred += apply_default(&mut decl.ty.clone(), false);
-                    }
-                });
-            }
-            sig
-        })
-        .collect();
+    let mut inferred_defaults = 0;
     let mut globals = program.globals.clone();
     for g in Arc::make_mut(&mut globals) {
-        inferred += apply_default(&mut g.decl.ty, true);
+        inferred_defaults += g.decl.ty.apply_default_bounds(true);
     }
     let mut composites = program.composites.clone();
     for c in Arc::make_mut(&mut composites) {
         for field in &mut c.fields {
-            inferred += apply_default(&mut field.ty, true);
+            inferred_defaults += field.ty.apply_default_bounds(true);
         }
     }
-    report.inferred_defaults += inferred;
-    Program {
-        composites,
-        typedefs: program.typedefs.clone(),
+    Items {
         globals,
-        functions,
+        composites,
+        inferred_defaults,
+        examined,
+        diagnostics,
     }
+}
+
+/// Validates the functions' annotations from their facts (`facts[i]` for
+/// `program.functions[i]`): parameters and locals may reference
+/// parameters, earlier locals, and globals. Reads no function body;
+/// returns the number of annotations examined.
+pub fn validate_functions(
+    program: &Program,
+    facts: &[Arc<FnFacts>],
+    report: &mut ConversionReport,
+) -> u64 {
+    let mut examined = 0;
+    for (f, facts) in program.functions.iter().zip(facts) {
+        examined += facts.annotations;
+        for escape in &facts.annotation_escapes {
+            if program.global(&escape.var).is_some() {
+                continue;
+            }
+            let what = if escape.parameter {
+                "parameter"
+            } else {
+                "local"
+            };
+            report.diagnostics.push(DeputyDiagnostic {
+                function: f.name.clone(),
+                message: format!(
+                    "annotation on {what} `{}` mentions `{}`, which is not in scope",
+                    escape.name, escape.var
+                ),
+                severity: Severity::Error,
+                span: Some(
+                    escape
+                        .span
+                        .map_or(f.span, |span| span.shift_lines(f.span.start.line)),
+                ),
+            });
+        }
+    }
+    examined
+}
+
+/// Every function's signature with its defaults, from the functions'
+/// facts (`facts[i]` for `program.functions[i]`), sharing each signature
+/// the facts hold; and the defaults the defined functions' parameters and
+/// locals get. Reads no function body.
+pub fn default_functions(program: &Program, facts: &[Arc<FnFacts>]) -> (Functions, u64) {
+    let mut inferred = 0;
+    let functions = program
+        .functions
+        .iter()
+        .zip(facts)
+        .map(|(f, facts)| {
+            inferred += facts.inferred_defaults;
+            facts.signature_at(f)
+        })
+        .collect();
+    (functions, inferred)
 }
 
 /// One function with default annotations for its unannotated pointer
@@ -183,10 +215,13 @@ pub fn with_defaults(func: &Function) -> Function {
     };
     let arithmetic_ptrs = pointers_used_with_arithmetic(func);
     let mut out = signature(func);
-    default_params(&mut out, &arithmetic_ptrs);
+    for p in &mut out.params {
+        p.ty.apply_default_bounds(arithmetic_ptrs.contains(&p.name));
+    }
     out.body = Some(visit::map_block(body, &mut |s| match s {
         Stmt::Local(mut decl, init) => {
-            apply_default(&mut decl.ty, arithmetic_ptrs.contains(&decl.name));
+            decl.ty
+                .apply_default_bounds(arithmetic_ptrs.contains(&decl.name));
             vec![Stmt::Local(decl, init)]
         }
         other => vec![other],
@@ -194,109 +229,11 @@ pub fn with_defaults(func: &Function) -> Function {
     out
 }
 
-/// A function's header without its body.
-fn signature(func: &Function) -> Function {
-    Function {
-        name: func.name.clone(),
-        params: func.params.clone(),
-        ret: func.ret.clone(),
-        body: None,
-        attrs: func.attrs.clone(),
-        subsystem: func.subsystem.clone(),
-        span: func.span,
-    }
-}
-
-fn default_params(func: &mut Function, arithmetic_ptrs: &BTreeSet<String>) -> u64 {
-    func.params
-        .iter_mut()
-        .map(|p| apply_default(&mut p.ty, arithmetic_ptrs.contains(&p.name)))
-        .sum()
-}
-
-fn apply_default(ty: &mut Type, used_with_arithmetic: bool) -> u64 {
-    match ty {
-        Type::Ptr(inner, ann) => {
-            let mut n = apply_default(inner, used_with_arithmetic);
-            if !ann.trusted && matches!(ann.bounds, Bounds::Unknown) {
-                ann.bounds = if used_with_arithmetic {
-                    Bounds::Auto
-                } else {
-                    Bounds::Single
-                };
-                n += 1;
-            }
-            n
-        }
-        Type::Array(inner, _) => apply_default(inner, used_with_arithmetic),
-        _ => 0,
-    }
-}
-
-/// Names of parameters/locals that the function indexes or uses in pointer
-/// arithmetic (candidates for `auto` bounds rather than `single`).
-pub fn pointers_used_with_arithmetic(func: &Function) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    visit::walk_fn_stmts(func, &mut |stmt| {
-        visit::walk_stmt_exprs(stmt, &mut |e| match e {
-            Expr::Index(base, idx) => {
-                if let Expr::Var(name) = &**base {
-                    if !matches!(**idx, Expr::Int(0)) {
-                        out.insert(name.clone());
-                    }
-                }
-            }
-            Expr::Binary(ivy_cmir::BinOp::Add | ivy_cmir::BinOp::Sub, a, _) => {
-                if let Expr::Var(name) = &**a {
-                    out.insert(name.clone());
-                }
-            }
-            _ => {}
-        });
-    });
-    out
-}
-
-fn count_annotations(ty: &Type) -> u64 {
-    match ty {
-        Type::Ptr(inner, ann) => u64::from(ann.is_annotated()) + count_annotations(inner),
-        Type::Array(inner, _) => count_annotations(inner),
-        Type::Func(ft) => {
-            count_annotations(&ft.ret) + ft.params.iter().map(count_annotations).sum::<u64>()
-        }
-        _ => 0,
-    }
-}
-
-fn annotation_vars(ty: &Type) -> Vec<String> {
-    match ty {
-        Type::Ptr(inner, ann) => {
-            let mut v = ann.free_vars();
-            v.extend(annotation_vars(inner));
-            v
-        }
-        Type::Array(inner, _) => annotation_vars(inner),
-        Type::Func(ft) => {
-            let mut v = annotation_vars(&ft.ret);
-            for p in &ft.params {
-                v.extend(annotation_vars(p));
-            }
-            v
-        }
-        _ => Vec::new(),
-    }
-}
-
-/// Returns the effective pointer annotation of an expression's type, if the
-/// expression has pointer type.
-pub fn annot_of_type(ty: &Type) -> Option<&PtrAnnot> {
-    ty.ptr_annot()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ivy_cmir::parser::parse_program;
+    use ivy_cmir::types::{Bounds, Type};
 
     #[test]
     fn well_formed_annotations_pass() {

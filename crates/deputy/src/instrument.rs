@@ -19,10 +19,12 @@
 use crate::annotate;
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity};
 use ivy_cmir::ast::{BinOp, Block, Check, Expr, Function, Program, Stmt};
+use ivy_cmir::facts::FnFacts;
 use ivy_cmir::typecheck::TypeCtx;
 use ivy_cmir::types::{BoundExpr, Bounds, PtrAnnot, Type};
 use ivy_cmir::visit;
 use ivy_cmir::Span;
+use std::sync::Arc;
 
 /// Result of converting a program with Deputy.
 #[derive(Debug, Clone)]
@@ -51,10 +53,31 @@ impl Deputy {
     /// function, which is what makes Deputy checking per-function and
     /// incrementally cacheable.
     pub fn prepare(&self, program: &Program) -> (Program, ConversionReport) {
-        let mut report = ConversionReport::default();
-        annotate::validate_annotations(program, &mut report);
-        let env = annotate::default_env(program, &mut report);
-        (env, report)
+        self.prepare_with(
+            program,
+            &annotate::prepare_items(program),
+            &FnFacts::all(program),
+        )
+    }
+
+    /// [`Deputy::prepare`] from the program's prepared [`annotate::Items`]
+    /// and every function's facts (`facts[i]` for `program.functions[i]`),
+    /// reading no body: the engine adapter passes the items and facts it
+    /// memoizes.
+    pub fn prepare_with(
+        &self,
+        program: &Program,
+        items: &annotate::Items,
+        facts: &[Arc<FnFacts>],
+    ) -> (Program, ConversionReport) {
+        let mut report = ConversionReport {
+            diagnostics: items.diagnostics.clone(),
+            ..ConversionReport::default()
+        };
+        annotate::validate_functions(program, facts, &mut report);
+        let (functions, inferred) = annotate::default_functions(program, facts);
+        report.inferred_defaults = items.inferred_defaults + inferred;
+        (items.env(program, functions), report)
     }
 
     /// Converts (deputizes) a whole program: every defined function is

@@ -1,8 +1,10 @@
 //! The Deputy checker plugin for `ivy-engine`.
 //!
 //! Deputy checking decomposes cleanly per function: validation and the
-//! defaulted environment are prepared once per program ([`PreparedQuery`]),
-//! then each function is defaulted and instrumented independently
+//! defaulted environment are prepared once per program ([`PreparedQuery`],
+//! a fold over the db's per-function facts that reads no body and shares
+//! every signature the facts hold), then each function is defaulted and
+//! instrumented independently
 //! ([`InstrumentedQuery`]) — call-site obligations only consult
 //! *signatures* of callees, never their bodies. The environment is
 //! body-free (signatures, globals, composites, typedefs), and the
@@ -12,29 +14,30 @@
 //! instrumented program itself is [`Deputy::convert`]'s job.
 //!
 //! The instrumented query is a [`DurableQuery`] keyed by function name,
-//! whose content key mixes the function's span-insensitive content hash
-//! and the whole-program type environment hash, both as the db stores
-//! them: re-checking after a one-function edit re-instruments exactly the
-//! edited function — in this process, or, with a persist layer attached, a
-//! later one. The report stores its diagnostics' lines relative to the
+//! whose content key mixes the function's span-insensitive content hash,
+//! its layout hash (spans relative to its start line) and the
+//! whole-program type environment hash, all as the db stores them:
+//! re-checking after a one-function edit re-instruments exactly the edited
+//! function — in this process, or, with a persist layer attached, a later
+//! one. The report stores its diagnostics' lines relative to the
 //! function's start line, and each analyze re-bases them on the current
 //! function, so an edit that only moves a function keeps its entry and
 //! still reports the lines a fresh run of the edited source reports.
 
+use crate::annotate;
 use crate::instrument::{convert_function, Deputy};
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity as DeputySeverity};
-use ivy_analysis::callgraph::for_each_callee;
 use ivy_analysis::pointsto::Sensitivity;
-use ivy_cmir::ast::{Expr, Function, Program};
-use ivy_cmir::pretty::{expr_str, type_str};
-use ivy_cmir::Span;
+use ivy_cmir::ast::{Function, Program};
+use ivy_cmir::facts::{Callee, FnFacts};
+use ivy_cmir::pretty::type_str;
 use ivy_engine::hash::mix;
 use ivy_engine::json::{Map, Value};
 use ivy_engine::persist::{span_from_value, span_to_value};
 use ivy_engine::{
     AnalysisCtx, Checker, Diagnostic, DurableQuery, Query, QueryDb, QueryKey, Severity,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Configuration of the Deputy engine plugin.
@@ -62,9 +65,47 @@ pub struct Prepared {
     pub env: Program,
     /// Validation diagnostics and inference counts.
     pub report: ConversionReport,
+    /// Positions in `report.diagnostics` by the name they are attributed to.
+    by_function: HashMap<String, Vec<usize>>,
 }
 
-/// Validation + the defaulted environment for a whole program.
+impl Prepared {
+    /// The validation diagnostics attributed to `function`, in order.
+    pub(crate) fn diagnostics_of<'a>(
+        &'a self,
+        function: &str,
+    ) -> impl Iterator<Item = &'a DeputyDiagnostic> + 'a {
+        let at = self
+            .by_function
+            .get(function)
+            .map_or(&[][..], Vec::as_slice);
+        at.iter().map(|&i| &self.report.diagnostics[i])
+    }
+}
+
+/// The defaulted globals and composites and the validation of their
+/// annotations ([`annotate::Items`]), carried across every edit that
+/// leaves the type environment and its spans unchanged.
+pub struct ItemsQuery;
+
+impl Query for ItemsQuery {
+    type Key = ();
+    type Value = annotate::Items;
+    const NAME: &'static str = "deputy/items";
+
+    fn compute(db: &QueryDb, _: &()) -> annotate::Items {
+        annotate::prepare_items(&db.program)
+    }
+
+    /// The stored env hash and the stored hash of the spans outside
+    /// functions: a body edit keeps the entry.
+    fn content_key(db: &QueryDb, key: &()) -> u64 {
+        mix(mix(key.stable_hash(), db.env_hash()), db.env_layout())
+    }
+}
+
+/// Validation + the defaulted environment for a whole program, folded
+/// over the db's per-function facts and its [`ItemsQuery`] entry.
 pub struct PreparedQuery;
 
 impl Query for PreparedQuery {
@@ -73,8 +114,17 @@ impl Query for PreparedQuery {
     const NAME: &'static str = "deputy/prepared";
 
     fn compute(db: &QueryDb, _: &()) -> Prepared {
-        let (env, report) = Deputy::new().prepare(&db.program);
-        Prepared { env, report }
+        let items = db.get::<ItemsQuery>(&());
+        let (env, report) = Deputy::new().prepare_with(&db.program, &items, &db.fn_facts());
+        let mut by_function: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, d) in report.diagnostics.iter().enumerate() {
+            by_function.entry(d.function.clone()).or_default().push(i);
+        }
+        Prepared {
+            env,
+            report,
+            by_function,
+        }
     }
 }
 
@@ -98,27 +148,30 @@ impl Query for InstrumentedQuery {
         let mut report = convert_function(&prepared.env, subject).1;
         let start = subject.span.start.line;
         for d in &mut report.diagnostics {
-            d.span = d.span.map(|span| shift_lines(span, start.wrapping_neg()));
+            d.span = d.span.map(|span| span.shift_lines(start.wrapping_neg()));
         }
         report
     }
 
-    /// The function's name, its stored content hash and the stored env
-    /// hash: an edit to another function's body keeps the entry, and an
-    /// edit to this function or to the environment drops it.
+    /// The function's name, its stored content and layout hashes and the
+    /// stored env hash: an edit to another function's body keeps the
+    /// entry, and an edit to this function (blank lines inside it
+    /// included) or to the environment drops it.
     fn content_key(db: &QueryDb, key: &String) -> u64 {
-        mix(mix(key.stable_hash(), db.fn_content(key)), db.env_hash())
+        let function = mix(db.fn_content(key), db.fn_layout(key));
+        mix(mix(key.stable_hash(), function), db.env_hash())
     }
 }
 
 impl DurableQuery for InstrumentedQuery {
-    /// Version 5: diagnostic span lines relative to the function's start
-    /// line. Version 4 stored them absolute, under the same content key
+    /// Version 6: the content key also covers the function's layout hash.
+    /// Version 5 stored the same payload under a key without it, and
+    /// version 4 stored the span lines absolute, under the same content key
     /// (the name, the stored content hash and the stored env hash). Version 3
     /// stored the same payload under a key that hashed a caller-computed
     /// content hash in as well; version 2 left the env hash out; version 1
     /// also carried the instrumented body as pretty-printed KC source.
-    const FORMAT_VERSION: u32 = 5;
+    const FORMAT_VERSION: u32 = 6;
 
     fn encode(value: &ConversionReport) -> Value {
         report_to_value(value)
@@ -127,14 +180,6 @@ impl DurableQuery for InstrumentedQuery {
     fn decode(raw: &Value) -> Option<ConversionReport> {
         report_from_value(raw)
     }
-}
-
-/// `span` moved down by `lines`, wrapping: a shift by `n` and then by
-/// `n.wrapping_neg()` restores every span, synthetic ones included.
-fn shift_lines(mut span: Span, lines: u32) -> Span {
-    span.start.line = span.start.line.wrapping_add(lines);
-    span.end.line = span.end.line.wrapping_add(lines);
-    span
 }
 
 /// One function's indirect calls: callee text → parameter signature →
@@ -155,12 +200,17 @@ impl Query for IndirectGroupsQuery {
 
     fn compute(db: &QueryDb, _: &()) -> Self::Value {
         let checker = DeputyChecker::new();
-        db.program
-            .functions
-            .first_definitions()
-            .filter(|func| func.body.is_some())
-            .map(|func| {
-                let groups = checker.compute_indirect_signature_groups(db, func);
+        let functions = &db.program.functions;
+        let facts = db.fn_facts();
+        functions
+            .iter()
+            .zip(facts.iter())
+            .enumerate()
+            .filter(|(i, (func, _))| {
+                func.body.is_some() && functions.position(&func.name) == Some(*i)
+            })
+            .map(|(_, (func, facts))| {
+                let groups = checker.compute_indirect_signature_groups(db, func, facts);
                 (func.name.clone(), groups)
             })
             .filter(|(_, groups)| !groups.is_empty())
@@ -285,24 +335,33 @@ impl DeputyChecker {
         ctx.get_durable::<InstrumentedQuery>(&func.name)
     }
 
-    /// For every indirect call in `func`, the resolved targets (a query
-    /// into the shared points-to substrate) grouped by their parameter
-    /// signature (types *and* Deputy annotations). More than one group
-    /// means the function-pointer interface is inconsistent — some target
-    /// will be entered with obligations its annotations do not state.
-    fn compute_indirect_signature_groups(&self, db: &QueryDb, func: &Function) -> SignatureGroups {
+    /// For every indirect call in `func` (whose facts are `facts`), the
+    /// resolved targets (a query into the shared points-to substrate)
+    /// grouped by their parameter signature (types *and* Deputy
+    /// annotations). A bare name is a direct call unless a parameter,
+    /// local or global of that name shadows the function. More than one
+    /// group means the function-pointer interface is inconsistent — some
+    /// target will be entered with obligations its annotations do not
+    /// state.
+    fn compute_indirect_signature_groups(
+        &self,
+        db: &QueryDb,
+        func: &Function,
+        facts: &FnFacts,
+    ) -> SignatureGroups {
         let pts = db.pointsto(self.sensitivity());
         let mut out = SignatureGroups::new();
-        for_each_callee(func, &mut |callee_expr| {
-            if matches!(callee_expr, Expr::Var(name) if db.program.function(name).is_some()) {
-                return; // direct call
+        for call in &facts.calls {
+            if matches!(&call.callee, Callee::Name { name, .. } if db.program.global(name).is_none())
+            {
+                continue; // direct call
             }
-            let text = expr_str(callee_expr);
-            if out.contains_key(&text) {
-                return;
+            let text = call.callee.text();
+            if out.contains_key(text) {
+                continue;
             }
-            let Some(targets) = pts.indirect_targets_for(&func.name, &text) else {
-                return;
+            let Some(targets) = pts.indirect_targets_for(&func.name, text) else {
+                continue;
             };
             let mut groups: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
             for target in targets {
@@ -318,9 +377,9 @@ impl DeputyChecker {
                 groups.entry(sig).or_default().insert(target.clone());
             }
             if !groups.is_empty() {
-                out.insert(text, groups);
+                out.insert(text.to_string(), groups);
             }
-        });
+        }
         out
     }
 
@@ -380,10 +439,7 @@ impl Checker for DeputyChecker {
     fn check_function(&self, ctx: &AnalysisCtx, func: &Function) -> Vec<Diagnostic> {
         let prepared = self.prepared(ctx);
         let mut out: Vec<Diagnostic> = prepared
-            .report
-            .diagnostics
-            .iter()
-            .filter(|d| d.function == func.name)
+            .diagnostics_of(&func.name)
             .map(Self::to_diagnostic)
             .collect();
 
@@ -451,7 +507,7 @@ impl Checker for DeputyChecker {
             let report = self.instrumented(ctx, func);
             let start = func.span.start.line;
             out.extend(report.diagnostics.iter().map(|d| Diagnostic {
-                span: d.span.map(|span| shift_lines(span, start)),
+                span: d.span.map(|span| span.shift_lines(start)),
                 ..Self::to_diagnostic(d)
             }));
             if report.total_runtime_checks() > 0 || report.static_discharged > 0 {

@@ -379,10 +379,19 @@ impl Report {
     /// The diagnostics as a JSON array (stable: content-ordered, sorted
     /// keys). This deliberately excludes the run statistics, so two runs
     /// that found the same things serialize identically regardless of
-    /// cache temperature.
+    /// cache temperature. The text is what `serde_json::to_string_pretty`
+    /// prints for the array of [`Diagnostic::to_value`]s, written straight
+    /// from the diagnostics without building that array.
     pub fn diagnostics_json(&self) -> String {
-        let items: Vec<Value> = self.diagnostics.iter().map(|d| d.to_value()).collect();
-        serde_json::to_string_pretty(&Value::Array(items)).expect("serializes")
+        let mut out = String::with_capacity(512 * self.diagnostics.len() + 2);
+        write_diagnostics(&self.diagnostics, &mut out);
+        out
+    }
+
+    /// Appends [`Report::diagnostics_json`]'s text to `out` (a frame
+    /// buffer, say) without an intermediate string.
+    pub fn write_diagnostics_json(&self, out: &mut Vec<u8>) {
+        write_diagnostics(&self.diagnostics, out);
     }
 
     /// Full report as JSON: diagnostics plus run statistics.
@@ -481,6 +490,162 @@ impl Report {
     }
 }
 
+/// Where the streaming serializer writes.
+trait Sink {
+    fn put(&mut self, s: &str);
+}
+
+impl Sink for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// A newline and `depth` levels of two-space indentation.
+fn pad(out: &mut impl Sink, depth: usize) {
+    out.put("\n");
+    for _ in 0..depth {
+        out.put("  ");
+    }
+}
+
+/// `s` as a JSON string literal, escaped as `serde_json` escapes it.
+fn string(out: &mut impl Sink, s: &str) {
+    out.put("\"");
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.put(&s[clean..i]);
+        if escaped.is_empty() {
+            out.put(&format!("\\u{:04x}", b));
+        } else {
+            out.put(escaped);
+        }
+        clean = i + 1;
+    }
+    out.put(&s[clean..]);
+    out.put("\"");
+}
+
+/// One pretty-printed JSON object; fields must come in sorted key order.
+struct Object {
+    depth: usize,
+    empty: bool,
+}
+
+impl Object {
+    fn open(out: &mut impl Sink, depth: usize) -> Object {
+        out.put("{");
+        Object { depth, empty: true }
+    }
+
+    fn key(&mut self, out: &mut impl Sink, key: &str) {
+        if !self.empty {
+            out.put(",");
+        }
+        self.empty = false;
+        pad(out, self.depth + 1);
+        string(out, key);
+        out.put(": ");
+    }
+
+    fn text(&mut self, out: &mut impl Sink, key: &str, value: &str) {
+        self.key(out, key);
+        string(out, value);
+    }
+
+    fn number(&mut self, out: &mut impl Sink, key: &str, mut value: u32) {
+        self.key(out, key);
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        out.put(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    }
+
+    fn close(self, out: &mut impl Sink) {
+        if !self.empty {
+            pad(out, self.depth);
+        }
+        out.put("}");
+    }
+}
+
+/// A pretty-printed JSON array at `depth`, each element written by `item`.
+fn array<T, S: Sink>(out: &mut S, depth: usize, items: &[T], mut item: impl FnMut(&mut S, &T)) {
+    if items.is_empty() {
+        out.put("[]");
+        return;
+    }
+    out.put("[");
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.put(",");
+        }
+        pad(out, depth + 1);
+        item(out, x);
+    }
+    pad(out, depth);
+    out.put("]");
+}
+
+/// `diagnostics` as [`Report::diagnostics_json`] prints them: the keys of
+/// [`Diagnostic::to_value`], [`Evidence::to_value`] and
+/// [`span_to_value`](crate::persist::span_to_value) in sorted order.
+fn write_diagnostics<S: Sink>(diagnostics: &[Diagnostic], out: &mut S) {
+    array(out, 0, diagnostics, |out, d| {
+        let mut o = Object::open(out, 1);
+        o.text(out, "checker", &d.checker);
+        o.text(out, "code", &d.code);
+        if !d.evidence.is_empty() {
+            o.key(out, "evidence");
+            array(out, 2, &d.evidence, |out, e| {
+                let mut o = Object::open(out, 3);
+                o.text(out, "detail", &e.detail);
+                o.text(out, "kind", &e.kind);
+                o.text(out, "subject", &e.subject);
+                o.close(out);
+            });
+        }
+        if let Some(hint) = &d.fix_hint {
+            o.text(out, "fix_hint", hint);
+        }
+        o.text(out, "function", &d.function);
+        o.text(out, "message", &d.message);
+        o.text(out, "severity", d.severity.name());
+        if let Some(span) = &d.span {
+            o.key(out, "span");
+            let mut s = Object::open(out, 2);
+            s.number(out, "col", span.start.col);
+            s.number(out, "end_col", span.end.col);
+            s.number(out, "end_line", span.end.line);
+            s.number(out, "line", span.start.line);
+            s.close(out);
+        }
+        o.close(out);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,6 +741,33 @@ mod tests {
         }
         assert_eq!(EngineStats::from_value(&older).unwrap(), stats);
         assert!(EngineStats::from_value(&Value::from("nope")).is_none());
+    }
+
+    /// The streaming serializer prints exactly what pretty-printing the
+    /// diagnostics' JSON values prints, escapes and all.
+    #[test]
+    fn streamed_diagnostics_match_the_value_printer() {
+        use ivy_cmir::span::Pos;
+        let mut full = diag("f\"q", "deputy/type-error", "a\\b\nc\td\r\u{1}é");
+        full.span = Some(Span::new(Pos::new(12, 5), Pos::new(1_000_000, 30)));
+        full.fix_hint = Some("hint".into());
+        full.evidence = vec![
+            Evidence::new("pts", "f::p", "may point to: global buf"),
+            Evidence::new("indirect-targets", "f::ops->read", ""),
+        ];
+        for diagnostics in [Vec::new(), vec![full, diag("g", "c/x", "m")]] {
+            let report = Report::new(diagnostics, EngineStats::default());
+            let values = report
+                .diagnostics
+                .iter()
+                .map(Diagnostic::to_value)
+                .collect();
+            let expected = serde_json::to_string_pretty(&Value::Array(values)).unwrap();
+            assert_eq!(report.diagnostics_json(), expected);
+            let mut bytes = b"prefix".to_vec();
+            report.write_diagnostics_json(&mut bytes);
+            assert_eq!(&bytes[6..], expected.as_bytes());
+        }
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //!    [`Engine::apply_source_edit`] takes an edit as source text and
 //!    re-parses and re-hashes only the edited function when it can.
 //!    [`AnalysisCtx`] is the `QueryDb`; the old string-keyed `Any` memo
-//!    table (and its runtime type-confusion panics) is gone.
+//!    table (and its runtime type-confusion panics) is gone. One
+//!    per-function query, [`query::FnFactsQuery`] (`engine/fn-facts`),
+//!    walks each body once for every checker; whole-program queries fold
+//!    over its results and read no body.
 //! 2. **Plugins** — the [`Checker`] trait: a name, a required points-to
 //!    [`Sensitivity`](ivy_analysis::pointsto::Sensitivity), and a
 //!    per-function `check_function`. Deputy, CCount, and BlockStop register

@@ -39,6 +39,7 @@ use ivy_analysis::pointsto::{self, ConstraintCache, PointsToResult, Sensitivity,
 use ivy_analysis::summary::{fnv1a, mix};
 use ivy_cmir::ast::Program;
 use ivy_cmir::content::ProgramHashes;
+use ivy_cmir::facts::FnFacts;
 use serde_json::Value;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -540,6 +541,27 @@ impl QueryDb {
             .position(function)
             .map_or(0, |i| self.hashes.functions[i])
     }
+
+    /// Layout hash (spans relative to the function's start line) of one
+    /// function's first definition, as stored when the db was built (0
+    /// when the program has no function of that name).
+    pub fn fn_layout(&self, function: &str) -> u64 {
+        self.program
+            .functions
+            .position(function)
+            .map_or(0, |i| self.hashes.layouts[i])
+    }
+
+    /// Hash of the spans outside functions (composites, fields, globals),
+    /// as stored when the db was built.
+    pub fn env_layout(&self) -> u64 {
+        self.hashes.env_layout
+    }
+
+    /// Every function's [`FnFacts`], in program order ([`ProgramFactsQuery`]).
+    pub fn fn_facts(&self) -> Arc<Vec<Arc<FnFacts>>> {
+        self.get::<ProgramFactsQuery>(&())
+    }
 }
 
 /// Each function name of a db with a hash of every definition of the
@@ -590,6 +612,50 @@ impl Query for Pointsto {
             &db.pts_cache,
             SolveOptions::default(),
         )
+    }
+}
+
+/// The [`FnFacts`] of the function at a position in program order: the
+/// one walk over its body that the whole-program queries fold over. Keyed
+/// by position, so each definition of a name defined twice has its own
+/// entry, and carried by the function's content and layout hashes, so an
+/// edit keeps every entry whose function it did not change, even when
+/// the function moved.
+pub struct FnFactsQuery;
+
+impl Query for FnFactsQuery {
+    type Key = u64;
+    type Value = FnFacts;
+    const NAME: &'static str = "engine/fn-facts";
+
+    fn compute(db: &QueryDb, index: &u64) -> FnFacts {
+        FnFacts::of(&db.program.functions[*index as usize])
+    }
+
+    fn content_key(db: &QueryDb, index: &u64) -> u64 {
+        let at = *index as usize;
+        let content = db.hashes.functions.get(at).copied().unwrap_or(0);
+        let layout = db.hashes.layouts.get(at).copied().unwrap_or(0);
+        mix(mix(index.stable_hash(), content), layout)
+    }
+}
+
+/// Every function's [`FnFacts`] in program order, gathered once per
+/// program state from the per-function [`FnFactsQuery`] entries, so the
+/// whole-program folds of one analyze demand each function's entry once.
+/// After an edit only the functions whose content or layout changed are
+/// walked again.
+pub struct ProgramFactsQuery;
+
+impl Query for ProgramFactsQuery {
+    type Key = ();
+    type Value = Vec<Arc<FnFacts>>;
+    const NAME: &'static str = "engine/program-facts";
+
+    fn compute(db: &QueryDb, _: &()) -> Vec<Arc<FnFacts>> {
+        (0..db.program.functions.len() as u64)
+            .map(|i| db.get::<FnFactsQuery>(&i))
+            .collect()
     }
 }
 

@@ -322,6 +322,56 @@ pub fn spans_snapshot() -> Vec<SpanRecord> {
     spans
 }
 
+/// The time recorded under one span `cat`/`name`, summed over its spans.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SelfTime {
+    /// Spans recorded.
+    pub calls: u64,
+    /// Their summed duration, in microseconds.
+    pub total_us: u64,
+    /// Their summed duration minus the time of the spans nested directly
+    /// inside them on the same thread, in microseconds.
+    pub self_us: u64,
+}
+
+/// Self time of every recorded span, by `(cat, name)`. Spans nest per
+/// thread by their recorded depth: a span's parent is the latest span
+/// opened before it on its thread at a smaller depth, and a span's self
+/// time is its duration minus its children's durations (never below 0,
+/// since durations are rounded to microseconds).
+pub fn self_times() -> BTreeMap<(&'static str, String), SelfTime> {
+    self_times_of(&spans_snapshot())
+}
+
+/// [`self_times`] over the given spans.
+fn self_times_of(spans: &[SpanRecord]) -> BTreeMap<(&'static str, String), SelfTime> {
+    let mut order: Vec<&SpanRecord> = spans.iter().collect();
+    order.sort_by_key(|s| (s.tid, s.start_us, s.depth));
+    let mut children_us = vec![0u64; order.len()];
+    // Indices into `order` of the spans still open, outermost first.
+    let mut open: Vec<usize> = Vec::new();
+    for (i, span) in order.iter().enumerate() {
+        while let Some(&top) = open.last() {
+            if order[top].tid == span.tid && order[top].depth < span.depth {
+                break;
+            }
+            open.pop();
+        }
+        if let Some(&parent) = open.last() {
+            children_us[parent] += span.dur_us;
+        }
+        open.push(i);
+    }
+    let mut out: BTreeMap<(&'static str, String), SelfTime> = BTreeMap::new();
+    for (span, children) in order.iter().zip(children_us) {
+        let entry = out.entry((span.cat, span.name.clone())).or_default();
+        entry.calls += 1;
+        entry.total_us += span.dur_us;
+        entry.self_us += span.dur_us.saturating_sub(children);
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Counters
 // ---------------------------------------------------------------------------
@@ -620,6 +670,57 @@ mod tests {
         assert!(text.contains("test_labeled_total{verb=\"analyze\"} 7"));
         // One TYPE header per metric name even with two label values.
         assert_eq!(text.matches("# TYPE test_labeled_total").count(), 1);
+    }
+
+    #[test]
+    fn self_times_subtract_direct_children_per_thread() {
+        let span = |tid: u64, name: &str, start_us: u64, dur_us: u64, depth: u32| SpanRecord {
+            cat: "test/self",
+            name: name.to_string(),
+            tid,
+            start_us,
+            dur_us,
+            depth,
+        };
+        let spans = [
+            // Thread 1: `a` holds `b` (which holds `c`), then `b` again.
+            span(1, "a", 0, 100, 0),
+            span(1, "b", 10, 30, 1),
+            span(1, "c", 15, 10, 2),
+            span(1, "b", 50, 10, 1),
+            // Thread 2 overlaps thread 1 in time but nests on its own: a
+            // child as long as its parent, listed first.
+            span(2, "b", 5, 30, 1),
+            span(2, "a", 5, 30, 0),
+            // A second root on thread 1 after the first closed.
+            span(1, "c", 200, 7, 0),
+        ];
+        let times = self_times_of(&spans);
+        let get = |name: &str| times[&("test/self", name.to_string())];
+        assert_eq!(
+            get("a"),
+            SelfTime {
+                calls: 2,
+                total_us: 130,
+                self_us: 60
+            }
+        );
+        assert_eq!(
+            get("b"),
+            SelfTime {
+                calls: 3,
+                total_us: 70,
+                self_us: 60
+            }
+        );
+        assert_eq!(
+            get("c"),
+            SelfTime {
+                calls: 2,
+                total_us: 17,
+                self_us: 17
+            }
+        );
     }
 
     #[test]

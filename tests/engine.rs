@@ -6,11 +6,13 @@
 use ivy::blockstop::BlockStopChecker;
 use ivy::ccount::CCountChecker;
 use ivy::cmir::ast::{Expr, Program};
+use ivy::cmir::content::ProgramHashes;
 use ivy::cmir::parser::{parse_program, ReparsePath};
 use ivy::cmir::pretty::{pretty_function, pretty_program};
 use ivy::cmir::visit::{map_block_exprs, walk_block_exprs};
 use ivy::deputy::plugin::InstrumentedQuery;
 use ivy::deputy::DeputyChecker;
+use ivy::engine::query::FnFactsQuery;
 use ivy::engine::{AnalysisCtx, DurableQuery, Engine, PersistLayer, Query, Severity};
 use ivy::kernelgen::{KernelBuild, KernelConfig};
 use proptest::prelude::*;
@@ -452,9 +454,11 @@ fn mutate(base: &Program, kind: u8, pick: u64, delta: i64) -> Program {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The program identity is exactly the pretty-printed text's: it
-    /// survives a print/parse round trip, it changes whenever the text
-    /// changes, and the edit diff built from it names exactly the
+    /// The content hashes are exactly the pretty-printed text's: they
+    /// survive a print/parse round trip. The program identity also covers
+    /// spans: it survives printing the printed text again, it changes
+    /// whenever the text changes (the mutations keep every span), and the
+    /// edit diff built from the content hashes names exactly the
     /// functions whose printed text changed.
     #[test]
     fn program_identity_matches_pretty_printed_equality(
@@ -464,9 +468,17 @@ proptest! {
     ) {
         let (engine, base_ctx, base) = identity_base();
         let mutated = mutate(base, kind, pick, delta);
+        let content = |p: &Program| {
+            let hashes = ProgramHashes::of(p);
+            (hashes.env, hashes.functions)
+        };
         for p in [base, &mutated] {
-            let reparsed = parse_program(&pretty_program(p)).expect("printed program parses");
-            prop_assert_eq!(AnalysisCtx::hash_program(p), AnalysisCtx::hash_program(&reparsed));
+            let printed = pretty_program(p);
+            let reparsed = parse_program(&printed).expect("printed program parses");
+            prop_assert_eq!(content(p), content(&reparsed));
+            let again = parse_program(&pretty_program(&reparsed)).expect("reprinted program parses");
+            prop_assert_eq!(pretty_program(&reparsed), printed);
+            prop_assert_eq!(AnalysisCtx::hash_program(&reparsed), AnalysisCtx::hash_program(&again));
         }
         prop_assert_eq!(
             pretty_program(base) == pretty_program(&mutated),
@@ -828,4 +840,87 @@ fn a_line_shifting_edit_matches_batch() {
         assert!(batch.contains(code), "batch reports {code}: {batch}");
     }
     assert_eq!(incremental, batch);
+}
+
+/// Blank lines inside functions whose content is unchanged move their
+/// statements relative to the function's start, and blank lines above
+/// every function move every item: the daemon's incremental answer must
+/// carry the new lines, exactly as a fresh batch run of the edited
+/// source does. Each function's layout hash is part of the keys of its
+/// carried entries and of the program identity.
+#[test]
+fn blank_lines_inside_unchanged_functions_match_batch() {
+    let inside = LINE_SHIFT
+        .replacen("    return len;", "    return len + 1;", 1)
+        .replacen(
+            "fn cast(x: u32) -> u32 * {\n",
+            "fn cast(x: u32) -> u32 * {\n\n\n",
+            1,
+        )
+        .replacen(
+            "    spin_lock_irqsave(&lk);\n",
+            "    spin_lock_irqsave(&lk);\n\n",
+            1,
+        );
+    let above = format!("\n\n\n{LINE_SHIFT}");
+    for (case, edited) in [("inside", inside), ("above", above)] {
+        let engine = ivy::core::experiments::default_engine(0);
+        let base = parse_program(LINE_SHIFT).expect("base parses");
+        let (ctx, _) = engine.context_for_source(base, Arc::from(LINE_SHIFT));
+        engine.analyze_with_ctx(&ctx, false);
+        let edit = engine
+            .apply_source_edit(&ctx, Arc::from(edited.as_str()))
+            .expect("edit parses");
+        assert!(
+            !Arc::ptr_eq(&edit.ctx, &ctx),
+            "{case}: a moved line is a new program state"
+        );
+        let incremental = engine.analyze_with_ctx(&edit.ctx, false).diagnostics_json();
+
+        let fresh = parse_program(&edited).expect("edited source parses");
+        let batch = ivy::core::experiments::default_engine(0)
+            .analyze(&fresh)
+            .diagnostics_json();
+        for code in ["blockstop/atomic-call", "deputy/type-error"] {
+            assert!(
+                batch.contains(code),
+                "{case}: batch reports {code}: {batch}"
+            );
+        }
+        assert_eq!(incremental, batch, "{case}");
+    }
+}
+
+/// A one-literal edit walks one body: analyzing the edited context
+/// computes exactly one `engine/fn-facts` entry, the edited function's,
+/// and carries every other function's entry from its base.
+#[test]
+fn a_one_literal_edit_walks_one_body() {
+    let program = KernelBuild::generate(&KernelConfig::small()).program;
+    let engine = ivy::core::experiments::default_engine(0);
+    engine.analyze(&program);
+    let (base, _) = engine.context_for(&program);
+    let edited = mutate(&program, 1, 7, 1);
+    let (ctx, stats) = engine.apply_edit(&base, &edited);
+    assert_eq!(stats.changed_functions.len(), 1, "one function per edit");
+    engine.analyze_with_ctx(&ctx, false);
+
+    let functions = edited.functions.len();
+    let edited_at: Vec<usize> = (0..functions)
+        .filter(|&i| !Arc::ptr_eq(&program.functions.arcs()[i], &edited.functions.arcs()[i]))
+        .collect();
+    let walked: Vec<usize> = (0..functions)
+        .filter(|&i| {
+            let key = i as u64;
+            let old = base
+                .peek::<FnFactsQuery>(&key)
+                .expect("the base analyze walked every function");
+            let new = ctx
+                .peek::<FnFactsQuery>(&key)
+                .expect("analyze reads every function's facts");
+            !Arc::ptr_eq(&old, &new)
+        })
+        .collect();
+    assert_eq!(edited_at.len(), 1);
+    assert_eq!(walked, edited_at, "only the edited body is walked again");
 }
