@@ -26,6 +26,7 @@
 
 use super::intern::{FnvMap, LocInterner, LocKey, Sym};
 use super::Sensitivity;
+use crate::summary::{fnv1a, mix};
 use ivy_cmir::ast::{Block, Expr, Function, GlobalDef, Program, Stmt, VarDecl};
 use ivy_cmir::typecheck::TypeCtx;
 use ivy_cmir::types::Type;
@@ -45,7 +46,7 @@ pub(crate) enum IConstraint {
 
 /// A call through a function pointer, waiting for its callee set. The
 /// strings key the public `indirect_targets` map.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct ISite {
     /// Enclosing function.
     pub func: String,
@@ -63,10 +64,40 @@ pub(crate) struct ISite {
 /// the unit the solver consumes and the
 /// [`ConstraintCache`](super::ConstraintCache) stores. Ids are valid for
 /// the interner the batch was generated against.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct InternedBatch {
     pub constraints: Vec<IConstraint>,
     pub sites: Vec<ISite>,
+    /// Hash of the constraints and sites, computed once when the batch is
+    /// generated: equal batches have equal fingerprints, so a solve key
+    /// built from them names the solve's whole input.
+    pub fingerprint: u64,
+}
+
+impl InternedBatch {
+    fn fingerprint_of(constraints: &[IConstraint], sites: &[ISite]) -> u64 {
+        let mut h = mix(fnv1a(b"pointsto/batch"), constraints.len() as u64);
+        for c in constraints {
+            let (tag, a, b) = match *c {
+                IConstraint::AddrOf { dst, loc } => (0, dst, loc),
+                IConstraint::Copy { dst, src } => (1, dst, src),
+                IConstraint::Load { dst, src } => (2, dst, src),
+                IConstraint::Store { dst, src } => (3, dst, src),
+            };
+            h = mix(mix(h, tag), u64::from(a) << 32 | u64::from(b));
+        }
+        h = mix(h, sites.len() as u64);
+        for site in sites {
+            h = mix(h, fnv1a(site.func.as_bytes()));
+            h = mix(h, fnv1a(site.callee_text.as_bytes()));
+            h = mix(h, u64::from(site.callee) << 32 | u64::from(site.result));
+            h = mix(h, site.args.len() as u64);
+            for &a in &site.args {
+                h = mix(h, u64::from(a));
+            }
+        }
+        h
+    }
 }
 
 /// Name resolution over one program, built once per solve: the first
@@ -239,7 +270,7 @@ impl<'g, 'p> ConstraintGen<'g, 'p> {
     }
 
     /// The finished batch: its indirect sites are interned after all of
-    /// its constraints.
+    /// its constraints, then the whole batch is fingerprinted.
     fn finish(mut self) -> InternedBatch {
         for site in std::mem::take(&mut self.pending) {
             let callee = self.interner.intern(site.callee);
@@ -253,6 +284,8 @@ impl<'g, 'p> ConstraintGen<'g, 'p> {
                 result,
             });
         }
+        self.batch.fingerprint =
+            InternedBatch::fingerprint_of(&self.batch.constraints, &self.batch.sites);
         self.batch
     }
 

@@ -54,8 +54,9 @@
 //!   against a [`ConstraintCache`]: per-function constraint batches are
 //!   keyed by `mix(content_hash, env_hash)` and reused across programs,
 //!   so re-analyzing an edited program regenerates constraints only for
-//!   the dirty functions and re-propagates the cached interned graph
-//!   ([`SolveMode`] reports whether any batch was reused).
+//!   the dirty functions and re-propagates the cached interned graph;
+//!   when every batch equals those of a live solve, the result shares
+//!   that solve instead ([`SolveMode`] reports which path ran).
 //! * [`analyze_naive`] — the retained naive reference solver, kept for
 //!   differential testing (Klinger et al.-style) and the ablation bench.
 //!
@@ -80,7 +81,7 @@ use ivy_provenance::{EdgeKind, ProvStore, SEED};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 /// Precision level of the points-to analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -151,6 +152,9 @@ pub enum SolveMode {
     /// Re-propagated the full cached constraint graph (batches reused,
     /// but the fixpoint was recomputed from empty sets).
     Repropagate,
+    /// Shared a live solve of the same constraint batches: no fixpoint
+    /// ran (see [`ConstraintCache`]).
+    Reused,
 }
 
 impl SolveMode {
@@ -159,6 +163,7 @@ impl SolveMode {
         match self {
             SolveMode::Cold => "cold",
             SolveMode::Repropagate => "incremental-repropagate",
+            SolveMode::Reused => "reused",
         }
     }
 }
@@ -257,6 +262,49 @@ impl ChainLink {
     }
 }
 
+/// One fixpoint a worklist or union-find solve computed. Every result
+/// whose solve key matched reads the same `Solve` (see
+/// [`ConstraintCache`]), so its sets exist once however many results
+/// share it.
+#[derive(Debug)]
+struct Solve {
+    /// The batches the solve consumed, in program order (empty for a
+    /// one-shot solve): a cache hit must present an equal list, so a key
+    /// collision never returns another program's answer.
+    batches: Vec<Arc<InternedBatch>>,
+    /// Non-empty points-to sets, `(location id, sorted pointee ids)`,
+    /// sorted by location id.
+    sets: Vec<(u32, Vec<u32>)>,
+    indirect_targets: Arc<HashMap<(String, String), BTreeSet<String>>>,
+    initial_constraints: usize,
+    total_constraints: usize,
+    pops: usize,
+    /// Derivation arena (`None` unless the solve recorded provenance).
+    provenance: Option<ProvStore>,
+}
+
+impl Solve {
+    /// Keeps the non-empty sets of a solver's output.
+    fn new(out: solve::SolveOutput, batches: Vec<Arc<InternedBatch>>) -> Solve {
+        let sets = out
+            .sets
+            .into_iter()
+            .enumerate()
+            .filter(|(_, s)| !s.is_empty())
+            .map(|(id, s)| (id as u32, s))
+            .collect();
+        Solve {
+            batches,
+            sets,
+            indirect_targets: Arc::new(out.indirect_targets),
+            initial_constraints: out.initial_constraints,
+            total_constraints: out.total_constraints,
+            pops: out.pops,
+            provenance: out.provenance,
+        }
+    }
+}
+
 /// The interned solution a worklist solve produces: final sets per location
 /// id plus the interner that gives the ids meaning. A query resolves only
 /// the one set it asks for (see [`PointsToResult::points_to`]); the whole
@@ -264,9 +312,7 @@ impl ChainLink {
 #[derive(Debug, Clone)]
 struct Solution {
     interner: Arc<SharedInterner>,
-    /// Non-empty points-to sets, `(location id, sorted pointee ids)`,
-    /// sorted by location id.
-    sets: Arc<Vec<(u32, Vec<u32>)>>,
+    solve: Arc<Solve>,
 }
 
 impl Solution {
@@ -275,19 +321,17 @@ impl Solution {
         let Some(id) = interner.lookup(loc) else {
             return BTreeSet::new();
         };
-        match self.sets.binary_search_by_key(&id, |(l, _)| *l) {
-            Ok(i) => self.sets[i]
-                .1
-                .iter()
-                .map(|&p| interner.resolve(p))
-                .collect(),
+        let sets = &self.solve.sets;
+        match sets.binary_search_by_key(&id, |(l, _)| *l) {
+            Ok(i) => sets[i].1.iter().map(|&p| interner.resolve(p)).collect(),
             Err(_) => BTreeSet::new(),
         }
     }
 
     fn materialize(&self) -> BTreeMap<Loc, BTreeSet<Loc>> {
         let interner = self.interner.lock();
-        self.sets
+        self.solve
+            .sets
             .iter()
             .map(|(id, set)| {
                 (
@@ -320,8 +364,9 @@ pub struct PointsToResult {
     /// The points-to sets.
     repr: Repr,
     /// For every indirect call, keyed by `(function, callee expression
-    /// text)`, the set of function names the callee may refer to.
-    pub indirect_targets: HashMap<(String, String), BTreeSet<String>>,
+    /// text)`, the set of function names the callee may refer to (shared
+    /// by every result of one solve).
+    pub indirect_targets: Arc<HashMap<(String, String), BTreeSet<String>>>,
     /// Precision level that produced this result.
     pub sensitivity: Sensitivity,
     /// Constraints generated from syntax, before indirect-call resolution
@@ -339,43 +384,27 @@ pub struct PointsToResult {
     pub batches_reused: usize,
     /// Per-function constraint batches generated fresh in this run.
     pub batches_generated: usize,
-    /// How this result was computed (cold / re-propagate).
+    /// How this result was computed (cold / re-propagate / reused).
     pub mode: SolveMode,
-    /// Derivation arena recorded during the solve (`None` unless the solve
-    /// ran with [`SolveOptions::provenance`]).
-    provenance: Option<Arc<ProvStore>>,
 }
 
 impl PointsToResult {
-    fn from_solution(
+    /// A cold result reading `solve`, whose ids `interner` resolves.
+    fn of_solve(
         interner: Arc<SharedInterner>,
-        out: solve::SolveOutput,
+        solve: Arc<Solve>,
         sensitivity: Sensitivity,
-        batches_reused: usize,
-        batches_generated: usize,
     ) -> PointsToResult {
-        let provenance = out.provenance.map(Arc::new);
-        let sets: Vec<(u32, Vec<u32>)> = out
-            .sets
-            .into_iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_empty())
-            .map(|(id, s)| (id as u32, s))
-            .collect();
         PointsToResult {
-            repr: Repr::Interned(Solution {
-                interner,
-                sets: Arc::new(sets),
-            }),
-            indirect_targets: out.indirect_targets,
+            indirect_targets: Arc::clone(&solve.indirect_targets),
             sensitivity,
-            initial_constraints: out.initial_constraints,
-            constraint_count: out.total_constraints,
-            iterations: out.pops,
-            batches_reused,
-            batches_generated,
+            initial_constraints: solve.initial_constraints,
+            constraint_count: solve.total_constraints,
+            iterations: solve.pops,
+            batches_reused: 0,
+            batches_generated: 0,
             mode: SolveMode::Cold,
-            provenance,
+            repr: Repr::Interned(Solution { interner, solve }),
         }
     }
 
@@ -389,7 +418,7 @@ impl PointsToResult {
     ) -> PointsToResult {
         PointsToResult {
             repr: Repr::Naive(pts),
-            indirect_targets,
+            indirect_targets: Arc::new(indirect_targets),
             sensitivity,
             initial_constraints,
             constraint_count,
@@ -397,7 +426,6 @@ impl PointsToResult {
             batches_reused: 0,
             batches_generated: 0,
             mode: SolveMode::Cold,
-            provenance: None,
         }
     }
 
@@ -406,6 +434,12 @@ impl PointsToResult {
             Repr::Interned(sol) => Some(sol),
             Repr::Naive(_) => None,
         }
+    }
+
+    /// Derivation arena recorded during the solve (`None` unless the solve
+    /// ran with [`SolveOptions::provenance`]).
+    fn provenance(&self) -> Option<&ProvStore> {
+        self.solution()?.solve.provenance.as_ref()
     }
 
     /// The whole solution as a `Loc`-keyed map: every abstract location
@@ -467,13 +501,13 @@ impl PointsToResult {
 
     /// Whether this result carries a derivation arena.
     pub fn has_provenance(&self) -> bool {
-        self.provenance.is_some()
+        self.provenance().is_some()
     }
 
     /// Number of derivation steps recorded (0 when provenance was off).
     /// One step per derived fact, so this also counts the facts.
     pub fn provenance_facts(&self) -> usize {
-        self.provenance.as_ref().map_or(0, |p| p.facts())
+        self.provenance().map_or(0, |p| p.facts())
     }
 
     /// Number of dynamically-discovered graph edges whose justification
@@ -482,13 +516,13 @@ impl PointsToResult {
     /// call the solver made — what a disabled-mode overhead budget has to
     /// price.
     pub fn provenance_edges(&self) -> usize {
-        self.provenance.as_ref().map_or(0, |p| p.dyn_edges())
+        self.provenance().map_or(0, |p| p.dyn_edges())
     }
 
     /// Approximate heap footprint of the derivation arena in bytes (0 when
     /// provenance was off).
     pub fn provenance_bytes(&self) -> usize {
-        self.provenance.as_ref().map_or(0, |p| p.bytes())
+        self.provenance().map_or(0, |p| p.bytes())
     }
 
     /// The derivation chain of the fact "`loc` may point to `target`",
@@ -532,7 +566,7 @@ impl PointsToResult {
     }
 
     fn why_ids(&self, dst: u32, tgt: u32) -> Option<Vec<ChainLink>> {
-        let prov = self.provenance.as_ref()?;
+        let prov = self.provenance()?;
         let chain = prov.why(dst, tgt)?;
         let sol = self.solution()?;
         let interner = sol.interner.lock();
@@ -607,8 +641,9 @@ pub fn analyze_with(
         (batches, bind)
     };
     let out = run_solver(sensitivity, &batches, &bind, opts);
-    let generated = batches.len();
-    let r = PointsToResult::from_solution(interner, out, sensitivity, 0, generated);
+    let mut r =
+        PointsToResult::of_solve(interner, Arc::new(Solve::new(out, Vec::new())), sensitivity);
+    r.batches_generated = batches.len();
     ivy_telemetry::counter_labeled("ivy_pointsto_solves_total", "mode", r.mode.name(), 1);
     r
 }
@@ -640,10 +675,7 @@ pub fn analyze_naive(program: &Program, sensitivity: Sensitivity) -> PointsToRes
 /// result was computed from.
 pub fn verify_derivations(program: &Program, r: &PointsToResult) -> Result<usize, String> {
     let sol = r.solution().ok_or("result has no interned solution")?;
-    let prov = r
-        .provenance
-        .as_ref()
-        .ok_or("result has no provenance arena")?;
+    let prov = r.provenance().ok_or("result has no provenance arena")?;
     let steensgaard = r.sensitivity == Sensitivity::Steensgaard;
 
     // Regenerate the constraints. Interning is append-only and idempotent,
@@ -775,7 +807,7 @@ pub fn verify_derivations(program: &Program, r: &PointsToResult) -> Result<usize
     // Completeness: every element of every final set has a derivation, and
     // the counts match (sets only grow, so equal counts mean a bijection).
     let mut total = 0usize;
-    for (id, set) in sol.sets.iter() {
+    for (id, set) in sol.solve.sets.iter() {
         for &p in set {
             total += 1;
             if prov.index_of(*id, p).is_none() {
@@ -796,7 +828,8 @@ pub fn verify_derivations(program: &Program, r: &PointsToResult) -> Result<usize
 /// wholesale (the interner is kept — ids stay valid).
 const BATCH_CACHE_CAP: usize = 16384;
 
-/// A cross-program cache of interned per-function constraint batches.
+/// A cross-program cache of interned per-function constraint batches and
+/// of the solves computed from them.
 ///
 /// Batches are keyed by `mix(mix(content_hash, env_hash), sensitivity)`:
 /// a function's constraints depend only on its own (span-insensitive)
@@ -807,6 +840,17 @@ const BATCH_CACHE_CAP: usize = 16384;
 /// re-solves from the cached interned graph — no `Loc` is constructed,
 /// hashed, or interned for a clean function.
 ///
+/// Solves are keyed by their inputs: the env hash (which covers the
+/// signatures the bind table reads), the sensitivity, the solver choice
+/// and every batch fingerprint in program order. An edit that leaves
+/// every batch equal — a literal edit regenerates a batch equal to the one
+/// it replaces — finds the solve of the program it edited and shares its
+/// sets and indirect targets: no bind, seed, propagation or
+/// materialization runs. A hit also compares the recorded batch list with
+/// the current one, so a key collision can only cost a solve, never
+/// return a wrong answer. The cache holds solves weakly: a solve lives
+/// exactly as long as some [`PointsToResult`] reads it.
+///
 /// The interner is shared with every [`PointsToResult`] produced through
 /// the cache, which is what lets them resolve `Loc` queries against their
 /// interned sets long after the solve.
@@ -814,10 +858,12 @@ const BATCH_CACHE_CAP: usize = 16384;
 pub struct ConstraintCache {
     interner: Arc<SharedInterner>,
     batches: Mutex<HashMap<u64, Arc<InternedBatch>>>,
+    solves: Mutex<HashMap<u64, Weak<Solve>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     solves_cold: AtomicU64,
     solves_repropagate: AtomicU64,
+    solves_reused: AtomicU64,
 }
 
 impl ConstraintCache {
@@ -856,19 +902,65 @@ impl ConstraintCache {
         self.solves_repropagate.load(Ordering::Relaxed)
     }
 
+    /// Results that shared a live solve of the same batches instead of
+    /// solving.
+    pub fn solves_reused(&self) -> u64 {
+        self.solves_reused.load(Ordering::Relaxed)
+    }
+
+    /// Solves some result still reads: the distinct fixpoints held in
+    /// memory, however many results share each.
+    pub fn live_solves(&self) -> usize {
+        let solves = self.solves.lock().expect("solve map poisoned");
+        solves.values().filter(|s| s.strong_count() > 0).count()
+    }
+
     fn count_mode(&self, mode: SolveMode) {
         let c = match mode {
             SolveMode::Cold => &self.solves_cold,
             SolveMode::Repropagate => &self.solves_repropagate,
+            SolveMode::Reused => &self.solves_reused,
         };
         c.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// The live solve recorded under `key`, if it consumed exactly
+    /// `batches`. `Arc` equality compares pointers first, so an unchanged
+    /// batch costs one pointer comparison and a regenerated one a
+    /// comparison of its constraints.
+    fn solve_of(&self, key: u64, batches: &[Arc<InternedBatch>]) -> Option<Arc<Solve>> {
+        let solve = self
+            .solves
+            .lock()
+            .expect("solve map poisoned")
+            .get(&key)?
+            .upgrade()?;
+        (solve.batches[..] == *batches).then_some(solve)
+    }
+
+    /// Records `solve` under `key`, dropping the entries of solves no
+    /// result reads any more.
+    fn record_solve(&self, key: u64, solve: &Arc<Solve>) {
+        let mut solves = self.solves.lock().expect("solve map poisoned");
+        solves.retain(|_, s| s.strong_count() > 0);
+        solves.insert(key, Arc::downgrade(solve));
+    }
+}
+
+/// The key of a solve: everything its answer depends on besides the
+/// interner the batches were generated against.
+fn solve_key(env: u64, sens_tag: u64, solver: SolverChoice, batches: &[Arc<InternedBatch>]) -> u64 {
+    let key = mix(
+        mix(mix(fnv1a(b"pointsto/solve"), env), sens_tag),
+        solver as u64,
+    );
+    batches.iter().fold(key, |key, b| mix(key, b.fingerprint))
 }
 
 /// Runs the worklist analysis against a [`ConstraintCache`], reusing the
 /// constraint batches of every function whose definition and type
-/// environment are unchanged. Produces exactly the same result as
-/// [`analyze`].
+/// environment are unchanged, and the whole solve when every batch is
+/// unchanged. Produces exactly the same result as [`analyze`].
 pub fn analyze_incremental(
     program: &Program,
     sensitivity: Sensitivity,
@@ -886,6 +978,12 @@ pub fn analyze_incremental(
 /// [`analyze_incremental`] with explicit solver options, keying the
 /// constraint batches on the program's already-computed `hashes`
 /// (which must be `ProgramHashes::of(program)`).
+///
+/// After fetching or generating the batches, the solve is looked up by
+/// its key (see [`ConstraintCache`]): a hit shares the live solve and
+/// reports [`SolveMode::Reused`]; a miss binds, solves and records the
+/// solve for later lookups. A provenance solve records its own
+/// derivations, so it neither reads nor fills the solve cache.
 pub fn analyze_incremental_with(
     program: &Program,
     hashes: &ProgramHashes,
@@ -940,25 +1038,36 @@ pub fn analyze_incremental_with(
     drop(generate_span);
     cache.hits.fetch_add(reused as u64, Ordering::Relaxed);
     cache.misses.fetch_add(generated as u64, Ordering::Relaxed);
-    let bind_span = ivy_telemetry::span("pointsto/bind", sensitivity.name());
-    let bind = solve::BindTable::build(&index, &batches, interner);
-    drop(bind_span);
-    drop(guard);
-    drop(intern_span);
 
-    let out = run_solver(sensitivity, &batches, &bind, opts);
-    let mode = if reused == 0 {
-        SolveMode::Cold
-    } else {
-        SolveMode::Repropagate
+    let key = (!opts.provenance).then(|| solve_key(env, sens_tag, opts.solver, &batches));
+    let (solve, mode) = match key.and_then(|key| cache.solve_of(key, &batches)) {
+        Some(solve) => {
+            drop(guard);
+            drop(intern_span);
+            (solve, SolveMode::Reused)
+        }
+        None => {
+            let bind_span = ivy_telemetry::span("pointsto/bind", sensitivity.name());
+            let bind = solve::BindTable::build(&index, &batches, interner);
+            drop(bind_span);
+            drop(guard);
+            drop(intern_span);
+            let out = run_solver(sensitivity, &batches, &bind, opts);
+            let solve = Arc::new(Solve::new(out, batches));
+            if let Some(key) = key {
+                cache.record_solve(key, &solve);
+            }
+            let mode = if reused == 0 {
+                SolveMode::Cold
+            } else {
+                SolveMode::Repropagate
+            };
+            (solve, mode)
+        }
     };
-    let mut r = PointsToResult::from_solution(
-        Arc::clone(&cache.interner),
-        out,
-        sensitivity,
-        reused,
-        generated,
-    );
+    let mut r = PointsToResult::of_solve(Arc::clone(&cache.interner), solve, sensitivity);
+    r.batches_reused = reused;
+    r.batches_generated = generated;
     r.mode = mode;
     cache.count_mode(mode);
     r
@@ -1346,9 +1455,10 @@ mod tests {
         }
     }
 
-    /// Body-only edits re-propagate the cached graph and match a
-    /// from-scratch solve byte for byte in both directions: deleting a
-    /// derivation (the direct vfs_read call), then re-adding it.
+    /// Body-only edits match a from-scratch solve byte for byte in both
+    /// directions: deleting a derivation (the direct vfs_read call)
+    /// re-propagates the cached graph, and re-adding it shares the live
+    /// solve of the original program.
     #[test]
     fn repropagation_after_delete_and_readd_edits_matches_scratch() {
         let original = parse_program(OPS_TABLE).unwrap();
@@ -1359,10 +1469,12 @@ mod tests {
             let cache = ConstraintCache::new();
             let cold = analyze_incremental(&original, s, &cache);
             assert_eq!(cold.mode, SolveMode::Cold);
-            for (what, p, generated) in [("delete-edit", &edited, 1), ("re-add edit", &original, 0)]
-            {
+            for (what, p, generated, mode) in [
+                ("delete-edit", &edited, 1, SolveMode::Repropagate),
+                ("re-add edit", &original, 0, SolveMode::Reused),
+            ] {
                 let incr = analyze_incremental(p, s, &cache);
-                assert_eq!(incr.mode, SolveMode::Repropagate, "{} {what}", s.name());
+                assert_eq!(incr.mode, mode, "{} {what}", s.name());
                 assert_eq!(incr.batches_generated, generated, "{} {what}", s.name());
                 let scratch = analyze_with(p, s, SolveOptions::default());
                 assert_eq!(
@@ -1374,9 +1486,150 @@ mod tests {
                 assert_eq!(incr.indirect_targets, scratch.indirect_targets);
                 assert_eq!(incr.constraint_count, scratch.constraint_count);
             }
-            assert_eq!(cache.solves_repropagate(), 2);
+            assert_eq!(cache.solves_repropagate(), 1);
+            assert_eq!(cache.solves_reused(), 1);
             assert_eq!(cache.solves_cold(), 1);
         }
+    }
+
+    /// Whether two results read the same solve.
+    fn shares_solve(a: &PointsToResult, b: &PointsToResult) -> bool {
+        match (a.solution(), b.solution()) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.solve, &b.solve),
+            _ => false,
+        }
+    }
+
+    /// A literal edit regenerates a batch equal to the one it replaces,
+    /// so the edited program shares the live solve: the same sets and
+    /// indirect targets, equal to a from-scratch solve.
+    #[test]
+    fn a_constraint_preserving_edit_shares_the_solve() {
+        let p = parse_program(OPS_TABLE).unwrap();
+        let edited = parse_program(&OPS_TABLE.replace("return 3;", "return 30;")).unwrap();
+        for s in [
+            Sensitivity::Steensgaard,
+            Sensitivity::Andersen,
+            Sensitivity::AndersenField,
+        ] {
+            let cache = ConstraintCache::new();
+            let before = analyze_incremental(&p, s, &cache);
+            let after = analyze_incremental(&edited, s, &cache);
+            assert_eq!(after.mode, SolveMode::Reused, "{}", s.name());
+            assert_eq!(after.batches_generated, 1, "the edited body regenerates");
+            assert!(shares_solve(&before, &after), "{}", s.name());
+            assert!(Arc::ptr_eq(
+                &before.indirect_targets,
+                &after.indirect_targets
+            ));
+            let scratch = analyze_with(&edited, s, SolveOptions::default());
+            assert_eq!(after.materialize(), scratch.materialize(), "{}", s.name());
+            assert_eq!(after.indirect_targets, scratch.indirect_targets);
+            assert_eq!(after.initial_constraints, scratch.initial_constraints);
+            assert_eq!(after.constraint_count, scratch.constraint_count);
+            assert_eq!(after.iterations, scratch.iterations);
+            assert_eq!((cache.solves_reused(), cache.live_solves()), (1, 1));
+        }
+    }
+
+    /// An edit that changes a pointer assignment changes its batch, so the
+    /// solve runs again and drops the retracted target.
+    #[test]
+    fn a_pointer_edit_re_solves() {
+        let p = parse_program(OPS_TABLE).unwrap();
+        let edited = parse_program(
+            &OPS_TABLE.replace("pipe_ops.read = pipe_read;", "pipe_ops.read = ext2_write;"),
+        )
+        .unwrap();
+        for s in [
+            Sensitivity::Steensgaard,
+            Sensitivity::Andersen,
+            Sensitivity::AndersenField,
+        ] {
+            let cache = ConstraintCache::new();
+            let before = analyze_incremental(&p, s, &cache);
+            let after = analyze_incremental(&edited, s, &cache);
+            assert_eq!(after.mode, SolveMode::Repropagate, "{}", s.name());
+            assert!(!shares_solve(&before, &after));
+            let scratch = analyze_with(&edited, s, SolveOptions::default());
+            assert_eq!(after.materialize(), scratch.materialize(), "{}", s.name());
+            assert_eq!(after.indirect_targets, scratch.indirect_targets);
+            assert_eq!(after.constraint_count, scratch.constraint_count);
+            assert_ne!(after.materialize(), before.materialize());
+            assert_eq!((cache.solves_reused(), cache.live_solves()), (0, 2));
+        }
+    }
+
+    /// The cache holds solves weakly: once no result reads a solve, it is
+    /// gone, and the next analysis of the same program solves again.
+    #[test]
+    fn dropping_every_result_releases_the_solve() {
+        let p = parse_program(OPS_TABLE).unwrap();
+        let edited = parse_program(&OPS_TABLE.replace("return 3;", "return 30;")).unwrap();
+        let cache = ConstraintCache::new();
+        let first = analyze_incremental(&p, Sensitivity::Steensgaard, &cache);
+        let second = analyze_incremental(&edited, Sensitivity::Steensgaard, &cache);
+        assert!(shares_solve(&first, &second));
+        assert_eq!(cache.live_solves(), 1);
+        drop(first);
+        assert_eq!(cache.live_solves(), 1, "the edited program still reads it");
+        drop(second);
+        assert_eq!(cache.live_solves(), 0);
+        let again = analyze_incremental(&p, Sensitivity::Steensgaard, &cache);
+        assert_eq!(again.mode, SolveMode::Repropagate);
+        assert_eq!(cache.live_solves(), 1);
+        assert_eq!(
+            cache.solves.lock().unwrap().len(),
+            1,
+            "dead entries dropped"
+        );
+    }
+
+    /// A solve recorded under a colliding key is never served: the batch
+    /// list a hit must present differs, so the program is solved again.
+    #[test]
+    fn a_colliding_solve_key_is_never_served() {
+        let p = parse_program(OPS_TABLE).unwrap();
+        let other = parse_program(&OPS_TABLE.replace("pipe_ops.read = pipe_read;", "")).unwrap();
+        let s = Sensitivity::Andersen;
+        let cache = ConstraintCache::new();
+        let first = analyze_incremental(&p, s, &cache);
+        let second = analyze_incremental(&other, s, &cache);
+        // Point every key at the first program's solve, as a fingerprint
+        // collision would.
+        let first_solve = Arc::clone(&first.solution().unwrap().solve);
+        for entry in cache.solves.lock().unwrap().values_mut() {
+            *entry = Arc::downgrade(&first_solve);
+        }
+        let again = analyze_incremental(&other, s, &cache);
+        assert_eq!(again.mode, SolveMode::Repropagate);
+        assert!(!shares_solve(&again, &first));
+        assert_eq!(again.materialize(), second.materialize());
+        assert_eq!(again.indirect_targets, second.indirect_targets);
+    }
+
+    /// A provenance solve records its own derivations: it neither shares a
+    /// live solve nor leaves one for a later plain solve to share.
+    #[test]
+    fn a_provenance_solve_bypasses_the_solve_cache() {
+        let p = parse_program(OPS_TABLE).unwrap();
+        let hashes = ProgramHashes::of(&p);
+        let cache = ConstraintCache::new();
+        let traced_opts = SolveOptions::default().with_provenance(true);
+        let s = Sensitivity::AndersenField;
+        let traced = analyze_incremental_with(&p, &hashes, s, &cache, traced_opts);
+        assert_eq!(cache.live_solves(), 0, "a traced solve is not recorded");
+        let plain = analyze_incremental_with(&p, &hashes, s, &cache, SolveOptions::default());
+        assert_eq!(plain.mode, SolveMode::Repropagate);
+        assert!(!plain.has_provenance());
+        let traced_again = analyze_incremental_with(&p, &hashes, s, &cache, traced_opts);
+        assert_eq!(traced_again.mode, SolveMode::Repropagate);
+        assert!(traced_again.has_provenance());
+        assert!(!shares_solve(&plain, &traced_again));
+        verify_derivations(&p, &traced_again).expect("traced solve replays");
+        assert_eq!(traced.materialize(), plain.materialize());
+        assert_eq!(cache.solves_reused(), 0);
+        assert_eq!(cache.live_solves(), 1);
     }
 
     /// An edit that rewires a function-pointer table: the re-propagated

@@ -10,20 +10,24 @@
 //! direct calls, unresolved indirect sites, orphaned function pointers —
 //! while staying realistic kernel code. The incremental path re-solves each
 //! case against one shared [`ConstraintCache`], so cross-program batch and
-//! interner reuse is under the same identity check.
+//! interner reuse is under the same identity check, and an edit sequence
+//! checks the solve cache: each edit's result equals a from-scratch solve,
+//! whether it shared the live solve or solved again.
 //!
 //! CI runs this file explicitly and fails if these tests are filtered out
 //! or skipped (see `.github/workflows/ci.yml`).
 
 use ivy_analysis::pointsto::{
     analyze, analyze_incremental, analyze_naive, analyze_with, verify_derivations, ConstraintCache,
-    Loc, PointsToResult, Sensitivity, SolveOptions, SolverChoice,
+    Loc, PointsToResult, Sensitivity, SolveMode, SolveOptions, SolverChoice,
 };
-use ivy_cmir::ast::Program;
+use ivy_cmir::ast::{Expr, Program};
+use ivy_cmir::visit::{map_block_exprs, walk_block_exprs};
+use ivy_kernelgen::subsample::Mix;
 use ivy_kernelgen::{subsample_program, KernelBuild, KernelConfig};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Cases per property; each case checks all three sensitivities, so every
 /// sensitivity level sees this many generated programs (the acceptance
@@ -199,5 +203,93 @@ proptest! {
             );
             prop_assert_eq!(replayed.unwrap(), traced.provenance_facts());
         }
+    }
+}
+
+/// Integer literals in the body of `program.functions[func]`.
+fn int_literals(program: &Program, func: usize) -> usize {
+    let mut n = 0;
+    if let Some(body) = &program.functions[func].body {
+        walk_block_exprs(body, &mut |e| n += usize::from(matches!(e, Expr::Int(_))));
+    }
+    n
+}
+
+/// One seeded edit of one function body. A literal edit raises one
+/// integer literal, which leaves every constraint as it was; a pointer
+/// edit deletes one top-level statement, which usually retracts
+/// constraints.
+fn edit(program: &Program, rng: &mut Mix, literal: bool) -> Program {
+    let mut out = program.clone();
+    let candidates: Vec<usize> = (0..out.functions.len())
+        .filter(|&f| {
+            if literal {
+                int_literals(&out, f) > 0
+            } else {
+                out.functions[f]
+                    .body
+                    .as_ref()
+                    .is_some_and(|body| !body.stmts.is_empty())
+            }
+        })
+        .collect();
+    let at = candidates[rng.next_u64() as usize % candidates.len()];
+    let target = rng.next_u64() as usize % int_literals(&out, at).max(1);
+    let func = &mut out.functions[at];
+    let body = func.body.as_mut().expect("candidate has a body");
+    if literal {
+        let mut seen = 0;
+        *body = map_block_exprs(body, &mut |e| match e {
+            Expr::Int(v) => {
+                seen += 1;
+                Expr::Int(if seen - 1 == target { v + 1 } else { v })
+            }
+            other => other,
+        });
+    } else {
+        let stmt = rng.next_u64() as usize % body.stmts.len();
+        body.stmts.remove(stmt);
+    }
+    out
+}
+
+/// An edit sequence mixing literal and pointer edits, each analyzed
+/// against one cache while the previous result stays alive (as a resident
+/// daemon context keeps it): every result equals a from-scratch solve of
+/// the edited program, every literal edit shares the previous solve, and
+/// the sequence re-solves at least once.
+#[test]
+fn edit_sequences_match_scratch_whether_shared_or_re_solved() {
+    let mut rng = Mix(0x1e5d);
+    for s in [
+        Sensitivity::Steensgaard,
+        Sensitivity::Andersen,
+        Sensitivity::AndersenField,
+    ] {
+        let cache = ConstraintCache::new();
+        let mut program = base_kernels()[0].clone();
+        let mut previous = analyze_incremental(&program, s, &cache);
+        let mut re_solved = 0;
+        for step in 0..24 {
+            let literal = rng.chance(50);
+            program = edit(&program, &mut rng, literal);
+            let r = analyze_incremental(&program, s, &cache);
+            let scratch = analyze_with(&program, s, SolveOptions::default());
+            let what = format!("{} step {step} (literal: {literal})", s.name());
+            assert_eq!(r.materialize(), scratch.materialize(), "{what}");
+            assert_eq!(r.indirect_targets, scratch.indirect_targets, "{what}");
+            assert_eq!(r.initial_constraints, scratch.initial_constraints, "{what}");
+            assert_eq!(r.constraint_count, scratch.constraint_count, "{what}");
+            if literal {
+                assert_eq!(r.mode, SolveMode::Reused, "{what}");
+                assert!(
+                    Arc::ptr_eq(&r.indirect_targets, &previous.indirect_targets),
+                    "{what}: a reused solve shares its indirect targets"
+                );
+            }
+            re_solved += usize::from(r.mode != SolveMode::Reused);
+            previous = r;
+        }
+        assert!(re_solved > 0, "{}: no pointer edit re-solved", s.name());
     }
 }

@@ -346,6 +346,9 @@ const SERIES: &[Series] = {
             Of(|s| s.engine.pointsto_cache().solves_cold())) },
         Series { label: Some(("mode", "incremental-repropagate")), ..counter("engine.pointsto.solves_repropagate", "ivy_daemon_pointsto_solves_total",
             Of(|s| s.engine.pointsto_cache().solves_repropagate())) },
+        Series { label: Some(("mode", "reused")), ..counter("engine.pointsto.solves_reused", "ivy_daemon_pointsto_solves_total",
+            Of(|s| s.engine.pointsto_cache().solves_reused())) },
+        gauge("engine.pointsto.live_solves", "ivy_daemon_pointsto_live_solves", Of(|s| s.engine.pointsto_cache().live_solves() as u64)),
         gauge("engine.answer_memo.entries", "ivy_daemon_answer_memo_entries", Of(|s| s.answers.entries.load(Relaxed))),
         gauge("engine.answer_memo.bytes", "ivy_daemon_answer_memo_bytes", Of(|s| s.answers.bytes.load(Relaxed))),
         counter("engine.answer_memo.hits", "ivy_daemon_answer_memo_hits_total", Of(|s| s.answers.hits.load(Relaxed))),

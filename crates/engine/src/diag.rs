@@ -241,9 +241,11 @@ pub struct EngineStats {
     pub pointsto_batches_reused: usize,
     /// Per-function points-to constraint batches generated fresh.
     pub pointsto_batches_generated: usize,
-    /// How the scheduling points-to fixpoint was computed: `"cold"` or
-    /// `"incremental-repropagate"` (empty when the run was served entirely
-    /// from the persist layer and never solved).
+    /// How the scheduling points-to fixpoint was computed: `"cold"`,
+    /// `"incremental-repropagate"`, or `"reused"` when every constraint
+    /// batch equaled those of a live solve and the result shares it (empty
+    /// when the run was served entirely from the persist layer and never
+    /// solved).
     pub pointsto_solve_mode: String,
 }
 

@@ -122,19 +122,29 @@ pub fn disable_all() {
 
 const SHARD_COUNT: usize = 16;
 
-/// Per-shard cap on retained spans; a runaway traced loop degrades to
-/// dropping spans (counted) instead of exhausting memory.
-const SPAN_CAP_PER_SHARD: usize = 1 << 16;
+/// Spans the recorder keeps, process-wide, between [`reset`]s; a runaway
+/// traced loop degrades to dropping spans (counted) instead of exhausting
+/// memory. One budget for the whole process, not one per shard: every
+/// span of a thread lands in one shard, so a per-shard cap would stop a
+/// single traced thread long before the process holds many spans.
+const SPAN_BUDGET: u64 = 1 << 20;
+
+/// A shard's counters: `(metric name, label key)` → label value → count,
+/// with an empty value for an unlabeled counter. Keyed so that an update
+/// of an existing series finds it by `&str` and allocates nothing.
+type Counters = BTreeMap<(&'static str, Option<&'static str>), BTreeMap<String, u64>>;
 
 #[derive(Default)]
 struct Shard {
     spans: Vec<SpanRecord>,
-    counters: BTreeMap<CounterKey, u64>,
+    counters: Counters,
 }
 
 struct Recorder {
     shards: Vec<Mutex<Shard>>,
-    dropped_spans: AtomicU64,
+    /// Spans offered since the last [`reset`]; the first [`SPAN_BUDGET`]
+    /// are kept and the rest dropped.
+    offered_spans: AtomicU64,
 }
 
 fn recorder() -> &'static Recorder {
@@ -143,7 +153,7 @@ fn recorder() -> &'static Recorder {
         shards: (0..SHARD_COUNT)
             .map(|_| Mutex::new(Shard::default()))
             .collect(),
-        dropped_spans: AtomicU64::new(0),
+        offered_spans: AtomicU64::new(0),
     })
 }
 
@@ -160,13 +170,18 @@ fn epoch() -> Instant {
     *EPOCH.get_or_init(Instant::now)
 }
 
-/// Number of spans discarded because a shard hit its retention cap.
+/// Number of spans discarded since the last [`reset`] because the
+/// process had already kept its budget of 1 Mi spans.
 pub fn dropped_spans() -> u64 {
-    recorder().dropped_spans.load(Ordering::Relaxed)
+    recorder()
+        .offered_spans
+        .load(Ordering::Relaxed)
+        .saturating_sub(SPAN_BUDGET)
 }
 
-/// Clear all recorded spans and counters (gates are left as-is). Meant
-/// for tests and for an exporter that wants per-run traces.
+/// Clear all recorded spans and counters and restore the span budget
+/// (gates are left as-is). Meant for tests and for an exporter that wants
+/// per-run traces.
 pub fn reset() {
     let rec = recorder();
     for shard in &rec.shards {
@@ -174,7 +189,7 @@ pub fn reset() {
         shard.spans.clear();
         shard.counters.clear();
     }
-    rec.dropped_spans.store(0, Ordering::Relaxed);
+    rec.offered_spans.store(0, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -253,12 +268,8 @@ impl Drop for Span {
                 dur_us,
                 depth: active.depth,
             };
-            let mut shard = lock_shard(active.tid as usize);
-            if shard.spans.len() < SPAN_CAP_PER_SHARD {
-                shard.spans.push(record);
-            } else {
-                drop(shard);
-                recorder().dropped_spans.fetch_add(1, Ordering::Relaxed);
+            if recorder().offered_spans.fetch_add(1, Ordering::Relaxed) < SPAN_BUDGET {
+                lock_shard(active.tid as usize).spans.push(record);
             }
         }
     }
@@ -404,7 +415,7 @@ pub fn counter(name: &'static str, delta: u64) {
     if !counters_enabled() || delta == 0 {
         return;
     }
-    counter_record(name, None, delta);
+    counter_record(name, None, "", delta);
 }
 
 /// Add `delta` to the counter `name{label_key="label_value"}`.
@@ -413,16 +424,26 @@ pub fn counter_labeled(name: &'static str, label_key: &'static str, label_value:
     if !counters_enabled() || delta == 0 {
         return;
     }
-    counter_record(name, Some((label_key, label_value.to_string())), delta);
+    counter_record(name, Some(label_key), label_value, delta);
 }
 
+/// Adds `delta` to one series; allocates the label value only when the
+/// series is new.
 #[cold]
-fn counter_record(name: &'static str, label: Option<(&'static str, String)>, delta: u64) {
+fn counter_record(
+    name: &'static str,
+    label_key: Option<&'static str>,
+    label_value: &str,
+    delta: u64,
+) {
     let mut shard = lock_shard(counter_shard_index(name));
-    *shard
-        .counters
-        .entry(CounterKey { name, label })
-        .or_insert(0) += delta;
+    let series = shard.counters.entry((name, label_key)).or_default();
+    match series.get_mut(label_value) {
+        Some(count) => *count += delta,
+        None => {
+            series.insert(label_value.to_string(), delta);
+        }
+    }
 }
 
 /// Snapshot every counter series, merged across shards, sorted by key.
@@ -431,8 +452,11 @@ pub fn counters_snapshot() -> BTreeMap<CounterKey, u64> {
     let mut merged = BTreeMap::new();
     for shard in &rec.shards {
         let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        for (key, value) in &shard.counters {
-            *merged.entry(key.clone()).or_insert(0) += value;
+        for (&(name, label_key), series) in &shard.counters {
+            for (value, count) in series {
+                let label = label_key.map(|k| (k, value.clone()));
+                *merged.entry(CounterKey { name, label }).or_insert(0) += count;
+            }
         }
     }
     merged
@@ -670,6 +694,36 @@ mod tests {
         assert!(text.contains("test_labeled_total{verb=\"analyze\"} 7"));
         // One TYPE header per metric name even with two label values.
         assert_eq!(text.matches("# TYPE test_labeled_total").count(), 1);
+    }
+
+    #[test]
+    fn one_thread_keeps_spans_up_to_the_process_budget() {
+        let _g = guard();
+        disable_all();
+        reset();
+        enable_spans();
+        // Every span of one thread lands in one shard: far more than a
+        // shard's share of the budget is kept.
+        const KEPT: u64 = 100_000;
+        for _ in 0..KEPT {
+            let _s = span("test/budget", "kept");
+        }
+        assert_eq!(dropped_spans(), 0);
+        assert_eq!(spans_snapshot().len() as u64, KEPT);
+        // Spend the budget up to its last 5 spans, then offer 8: the 3
+        // past the budget are the only drops.
+        recorder()
+            .offered_spans
+            .store(SPAN_BUDGET - 5, Ordering::Relaxed);
+        for _ in 0..8 {
+            let _s = span("test/budget", "edge");
+        }
+        disable_all();
+        assert_eq!(dropped_spans(), 3);
+        assert_eq!(spans_snapshot().len() as u64, KEPT + 5);
+        reset();
+        assert_eq!(dropped_spans(), 0, "reset restores the budget");
+        assert!(spans_snapshot().is_empty());
     }
 
     #[test]

@@ -498,6 +498,13 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
             .unwrap_or_else(|| panic!("series {name} absent or non-numeric:\n{text}"))
     };
     assert!(series_value("ivy_daemon_pointsto_batch_hits_total") >= 1);
+    // The edit changes one literal, so its analyze shares the solve of
+    // the resident kernel: one reuse, one fixpoint in memory.
+    assert_eq!(
+        series_value("ivy_daemon_pointsto_solves_total{mode=\"reused\"}"),
+        1
+    );
+    assert_eq!(series_value("ivy_daemon_pointsto_live_solves"), 1);
 
     // The answer memo: two digests indexed (the kernel and its edit), one
     // memoized answer (the warm one — the cold and post-edit runs
@@ -564,6 +571,14 @@ fn metrics_verb_returns_prometheus_text_covering_the_serving_path() {
         (
             "engine.pointsto.solves_repropagate",
             "ivy_daemon_pointsto_solves_total{mode=\"incremental-repropagate\"}",
+        ),
+        (
+            "engine.pointsto.solves_reused",
+            "ivy_daemon_pointsto_solves_total{mode=\"reused\"}",
+        ),
+        (
+            "engine.pointsto.live_solves",
+            "ivy_daemon_pointsto_live_solves",
         ),
         ("persist.hits", "ivy_daemon_persist_hits_total"),
         ("persist.misses", "ivy_daemon_persist_misses_total"),

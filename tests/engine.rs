@@ -924,3 +924,26 @@ fn a_one_literal_edit_walks_one_body() {
     assert_eq!(edited_at.len(), 1);
     assert_eq!(walked, edited_at, "only the edited body is walked again");
 }
+
+/// A literal edit leaves every points-to constraint batch equal to its
+/// base's, so the edited context shares the base's live solve, and its
+/// answer is byte-identical to a batch run of the edited kernel.
+#[test]
+fn a_literal_edit_reuses_the_solve_and_matches_batch() {
+    let program = KernelBuild::generate(&KernelConfig::paper()).program;
+    let engine = ivy::core::experiments::default_engine(0);
+    engine.analyze(&program);
+    let (base, _) = engine.context_for(&program);
+    let edited = mutate(&program, 1, 11, 3);
+    let (ctx, stats) = engine.apply_edit(&base, &edited);
+    assert_eq!(stats.changed_functions.len(), 1, "one function per edit");
+    let report = engine.analyze_with_ctx(&ctx, false);
+    assert_eq!(report.stats.pointsto_solve_mode, "reused");
+    assert_eq!(report.stats.pointsto_batches_generated, 1);
+    assert_eq!(engine.pointsto_cache().solves_reused(), 1);
+    assert_eq!(engine.pointsto_cache().live_solves(), 1);
+
+    let batch = ivy::core::experiments::default_engine(0).analyze(&edited);
+    assert_eq!(batch.stats.pointsto_solve_mode, "cold");
+    assert_eq!(report.diagnostics_json(), batch.diagnostics_json());
+}

@@ -177,22 +177,34 @@ fn span_cap_overflow_counts_drops_without_corrupting_retained_spans() {
     telemetry::reset();
     telemetry::enable_spans();
 
-    // One thread always lands in one recorder shard, so a single runaway
-    // traced loop overflows that shard's cap deterministically. A sentinel
-    // span recorded first must come through the overflow untouched.
+    // The recorder keeps one process-wide budget of spans, so a single
+    // runaway traced loop overflows it deterministically. A sentinel span
+    // recorded first must come through the overflow untouched.
     {
         let _sentinel = telemetry::span("test/sentinel", "first");
     }
-    const CAP: u64 = 1 << 16; // SPAN_CAP_PER_SHARD
+    const CAP: u64 = 1 << 20; // the span budget
     const EXTRA: u64 = 100;
+    // Only the flood spans around the cap are named (an empty name
+    // allocates nothing, which keeps a million records small).
+    const NAMED: u64 = 1000;
     for i in 0..(CAP - 1 + EXTRA) {
-        let _s = telemetry::span("test/flood", format!("s{i}"));
+        let name = if i + NAMED >= CAP - 1 {
+            format!("s{i}")
+        } else {
+            String::new()
+        };
+        let _s = telemetry::span("test/flood", name);
     }
 
     // Every span past the cap was dropped and counted — no more, no fewer.
     assert_eq!(telemetry::dropped_spans(), EXTRA);
     let spans = telemetry::spans_snapshot();
-    assert_eq!(spans.len() as u64, CAP, "shard retains exactly its cap");
+    assert_eq!(
+        spans.len() as u64,
+        CAP,
+        "the recorder retains exactly its cap"
+    );
 
     // The retained records are intact: the sentinel survived, and the
     // flood spans that made it in are exactly the first CAP-1 (overflow
@@ -203,21 +215,23 @@ fn span_cap_overflow_counts_drops_without_corrupting_retained_spans() {
         1,
         "the sentinel span survived the overflow"
     );
-    let flood: std::collections::BTreeSet<u64> = spans
-        .iter()
-        .filter(|s| s.cat == "test/flood")
+    let flood = spans.iter().filter(|s| s.cat == "test/flood");
+    assert_eq!(flood.clone().count() as u64, CAP - 1);
+    let named: std::collections::BTreeSet<u64> = flood
+        .filter(|s| !s.name.is_empty())
         .map(|s| s.name[1..].parse().expect("flood span name"))
         .collect();
-    assert_eq!(flood.len() as u64, CAP - 1, "no flood span was duplicated");
-    assert_eq!(flood.first(), Some(&0));
+    assert_eq!(named.len() as u64, NAMED, "no flood span was duplicated");
+    assert_eq!(named.first(), Some(&(CAP - 1 - NAMED)));
     assert_eq!(
-        flood.last(),
+        named.last(),
         Some(&(CAP - 2)),
         "exactly the tail was dropped"
     );
+    drop(spans);
 
-    // A fresh span after the overflow is still dropped (the shard stays
-    // full) and keeps counting, rather than evicting or panicking.
+    // A fresh span after the overflow is still dropped (the budget stays
+    // spent) and keeps counting, rather than evicting or panicking.
     {
         let _late = telemetry::span("test/late", "after-overflow");
     }
