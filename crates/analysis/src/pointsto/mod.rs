@@ -268,10 +268,10 @@ impl ChainLink {
 /// share it.
 #[derive(Debug)]
 struct Solve {
-    /// The batches the solve consumed, in program order (empty for a
-    /// one-shot solve): a cache hit must present an equal list, so a key
-    /// collision never returns another program's answer.
-    batches: Vec<Arc<InternedBatch>>,
+    /// Everything the solve consumed (`None` for a one-shot solve): a
+    /// cache hit must present equal inputs, so a key collision never
+    /// returns another program's answer.
+    inputs: Option<SolveInputs>,
     /// Non-empty points-to sets, `(location id, sorted pointee ids)`,
     /// sorted by location id.
     sets: Vec<(u32, Vec<u32>)>,
@@ -283,9 +283,37 @@ struct Solve {
     provenance: Option<ProvStore>,
 }
 
+/// The inputs of a solve through a [`ConstraintCache`] besides the
+/// interner the batches were generated against.
+#[derive(Debug, PartialEq)]
+struct SolveInputs {
+    /// Env hash: covers the signatures the bind table reads.
+    env: u64,
+    sensitivity: Sensitivity,
+    solver: SolverChoice,
+    /// The constraint batches, in program order.
+    batches: Vec<Arc<InternedBatch>>,
+}
+
+impl SolveInputs {
+    /// The key a solve of these inputs is recorded under.
+    fn key(&self) -> u64 {
+        let key = mix(
+            mix(
+                mix(fnv1a(b"pointsto/solve"), self.env),
+                fnv1a(self.sensitivity.name().as_bytes()),
+            ),
+            self.solver as u64,
+        );
+        self.batches
+            .iter()
+            .fold(key, |key, b| mix(key, b.fingerprint))
+    }
+}
+
 impl Solve {
     /// Keeps the non-empty sets of a solver's output.
-    fn new(out: solve::SolveOutput, batches: Vec<Arc<InternedBatch>>) -> Solve {
+    fn new(out: solve::SolveOutput, inputs: Option<SolveInputs>) -> Solve {
         let sets = out
             .sets
             .into_iter()
@@ -294,7 +322,7 @@ impl Solve {
             .map(|(id, s)| (id as u32, s))
             .collect();
         Solve {
-            batches,
+            inputs,
             sets,
             indirect_targets: Arc::new(out.indirect_targets),
             initial_constraints: out.initial_constraints,
@@ -641,8 +669,7 @@ pub fn analyze_with(
         (batches, bind)
     };
     let out = run_solver(sensitivity, &batches, &bind, opts);
-    let mut r =
-        PointsToResult::of_solve(interner, Arc::new(Solve::new(out, Vec::new())), sensitivity);
+    let mut r = PointsToResult::of_solve(interner, Arc::new(Solve::new(out, None)), sensitivity);
     r.batches_generated = batches.len();
     ivy_telemetry::counter_labeled("ivy_pointsto_solves_total", "mode", r.mode.name(), 1);
     r
@@ -846,10 +873,11 @@ const BATCH_CACHE_CAP: usize = 16384;
 /// every batch equal — a literal edit regenerates a batch equal to the one
 /// it replaces — finds the solve of the program it edited and shares its
 /// sets and indirect targets: no bind, seed, propagation or
-/// materialization runs. A hit also compares the recorded batch list with
-/// the current one, so a key collision can only cost a solve, never
-/// return a wrong answer. The cache holds solves weakly: a solve lives
-/// exactly as long as some [`PointsToResult`] reads it.
+/// materialization runs. A hit also compares the recorded inputs (env
+/// hash, sensitivity, solver and batch list) with the current ones, so a
+/// collision of the 64-bit solve key can only cost a solve, never return
+/// a wrong answer. The cache holds solves weakly: a solve lives exactly
+/// as long as some [`PointsToResult`] reads it.
 ///
 /// The interner is shared with every [`PointsToResult`] produced through
 /// the cache, which is what lets them resolve `Loc` queries against their
@@ -925,17 +953,17 @@ impl ConstraintCache {
     }
 
     /// The live solve recorded under `key`, if it consumed exactly
-    /// `batches`. `Arc` equality compares pointers first, so an unchanged
+    /// `inputs`. `Arc` equality compares pointers first, so an unchanged
     /// batch costs one pointer comparison and a regenerated one a
     /// comparison of its constraints.
-    fn solve_of(&self, key: u64, batches: &[Arc<InternedBatch>]) -> Option<Arc<Solve>> {
+    fn solve_of(&self, key: u64, inputs: &SolveInputs) -> Option<Arc<Solve>> {
         let solve = self
             .solves
             .lock()
             .expect("solve map poisoned")
             .get(&key)?
             .upgrade()?;
-        (solve.batches[..] == *batches).then_some(solve)
+        (solve.inputs.as_ref() == Some(inputs)).then_some(solve)
     }
 
     /// Records `solve` under `key`, dropping the entries of solves no
@@ -945,16 +973,6 @@ impl ConstraintCache {
         solves.retain(|_, s| s.strong_count() > 0);
         solves.insert(key, Arc::downgrade(solve));
     }
-}
-
-/// The key of a solve: everything its answer depends on besides the
-/// interner the batches were generated against.
-fn solve_key(env: u64, sens_tag: u64, solver: SolverChoice, batches: &[Arc<InternedBatch>]) -> u64 {
-    let key = mix(
-        mix(mix(fnv1a(b"pointsto/solve"), env), sens_tag),
-        solver as u64,
-    );
-    batches.iter().fold(key, |key, b| mix(key, b.fingerprint))
 }
 
 /// Runs the worklist analysis against a [`ConstraintCache`], reusing the
@@ -1039,8 +1057,14 @@ pub fn analyze_incremental_with(
     cache.hits.fetch_add(reused as u64, Ordering::Relaxed);
     cache.misses.fetch_add(generated as u64, Ordering::Relaxed);
 
-    let key = (!opts.provenance).then(|| solve_key(env, sens_tag, opts.solver, &batches));
-    let (solve, mode) = match key.and_then(|key| cache.solve_of(key, &batches)) {
+    let inputs = SolveInputs {
+        env,
+        sensitivity,
+        solver: opts.solver,
+        batches,
+    };
+    let key = (!opts.provenance).then(|| inputs.key());
+    let (solve, mode) = match key.and_then(|key| cache.solve_of(key, &inputs)) {
         Some(solve) => {
             drop(guard);
             drop(intern_span);
@@ -1048,12 +1072,12 @@ pub fn analyze_incremental_with(
         }
         None => {
             let bind_span = ivy_telemetry::span("pointsto/bind", sensitivity.name());
-            let bind = solve::BindTable::build(&index, &batches, interner);
+            let bind = solve::BindTable::build(&index, &inputs.batches, interner);
             drop(bind_span);
             drop(guard);
             drop(intern_span);
-            let out = run_solver(sensitivity, &batches, &bind, opts);
-            let solve = Arc::new(Solve::new(out, batches));
+            let out = run_solver(sensitivity, &inputs.batches, &bind, opts);
+            let solve = Arc::new(Solve::new(out, Some(inputs)));
             if let Some(key) = key {
                 cache.record_solve(key, &solve);
             }
@@ -1585,27 +1609,56 @@ mod tests {
         );
     }
 
-    /// A solve recorded under a colliding key is never served: the batch
-    /// list a hit must present differs, so the program is solved again.
+    /// A solve recorded under a colliding key is never served: the inputs
+    /// a hit must present differ (another program's batches, or the same
+    /// batches under another solver or sensitivity), so it is solved again.
     #[test]
     fn a_colliding_solve_key_is_never_served() {
         let p = parse_program(OPS_TABLE).unwrap();
         let other = parse_program(&OPS_TABLE.replace("pipe_ops.read = pipe_read;", "")).unwrap();
-        let s = Sensitivity::Andersen;
+        let worklist = SolveOptions {
+            solver: SolverChoice::Worklist,
+            ..SolveOptions::default()
+        };
+        let runs = [
+            (&p, Sensitivity::Steensgaard, SolveOptions::default()),
+            (&other, Sensitivity::Steensgaard, SolveOptions::default()),
+            (&p, Sensitivity::Steensgaard, worklist),
+            (&p, Sensitivity::Andersen, SolveOptions::default()),
+        ];
         let cache = ConstraintCache::new();
-        let first = analyze_incremental(&p, s, &cache);
-        let second = analyze_incremental(&other, s, &cache);
-        // Point every key at the first program's solve, as a fingerprint
-        // collision would.
-        let first_solve = Arc::clone(&first.solution().unwrap().solve);
+        let solve = |&(program, s, opts): &(&Program, Sensitivity, SolveOptions)| {
+            analyze_incremental_with(program, &ProgramHashes::of(program), s, &cache, opts)
+        };
+        let solved: Vec<PointsToResult> = runs.iter().map(solve).collect();
+        let first_solve = Arc::clone(&solved[0].solution().unwrap().solve);
+        let batches = |r: &PointsToResult| {
+            r.solution()
+                .unwrap()
+                .solve
+                .inputs
+                .as_ref()
+                .unwrap()
+                .batches
+                .clone()
+        };
+        assert_eq!(
+            batches(&solved[2]),
+            batches(&solved[0]),
+            "another solver reads the same batches"
+        );
+        // Point every key at the first solve, as a fingerprint collision
+        // would.
         for entry in cache.solves.lock().unwrap().values_mut() {
             *entry = Arc::downgrade(&first_solve);
         }
-        let again = analyze_incremental(&other, s, &cache);
-        assert_eq!(again.mode, SolveMode::Repropagate);
-        assert!(!shares_solve(&again, &first));
-        assert_eq!(again.materialize(), second.materialize());
-        assert_eq!(again.indirect_targets, second.indirect_targets);
+        for (run, expected) in runs.iter().zip(&solved).skip(1) {
+            let again = solve(run);
+            assert_eq!(again.mode, SolveMode::Repropagate, "{:?}", &run.1);
+            assert!(!shares_solve(&again, &solved[0]));
+            assert_eq!(again.materialize(), expected.materialize());
+            assert_eq!(again.indirect_targets, expected.indirect_targets);
+        }
     }
 
     /// A provenance solve records its own derivations: it neither shares a

@@ -129,15 +129,10 @@ const SHARD_COUNT: usize = 16;
 /// single traced thread long before the process holds many spans.
 const SPAN_BUDGET: u64 = 1 << 20;
 
-/// A shard's counters: `(metric name, label key)` → label value → count,
-/// with an empty value for an unlabeled counter. Keyed so that an update
-/// of an existing series finds it by `&str` and allocates nothing.
-type Counters = BTreeMap<(&'static str, Option<&'static str>), BTreeMap<String, u64>>;
-
 #[derive(Default)]
 struct Shard {
     spans: Vec<SpanRecord>,
-    counters: Counters,
+    counters: BTreeMap<CounterKey, u64>,
 }
 
 struct Recorder {
@@ -415,7 +410,7 @@ pub fn counter(name: &'static str, delta: u64) {
     if !counters_enabled() || delta == 0 {
         return;
     }
-    counter_record(name, None, "", delta);
+    counter_record(name, None, delta);
 }
 
 /// Add `delta` to the counter `name{label_key="label_value"}`.
@@ -424,26 +419,16 @@ pub fn counter_labeled(name: &'static str, label_key: &'static str, label_value:
     if !counters_enabled() || delta == 0 {
         return;
     }
-    counter_record(name, Some(label_key), label_value, delta);
+    counter_record(name, Some((label_key, label_value.to_string())), delta);
 }
 
-/// Adds `delta` to one series; allocates the label value only when the
-/// series is new.
 #[cold]
-fn counter_record(
-    name: &'static str,
-    label_key: Option<&'static str>,
-    label_value: &str,
-    delta: u64,
-) {
+fn counter_record(name: &'static str, label: Option<(&'static str, String)>, delta: u64) {
     let mut shard = lock_shard(counter_shard_index(name));
-    let series = shard.counters.entry((name, label_key)).or_default();
-    match series.get_mut(label_value) {
-        Some(count) => *count += delta,
-        None => {
-            series.insert(label_value.to_string(), delta);
-        }
-    }
+    *shard
+        .counters
+        .entry(CounterKey { name, label })
+        .or_insert(0) += delta;
 }
 
 /// Snapshot every counter series, merged across shards, sorted by key.
@@ -452,11 +437,8 @@ pub fn counters_snapshot() -> BTreeMap<CounterKey, u64> {
     let mut merged = BTreeMap::new();
     for shard in &rec.shards {
         let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        for (&(name, label_key), series) in &shard.counters {
-            for (value, count) in series {
-                let label = label_key.map(|k| (k, value.clone()));
-                *merged.entry(CounterKey { name, label }).or_insert(0) += count;
-            }
+        for (key, value) in &shard.counters {
+            *merged.entry(key.clone()).or_insert(0) += value;
         }
     }
     merged
