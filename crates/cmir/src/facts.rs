@@ -54,6 +54,10 @@ pub struct FnFacts {
     pub signature: Arc<Function>,
     /// Default bounds the defined function's parameters and locals get.
     pub inferred_defaults: u64,
+    /// The parameters and locals the body indexes (by anything but a
+    /// literal 0) or offsets: Deputy defaults their unannotated pointers
+    /// to `auto` bounds, every other one to `single`.
+    pub arithmetic: BTreeSet<String>,
     /// Annotated pointers in the parameters', return and locals' types.
     pub annotations: u64,
     /// Annotations that mention a name out of the function's scope: a
@@ -126,6 +130,7 @@ impl FnFacts {
                 calls: Vec::new(),
                 signature: Arc::new(signature(func)),
                 inferred_defaults: 0,
+                arithmetic: BTreeSet::new(),
                 annotations: func.ret.annotation_count(),
                 annotation_escapes: Vec::new(),
             },
@@ -161,6 +166,11 @@ impl FnFacts {
             facts.inferred_defaults +=
                 p.ty.apply_default_bounds(arithmetic.contains(p.name.as_str()));
         }
+        facts.arithmetic = arithmetic
+            .into_iter()
+            .filter(|name| vars.contains(name))
+            .map(String::from)
+            .collect();
         facts
     }
 
@@ -200,18 +210,6 @@ pub fn signature(func: &Function) -> Function {
         subsystem: func.subsystem.clone(),
         span: func.span,
     }
-}
-
-/// Names of parameters/locals that the function indexes or uses in pointer
-/// arithmetic (candidates for `auto` bounds rather than `single`).
-pub fn pointers_used_with_arithmetic(func: &Function) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    visit::walk_fn_stmts(func, &mut |stmt| {
-        visit::walk_stmt_exprs(stmt, &mut |e| {
-            out.extend(arithmetic_base(e).map(String::from))
-        });
-    });
-    out
 }
 
 /// The variable `e` indexes (by anything but a literal 0) or offsets.
@@ -419,6 +417,7 @@ mod tests {
         assert_eq!(facts.annotation_escapes.len(), 1);
         assert_eq!(facts.annotation_escapes[0].var, "later");
         // `p` is indexed: `auto`; `cb` is not a data pointer.
+        assert_eq!(facts.arithmetic, BTreeSet::from(["p".to_string()]));
         let sig = &facts.signature;
         assert!(sig.body.is_none());
         assert_eq!(

@@ -92,18 +92,24 @@ pub fn walk_fn_stmts<'a>(func: &'a Function, f: &mut dyn FnMut(&'a Stmt)) {
 /// Calls `f` on every statement in a block (pre-order).
 pub fn walk_block_stmts<'a>(block: &'a Block, f: &mut dyn FnMut(&'a Stmt)) {
     for s in &block.stmts {
-        f(s);
-        match s {
-            Stmt::If(_, then, els, _) => {
-                walk_block_stmts(then, f);
-                if let Some(e) = els {
-                    walk_block_stmts(e, f);
-                }
+        walk_stmt(s, f);
+    }
+}
+
+/// Calls `f` on a statement and on every statement nested in it
+/// (pre-order).
+pub fn walk_stmt<'a>(stmt: &'a Stmt, f: &mut dyn FnMut(&'a Stmt)) {
+    f(stmt);
+    match stmt {
+        Stmt::If(_, then, els, _) => {
+            walk_block_stmts(then, f);
+            if let Some(e) = els {
+                walk_block_stmts(e, f);
             }
-            Stmt::While(_, body, _) => walk_block_stmts(body, f),
-            Stmt::Block(b) | Stmt::DelayedFreeScope(b, _) => walk_block_stmts(b, f),
-            _ => {}
         }
+        Stmt::While(_, body, _) => walk_block_stmts(body, f),
+        Stmt::Block(b) | Stmt::DelayedFreeScope(b, _) => walk_block_stmts(b, f),
+        _ => {}
     }
 }
 

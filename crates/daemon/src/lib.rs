@@ -15,13 +15,12 @@
 //!   program — resident state may make answers *fast*, never *different*
 //!   (the differential-testing discipline, applied to the serving layer).
 //!   Every diagnostic is built on each analyze from the current program,
-//!   so line-shifting edits move its span too, with one caveat: Deputy's
-//!   per-function reports are content-keyed, and so *span-insensitive* by
-//!   design (a span-sensitive key would dirty the whole file on any
-//!   line-shifting edit). The diagnostics a carried report holds keep
-//!   the statement spans of the program state it was computed against —
-//!   content, messages, and severities stay exact; only their line
-//!   numbers may lag. Span re-anchoring is a ROADMAP item.
+//!   so line-shifting edits move its span too. Deputy's per-function
+//!   reports are keyed by the function's content and layout (spans
+//!   relative to its start line), so an edit that only moves a function
+//!   carries its report; the report stores its lines relative to the
+//!   function's start and is re-based on the current function on every
+//!   analyze, so a carried report reports the lines a fresh run does.
 //! * **Content-keyed invalidation.** `notify_edit` ships an edit as a
 //!   splice against the previous edit's text, re-parses only the edited
 //!   function when the edit stays inside one, and carries every memoized

@@ -14,15 +14,12 @@
 //! annotations so the burden statistics (E2) stay honest.
 
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity};
-use ivy_cmir::ast::{Function, Globals, Program, Stmt};
-use ivy_cmir::facts::{signature, FnFacts};
+use ivy_cmir::ast::{Globals, Program};
+use ivy_cmir::facts::FnFacts;
 use ivy_cmir::functions::Functions;
 use ivy_cmir::types::CompositeDef;
-use ivy_cmir::visit;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-pub use ivy_cmir::facts::pointers_used_with_arithmetic;
 
 /// Validates every annotation in the program, appending diagnostics to the
 /// report. Returns the number of annotations examined.
@@ -36,10 +33,11 @@ pub fn validate_annotations(program: &Program, report: &mut ConversionReport) ->
 /// globals, and every function's signature with `body: None`. Unannotated
 /// pointers in globals and fields default to `auto` (without per-site
 /// usage information the conservative choice, always checkable at run
-/// time); a defined function's parameters default as in [`with_defaults`],
-/// and an extern's are left as written. The defaults the bodies' locals
-/// get once [`with_defaults`] applies them are added to
-/// `report.inferred_defaults` too.
+/// time); a defined function's parameters default to `auto` when its body
+/// indexes or offsets them ([`FnFacts::arithmetic`]) and to `single`
+/// otherwise, and an extern's are left as written. The defaults the
+/// bodies' locals get when the instrumentation walk binds them are added
+/// to `report.inferred_defaults` too.
 pub fn default_env(program: &Program, report: &mut ConversionReport) -> Program {
     let items = prepare_items(program);
     let (functions, inferred) = default_functions(program, &FnFacts::all(program));
@@ -204,36 +202,14 @@ pub fn default_functions(program: &Program, facts: &[Arc<FnFacts>]) -> (Function
     (functions, inferred)
 }
 
-/// One function with default annotations for its unannotated pointer
-/// parameters and locals: `auto` bounds for pointers that the function
-/// indexes or offsets ([`pointers_used_with_arithmetic`]), `single` for
-/// everything else. An extern declaration is returned as written. The
-/// body is copied once, with the defaults applied on the way.
-pub fn with_defaults(func: &Function) -> Function {
-    let Some(body) = &func.body else {
-        return func.clone();
-    };
-    let arithmetic_ptrs = pointers_used_with_arithmetic(func);
-    let mut out = signature(func);
-    for p in &mut out.params {
-        p.ty.apply_default_bounds(arithmetic_ptrs.contains(&p.name));
-    }
-    out.body = Some(visit::map_block(body, &mut |s| match s {
-        Stmt::Local(mut decl, init) => {
-            decl.ty
-                .apply_default_bounds(arithmetic_ptrs.contains(&decl.name));
-            vec![Stmt::Local(decl, init)]
-        }
-        other => vec![other],
-    }));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instrument::{convert_function, Deputy};
+    use ivy_cmir::ast::{Function, Stmt, VarDecl};
     use ivy_cmir::parser::parse_program;
     use ivy_cmir::types::{Bounds, Type};
+    use ivy_cmir::visit;
 
     #[test]
     fn well_formed_annotations_pass() {
@@ -315,6 +291,24 @@ mod tests {
         assert_eq!(r.error_count(), 1);
     }
 
+    /// `name` of `program` as Deputy converts it: the instrumentation
+    /// walk's output, with its default bounds.
+    fn converted(program: &Program, name: &str) -> Function {
+        let (env, _) = Deputy::new().prepare(program);
+        convert_function(&env, program.function(name).unwrap()).0
+    }
+
+    /// A function's parameters and locals, in order.
+    fn decls(func: &Function) -> Vec<VarDecl> {
+        let mut out = func.params.clone();
+        visit::walk_fn_stmts(func, &mut |s| {
+            if let Stmt::Local(decl, _) = s {
+                out.push(decl.clone());
+            }
+        });
+        out
+    }
+
     #[test]
     fn defaults_single_vs_auto() {
         let src = r#"
@@ -329,24 +323,17 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         let bounds = |ty: &Type| ty.ptr_annot().unwrap().bounds.clone();
-        let only = with_defaults(p.function("only_deref").unwrap());
+        let only = converted(&p, "only_deref");
         assert_eq!(bounds(&only.params[0].ty), Bounds::Single);
-        let walks = with_defaults(p.function("walks").unwrap());
+        let walks = converted(&p, "walks");
         assert_eq!(bounds(&walks.params[0].ty), Bounds::Auto);
-        let mut local = None;
-        visit::walk_fn_stmts(&walks, &mut |s| {
-            if let Stmt::Local(decl, _) = s {
-                if decl.name == "cur" {
-                    local = Some(bounds(&decl.ty));
-                }
-            }
-        });
-        assert_eq!(local, Some(Bounds::Single));
+        let local = decls(&walks).into_iter().find(|d| d.name == "cur");
+        assert_eq!(local.map(|d| bounds(&d.ty)), Some(Bounds::Single));
     }
 
-    /// The environment carries the same parameter defaults as
-    /// [`with_defaults`], no body, untouched extern parameters, and counts
-    /// the defaults the bodies' locals will get.
+    /// The environment carries the same parameter defaults as the
+    /// converted function, no body, untouched extern parameters, and
+    /// counts the defaults the bodies' locals will get.
     #[test]
     fn default_env_is_body_free_and_counts_local_defaults() {
         let src = r#"
@@ -366,7 +353,7 @@ mod tests {
         assert!(env.functions.iter().all(|f| f.body.is_none()));
         assert_eq!(
             env.function("walks").unwrap().params,
-            with_defaults(p.function("walks").unwrap()).params
+            converted(&p, "walks").params
         );
         let ext = &env.function("ext").unwrap().params[0].ty;
         assert_eq!(ext.ptr_annot().unwrap().bounds, Bounds::Unknown);
@@ -378,7 +365,7 @@ mod tests {
     fn trusted_pointers_not_defaulted() {
         let src = "fn f(p: u32 * trusted) -> u32 { return p[4]; }";
         let p = parse_program(src).unwrap();
-        let f = with_defaults(p.function("f").unwrap());
+        let f = converted(&p, "f");
         let ann = f.params[0].ty.ptr_annot().unwrap();
         assert!(ann.trusted);
         assert_eq!(ann.bounds, Bounds::Unknown);
@@ -388,9 +375,11 @@ mod tests {
     fn inference_is_idempotent() {
         let src = "fn walks(p: u32 *, n: u32) -> u32 { let q: u32 * = p; return p[n]; }";
         let mut p = parse_program(src).unwrap();
-        let once = with_defaults(&p.functions[0]);
-        assert_ne!(once, p.functions[0]);
-        assert_eq!(with_defaults(&once), once);
+        let once = converted(&p, "walks");
+        assert_ne!(decls(&once), decls(&p.functions[0]));
+        let mut again = p.clone();
+        again.functions[0] = once.clone();
+        assert_eq!(decls(&converted(&again, "walks")), decls(&once));
         p.functions[0] = once;
         let mut r = ConversionReport::default();
         default_env(&p, &mut r);

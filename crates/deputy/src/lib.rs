@@ -9,10 +9,12 @@
 //!
 //! * [`annotate`] — annotation validation and default inference for legacy
 //!   pointers (the incremental-conversion story), applied to a body-free
-//!   environment and to each function as it is instrumented.
+//!   environment; the check walk gives each function's locals their
+//!   defaults as it binds them.
 //! * [`instrument`] — the checker itself: static discharge where provable,
 //!   run-time check insertion otherwise, `trusted` escape hatches respected
-//!   and counted.
+//!   and counted. One walk per function, which either only fills the
+//!   function's report or also builds the instrumented body.
 //! * [`optimize`] — redundant-check elimination.
 //! * [`erase`](erase()) — erasure semantics: strip every annotation and every
 //!   inserted check, recovering a program a traditional build would accept.

@@ -3,15 +3,17 @@
 //! Deputy checking decomposes cleanly per function: validation and the
 //! defaulted environment are prepared once per program ([`PreparedQuery`],
 //! a fold over the db's per-function facts that reads no body and shares
-//! every signature the facts hold), then each function is defaulted and
-//! instrumented independently
-//! ([`InstrumentedQuery`]) — call-site obligations only consult
-//! *signatures* of callees, never their bodies. The environment is
+//! every signature the facts hold), then each function is checked
+//! independently ([`InstrumentedQuery`]) — call-site obligations only
+//! consult *signatures* of callees, never their bodies. The environment is
 //! body-free (signatures, globals, composites, typedefs), and the
-//! per-function query keeps only the function's [`ConversionReport`]: the
-//! instrumented body is built, read for its report, and dropped, so a
-//! context holds its program once and no Deputy body besides. The
-//! instrumented program itself is [`Deputy::convert`]'s job.
+//! per-function query computes only the function's [`ConversionReport`]:
+//! Deputy's check walk runs report-only ([`function_report`]), defaulting
+//! each parameter and local as it binds it and counting each check it
+//! would insert, so it copies no body and builds no check, and a context
+//! holds its program once and no Deputy body besides. The instrumented
+//! program itself is [`Deputy::convert`]'s job: the same walk with the
+//! rewrite on.
 //!
 //! The instrumented query is a [`DurableQuery`] keyed by function name,
 //! whose content key mixes the function's span-insensitive content hash,
@@ -25,7 +27,7 @@
 //! still reports the lines a fresh run of the edited source reports.
 
 use crate::annotate;
-use crate::instrument::{convert_function, Deputy};
+use crate::instrument::{function_report, Deputy};
 use crate::report::{ConversionReport, DeputyDiagnostic, Severity as DeputySeverity};
 use ivy_analysis::pointsto::Sensitivity;
 use ivy_cmir::ast::{Function, Program};
@@ -128,10 +130,11 @@ impl Query for PreparedQuery {
     }
 }
 
-/// The conversion report of one function instrumented against the
-/// prepared environment (see [`convert_function`]): its check counts,
-/// static discharges and diagnostics, whose span lines are relative to the
-/// function's start line. The instrumented body is not kept.
+/// The conversion report of one function checked against the prepared
+/// environment by the report-only walk ([`function_report`], the report
+/// [`crate::convert_function`] gives): its check counts, static discharges
+/// and diagnostics, whose span lines are relative to the function's start
+/// line. No instrumented body is built.
 pub struct InstrumentedQuery;
 
 impl Query for InstrumentedQuery {
@@ -141,11 +144,13 @@ impl Query for InstrumentedQuery {
 
     fn compute(db: &QueryDb, key: &String) -> ConversionReport {
         let prepared = db.get::<PreparedQuery>(&());
-        let subject = db
+        let at = db
             .program
-            .function(key)
+            .functions
+            .position(key)
             .expect("instrumented query demanded for a known function");
-        let mut report = convert_function(&prepared.env, subject).1;
+        let subject = &db.program.functions[at];
+        let mut report = function_report(&prepared.env, subject, &db.fn_facts()[at]);
         let start = subject.span.start.line;
         for d in &mut report.diagnostics {
             d.span = d.span.map(|span| span.shift_lines(start.wrapping_neg()));
@@ -164,14 +169,17 @@ impl Query for InstrumentedQuery {
 }
 
 impl DurableQuery for InstrumentedQuery {
-    /// Version 6: the content key also covers the function's layout hash.
-    /// Version 5 stored the same payload under a key without it, and
-    /// version 4 stored the span lines absolute, under the same content key
-    /// (the name, the stored content hash and the stored env hash). Version 3
+    /// Version 7: a trusted function counts each access site once. Version
+    /// 6 stored the same payload under the same key, but counted an access
+    /// nested in a branch or loop once more per enclosing statement; it
+    /// added the function's layout hash to the content key. Version 5
+    /// stored the same payload under a key without it, and version 4
+    /// stored the span lines absolute, under the same content key (the
+    /// name, the stored content hash and the stored env hash). Version 3
     /// stored the same payload under a key that hashed a caller-computed
     /// content hash in as well; version 2 left the env hash out; version 1
     /// also carried the instrumented body as pretty-printed KC source.
-    const FORMAT_VERSION: u32 = 6;
+    const FORMAT_VERSION: u32 = 7;
 
     fn encode(value: &ConversionReport) -> Value {
         report_to_value(value)

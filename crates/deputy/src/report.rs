@@ -92,11 +92,8 @@ impl ConversionReport {
 
     /// Records an inserted check of a kind.
     pub fn count_check(&mut self, kind: &str, function: &str) {
-        *self.runtime_checks.entry(kind.to_string()).or_insert(0) += 1;
-        *self
-            .checks_per_function
-            .entry(function.to_string())
-            .or_insert(0) += 1;
+        add(&mut self.runtime_checks, kind, 1);
+        add(&mut self.checks_per_function, function, 1);
     }
 
     /// Accumulates another report into this one (used to combine the
@@ -107,15 +104,23 @@ impl ConversionReport {
         self.trusted_sites += other.trusted_sites;
         self.inferred_defaults += other.inferred_defaults;
         for (kind, n) in &other.runtime_checks {
-            *self.runtime_checks.entry(kind.clone()).or_insert(0) += n;
+            add(&mut self.runtime_checks, kind, *n);
         }
         for (function, n) in &other.checks_per_function {
-            *self
-                .checks_per_function
-                .entry(function.clone())
-                .or_insert(0) += n;
+            add(&mut self.checks_per_function, function, *n);
         }
         self.diagnostics.extend(other.diagnostics.iter().cloned());
+    }
+}
+
+/// Adds `n` to the count of `key`, allocating the key only on its first
+/// insert.
+fn add(counts: &mut BTreeMap<String, u64>, key: &str, n: u64) {
+    match counts.get_mut(key) {
+        Some(count) => *count += n,
+        None => {
+            counts.insert(key.to_string(), n);
+        }
     }
 }
 

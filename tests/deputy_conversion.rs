@@ -2,11 +2,13 @@
 //! FNV-1a digest of the pretty-printed deputized program from
 //! `Deputy::convert`, plus the small kernel's report counts. A refactor of
 //! the conversion may change how the program is built, never what comes
-//! out. The engine plugin keeps only per-function reports; merged into the
-//! prepared report they must reproduce the conversion's report.
+//! out. The engine plugin keeps only per-function reports, from a walk that
+//! builds no body: each must equal `convert_function`'s report for its
+//! function, and merged into the prepared report they must reproduce the
+//! conversion's report.
 
 use ivy::cmir::pretty::pretty_program;
-use ivy::deputy::{ConversionReport, Deputy, DeputyChecker};
+use ivy::deputy::{convert_function, ConversionReport, Deputy, DeputyChecker};
 use ivy::engine::AnalysisCtx;
 use ivy::kernelgen::{KernelBuild, KernelConfig};
 use std::collections::BTreeMap;
@@ -78,5 +80,56 @@ fn per_function_deputy_reports_merge_into_the_conversion_report() {
         assert!(direct.checks_optimized_away > 0, "{kernel}");
         merged.checks_optimized_away = direct.checks_optimized_away;
         assert_eq!(merged, direct, "{kernel}");
+    }
+}
+
+/// Each function's report from the engine plugin, its lines re-based on
+/// the function, equals the report `convert_function` gives that function
+/// when it builds the instrumented body: on the small and paper kernels
+/// and one about twice the paper kernel's size. Compared one function at
+/// a time, so errors that cancel out in a merged report still show.
+#[test]
+fn per_function_deputy_reports_match_convert_function() {
+    let twice_paper = KernelConfig {
+        drivers: 8,
+        fp_groups: 30,
+        cache_defects: 54,
+        ring_defects: 52,
+        ..KernelConfig::paper()
+    };
+    let kernels = [
+        ("small", KernelConfig::small()),
+        ("paper", KernelConfig::paper()),
+        ("twice paper", twice_paper),
+    ];
+    for (kernel, config) in kernels {
+        let program = KernelBuild::generate(&config).program;
+        let (env, _) = Deputy::new().prepare(&program);
+        let ctx = AnalysisCtx::new(&program);
+        let checker = DeputyChecker::new();
+        let mut compared = 0;
+        let mut mismatches = Vec::new();
+        for func in ctx.program.functions.iter().filter(|f| f.body.is_some()) {
+            let mut engine: ConversionReport = (*checker.instrumented(&ctx, func)).clone();
+            let start = func.span.start.line;
+            for d in &mut engine.diagnostics {
+                d.span = d.span.map(|span| span.shift_lines(start));
+            }
+            let built = convert_function(&env, func).1;
+            if engine != built {
+                mismatches.push(format!(
+                    "{}:\n  engine {engine:?}\n  built  {built:?}",
+                    func.name
+                ));
+            }
+            compared += 1;
+        }
+        assert!(compared > 100, "{kernel}: {compared} functions");
+        assert!(
+            mismatches.is_empty(),
+            "{kernel}: {} of {compared} functions differ:\n{}",
+            mismatches.len(),
+            mismatches.join("\n")
+        );
     }
 }
